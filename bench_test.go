@@ -108,8 +108,8 @@ func BenchmarkAblationFocalLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		focal := nli.Train(pairs[:cut], nli.TrainConfig{Seed: 2, Loss: nn.PaperFocal})
 		ce := nli.Train(pairs[:cut], nli.TrainConfig{Seed: 2, Loss: nn.CrossEntropy{WPos: 2.7, WNeg: 1.0}})
-		focalAcc = nli.Accuracy(focal, pairs[cut:])
-		ceAcc = nli.Accuracy(ce, pairs[cut:])
+		focalAcc = nli.Accuracy(context.Background(), focal, pairs[cut:])
+		ceAcc = nli.Accuracy(context.Background(), ce, pairs[cut:])
 	}
 	b.ReportMetric(100*focalAcc, "focalAcc%")
 	b.ReportMetric(100*ceAcc, "ceAcc%")
@@ -126,11 +126,11 @@ func BenchmarkAblationRule2(b *testing.B) {
 		rule2Cols, allCols, n = 0, 0, 0
 		for _, ex := range dev {
 			db := bench.DB(ex.DBName)
-			rel, err := sqleval.New(db).Exec(ex.Gold)
+			rel, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
 			if err != nil || rel.NumRows() == 0 {
 				continue
 			}
-			prov, err := provenance.Track(db, ex.Gold, rel, 0)
+			prov, err := provenance.NewTracker(db).TrackContext(context.Background(), ex.Gold, rel, 0)
 			if err != nil || prov.Empty {
 				continue
 			}
@@ -197,14 +197,14 @@ func BenchmarkExplanationGeneration(b *testing.B) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
-	rel, err := sqleval.New(db).Exec(ex.Gold)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := explain.New(db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Explain(ex.Gold, rel, 0); err != nil {
+		if _, err := e.ExplainContext(context.Background(), ex.Gold, rel, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,13 +229,13 @@ func BenchmarkVerifierInference(b *testing.B) {
 func BenchmarkProvenanceTracking(b *testing.B) {
 	db := datasets.FlightDB()
 	stmt := mustParse(b, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := provenance.Track(db, stmt, rel, 0); err != nil {
+		if _, err := provenance.NewTracker(db).TrackContext(context.Background(), stmt, rel, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,14 +247,14 @@ func BenchmarkProvenanceTracking(b *testing.B) {
 func BenchmarkProvenanceTrackingReused(b *testing.B) {
 	db := datasets.FlightDB()
 	stmt := mustParse(b, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := provenance.NewTracker(db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Track(stmt, rel, 0); err != nil {
+		if _, err := tr.TrackContext(context.Background(), stmt, rel, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

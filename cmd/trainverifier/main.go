@@ -67,9 +67,9 @@ func main() {
 	trainPairs, heldOut := pairs[:cut], pairs[cut:]
 	v := nli.Train(trainPairs, nli.TrainConfig{Seed: 2, Epochs: *epochs, Loss: loss})
 	checkpoint(ctx)
-	fmt.Printf("trained (threshold %.2f); held-out pair accuracy: %.3f\n", v.Threshold, nli.Accuracy(v, heldOut))
+	fmt.Printf("trained (threshold %.2f); held-out pair accuracy: %.3f\n", v.Threshold, nli.Accuracy(context.Background(), v, heldOut))
 	fmt.Printf("strawman comparison on the same pairs: llm=%.3f prebuilt=%.3f\n",
-		nli.Accuracy(nli.FewShotLLM{}, heldOut), nli.Accuracy(nli.PrebuiltNLI{}, heldOut))
+		nli.Accuracy(context.Background(), nli.FewShotLLM{}, heldOut), nli.Accuracy(context.Background(), nli.PrebuiltNLI{}, heldOut))
 	checkpoint(ctx)
 
 	if *out != "" {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"cyclesql/internal/datasets"
@@ -35,7 +36,7 @@ func main() {
 	fmt.Println("Question:", question)
 	fmt.Println()
 	for _, c := range cases {
-		rel, err := sqleval.New(db).Exec(c.stmt)
+		rel, err := sqleval.New(db).ExecContext(context.Background(), c.stmt)
 		if err != nil {
 			panic(err)
 		}
@@ -46,7 +47,7 @@ func main() {
 		fmt.Println(" ", sql2nl.Describe(db.Schema, c.stmt))
 		e := explain.New(db)
 		e.Polish = explain.RulePolisher{}
-		exp, err := e.Explain(c.stmt, rel, 0)
+		exp, err := e.ExplainContext(context.Background(), c.stmt, rel, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -37,7 +37,7 @@ func main() {
 			}
 			n++
 			db := science.DB(ex.DBName)
-			base, err := pipeline.Baseline(ex, db)
+			base, err := pipeline.BaselineContext(context.Background(), ex, db)
 			if err != nil {
 				panic(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"cyclesql/internal/datasets"
@@ -26,7 +27,7 @@ func main() {
 			continue
 		}
 		count++
-		rel, err := sqleval.New(db).Exec(ex.Gold)
+		rel, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			panic(err)
 		}
@@ -38,7 +39,7 @@ func main() {
 			}
 			fmt.Println()
 		}
-		prov, err := provenance.Track(db, ex.Gold, rel, 0)
+		prov, err := provenance.NewTracker(db).TrackContext(context.Background(), ex.Gold, rel, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/datasets"
@@ -13,11 +14,11 @@ func annotateSQL(t *testing.T, sql string) []Annotation {
 	t.Helper()
 	db := datasets.FlightDB()
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := provenance.Track(db, stmt, rel, 0)
+	prov, err := provenance.NewTracker(db).TrackContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,11 @@ func TestAnnotateDistinct(t *testing.T) {
 func TestAnnotateCompoundParts(t *testing.T) {
 	db := datasets.WorldDB()
 	stmt := sqlparse.MustParse("SELECT name FROM country WHERE continent = 'Europe' INTERSECT SELECT name FROM country WHERE population > 1000000")
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := provenance.Track(db, stmt, rel, 0)
+	prov, err := provenance.NewTracker(db).TrackContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

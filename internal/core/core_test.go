@@ -59,7 +59,7 @@ func TestTrainedVerifierDiscriminates(t *testing.T) {
 	cfg := TrainDataConfig{Models: []string{"resdsql-large"}, MaxExamples: 0, Seed: 9}
 	heldBench := &datasets.Benchmark{Name: bench.Name, Databases: bench.Databases, Train: bench.Train[300:380]}
 	pairs := BuildTrainingPairs(context.Background(), heldBench, cfg)
-	acc := nli.Accuracy(v, pairs)
+	acc := nli.Accuracy(context.Background(), v, pairs)
 	if acc < 0.70 {
 		t.Fatalf("verifier held-out accuracy = %.2f, want >= 0.70", acc)
 	}
@@ -79,7 +79,7 @@ func TestCycleSQLImprovesExecutionAccuracy(t *testing.T) {
 		baseOK, loopOK := 0, 0
 		for _, ex := range dev {
 			db := bench.DB(ex.DBName)
-			base, err := p.Baseline(ex, db)
+			base, err := p.BaselineContext(context.Background(), ex, db)
 			if err != nil {
 				t.Fatal(err)
 			}

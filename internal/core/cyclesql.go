@@ -20,27 +20,28 @@
 // Resilience: a Pipeline optionally carries a resilience.Policy that
 // wraps every stage of the loop — translate, execute, explain, verify —
 // with retry/backoff for transient infrastructure faults and a per-stage
-// circuit breaker (see internal/resilience). Panics inside a candidate's
-// chain are recovered into typed StageErrors on both the sequential and
-// parallel paths, so a crashing model call fails one candidate instead of
-// the process. When the verify breaker is open the loop degrades
-// gracefully: it stops burning candidates against a dead verifier and
-// returns the best-scored unverified candidate with Result.Degraded set.
-// A nil policy reproduces the pre-resilience behavior exactly (single
-// attempts, no breakers) at zero added allocation.
+// circuit breaker (see internal/resilience). Every stage runs through one
+// function, Pipeline.stage, whatever the policy and the parallelism, and
+// panics inside it are recovered into typed StageErrors, so a crashing
+// model call fails one candidate (or, in the beam, one translation)
+// instead of the process. When the verify breaker is open the loop
+// degrades gracefully: it stops burning candidates against a dead
+// verifier and returns the best-scored unverified candidate with
+// Result.Degraded set. A nil policy makes every stage a single attempt
+// with no breakers, at zero added allocation.
 //
 // Cancellation: Translate takes a context.Context that threads through
 // every candidate's execute → explain chain down to the SQL executor's
 // inner loops (sqleval.Executor.ExecContext), so cancelling it — the
 // batch experiment driver's per-example timeout, or a caller shutting
 // down — aborts the loop mid-query and Translate returns the context's
-// error. Internally the parallel path derives a per-call context that it
+// error. Above Parallelism 1 the loop derives a per-call context that it
 // cancels as soon as a candidate validates, which aborts the in-flight
-// speculative work of later candidates — SQL executions mid-query, and,
-// through nli.VerifyContext, a context-aware verifier's simulated
-// inference mid-wait — instead of letting them run to completion; their
-// discarded outcomes never affect the Result, so the beam-order parity
-// guarantee above is unchanged.
+// speculative work of later candidates — SQL executions mid-query, and a
+// verifier's simulated inference mid-wait (nli.Verifier is context-first)
+// — instead of letting them run to completion; their discarded outcomes
+// never affect the Result, so the beam-order parity guarantee above is
+// unchanged.
 package core
 
 import (
@@ -181,15 +182,15 @@ type Pipeline struct {
 	Benchmark string
 
 	// Parallelism bounds how many beam candidates are verified
-	// concurrently within one Translate call. 0 or 1 reproduces the
-	// paper's sequential loop bit for bit; higher values execute, explain
-	// and verify candidates speculatively on a worker pool while results
+	// concurrently within one Translate call. 0 or 1 is the paper's
+	// sequential loop, run inline; higher values execute, explain and
+	// verify candidates speculatively on a worker pool while results
 	// commit in beam order, so Final, Verified, Iterations, Premises and
-	// Errors are identical to the sequential loop either way. Candidates
-	// after the first (beam-order) validated one are not started; work
-	// already in flight is left to finish and discarded. With Parallelism
-	// > 1 the Feedback and Verifier must be safe for concurrent use (the
-	// implementations in this repository are).
+	// Errors are identical either way. Candidates after the first
+	// (beam-order) validated one are not started; work already in flight
+	// is aborted and discarded. With Parallelism > 1 the Feedback and
+	// Verifier must be safe for concurrent use (the implementations in
+	// this repository are).
 	Parallelism int
 
 	// Resilience, when non-nil, wraps every loop stage with the policy's
@@ -219,17 +220,6 @@ func (p *Pipeline) executor(db *storage.Database) *sqleval.Executor {
 	return p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
 }
 
-// NewPipeline returns a pipeline with the paper's inference settings:
-// beam size 8 for Seq2seq-style models (callers lower it to 5 for
-// LLM-style models, matching the paper's API parameter).
-//
-// Deprecated: use New with functional options — New(model,
-// WithVerifier(verifier), WithBenchmark(benchmark)) is the equivalent
-// call, and the options compose where the positional list cannot grow.
-func NewPipeline(model nl2sql.Model, verifier nli.Verifier, benchmark string) *Pipeline {
-	return New(model, WithVerifier(verifier), WithBenchmark(benchmark))
-}
-
 // Translate runs the feedback loop for one example. Cancelling ctx aborts
 // the loop — including any SQL execution in flight, which the executor
 // interrupts mid-query — and Translate returns the context's error; a
@@ -238,10 +228,6 @@ func NewPipeline(model nl2sql.Model, verifier nli.Verifier, benchmark string) *P
 func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *storage.Database) (*Result, error) {
 	if p.Model == nil || p.Verifier == nil {
 		return nil, fmt.Errorf("core: pipeline needs a model and a verifier")
-	}
-	if ctx == nil {
-		//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers; nothing upstream to thread
-		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -265,16 +251,11 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	start := time.Now()
 	defer func() { res.Overhead = time.Since(start) }()
 	// One executor serves every candidate — and, when the pipeline came
-	// from NewPipeline, persists across Translate calls so textually
+	// from New, persists across Translate calls so textually
 	// recurring candidates reuse compiled plans (the cache is keyed by
 	// canonical SQL, not AST identity). The executor is safe for
-	// concurrent Exec, so the parallel path shares it across workers.
-	executor := p.executor(db)
-	if p.Parallelism > 1 && len(candidates) > 1 {
-		p.runParallel(ctx, res, ex, db, fb, executor, candidates)
-	} else {
-		p.runSequential(ctx, res, ex, db, fb, executor, candidates)
-	}
+	// concurrent ExecContext, so speculative workers share it.
+	p.run(ctx, res, ex.Question, db, fb, p.executor(db), candidates)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -291,26 +272,18 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 }
 
 // beam produces the candidate list, running the model's inference as the
-// translate stage of the resilience policy (when one is configured):
-// transient beam faults are retried within ctx's budget, and a panicking
-// model fails the translation instead of the process. Without a policy
-// the call is direct — plus cancellation awareness via
-// nl2sql.TranslateContext — at no added allocation.
+// translate stage: under a resilience policy transient beam faults are
+// retried within ctx's budget, and with or without one a panicking model
+// fails the translation instead of the process. A done ctx is returned as
+// itself, never wrapped.
 func (p *Pipeline) beam(ctx context.Context, ex datasets.Example, db *storage.Database, k int) ([]nl2sql.Candidate, int, error) {
-	if p.Resilience == nil {
-		cands, err := nl2sql.TranslateContext(ctx, p.Model, p.Benchmark, ex, db, k)
-		return cands, 0, err
-	}
 	var cands []nl2sql.Candidate
-	se, attempts, _ := p.stage(ctx, resilience.StageTranslate, p.Benchmark+"\x00"+ex.ID, func(ctx context.Context) error {
+	se, attempts, _ := p.stage(ctx, resilience.StageTranslate, p.Benchmark, ex.ID, func(ctx context.Context) error {
 		var err error
 		cands, err = nl2sql.TranslateContext(ctx, p.Model, p.Benchmark, ex, db, k)
 		return err
 	})
-	retries := 0
-	if attempts > 1 {
-		retries = attempts - 1
-	}
+	retries := max(attempts-1, 0)
 	if !se.IsZero() {
 		if err := ctx.Err(); err != nil {
 			return nil, retries, err
@@ -320,112 +293,10 @@ func (p *Pipeline) beam(ctx context.Context, ex datasets.Example, db *storage.Da
 	return cands, retries, nil
 }
 
-// runSequential is the paper's loop: examine candidates one at a time in
-// beam order, stopping at the first validated one — or at cancellation,
-// which Translate converts into an error return, or at verify-breaker
-// degradation, which stops the loop on the spot (every later candidate
-// would hit the same open circuit).
-func (p *Pipeline) runSequential(ctx context.Context, res *Result, ex datasets.Example, db *storage.Database, fb Feedback, executor *sqleval.Executor, candidates []nl2sql.Candidate) {
-	for i, cand := range candidates {
-		if ctx.Err() != nil {
-			return
-		}
-		o := p.examine(ctx, ex.Question, db, fb, executor, cand)
-		res.Iterations = i + 1
-		res.Premises = append(res.Premises, o.premise)
-		res.Errors = append(res.Errors, o.err)
-		res.Retries += o.retries
-		if o.degraded {
-			res.Degraded = true
-			return
-		}
-		if o.verified {
-			res.Final = cand.Stmt
-			res.FinalSQL = cand.SQL
-			res.Verified = true
-			return
-		}
-	}
-}
-
-// candOutcome is the result of examining one candidate: its feedback
-// premise (or the stage error that prevented one), the verifier's
-// verdict, the transient re-attempts consumed along the way, and whether
-// an open verify breaker forced degradation.
-type candOutcome struct {
-	premise  nli.Premise
-	err      resilience.StageError
-	verified bool
-	retries  int
-	degraded bool
-}
-
-// examine runs the execute → explain → verify chain for one candidate.
-// Both the sequential loop and the parallel workers go through it, so the
-// two paths produce identical premises, errors and verdicts by
-// construction. A cancelled ctx surfaces as an error outcome tagged with
-// the stage that observed it; callers that care (the parallel committer
-// discarding in-flight losers, Translate's error return) check the
-// context itself rather than the record. The verdict runs through
-// nli.VerifyContext, so a verifier with real inference waits (an
-// nli.ContextVerifier, e.g. nli.Latency) abandons them the moment the
-// candidate can no longer win. A panic anywhere in the chain — a buggy or
-// fault-injected model call — is recovered into the running stage's
-// StageError on both paths, so one crashing candidate cannot take down
-// the process (or the parallel pool). With a Resilience policy the chain
-// additionally retries transient faults and consults the per-stage
-// breakers (examineResilient).
-func (p *Pipeline) examine(ctx context.Context, question string, db *storage.Database, fb Feedback, executor *sqleval.Executor, cand nl2sql.Candidate) (out candOutcome) {
-	if p.Resilience != nil {
-		return p.examineResilient(ctx, question, db, fb, executor, cand)
-	}
-	// The policy-free fast path: single attempts, no breakers, and — by
-	// construction — zero allocation beyond the pre-resilience loop. The
-	// stage marker makes the recover below attribute a panic correctly.
-	stage := resilience.StageExecute
-	out.premise = nli.Premise{SQL: cand.SQL}
-	defer func() {
-		if v := recover(); v != nil {
-			perr := resilience.Recovered(v)
-			out.err = resilience.StageError{Stage: stage, Attempt: 1, Err: perr.Error(), Transient: resilience.IsTransient(perr)}
-			out.verified = false
-		}
-	}()
-	rel, err := executor.ExecContext(ctx, cand.Stmt)
-	if err != nil {
-		// Invalid SQL can never validate; record an empty premise with the
-		// failure and move on.
-		out.err = resilience.StageError{Stage: stage, Attempt: 1, Err: err.Error()}
-		return out
-	}
-	stage = resilience.StageExplain
-	premise, err := fb.Premise(ctx, db, cand.Stmt, rel)
-	if err != nil {
-		out.err = resilience.StageError{Stage: stage, Attempt: 1, Err: err.Error()}
-		return out
-	}
-	out.premise = premise
-	stage = resilience.StageVerify
-	verified, err := nli.VerifyContext(ctx, p.Verifier, question, premise)
-	if err != nil {
-		out.err = resilience.StageError{Stage: stage, Attempt: 1, Err: err.Error()}
-		return out
-	}
-	out.verified = verified
-	return out
-}
-
-// Baseline returns the model's unassisted top-1 translation, the "Base"
-// rows of the paper's tables.
-func (p *Pipeline) Baseline(ex datasets.Example, db *storage.Database) (*sqlast.SelectStmt, error) {
-	//vetcycle:allow ctxflow -- documented one-shot wrapper over BaselineContext
-	return p.BaselineContext(context.Background(), ex, db)
-}
-
-// BaselineContext is Baseline under a context: cancellable for a
-// ContextModel, and run as the translate stage of the resilience policy
-// when one is configured — so a chaos sweep's baseline rows heal from
-// transient beam faults exactly as the loop's own beam does.
+// BaselineContext returns the model's unassisted top-1 translation, the
+// "Base" rows of the paper's tables. It runs as the translate stage, so a
+// chaos sweep's baseline rows heal from transient beam faults exactly as
+// the loop's own beam does.
 func (p *Pipeline) BaselineContext(ctx context.Context, ex datasets.Example, db *storage.Database) (*sqlast.SelectStmt, error) {
 	candidates, _, err := p.beam(ctx, ex, db, 1)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/datasets"
@@ -10,7 +11,7 @@ import (
 
 func execGold(t *testing.T, bench *datasets.Benchmark, ex datasets.Example) *sqltypes.Relation {
 	t.Helper()
-	rel, err := sqleval.New(bench.DB(ex.DBName)).Exec(ex.Gold)
+	rel, err := sqleval.New(bench.DB(ex.DBName)).ExecContext(context.Background(), ex.Gold)
 	if err != nil {
 		t.Fatal(err)
 	}

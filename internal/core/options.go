@@ -17,9 +17,6 @@ type Option func(*Pipeline)
 // data-grounded feedback, sequential candidate examination, no resilience
 // policy, and warm per-database executor caches — customized by opts. A
 // verifier must be supplied (WithVerifier) before the first Translate.
-//
-// This is the canonical constructor; the positional NewPipeline survives
-// as a thin wrapper over it for existing callers.
 func New(model nl2sql.Model, opts ...Option) *Pipeline {
 	p := &Pipeline{
 		Model:    model,

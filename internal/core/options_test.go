@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"testing"
 
-	"cyclesql/internal/datasets"
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
 	"cyclesql/internal/resilience"
@@ -50,31 +48,5 @@ func TestOptionsApply(t *testing.T) {
 	p = New(model, WithBeamSize(0), WithFeedback(nil))
 	if p.BeamSize != 8 || p.Feedback.Name() != "cyclesql" {
 		t.Fatalf("guard rails failed: beam=%d feedback=%s", p.BeamSize, p.Feedback.Name())
-	}
-}
-
-// TestNewPipelineWrapperEquivalence locks the compatibility contract: the
-// deprecated positional constructor is exactly New with the verifier and
-// benchmark options, down to the translation it produces.
-func TestNewPipelineWrapperEquivalence(t *testing.T) {
-	bench := datasets.Spider()
-	ex := bench.Dev[0]
-	model := nl2sql.MustByName("resdsql-3b")
-	accept := nli.Func{Label: "accept", Fn: func(string, nli.Premise) bool { return true }}
-
-	old := NewPipeline(model, accept, bench.Name)
-	opt := New(model, WithVerifier(accept), WithBenchmark(bench.Name))
-	if old.BeamSize != opt.BeamSize || old.Benchmark != opt.Benchmark || old.Parallelism != opt.Parallelism {
-		t.Fatal("wrapper and options constructor disagree on configuration")
-	}
-	db := bench.DB(ex.DBName)
-	r1, err1 := old.Translate(context.Background(), ex, db)
-	r2, err2 := opt.Translate(context.Background(), ex, db)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("translate errors: %v / %v", err1, err2)
-	}
-	if r1.FinalSQL != r2.FinalSQL || r1.Verified != r2.Verified || r1.Iterations != r2.Iterations {
-		t.Fatalf("wrapper parity broken: %q/%v/%d vs %q/%v/%d",
-			r1.FinalSQL, r1.Verified, r1.Iterations, r2.FinalSQL, r2.Verified, r2.Iterations)
 	}
 }

@@ -33,7 +33,6 @@ type flakyVerifier struct {
 
 func (f flakyVerifier) Name() string                          { return f.inner.Name() }
 func (f flakyVerifier) Score(h string, p nli.Premise) float64 { return f.inner.Score(h, p) }
-func (f flakyVerifier) Verify(h string, p nli.Premise) bool   { return f.inner.Verify(h, p) }
 
 func (f flakyVerifier) VerifyContext(ctx context.Context, h string, p nli.Premise) (bool, error) {
 	if resilience.Attempt(ctx) < 2 {
@@ -178,7 +177,6 @@ type transientPanicVerifier struct{}
 
 func (transientPanicVerifier) Name() string                      { return "transient-panic" }
 func (transientPanicVerifier) Score(string, nli.Premise) float64 { return 0 }
-func (transientPanicVerifier) Verify(string, nli.Premise) bool   { return true }
 
 func (transientPanicVerifier) VerifyContext(ctx context.Context, _ string, _ nli.Premise) (bool, error) {
 	if resilience.Attempt(ctx) < 2 {
@@ -213,7 +211,6 @@ type downVerifier struct{}
 
 func (downVerifier) Name() string                      { return "down" }
 func (downVerifier) Score(string, nli.Premise) float64 { return 0 }
-func (downVerifier) Verify(string, nli.Premise) bool   { return false }
 
 func (downVerifier) VerifyContext(context.Context, string, nli.Premise) (bool, error) {
 	return false, resilience.MarkTransient(errors.New("verifier down"))
@@ -343,17 +340,13 @@ func TestRetryBackoffHonorsCancellationInLoop(t *testing.T) {
 	}
 }
 
-// funcContextVerifier adapts a closure into an nli.ContextVerifier.
+// funcContextVerifier adapts a context-aware closure into an nli.Verifier.
 type funcContextVerifier struct {
 	fn func(ctx context.Context) (bool, error)
 }
 
 func (funcContextVerifier) Name() string                      { return "func-ctx" }
 func (funcContextVerifier) Score(string, nli.Premise) float64 { return 0 }
-func (v funcContextVerifier) Verify(string, nli.Premise) bool {
-	ok, _ := v.fn(context.Background())
-	return ok
-}
 func (v funcContextVerifier) VerifyContext(ctx context.Context, _ string, _ nli.Premise) (bool, error) {
 	return v.fn(ctx)
 }

@@ -21,10 +21,6 @@ type gatedVerifier struct {
 
 func (g *gatedVerifier) Name() string                      { return "gated" }
 func (g *gatedVerifier) Score(string, nli.Premise) float64 { return 0 }
-func (g *gatedVerifier) Verify(h string, p nli.Premise) bool {
-	ok, _ := g.VerifyContext(context.Background(), h, p)
-	return ok
-}
 
 func (g *gatedVerifier) VerifyContext(ctx context.Context, h string, p nli.Premise) (bool, error) {
 	if p.SQL == g.winnerSQL {
@@ -85,10 +81,9 @@ func TestParallelWinnerAbortsStragglerVerify(t *testing.T) {
 	}
 }
 
-// TestSequentialVerifyContextParity pins that threading the verdict
-// through nli.VerifyContext did not change the sequential loop: a
-// context-free verifier behaves exactly as before, and Errors stays empty
-// for completed verdicts.
+// TestSequentialVerifyContextParity pins that the sequential loop takes a
+// verifier's verdict unchanged through nli.VerifyContext, and Errors stays
+// empty for completed verdicts.
 func TestSequentialVerifyContextParity(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
@@ -104,4 +99,4 @@ func TestSequentialVerifyContextParity(t *testing.T) {
 	}
 }
 
-var _ nli.ContextVerifier = (*gatedVerifier)(nil)
+var _ nli.Verifier = (*gatedVerifier)(nil)

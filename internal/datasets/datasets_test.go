@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestEveryGoldExecutes(t *testing.T) {
 		for _, split := range [][]Example{b.Train, b.Dev, b.Test} {
 			for _, ex := range split {
 				db := b.DB(ex.DBName)
-				if _, err := sqleval.New(db).Exec(ex.Gold); err != nil {
+				if _, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold); err != nil {
 					t.Fatalf("%s/%s: gold does not execute: %v", name, ex.ID, err)
 				}
 			}
@@ -85,7 +86,7 @@ func TestWorldPaperFacts(t *testing.T) {
 	ex := sqleval.New(db)
 	check := func(sql string, want int64) {
 		t.Helper()
-		rel, err := ex.Exec(mustParse(t, sql))
+		rel, err := ex.ExecContext(context.Background(), mustParse(t, sql))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,12 +99,12 @@ func TestWorldPaperFacts(t *testing.T) {
 	// Iraq speaks five languages (paper Q5).
 	check("SELECT count(*) FROM countrylanguage WHERE countrycode = 'IRQ'", 5)
 	// Anguilla is in North America (paper Q2).
-	rel, err := ex.Exec(mustParse(t, "SELECT continent FROM country WHERE name = 'Anguilla'"))
+	rel, err := ex.ExecContext(context.Background(), mustParse(t, "SELECT continent FROM country WHERE name = 'Anguilla'"))
 	if err != nil || rel.Rows[0][0].Text() != "North America" {
 		t.Fatalf("Anguilla: %v %v", rel, err)
 	}
 	// Seychelles speaks both English and French (paper Q3).
-	rel, err = ex.Exec(mustParse(t, "SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'English' INTERSECT SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French'"))
+	rel, err = ex.ExecContext(context.Background(), mustParse(t, "SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'English' INTERSECT SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French'"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"context"
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqleval"
 	"cyclesql/internal/storage"
@@ -83,6 +84,6 @@ func buildScience() *Benchmark {
 
 // checkExecutes verifies a gold statement runs against its database.
 func checkExecutes(db *storage.Database, stmt *sqlast.SelectStmt) error {
-	_, err := sqleval.New(db).Exec(stmt)
+	_, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	return err
 }

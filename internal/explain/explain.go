@@ -69,16 +69,12 @@ func New(db *storage.Database) *Explainer {
 	return &Explainer{DB: db, tracker: provenance.NewTracker(db)}
 }
 
-// Explain produces the explanation for row rowIdx of result, which must be
-// the output of executing stmt against e.DB. For empty results the
-// explanation is generated from operation-level semantics alone.
-func (e *Explainer) Explain(stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), stmt, result, rowIdx)
-}
-
-// ExplainContext is Explain with cancellation: the provenance queries the
-// tracker executes run under ctx, so the CycleSQL loop can abort an
-// in-flight speculative explanation once an earlier candidate validates.
+// ExplainContext produces the explanation for row rowIdx of result, which
+// must be the output of executing stmt against e.DB. For empty results the
+// explanation is generated from operation-level semantics alone. The
+// provenance queries the tracker executes run under ctx, so the CycleSQL
+// loop can abort an in-flight speculative explanation once an earlier
+// candidate validates.
 // Phrase generation itself is pure in-memory string work and finishes
 // without further checks once tracking completes.
 func (e *Explainer) ExplainContext(ctx context.Context, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Explanation, error) {

@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -16,12 +17,12 @@ import (
 func explainSQL(t *testing.T, db *storage.Database, sql string, rowIdx int) *Explanation {
 	t.Helper()
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
 	e := New(db)
-	exp, err := e.Explain(stmt, rel, rowIdx)
+	exp, err := e.ExplainContext(context.Background(), stmt, rel, rowIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestExplainGroupedHaving(t *testing.T) {
 	db := datasets.WorldDB()
 	sql := "SELECT count(T2.language), T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode GROUP BY T1.name HAVING count(*) > 2"
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestExplainGroupedHaving(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("no Iraq row: %v", rel.Rows)
 	}
-	exp, err := New(db).Explain(stmt, rel, idx)
+	exp, err := New(db).ExplainContext(context.Background(), stmt, rel, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestExplainIntersect(t *testing.T) {
 	db := datasets.WorldDB()
 	sql := "SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'English' INTERSECT SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French'"
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := New(db).Explain(stmt, rel, 0)
+	exp, err := New(db).ExplainContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestExplainInequalityGrounding(t *testing.T) {
 func TestExplainEmptyResult(t *testing.T) {
 	db := datasets.WorldDB()
 	stmt := sqlparse.MustParse("SELECT name FROM country WHERE continent = 'Atlantis'")
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := New(db).Explain(stmt, rel, 0)
+	exp, err := New(db).ExplainContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +179,8 @@ func TestPolisherApplied(t *testing.T) {
 	e := New(db)
 	e.Polish = RulePolisher{}
 	stmt := sqlparse.MustParse("SELECT count(*) FROM flight WHERE origin = 'Chicago'")
-	rel, _ := sqleval.New(db).Exec(stmt)
-	exp, err := e.Explain(stmt, rel, 0)
+	rel, _ := sqleval.New(db).ExecContext(context.Background(), stmt)
+	exp, err := e.ExplainContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestExplainerConcurrentUse(t *testing.T) {
 	cases := make([]prepared, len(queries))
 	for i, q := range queries {
 		stmt := sqlparse.MustParse(q)
-		rel, err := sqleval.New(db).Exec(stmt)
+		rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("exec %q: %v", q, err)
 		}
-		exp, err := seq.Explain(stmt, rel, 0)
+		exp, err := seq.ExplainContext(context.Background(), stmt, rel, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func TestExplainerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := cases[(g+i)%len(cases)]
-				exp, err := shared.Explain(c.stmt, c.rel, 0)
+				exp, err := shared.ExplainContext(context.Background(), c.stmt, c.rel, 0)
 				if err != nil {
 					t.Error(err)
 					return

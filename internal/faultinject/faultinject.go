@@ -24,8 +24,8 @@
 //
 // The wrappers inject on the context-aware call paths the loop actually
 // uses (TranslateContext, VerifyContext, Premise); the plain synchronous
-// Translate/Verify/Score/Name delegate untouched, so diagnostic reads
-// such as score displays stay fault-free.
+// Translate, Score and Name delegate untouched, so diagnostic reads such
+// as score displays stay fault-free.
 package faultinject
 
 import (
@@ -211,12 +211,11 @@ func (w *model) TranslateContext(ctx context.Context, benchmark string, ex datas
 	return nl2sql.TranslateContext(ctx, w.m, benchmark, ex, db, k)
 }
 
-// WrapVerifier wraps an NLI verifier; the returned verifier implements
-// nli.ContextVerifier and injects faults on VerifyContext — composing
-// with nli.Latency and any other ContextVerifier, which keep honoring
-// the same context underneath. Score and the plain Verify delegate
-// untouched (scores are diagnostic reads, and the loop verifies through
-// VerifyContext). An injector with no enabled faults returns v unwrapped.
+// WrapVerifier wraps an NLI verifier, injecting faults on VerifyContext —
+// composing with nli.Latency and any other verifier with real waits,
+// which keep honoring the same context underneath. Score delegates
+// untouched (scores are diagnostic reads). An injector with no enabled
+// faults returns v unwrapped.
 func (in *Injector) WrapVerifier(v nli.Verifier) nli.Verifier {
 	if !in.cfg.Enabled() {
 		return v
@@ -235,11 +234,7 @@ func (w *verifier) Score(hypothesis string, premise nli.Premise) float64 {
 	return w.v.Score(hypothesis, premise)
 }
 
-func (w *verifier) Verify(hypothesis string, premise nli.Premise) bool {
-	return w.v.Verify(hypothesis, premise)
-}
-
-// VerifyContext implements nli.ContextVerifier with fault injection.
+// VerifyContext implements nli.Verifier with fault injection.
 func (w *verifier) VerifyContext(ctx context.Context, hypothesis string, premise nli.Premise) (bool, error) {
 	if err := w.in.inject(ctx, "verify", hypothesis+"\x00"+premise.SQL); err != nil {
 		return false, err

@@ -22,7 +22,9 @@ type okVerifier struct{}
 
 func (okVerifier) Name() string                      { return "ok" }
 func (okVerifier) Score(string, nli.Premise) float64 { return 0.75 }
-func (okVerifier) Verify(string, nli.Premise) bool   { return true }
+func (okVerifier) VerifyContext(context.Context, string, nli.Premise) (bool, error) {
+	return true, nil
+}
 
 // verdict runs one wrapped verify call and classifies the outcome.
 func verdict(t *testing.T, v nli.Verifier, ctx context.Context, key string) error {
@@ -174,11 +176,11 @@ func TestDisabledInjectorUnwraps(t *testing.T) {
 }
 
 // TestWrappersDelegateDiagnostics: Name, Score and the plain synchronous
-// paths bypass injection — only the loop's context-aware calls fault.
+// Translate bypass injection — only the loop's context-aware calls fault.
 func TestWrappersDelegateDiagnostics(t *testing.T) {
 	in := New(Config{Seed: 1, ErrorRate: 1, PanicRate: 1})
 	v := in.WrapVerifier(okVerifier{})
-	if v.Name() != "ok" || v.Score("h", nli.Premise{}) != 0.75 || !v.Verify("h", nli.Premise{}) {
+	if v.Name() != "ok" || v.Score("h", nli.Premise{}) != 0.75 {
 		t.Fatal("diagnostic reads must delegate untouched")
 	}
 	m := in.WrapModel(nl2sql.MustByName("resdsql-3b"))

@@ -21,7 +21,7 @@
 // A finding that is deliberate is suppressed in source with a directive
 // comment on the offending line or the line above it:
 //
-//	//vetcycle:allow ctxflow -- Exec is the documented one-shot wrapper
+//	//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers
 //
 // The directive names one or more analyzers (comma-separated); everything
 // after "--" is a required human-readable justification. Directives

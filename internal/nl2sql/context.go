@@ -10,9 +10,9 @@ import (
 // ContextModel is implemented by models whose beam can honor cancellation
 // — a deployment translator is a remote inference, so an in-flight beam
 // request should be abandonable when its example's budget dies (a
-// per-example timeout, a SIGINT). It mirrors nli.ContextVerifier: models
-// without real waits (the simulators) don't need it, TranslateContext
-// below falls back to the plain synchronous Translate for them.
+// per-example timeout, a SIGINT). Models without real waits (the
+// simulators) don't need it: TranslateContext below falls back to the
+// plain synchronous Translate for them.
 type ContextModel interface {
 	Model
 	// TranslateContext is Translate with cancellation: it returns the

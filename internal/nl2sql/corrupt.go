@@ -1,6 +1,7 @@
 package nl2sql
 
 import (
+	"context"
 	"math/rand"
 
 	"cyclesql/internal/sqlast"
@@ -34,7 +35,7 @@ func (c *corruptor) corrupt(gold *sqlast.SelectStmt) *sqlast.SelectStmt {
 		if sqlnorm.Canonical(mut) == goldKey {
 			continue
 		}
-		if _, err := sqleval.New(c.db).Exec(mut); err != nil {
+		if _, err := sqleval.New(c.db).ExecContext(context.Background(), mut); err != nil {
 			continue
 		}
 		return mut

@@ -1,6 +1,7 @@
 package nl2sql
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestCandidatesAllExecutable(t *testing.T) {
 	for _, ex := range bench.Dev[:40] {
 		db := bench.DB(ex.DBName)
 		for _, cand := range m.Translate(bench.Name, ex, db, 5) {
-			if _, err := sqleval.New(db).Exec(cand.Stmt); err != nil {
+			if _, err := sqleval.New(db).ExecContext(context.Background(), cand.Stmt); err != nil {
 				t.Fatalf("candidate does not execute: %s (%v)", cand.SQL, err)
 			}
 		}
@@ -168,7 +169,7 @@ func TestCorruptorProducesValidDifferentSQL(t *testing.T) {
 		db := bench.DB(ex.DBName)
 		c := &corruptor{db: db, rng: rng}
 		mut := c.corrupt(ex.Gold)
-		if _, err := sqleval.New(db).Exec(mut); err != nil {
+		if _, err := sqleval.New(db).ExecContext(context.Background(), mut); err != nil {
 			t.Fatalf("corruption does not execute: %s (%v)", mut.SQL(), err)
 		}
 		if sqlnorm.Canonical(mut) == sqlnorm.Canonical(ex.Gold) {

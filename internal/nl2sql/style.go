@@ -1,6 +1,7 @@
 package nl2sql
 
 import (
+	"context"
 	"math/rand"
 
 	"cyclesql/internal/sqlast"
@@ -87,11 +88,11 @@ func eqToIn(stmt *sqlast.SelectStmt) bool {
 // sameExecution checks bag equality of the two statements' results.
 func sameExecution(db *storage.Database, a, b *sqlast.SelectStmt) bool {
 	ex := sqleval.New(db)
-	ra, err := ex.Exec(a)
+	ra, err := ex.ExecContext(context.Background(), a)
 	if err != nil {
 		return false
 	}
-	rb, err := ex.Exec(b)
+	rb, err := ex.ExecContext(context.Background(), b)
 	if err != nil {
 		return false
 	}

@@ -5,32 +5,14 @@ import (
 	"time"
 )
 
-// ContextVerifier is implemented by verifiers whose verdict can honor
-// cancellation — a deployment verifier is a model forward pass, so an
-// in-flight inference should be abandonable the moment its candidate can
-// no longer win (the CycleSQL loop cancels stragglers once an earlier
-// beam candidate validates). Verifiers without real waits (the trained
-// MLP, the strawmen) don't need it: VerifyContext below falls back to the
-// plain synchronous Verify for them.
-type ContextVerifier interface {
-	Verifier
-	// VerifyContext is Verify with cancellation: it returns the context's
-	// error — and an unspecified verdict — as soon as the context is done.
-	VerifyContext(ctx context.Context, hypothesis string, premise Premise) (bool, error)
-}
-
 // VerifyContext runs a verifier's verdict under a context: a context
-// already done short-circuits before any verifier work, a ContextVerifier
-// is handed the context to honor mid-inference, and any other Verifier
-// runs its plain synchronous Verify (it has no waits worth interrupting).
+// already done short-circuits before any verifier work, so verifiers with
+// no waits of their own need not check it.
 func VerifyContext(ctx context.Context, v Verifier, hypothesis string, premise Premise) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	if cv, ok := v.(ContextVerifier); ok {
-		return cv.VerifyContext(ctx, hypothesis, premise)
-	}
-	return v.Verify(hypothesis, premise), nil
+	return v.VerifyContext(ctx, hypothesis, premise)
 }
 
 // Latency wraps a verifier with simulated per-inference latency — the
@@ -54,18 +36,8 @@ func (l Latency) Score(hypothesis string, premise Premise) float64 {
 	return l.V.Score(hypothesis, premise)
 }
 
-// Verify implements Verifier: the full simulated wait, then the wrapped
-// verdict. It delegates to VerifyContext so the wait logic lives in one
-// place; with no context to cancel, the background wait always runs to
-// completion, preserving Verify's uninterruptible contract.
-func (l Latency) Verify(hypothesis string, premise Premise) bool {
-	//vetcycle:allow ctxflow -- documented one-shot wrapper over VerifyContext
-	v, _ := l.VerifyContext(context.Background(), hypothesis, premise)
-	return v
-}
-
-// VerifyContext implements ContextVerifier: the wait aborts — returning
-// the context's error — as soon as the context is done, and the wrapped
+// VerifyContext implements Verifier: the wait aborts — returning the
+// context's error — as soon as the context is done, and the wrapped
 // verdict runs under the same context, so a context-aware inner verifier
 // (another Latency, a real inference client) stays cancellable too.
 func (l Latency) VerifyContext(ctx context.Context, hypothesis string, premise Premise) (bool, error) {

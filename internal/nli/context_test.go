@@ -10,16 +10,15 @@ func verdictOf(v bool) Func {
 	return Func{Label: "fixed", Fn: func(string, Premise) bool { return v }}
 }
 
-func TestVerifyContextFallback(t *testing.T) {
-	// A plain Verifier (no ContextVerifier) runs synchronously and returns
-	// its verdict with no error.
+func TestVerifyContextVerdict(t *testing.T) {
+	// A verifier with no waits of its own returns its verdict with no error.
 	ok, err := VerifyContext(context.Background(), verdictOf(true), "q", Premise{})
 	if err != nil || !ok {
-		t.Fatalf("fallback verdict = %v, %v", ok, err)
+		t.Fatalf("verdict = %v, %v", ok, err)
 	}
 	ok, err = VerifyContext(context.Background(), verdictOf(false), "q", Premise{})
 	if err != nil || ok {
-		t.Fatalf("fallback verdict = %v, %v", ok, err)
+		t.Fatalf("verdict = %v, %v", ok, err)
 	}
 }
 
@@ -39,11 +38,11 @@ func TestVerifyContextPreCancelled(t *testing.T) {
 func TestLatencyVerifyWaits(t *testing.T) {
 	l := Latency{V: verdictOf(true), D: 10 * time.Millisecond}
 	start := time.Now()
-	if !l.Verify("q", Premise{}) {
-		t.Fatal("wrapped verdict lost")
+	if ok, err := VerifyContext(context.Background(), l, "q", Premise{}); err != nil || !ok {
+		t.Fatalf("wrapped verdict lost: %v, %v", ok, err)
 	}
 	if time.Since(start) < 10*time.Millisecond {
-		t.Fatal("Verify must charge the full simulated latency")
+		t.Fatal("VerifyContext must charge the full simulated latency")
 	}
 	// Score passes through without the simulated inference wait.
 	start = time.Now()

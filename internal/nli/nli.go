@@ -15,6 +15,7 @@
 package nli
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -37,11 +38,20 @@ func (p Premise) Text() string {
 }
 
 // Verifier decides whether a premise entails the hypothesis (NL question).
+// The verdict is context-first: a deployment verifier is a model forward
+// pass, so an in-flight inference must be abandonable the moment its
+// candidate can no longer win (the CycleSQL loop cancels stragglers once
+// an earlier beam candidate validates). Verifiers without real waits (the
+// trained MLP, the strawmen) ignore the context; callers go through the
+// VerifyContext helper, which short-circuits a context already done.
 type Verifier interface {
 	Name() string
-	// Score returns P(entailment); Verify thresholds it.
+	// Score returns P(entailment); VerifyContext thresholds it. Score is a
+	// display/diagnostic read and never charges simulated inference.
 	Score(hypothesis string, premise Premise) float64
-	Verify(hypothesis string, premise Premise) bool
+	// VerifyContext returns the verdict, or the context's error — and an
+	// unspecified verdict — as soon as the context is done.
+	VerifyContext(ctx context.Context, hypothesis string, premise Premise) (bool, error)
 }
 
 // Featurizer maps (hypothesis, premise) pairs onto fixed-width vectors:
@@ -252,9 +262,9 @@ func (t *Trained) Score(hypothesis string, premise Premise) float64 {
 	return t.Model.Predict(t.Feat.Features(hypothesis, premise))
 }
 
-// Verify implements Verifier.
-func (t *Trained) Verify(hypothesis string, premise Premise) bool {
-	return t.Score(hypothesis, premise) >= t.Threshold
+// VerifyContext implements Verifier.
+func (t *Trained) VerifyContext(_ context.Context, hypothesis string, premise Premise) (bool, error) {
+	return t.Score(hypothesis, premise) >= t.Threshold, nil
 }
 
 // Pair is one labeled premise-hypothesis training instance.
@@ -334,14 +344,15 @@ func calibrateThreshold(model *nn.MLP, samples []nn.Sample) float64 {
 	return best
 }
 
-// Accuracy evaluates a verifier on labeled pairs.
-func Accuracy(v Verifier, pairs []Pair) float64 {
+// Accuracy evaluates a verifier on labeled pairs; a verdict that fails
+// (the context ended) counts as wrong.
+func Accuracy(ctx context.Context, v Verifier, pairs []Pair) float64 {
 	if len(pairs) == 0 {
 		return 0
 	}
 	ok := 0
 	for _, p := range pairs {
-		if v.Verify(p.Hypothesis, p.Premise) == (p.Label == 1) {
+		if verdict, err := VerifyContext(ctx, v, p.Hypothesis, p.Premise); err == nil && verdict == (p.Label == 1) {
 			ok++
 		}
 	}
@@ -377,9 +388,9 @@ func (FewShotLLM) Score(hypothesis string, premise Premise) float64 {
 	return clamp01(score + 0.12*wobble)
 }
 
-// Verify implements Verifier.
-func (f FewShotLLM) Verify(hypothesis string, premise Premise) bool {
-	return f.Score(hypothesis, premise) >= 0.45
+// VerifyContext implements Verifier.
+func (f FewShotLLM) VerifyContext(_ context.Context, hypothesis string, premise Premise) (bool, error) {
+	return f.Score(hypothesis, premise) >= 0.45, nil
 }
 
 // PrebuiltNLI simulates the off-the-shelf SemBERT verifier: trained on
@@ -401,9 +412,9 @@ func (PrebuiltNLI) Score(hypothesis string, premise Premise) float64 {
 	return textproc.Jaccard(h, p)
 }
 
-// Verify implements Verifier.
-func (p PrebuiltNLI) Verify(hypothesis string, premise Premise) bool {
-	return p.Score(hypothesis, premise) >= 0.22
+// VerifyContext implements Verifier.
+func (p PrebuiltNLI) VerifyContext(_ context.Context, hypothesis string, premise Premise) (bool, error) {
+	return p.Score(hypothesis, premise) >= 0.22, nil
 }
 
 // Func adapts a closure into a Verifier; the oracle verifier of Table III
@@ -424,9 +435,9 @@ func (f Func) Score(hypothesis string, premise Premise) float64 {
 	return 0
 }
 
-// Verify implements Verifier.
-func (f Func) Verify(hypothesis string, premise Premise) bool {
-	return f.Fn(hypothesis, premise)
+// VerifyContext implements Verifier.
+func (f Func) VerifyContext(_ context.Context, hypothesis string, premise Premise) (bool, error) {
+	return f.Fn(hypothesis, premise), nil
 }
 
 // MarshalTrained serializes a trained verifier's model (the featurizer is

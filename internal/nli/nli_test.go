@@ -1,6 +1,7 @@
 package nli
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/nn"
@@ -91,7 +92,7 @@ func TestTrainSeparatesSyntheticPairs(t *testing.T) {
 		)
 	}
 	v := Train(pairs, TrainConfig{Seed: 3, Epochs: 20})
-	if acc := Accuracy(v, pairs); acc < 0.95 {
+	if acc := Accuracy(context.Background(), v, pairs); acc < 0.95 {
 		t.Fatalf("trivially separable pairs must train to >=0.95, got %.3f", acc)
 	}
 }
@@ -129,7 +130,7 @@ func TestStrawmanVerifiers(t *testing.T) {
 
 func TestFuncVerifier(t *testing.T) {
 	v := Func{Label: "always", Fn: func(string, Premise) bool { return true }}
-	if !v.Verify("q", Premise{}) || v.Score("q", Premise{}) != 1 || v.Name() != "always" {
+	if ok, err := v.VerifyContext(context.Background(), "q", Premise{}); !ok || err != nil || v.Score("q", Premise{}) != 1 || v.Name() != "always" {
 		t.Fatal("Func adapter broken")
 	}
 }
@@ -161,7 +162,7 @@ func TestMarshalTrainedRoundTrip(t *testing.T) {
 }
 
 func TestAccuracyEmpty(t *testing.T) {
-	if Accuracy(FewShotLLM{}, nil) != 0 {
+	if Accuracy(context.Background(), FewShotLLM{}, nil) != 0 {
 		t.Fatal("empty accuracy must be 0")
 	}
 }

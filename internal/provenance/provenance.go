@@ -97,18 +97,11 @@ func NewTracker(db *storage.Database) *Tracker {
 // DB returns the database the tracker is bound to.
 func (t *Tracker) DB() *storage.Database { return t.db }
 
-// Track computes the provenance of result row rowIdx of stmt's output.
-// result must be the relation produced by executing stmt on t's database.
-// For empty results, Track returns a Provenance with Empty set and no
-// Parts. Track never aborts early; callers that need cancellation use
-// TrackContext.
-func (t *Tracker) Track(stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Provenance, error) {
-	return t.TrackContext(context.Background(), stmt, result, rowIdx)
-}
-
-// TrackContext is Track with cancellation: the provenance queries the
-// rewriting rules produce execute under ctx, so cancelling it aborts the
-// tracking mid-query. Cancellation is returned as the context's error —
+// TrackContext computes the provenance of result row rowIdx of stmt's
+// output. result must be the relation produced by executing stmt on t's
+// database. For empty results, it returns a Provenance with Empty set and
+// no Parts. The provenance queries the rewriting rules produce execute
+// under ctx, so cancelling it aborts the tracking mid-query. Cancellation is returned as the context's error —
 // never degraded to an operation-level-only Part the way ordinary rewrite
 // execution failures are, since a cancelled rewrite says nothing about
 // the rewrite itself.
@@ -176,13 +169,6 @@ func (t *Tracker) rewrite(core *sqlast.SelectCore, result sqltypes.Row) *sqlast.
 	}
 	t.rewrites[k] = rw
 	return rw
-}
-
-// Track computes the provenance of result row rowIdx of stmt's output with
-// a one-shot tracker. Callers tracking repeatedly against the same
-// database should hold a Tracker instead to reuse compiled statements.
-func Track(db *storage.Database, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Provenance, error) {
-	return NewTracker(db).Track(stmt, result, rowIdx)
 }
 
 // RewriteCore applies the three rewriting rules to a single SELECT core,

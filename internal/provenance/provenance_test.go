@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 func track(t *testing.T, db *storage.Database, sql string, rowIdx int) *Provenance {
 	t.Helper()
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
-	p, err := Track(db, stmt, rel, rowIdx)
+	p, err := NewTracker(db).TrackContext(context.Background(), stmt, rel, rowIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestTrackCompoundQuery(t *testing.T) {
 	db := datasets.WorldDB()
 	sql := "SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'English' INTERSECT SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French'"
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestTrackCompoundQuery(t *testing.T) {
 	if idx < 0 {
 		t.Fatalf("no Seychelles row: %v", rel.Rows)
 	}
-	p, err := Track(db, stmt, rel, idx)
+	p, err := NewTracker(db).TrackContext(context.Background(), stmt, rel, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +164,8 @@ func TestTrackCompoundQuery(t *testing.T) {
 func TestTrackRowOutOfRange(t *testing.T) {
 	db := datasets.FlightDB()
 	stmt := sqlparse.MustParse("SELECT name FROM aircraft")
-	rel, _ := sqleval.New(db).Exec(stmt)
-	if _, err := Track(db, stmt, rel, 99); err == nil {
+	rel, _ := sqleval.New(db).ExecContext(context.Background(), stmt)
+	if _, err := NewTracker(db).TrackContext(context.Background(), stmt, rel, 99); err == nil {
 		t.Fatal("out-of-range row must error")
 	}
 }

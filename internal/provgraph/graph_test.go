@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,11 +18,11 @@ func buildFor(t *testing.T, sql string) *Graph {
 	t.Helper()
 	db := datasets.FlightDB()
 	stmt := sqlparse.MustParse(sql)
-	rel, err := sqleval.New(db).Exec(stmt)
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := provenance.Track(db, stmt, rel, 0)
+	prov, err := provenance.NewTracker(db).TrackContext(context.Background(), stmt, rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -70,13 +71,13 @@ func benchExecPath(b *testing.B, sql string, nAircraft, nFlights int, scanOnly b
 	}
 	ex := New(db)
 	ex.NoIndexes = scanOnly
-	if _, err := ex.Exec(stmt); err != nil {
+	if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Exec(stmt); err != nil {
+		if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,11 +212,11 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 		measure := func(scanOnly bool) float64 {
 			ex := New(db)
 			ex.NoIndexes = scanOnly
-			if _, err := ex.Exec(stmt); err != nil {
+			if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(10, func() {
-				if _, err := ex.Exec(stmt); err != nil {
+				if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -40,25 +41,25 @@ func runBoth(t *testing.T, db *storage.Database, sql string) *sqltypes.Relation 
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	indexed, err := New(db).Exec(stmt)
+	indexed, err := New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("indexed path %q: %v", sql, err)
 	}
 	scan := New(db)
 	scan.NoIndexes = true
-	hash, err := scan.Exec(stmt)
+	hash, err := scan.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("hash path %q: %v", sql, err)
 	}
 	nl := New(db)
 	nl.NestedLoopOnly = true
-	loop, err := nl.Exec(stmt)
+	loop, err := nl.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("nested-loop path %q: %v", sql, err)
 	}
 	synEx := New(db)
 	synEx.Syntactic = true
-	syntactic, err := synEx.Exec(stmt)
+	syntactic, err := synEx.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("syntactic path %q: %v", sql, err)
 	}
@@ -253,7 +254,7 @@ func TestCompiledPlanCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestCompiledPlanCacheReuse(t *testing.T) {
 		t.Fatalf("plan not cached: %d entries", len(ex.plans))
 	}
 	db.MustInsert("Flight", sqltypes.NewInt(500), sqltypes.NewInt(1), sqltypes.NewText("Chicago"), sqltypes.NewText("Boston"))
-	rel, err = ex.Exec(stmt)
+	rel, err = ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,16 +140,9 @@ func (cc *cancelCheck) poll() error {
 	return cc.ctx.Err()
 }
 
-// Exec compiles the statement (or reuses its cached plan) and returns its
-// result relation. It never aborts early; callers that need cancellation
-// or timeouts use ExecContext.
-func (ex *Executor) Exec(stmt *sqlast.SelectStmt) (*sqltypes.Relation, error) {
-	//vetcycle:allow ctxflow -- documented one-shot wrapper over ExecContext
-	return ex.ExecContext(context.Background(), stmt)
-}
-
-// ExecContext is Exec with cancellation: the query aborts with the
-// context's error as soon as a cancellation check observes ctx done —
+// ExecContext compiles the statement (or reuses its cached plan) and
+// returns its result relation. The query aborts with the context's error
+// as soon as a cancellation check observes ctx done —
 // immediately for a context cancelled before the call, within
 // cancelCheckInterval row visits for one cancelled mid-query. The
 // CycleSQL loop uses this to abandon in-flight speculative candidate

@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -69,7 +70,7 @@ func run(t testing.TB, db *storage.Database, sql string) *sqltypes.Relation {
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	rel, err := New(db).Exec(stmt)
+	rel, err := New(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -308,7 +309,7 @@ func TestExecErrorPaths(t *testing.T) {
 		if err != nil {
 			continue // parse-level rejection is fine too
 		}
-		if _, err := New(db).Exec(stmt); err == nil {
+		if _, err := New(db).ExecContext(context.Background(), stmt); err == nil {
 			t.Errorf("Exec(%q) must fail", sql)
 		}
 	}
@@ -350,7 +351,7 @@ func BenchmarkExecJoinAggregate(b *testing.B) {
 	ex := New(db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Exec(stmt); err != nil {
+		if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/sqlparse"
@@ -66,7 +67,7 @@ func TestIndexProbeSeesInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestIndexProbeSeesInserts(t *testing.T) {
 		t.Fatalf("before insert: %v", rel.Rows)
 	}
 	db.MustInsert("Flight", sqltypes.NewInt(600), sqltypes.NewInt(2), sqltypes.NewText("Chicago"), sqltypes.NewText("Tokyo"))
-	rel, err = ex.Exec(stmt)
+	rel, err = ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestIndexProbeSeesMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	if rel, err := ex.Exec(stmt); err != nil || rel.Rows[0][0].Int() != 2 {
+	if rel, err := ex.ExecContext(context.Background(), stmt); err != nil || rel.Rows[0][0].Int() != 2 {
 		t.Fatalf("before mutate: %v, %v", rel, err)
 	}
 	db.Mutate(func(table string, row sqltypes.Row) {
@@ -100,7 +101,7 @@ func TestIndexProbeSeesMutations(t *testing.T) {
 			row[2] = sqltypes.NewText("Chicago")
 		}
 	})
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

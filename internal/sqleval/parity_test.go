@@ -1,6 +1,7 @@
 package sqleval_test
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/datasets"
@@ -23,19 +24,19 @@ func TestSpiderDevJoinParity(t *testing.T) {
 	checked := 0
 	for _, ex := range dev {
 		db := bench.DB(ex.DBName)
-		indexed, err := sqleval.New(db).Exec(ex.Gold)
+		indexed, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("indexed path %q: %v", ex.GoldSQL, err)
 		}
 		scan := sqleval.New(db)
 		scan.NoIndexes = true
-		hash, err := scan.Exec(ex.Gold)
+		hash, err := scan.ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("hash path %q: %v", ex.GoldSQL, err)
 		}
 		nl := sqleval.New(db)
 		nl.NestedLoopOnly = true
-		loop, err := nl.Exec(ex.Gold)
+		loop, err := nl.ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("nested-loop path %q: %v", ex.GoldSQL, err)
 		}

@@ -1,6 +1,7 @@
 package sqleval_test
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/sqleval"
@@ -21,13 +22,13 @@ func benchSkew(b *testing.B, sql string, syntactic bool) {
 	}
 	ex := sqleval.New(db)
 	ex.Syntactic = syntactic
-	if _, err := ex.Exec(stmt); err != nil {
+	if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Exec(stmt); err != nil {
+		if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,19 +30,19 @@ func TestPlanParity(t *testing.T) {
 	}
 	for _, ex := range bench.Dev {
 		db := bench.DB(ex.DBName)
-		cost, err := sqleval.New(db).Exec(ex.Gold)
+		cost, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("cost planner %q: %v", ex.GoldSQL, err)
 		}
 		synEx := sqleval.New(db)
 		synEx.Syntactic = true
-		syntactic, err := synEx.Exec(ex.Gold)
+		syntactic, err := synEx.ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("syntactic planner %q: %v", ex.GoldSQL, err)
 		}
 		scan := sqleval.New(db)
 		scan.NoIndexes = true
-		noIdx, err := scan.Exec(ex.Gold)
+		noIdx, err := scan.ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("index-free path %q: %v", ex.GoldSQL, err)
 		}

@@ -77,7 +77,7 @@ func planFor(t *testing.T, db *storage.Database, sql string, syntactic bool) (*p
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
 	}
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -221,7 +221,7 @@ func TestPlanCacheLiteralSelectivity(t *testing.T) {
 	ex := sqleval.New(db)
 	// Warm the cache with the narrow plan, then plan the wide query through
 	// the same executor: it must not inherit the narrow query's probe.
-	if _, err := ex.Exec(sNarrow); err != nil {
+	if _, err := ex.ExecContext(context.Background(), sNarrow); err != nil {
 		t.Fatal(err)
 	}
 	narrowTree, err := ex.PlanTree(context.Background(), sNarrow)
@@ -248,11 +248,11 @@ func TestPlanCacheLiteralSelectivity(t *testing.T) {
 	if sqlnorm.CacheKey(sNarrow) != sqlnorm.CacheKey(sNarrow2) {
 		t.Fatal("identical SQL must share a cache key across ASTs")
 	}
-	r1, err := ex.Exec(sNarrow)
+	r1, err := ex.ExecContext(context.Background(), sNarrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ex.Exec(sNarrow2)
+	r2, err := ex.ExecContext(context.Background(), sNarrow2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sqleval
 
 import (
+	"context"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -167,7 +168,7 @@ func TestStreamSeesInsertsAndMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestStreamSeesInsertsAndMutations(t *testing.T) {
 		t.Fatalf("before insert: %v", rel.Rows)
 	}
 	db.MustInsert("Flight", sqltypes.NewInt(600), sqltypes.NewInt(2), sqltypes.NewText("Chicago"), sqltypes.NewText("Tokyo"))
-	if rel, err = ex.Exec(stmt); err != nil || rel.Rows[0][0].Int() != 600 {
+	if rel, err = ex.ExecContext(context.Background(), stmt); err != nil || rel.Rows[0][0].Int() != 600 {
 		t.Fatalf("stream missed the inserted row: %v, %v", rel, err)
 	}
 	db.Mutate(func(table string, row sqltypes.Row) {
@@ -183,7 +184,7 @@ func TestStreamSeesInsertsAndMutations(t *testing.T) {
 			row[0] = sqltypes.NewInt(5)
 		}
 	})
-	if rel, err = ex.Exec(stmt); err != nil || rel.Rows[0][0].Int() != 387 {
+	if rel, err = ex.ExecContext(context.Background(), stmt); err != nil || rel.Rows[0][0].Int() != 387 {
 		t.Fatalf("stream read stale order after mutate: %v, %v", rel, err)
 	}
 }
@@ -216,13 +217,13 @@ func TestRangeProbeSeesInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := New(db)
-	rel, err := ex.Exec(stmt)
+	rel, err := ex.ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rel.Rows[0][0].Int()
 	db.MustInsert("Flight", sqltypes.NewInt(601), sqltypes.NewInt(2), sqltypes.NewText("Chicago"), sqltypes.NewText("Tokyo"))
-	if rel, err = ex.Exec(stmt); err != nil || rel.Rows[0][0].Int() != want+1 {
+	if rel, err = ex.ExecContext(context.Background(), stmt); err != nil || rel.Rows[0][0].Int() != want+1 {
 		t.Fatalf("range probe missed the inserted row: %v, %v", rel, err)
 	}
 }
