@@ -3,6 +3,7 @@ package sqleval
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -284,6 +285,47 @@ func TestStatsInsertAllocGate(t *testing.T) {
 	}); reads > 0 {
 		t.Errorf("ColStats on warm indexes allocates %.2f/op, want 0", reads)
 	}
+}
+
+// notInSQL keeps the outer rows whose key is missing from an uncorrelated
+// subquery, the shape of the Spider NOT IN questions: the subquery runs
+// once per execution and each outer row probes its hashed members.
+const notInSQL = "SELECT count(*) FROM aircraft WHERE aid NOT IN (SELECT aid FROM flight)"
+
+// BenchmarkExecNotInSubquery measures an uncorrelated NOT IN subquery over
+// 1000 outer rows and 200 member rows.
+func BenchmarkExecNotInSubquery(b *testing.B) {
+	benchExec(b, notInSQL, 1000, 200)
+}
+
+// TestUncorrelatedSubqueryAllocGate pins the memo's scaling: an execution
+// of an uncorrelated NOT IN subquery allocates for the one subquery run
+// and for the kept outer rows' slice growth, not per outer row, so 10x the
+// outer rows must cost under 2x the allocations (re-running the subquery
+// per outer row costs about 10x). Counted on one P (AllocsPerRun) with
+// the collector off, so the count is deterministic.
+func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	stmt, err := sqlparse.Parse(notInSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(outer int) float64 {
+		ex := New(benchDB(t, outer, 50))
+		if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(100), measure(1000)
+	if large >= 2*small {
+		t.Errorf("NOT IN subquery allocates %.0f/op at 1000 outer rows vs %.0f/op at 100 — want under 2x", large, small)
+	}
+	t.Logf("NOT IN subquery allocs/op: 100 outer rows=%.0f 1000 outer rows=%.0f", small, large)
 }
 
 // BenchmarkExecWhere measures a filtered single-table scan.

@@ -1,7 +1,6 @@
 package sqleval
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -20,10 +19,17 @@ import (
 // scope is the compile-time mirror of the runtime frame: one binding per
 // FROM entry, with the flat-row offset each table's columns start at.
 // parent links to the enclosing query's scope for correlated subqueries.
+// level is the scope's nesting (0 for the statement's own cores and their
+// derived tables, parent's level + 1 otherwise); reach points at the
+// compiler's record of the outermost level any resolution reached, which
+// is how compileSubquery tells correlated subqueries from uncorrelated
+// ones.
 type scope struct {
 	bindings []scopeBinding
 	width    int
 	parent   *scope
+	level    int
+	reach    *int
 }
 
 type scopeBinding struct {
@@ -34,7 +40,8 @@ type scopeBinding struct {
 
 // resolve finds (depth, flat offset) for a column reference, mirroring the
 // legacy per-row env.lookup order: bindings of the nearest scope first, in
-// FROM order, then outward through enclosing scopes.
+// FROM order, then outward through enclosing scopes. A successful
+// resolution lowers *s.reach to the level of the scope it landed in.
 func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 	tl, cl := strings.ToLower(table), strings.ToLower(column)
 	d := 0
@@ -46,6 +53,7 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 			}
 			for ci, c := range b.cols {
 				if c == cl {
+					*s.reach = min(*s.reach, cur.level)
 					return d, b.offset + ci, true
 				}
 			}
@@ -58,18 +66,16 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 // rowCtx is the runtime environment a compiled expression evaluates in:
 // the current flat frame row, the enclosing query's context for correlated
 // references, and — during grouped projection — the rows of the current
-// group for aggregate closures. depth carries the subquery nesting of the
-// core being executed so subquery closures can recurse with the right
-// bound, and qctx carries the execution's context.Context so those
-// closures re-enter runProgram under the caller's cancellation; keeping
-// both here (instead of on the executor) is what lets one executor run
-// concurrent executions without shared mutable state.
+// group for aggregate closures. The embedded execution carries what
+// subquery closures need to recurse: the nesting depth, the caller's
+// context.Context and the per-execution subquery memo; keeping it here
+// (instead of on the executor) is what lets one executor run concurrent
+// executions without shared mutable state.
 type rowCtx struct {
 	row    sqltypes.Row
 	parent *rowCtx
 	grp    *groupRows
-	depth  int
-	qctx   context.Context
+	execution
 }
 
 // groupRows carries one group's member rows into aggregate closures.
@@ -81,14 +87,27 @@ type groupRows struct {
 type compiledExpr func(ctx *rowCtx) (sqltypes.Value, error)
 
 // program is a fully compiled statement: one compiled core per SELECT core
-// plus the set operations combining them. nodes counts the plan-node ids
-// the compiler assigned across the whole statement (joins, scans, filters,
-// outputs — including subqueries), sizing the trace arrays ExplainPlan
-// records actual row counts into.
+// plus the set operations combining them. The remaining fields are set on
+// the top-level program only. nodes counts the plan-node ids the compiler
+// assigned across the whole statement (joins, scans, filters, outputs —
+// including subqueries), sizing the trace arrays ExplainPlan records
+// actual row counts into. subs lists the statement's subquery expressions
+// in compile order, and slots counts the uncorrelated ones, sizing the
+// memo each execution allocates.
 type program struct {
 	cores []*compiledCore
 	ops   []sqlast.CompoundOp
 	nodes int
+	subs  []subquery
+	slots int
+}
+
+// subquery is one compiled IN, EXISTS or scalar subquery expression. slot
+// indexes its entry in the per-execution memo when it is uncorrelated;
+// correlated subqueries (slot -1) re-run once per outer row.
+type subquery struct {
+	prog *program
+	slot int
 }
 
 // columns returns the output column labels (those of the first core, as
@@ -175,9 +194,9 @@ type streamPlan struct {
 	desc bool
 }
 
-func (ts *tableScan) rows(ctx context.Context, ex *Executor, outer *rowCtx, depth int) ([]sqltypes.Row, bool, error) {
+func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.Row, bool, error) {
 	if ts.sub != nil {
-		rel, err := ex.runProgram(ctx, ts.sub, outer, depth+1)
+		rel, err := ex.runProgram(e.nested(), ts.sub, outer)
 		if err != nil {
 			return nil, false, err
 		}
@@ -258,11 +277,17 @@ type orderKey struct {
 
 // compiler lowers statements for one executor. The executor binding is
 // what lets base-table scans resolve to live relations at compile time.
-// nodes hands out plan-node ids, unique across the whole statement.
+// nodes hands out plan-node ids, unique across the whole statement; reach
+// is the outermost scope level a column resolution reached (see
+// compileSubquery), subs the subquery expressions compiled so far and
+// slots the memo slots handed to the uncorrelated ones.
 type compiler struct {
 	ex    *Executor
 	depth int
 	nodes int
+	reach int
+	subs  []subquery
+	slots int
 }
 
 func (c *compiler) nextNode() int {
@@ -299,6 +324,32 @@ func (c *compiler) compileStmt(stmt *sqlast.SelectStmt, parent *scope) (*program
 	return p, nil
 }
 
+// compileSubquery compiles the statement of an IN, EXISTS or scalar
+// subquery expression evaluated in scope sc and classifies it. It is
+// correlated when any column reference inside it — in a nested subquery or
+// a derived table too — resolved to sc's level or further out; it then
+// gets slot -1 and re-runs once per outer row. Otherwise it gets a memo
+// slot and runs at most once per execution. The nested-loop reference
+// mode classifies every subquery as correlated, keeping the per-row path
+// as the parity oracle for the memo.
+func (c *compiler) compileSubquery(stmt *sqlast.SelectStmt, sc *scope) (*program, int, error) {
+	outer := c.reach
+	c.reach = sc.level + 1 // every scope inside the subquery is deeper
+	sub, err := c.compileStmt(stmt, sc)
+	reached := c.reach
+	c.reach = min(outer, reached)
+	if err != nil {
+		return nil, 0, err
+	}
+	slot := -1
+	if reached > sc.level && !c.ex.NestedLoopOnly {
+		slot = c.slots
+		c.slots++
+	}
+	c.subs = append(c.subs, subquery{prog: sub, slot: slot})
+	return sub, slot, nil
+}
+
 // compileCore lowers one SELECT core and, in cost mode, considers
 // replacing a top-level all-inner join order with a cheaper one (see
 // reorderCore for the — deliberately narrow — eligibility class).
@@ -317,7 +368,10 @@ func (c *compiler) compileCore(core *sqlast.SelectCore, parent *scope) (*compile
 
 func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledCore, error) {
 	cc := &compiledCore{core: core, est: -1, filterID: -1}
-	sc := &scope{parent: parent}
+	sc := &scope{parent: parent, reach: &c.reach}
+	if parent != nil {
+		sc.level = parent.level + 1
+	}
 	allInner := true
 	if core.From != nil {
 		refs := []sqlast.TableRef{core.From.Base}

@@ -1,8 +1,8 @@
 // Package sqleval executes sqlast statements against a storage.Database.
 // It implements the full Spider dialect: equi-joins (inner and left),
 // tri-state WHERE logic, grouping with HAVING, the five SQL aggregates
-// with DISTINCT, ordering, limits, set operations, and correlated
-// subqueries (IN, EXISTS, scalar).
+// with DISTINCT, ordering, limits, set operations, and subqueries (IN,
+// EXISTS, scalar), correlated or not.
 //
 // The executor is a two-phase compile-and-execute engine. The compile
 // phase (compile.go) runs once per statement: it resolves every column
@@ -21,20 +21,27 @@
 // fallback for non-equi conditions), evaluates the pre-bound closures
 // directly against flat rows — no per-row environment allocation, no name
 // lookups — and uses compact binary row keys (sqltypes.AppendKey) for
-// every dedup, grouping, and join-matching structure. Compiled plans are cached per executor, first by
+// every dedup, grouping, and join-matching structure. The compile phase
+// also classifies every subquery expression: an uncorrelated one (no
+// column reference reaches an enclosing query) runs at most once per
+// execution, on first use, and later rows read its memoised result — IN
+// members from a hash set (subquery.go); a correlated one re-runs once per
+// outer row. Compiled plans are cached per executor, first by
 // statement identity and then by canonical SQL (sqlnorm.CacheKey), so
 // re-executing a statement — or a textually identical candidate arriving
 // as a distinct AST from another beam — skips straight to execution.
 // Statements must not be mutated between executions through the same
 // executor.
 //
-// An Executor is safe for concurrent Exec calls: execution state (the
-// subquery-depth guard, row contexts, scratch buffers) lives on the call
-// stack, the plan cache is guarded by a read-mostly lock, and the storage
-// layer guards its lazy index builds. The NestedLoopOnly and NoIndexes
-// flags must be set before the first Exec and not changed afterwards, and
-// the database contents must not be mutated while executions are in
-// flight (the store itself documents the same reader/writer contract).
+// An Executor is safe for concurrent ExecContext calls: execution state
+// (the subquery-depth guard, the subquery memo, row contexts, scratch
+// buffers) belongs to the call, never to the executor or a cached plan;
+// the plan cache is guarded by a read-mostly lock, and the storage layer
+// guards its lazy index builds. The NestedLoopOnly, NoIndexes and
+// Syntactic flags must be set before the first execution and not changed
+// afterwards, and the database contents must not be mutated while
+// executions are in flight (the store itself documents the same
+// reader/writer contract).
 //
 // Cancellation: ExecContext aborts a running query when its context is
 // cancelled. The context is checked on entry to every program (so a
@@ -42,9 +49,10 @@
 // starts against a dead context) and then polled every
 // cancelCheckInterval rows inside the scan-filter, join, and projection
 // inner loops, so even a single pathological cross join returns within a
-// bounded number of row visits of the cancellation. Exec is ExecContext
-// with a background context — the paper's sequential loop and the many
-// one-shot executions in this repository pay no cancellation plumbing.
+// bounded number of row visits of the cancellation. A memoised subquery
+// keeps the per-row entry check, so it observes cancellation at the same
+// outer row a re-run would. A nil context executes as
+// context.Background() and never aborts.
 package sqleval
 
 import (
@@ -80,22 +88,25 @@ type Executor struct {
 	plansByKey map[string]*program
 
 	// NestedLoopOnly disables equi-join detection, filter pushdown, and
-	// index probes so every join runs the nested-loop fallback. It exists
-	// to verify that the join paths produce identical relations; set it
-	// before the first Exec of a statement (plans are cached per statement).
+	// index probes so every join runs the nested-loop fallback, and runs
+	// every subquery once per outer row, memoising none. It exists to
+	// verify that the join paths and the subquery memo produce identical
+	// relations; set it before the first execution of a statement (plans
+	// are cached per statement).
 	NestedLoopOnly bool
 
 	// NoIndexes disables secondary-index probes and index-backed join build
 	// sides while keeping hash joins and filter pushdown, so every access
 	// path scans Relation.Rows. It exists to verify and benchmark the
-	// indexed paths against the scan paths; set it before the first Exec.
+	// indexed paths against the scan paths; set it before the first
+	// execution.
 	NoIndexes bool
 
 	// Syntactic reverts plan selection to the pre-statistics lowering:
 	// first qualifying point probe wins, range probes refuse keyed build
 	// sides, joins stay in FROM order. Every choice the cost-based planner
 	// makes is output-identical to this mode by construction; TestPlanParity
-	// holds it to that. Set before the first Exec.
+	// holds it to that. Set before the first execution.
 	Syntactic bool
 
 	// trace, when non-nil, receives actual row counts keyed by plan-node id
@@ -157,7 +168,35 @@ func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*
 	if err != nil {
 		return nil, err
 	}
-	return ex.runProgram(ctx, prog, nil, 1)
+	return ex.runProgram(newExecution(ctx, prog), prog, nil)
+}
+
+// execution is the state one execution of a statement threads, by value,
+// through every program, core and row context it runs: the caller's
+// context, the subquery memo, and the subquery nesting depth of the
+// program being run (1 for the statement itself).
+type execution struct {
+	qctx  context.Context
+	memo  []subMemo
+	depth int
+}
+
+// newExecution starts one execution of a top-level program. The memo has
+// one slot per uncorrelated subquery and lives for this execution only, so
+// a cached plan never holds results and concurrent executions share
+// nothing; a statement without uncorrelated subqueries allocates none.
+func newExecution(ctx context.Context, p *program) execution {
+	e := execution{qctx: ctx, depth: 1}
+	if p.slots > 0 {
+		e.memo = make([]subMemo, p.slots)
+	}
+	return e
+}
+
+// nested is the execution one subquery level down.
+func (e execution) nested() execution {
+	e.depth++
+	return e
 }
 
 func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
@@ -181,7 +220,7 @@ func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.nodes = c.nodes
+	p.nodes, p.subs, p.slots = c.nodes, c.subs, c.slots
 	ex.storePlan(stmt, key, p)
 	return p, nil
 }
@@ -200,26 +239,25 @@ func (ex *Executor) storePlan(stmt *sqlast.SelectStmt, key string, p *program) {
 	ex.plansByKey[key] = p
 }
 
-// runProgram executes a compiled program. depth is the current subquery
-// nesting (1 for a top-level statement); depth and ctx thread through the
-// call chain — and into row contexts, for subquery closures — instead of
-// living on the executor, so concurrent executions cannot observe each
+// runProgram executes a compiled program. The execution threads through
+// the call chain — and into row contexts, for subquery closures — instead
+// of living on the executor, so concurrent executions cannot observe each
 // other. The entry check makes an already-cancelled context return before
 // any rows are visited, and gives correlated subqueries (re-entered here
 // once per outer row) a natural per-row cancellation point.
-func (ex *Executor) runProgram(ctx context.Context, p *program, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
-	if err := ctx.Err(); err != nil {
+func (ex *Executor) runProgram(e execution, p *program, outer *rowCtx) (*sqltypes.Relation, error) {
+	if err := e.qctx.Err(); err != nil {
 		return nil, err
 	}
-	if depth > maxSubqueryDepth {
+	if e.depth > maxSubqueryDepth {
 		return nil, fmt.Errorf("sqleval: subquery nesting exceeds %d", maxSubqueryDepth)
 	}
-	result, err := ex.runCore(ctx, p.cores[0], outer, depth)
+	result, err := ex.runCore(e, p.cores[0], outer)
 	if err != nil {
 		return nil, err
 	}
 	for i, op := range p.ops {
-		rhs, err := ex.runCore(ctx, p.cores[i+1], outer, depth)
+		rhs, err := ex.runCore(e, p.cores[i+1], outer)
 		if err != nil {
 			return nil, err
 		}
@@ -291,11 +329,11 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	return out, nil
 }
 
-func (ex *Executor) runCore(ctx context.Context, cc *compiledCore, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
+func (ex *Executor) runCore(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
 	if cc.stream != nil {
-		return ex.runStream(ctx, cc, outer, depth)
+		return ex.runStream(e, cc, outer)
 	}
-	rows, owned, err := ex.buildFrom(ctx, cc, outer, depth)
+	rows, owned, err := ex.buildFrom(e, cc, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -304,8 +342,8 @@ func (ex *Executor) runCore(ctx context.Context, cc *compiledCore, outer *rowCtx
 		if !owned {
 			kept = rows[:0:0]
 		}
-		cancel := cancelCheck{ctx: ctx}
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+		cancel := cancelCheck{ctx: e.qctx}
+		rc := &rowCtx{parent: outer, execution: e}
 		for _, row := range rows {
 			if err := cancel.poll(); err != nil {
 				return nil, err
@@ -326,9 +364,9 @@ func (ex *Executor) runCore(ctx context.Context, cc *compiledCore, outer *rowCtx
 	}
 	var result *sqltypes.Relation
 	if len(cc.groupBy) > 0 || cc.hasAgg {
-		result, err = ex.projectGrouped(ctx, cc, rows, outer, depth)
+		result, err = ex.projectGrouped(e, cc, rows, outer)
 	} else {
-		result, err = ex.projectPlain(ctx, cc, rows, outer, depth)
+		result, err = ex.projectPlain(e, cc, rows, outer)
 	}
 	if err == nil && ex.trace != nil {
 		ex.trace.addRows(cc.id, int64(len(result.Rows)))
@@ -356,12 +394,12 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 // pushed-down conjuncts) joined with each subsequent table. The returned
 // flag reports whether the slice is owned by the caller (safe to filter in
 // place) or shared with the storage layer.
-func (ex *Executor) buildFrom(ctx context.Context, cc *compiledCore, outer *rowCtx, depth int) ([]sqltypes.Row, bool, error) {
+func (ex *Executor) buildFrom(e execution, cc *compiledCore, outer *rowCtx) ([]sqltypes.Row, bool, error) {
 	if len(cc.scans) == 0 {
 		// SELECT without FROM evaluates items once over an empty row.
 		return []sqltypes.Row{{}}, true, nil
 	}
-	rows, owned, err := cc.scans[0].rows(ctx, ex, outer, depth)
+	rows, owned, err := cc.scans[0].rows(ex, e, outer)
 	if err != nil {
 		return nil, false, err
 	}
@@ -370,8 +408,8 @@ func (ex *Executor) buildFrom(ctx context.Context, cc *compiledCore, outer *rowC
 		if !owned {
 			kept = rows[:0:0]
 		}
-		cancel := cancelCheck{ctx: ctx}
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+		cancel := cancelCheck{ctx: e.qctx}
+		rc := &rowCtx{parent: outer, execution: e}
 		for _, row := range rows {
 			if err := cancel.poll(); err != nil {
 				return nil, false, err
@@ -390,11 +428,11 @@ func (ex *Executor) buildFrom(ctx context.Context, cc *compiledCore, outer *rowC
 	accW := cc.scans[0].width
 	for i, jp := range cc.joins {
 		next := cc.scans[i+1]
-		right, _, err := next.rows(ctx, ex, outer, depth)
+		right, _, err := next.rows(ex, e, outer)
 		if err != nil {
 			return nil, false, err
 		}
-		rows, err = ex.execJoin(ctx, rows, accW, next, right, jp, outer, depth)
+		rows, err = ex.execJoin(e, rows, accW, next, right, jp, outer)
 		if err != nil {
 			return nil, false, err
 		}
@@ -413,14 +451,14 @@ func (ex *Executor) buildFrom(ctx context.Context, cc *compiledCore, outer *rowC
 // (left-major, right rows in scan order) and null-extend unmatched left
 // rows inline for LEFT JOIN, matching rows by index — never by value — so
 // duplicate-valued rows cannot collide.
-func (ex *Executor) execJoin(ctx context.Context, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx, depth int) (out []sqltypes.Row, err error) {
+func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx) (out []sqltypes.Row, err error) {
 	outW := accW + next.width
 	scratch := make(sqltypes.Row, outW)
-	rc := &rowCtx{parent: outer, row: scratch, depth: depth, qctx: ctx}
+	rc := &rowCtx{parent: outer, row: scratch, execution: e}
 	// One amortized cancellation counter covers every candidate pair
 	// (through tryPair) and every build-side row, so even an n×m nested
 	// loop observes cancellation within cancelCheckInterval pair visits.
-	cancel := cancelCheck{ctx: ctx}
+	cancel := cancelCheck{ctx: e.qctx}
 	var pairs int64
 	if ex.trace != nil {
 		defer func() {

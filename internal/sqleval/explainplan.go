@@ -70,7 +70,7 @@ func (t *execTrace) pairsAt(id int) int64 {
 // PlanTree compiles stmt, executes it once, and returns the plan tree with
 // estimated and actual row counts per node. The execution happens on a
 // throwaway executor sharing this executor's database and mode flags —
-// never on this executor itself, so concurrent Exec calls are undisturbed
+// never on this executor itself, so concurrent executions are undisturbed
 // and cached plans never carry trace state.
 func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*plan.Tree, error) {
 	child := &Executor{
@@ -84,7 +84,7 @@ func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*pla
 		return nil, err
 	}
 	child.trace = newExecTrace(prog.nodes)
-	if _, err := child.runProgram(ctx, prog, nil, 1); err != nil {
+	if _, err := child.runProgram(newExecution(ctx, prog), prog, nil); err != nil {
 		return nil, err
 	}
 	return &plan.Tree{Root: programNode(prog, child.trace)}, nil

@@ -134,33 +134,48 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			return sqltypes.NewBool(v.IsNull() != not), nil
 		}, nil
 	case *sqlast.ExistsExpr:
-		sub, err := c.compileStmt(x.Sub, sc)
+		sub, slot, err := c.compileSubquery(x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
 		ex, not := c.ex, x.Not
+		if slot >= 0 {
+			return func(ctx *rowCtx) (sqltypes.Value, error) {
+				m, err := ex.memoized(ctx, sub, slot, fillExists)
+				if err != nil {
+					return sqltypes.Value{}, err
+				}
+				return sqltypes.NewBool(m.val.Truthy() != not), nil
+			}, nil
+		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
 			return sqltypes.NewBool((rel.NumRows() > 0) != not), nil
 		}, nil
 	case *sqlast.SubqueryExpr:
-		sub, err := c.compileStmt(x.Sub, sc)
+		sub, slot, err := c.compileSubquery(x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
 		ex := c.ex
+		if slot >= 0 {
+			return func(ctx *rowCtx) (sqltypes.Value, error) {
+				m, err := ex.memoized(ctx, sub, slot, fillScalar)
+				if err != nil {
+					return sqltypes.Value{}, err
+				}
+				return m.val, nil
+			}, nil
+		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			if rel.NumRows() == 0 || rel.NumCols() == 0 {
-				return sqltypes.Null(), nil
-			}
-			return rel.Rows[0][0], nil
+			return scalarOf(rel), nil
 		}, nil
 	case nil:
 		return nil, fmt.Errorf("sqleval: nil expression")
@@ -345,17 +360,40 @@ func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) 
 		return sqltypes.NewBool(found != not)
 	}
 	if x.Sub != nil {
-		sub, err := c.compileStmt(x.Sub, sc)
+		sub, slot, err := c.compileSubquery(x.Sub, sc)
 		if err != nil {
 			return nil, err
 		}
 		ex := c.ex
+		if slot >= 0 {
+			// Uncorrelated: the members are hashed once per execution. The
+			// probe is still evaluated first and the set filled even for a
+			// NULL probe, so errors surface exactly as on the per-row path.
+			return func(ctx *rowCtx) (sqltypes.Value, error) {
+				v, err := xfn(ctx)
+				if err != nil {
+					return sqltypes.Value{}, err
+				}
+				m, err := ex.memoized(ctx, sub, slot, fillMembers)
+				if err != nil {
+					return sqltypes.Value{}, err
+				}
+				if v.IsNull() {
+					return sqltypes.Null(), nil
+				}
+				found := m.members.contains(v)
+				if !found && m.members.sawNull {
+					return sqltypes.Null(), nil
+				}
+				return sqltypes.NewBool(found != not), nil
+			}, nil
+		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
 			v, err := xfn(ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			rel, err := ex.runProgram(ctx.qctx, sub, ctx, ctx.depth+1)
+			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
@@ -369,12 +407,26 @@ func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) 
 		}, nil
 	}
 	var memberFns []compiledExpr
+	var consts []sqltypes.Value
 	for _, le := range x.List {
+		if lit, ok := le.(*sqlast.Literal); ok {
+			consts = append(consts, lit.Value)
+		}
 		fn, err := c.compileExpr(le, sc)
 		if err != nil {
 			return nil, err
 		}
 		memberFns = append(memberFns, fn)
+	}
+	if len(consts) == len(memberFns) {
+		// An all-literal list is built once, here, not once per row.
+		return func(ctx *rowCtx) (sqltypes.Value, error) {
+			v, err := xfn(ctx)
+			if err != nil {
+				return sqltypes.Value{}, err
+			}
+			return membership(v, consts), nil
+		}, nil
 	}
 	return func(ctx *rowCtx) (sqltypes.Value, error) {
 		v, err := xfn(ctx)
@@ -462,7 +514,7 @@ func (c *compiler) compileAggregate(x *sqlast.FuncCall, sc *scope) (compiledExpr
 		if distinct {
 			seen = make(map[string]struct{})
 		}
-		sub := &rowCtx{parent: ctx.parent, depth: ctx.depth, qctx: ctx.qctx}
+		sub := &rowCtx{parent: ctx.parent, execution: ctx.execution}
 		for _, row := range ctx.grp.rows {
 			sub.row = row
 			v, err := argFn(sub)

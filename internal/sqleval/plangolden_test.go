@@ -18,8 +18,9 @@ var updatePlans = flag.Bool("update", false, "rewrite the golden plan snapshots"
 
 // TestPlanParity executes every Spider dev gold query (all 270, no slice
 // cap) through the cost-based planner, the pre-statistics syntactic
-// planner, and the index-free executor, and requires bit-identical
-// relations. This is the acceptance bar for cost-based planning: the
+// planner, the index-free executor, and the nested-loop executor (which
+// also re-runs every subquery per outer row instead of memoising the
+// uncorrelated ones), and requires bit-identical relations. This is the acceptance bar for cost-based planning: the
 // planner may only change HOW rows are found, never WHICH rows come back
 // or in what order. The sqlgen half of the bar lives in
 // TestPlanParitySQLGen (480 randomized queries over mixed-kind data).
@@ -46,6 +47,12 @@ func TestPlanParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("index-free path %q: %v", ex.GoldSQL, err)
 		}
+		nl := sqleval.New(db)
+		nl.NestedLoopOnly = true
+		perRow, err := nl.ExecContext(context.Background(), ex.Gold)
+		if err != nil {
+			t.Fatalf("nested-loop path %q: %v", ex.GoldSQL, err)
+		}
 		if !identical(cost, syntactic) {
 			t.Fatalf("cost and syntactic planners diverge for %q:\ncost:\n%s\nsyntactic:\n%s",
 				ex.GoldSQL, cost, syntactic)
@@ -53,6 +60,10 @@ func TestPlanParity(t *testing.T) {
 		if !identical(cost, noIdx) {
 			t.Fatalf("cost planner and index-free path diverge for %q:\ncost:\n%s\nscan:\n%s",
 				ex.GoldSQL, cost, noIdx)
+		}
+		if !identical(cost, perRow) {
+			t.Fatalf("cost planner and nested-loop path diverge for %q:\ncost:\n%s\nnested loop:\n%s",
+				ex.GoldSQL, cost, perRow)
 		}
 	}
 }

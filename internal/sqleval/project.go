@@ -1,7 +1,6 @@
 package sqleval
 
 import (
-	"context"
 	"sort"
 
 	"cyclesql/internal/sqltypes"
@@ -13,10 +12,10 @@ type record struct {
 	keys sqltypes.Row
 }
 
-func (ex *Executor) projectPlain(ctx context.Context, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
+func (ex *Executor) projectPlain(e execution, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx) (*sqltypes.Relation, error) {
 	records := make([]record, 0, len(rows))
-	cancel := cancelCheck{ctx: ctx}
-	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+	cancel := cancelCheck{ctx: e.qctx}
+	rc := &rowCtx{parent: outer, execution: e}
 	for _, row := range rows {
 		if err := cancel.poll(); err != nil {
 			return nil, err
@@ -31,8 +30,8 @@ func (ex *Executor) projectPlain(ctx context.Context, cc *compiledCore, rows []s
 	return finalize(cc, records)
 }
 
-func (ex *Executor) projectGrouped(ctx context.Context, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
-	cancel := cancelCheck{ctx: ctx}
+func (ex *Executor) projectGrouped(e execution, cc *compiledCore, rows []sqltypes.Row, outer *rowCtx) (*sqltypes.Relation, error) {
+	cancel := cancelCheck{ctx: e.qctx}
 	// Partition rows into groups, keyed by the binary encoding of the
 	// GROUP BY values; insertion order is preserved.
 	var groups []groupRows
@@ -40,7 +39,7 @@ func (ex *Executor) projectGrouped(ctx context.Context, cc *compiledCore, rows [
 		groups = []groupRows{{rows: rows}}
 	} else {
 		idx := make(map[string]int)
-		rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+		rc := &rowCtx{parent: outer, execution: e}
 		var buf []byte
 		for _, row := range rows {
 			if err := cancel.poll(); err != nil {
@@ -65,7 +64,7 @@ func (ex *Executor) projectGrouped(ctx context.Context, cc *compiledCore, rows [
 		}
 	}
 	records := make([]record, 0, len(groups))
-	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+	rc := &rowCtx{parent: outer, execution: e}
 	for gi := range groups {
 		if err := cancel.poll(); err != nil {
 			return nil, err

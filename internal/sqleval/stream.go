@@ -1,10 +1,6 @@
 package sqleval
 
-import (
-	"context"
-
-	"cyclesql/internal/sqltypes"
-)
+import "cyclesql/internal/sqltypes"
 
 // runStream executes a core whose ORDER BY was lowered to a sorted-index
 // walk (compiledCore.stream, see lowerStream). Rows are visited in the
@@ -16,7 +12,7 @@ import (
 // the probed span; NULL rows sit outside every span, matching the range
 // conjunct's NULL rejection, while an unprobed walk includes them (NULL
 // sorts first ascending, last descending, as Compare orders it).
-func (ex *Executor) runStream(ctx context.Context, cc *compiledCore, outer *rowCtx, depth int) (*sqltypes.Relation, error) {
+func (ex *Executor) runStream(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
 	sp := cc.stream
 	ts := cc.scans[0]
 	ix := ex.db.Sorted(ts.table, sp.col)
@@ -41,8 +37,8 @@ func (ex *Executor) runStream(ctx context.Context, cc *compiledCore, outer *rowC
 	}
 
 	out := sqltypes.NewRelation(cc.labels()...)
-	cancel := cancelCheck{ctx: ctx}
-	rc := &rowCtx{parent: outer, depth: depth, qctx: ctx}
+	cancel := cancelCheck{ctx: e.qctx}
+	rc := &rowCtx{parent: outer, execution: e}
 	var visited int64
 	// visit filters and projects one row; it reports done when the output
 	// reached the LIMIT target. The pre-check (not just the post-append
