@@ -25,7 +25,8 @@ type Node struct {
 	// bounds, build strategy, reorder note.
 	Detail string
 	// EstRows is the planner's output-cardinality estimate; negative means
-	// the planner made no estimate (syntactic mode, or a non-costed node).
+	// the planner made no estimate (a restricted reference executor, or a
+	// non-costed node).
 	EstRows float64
 	// ActRows is the row count one execution actually produced (accumulated
 	// across re-executions for correlated subplans); -1 when the node never

@@ -71,7 +71,9 @@ func benchExecPath(b *testing.B, sql string, nAircraft, nFlights int, scanOnly b
 		b.Fatal(err)
 	}
 	ex := New(db)
-	ex.NoIndexes = scanOnly
+	if scanOnly {
+		ex = NewIndexFree(db)
+	}
 	if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +214,9 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 		}
 		measure := func(scanOnly bool) float64 {
 			ex := New(db)
-			ex.NoIndexes = scanOnly
+			if scanOnly {
+				ex = NewIndexFree(db)
+			}
 			if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 				t.Fatal(err)
 			}

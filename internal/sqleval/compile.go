@@ -296,14 +296,6 @@ func (c *compiler) nextNode() int {
 	return id
 }
 
-// costMode reports whether this compilation chooses access paths by
-// estimated selectivity (the default). The Syntactic flag reverts to the
-// pre-statistics first-come lowering; the diagnostic path restrictions
-// (NoIndexes, NestedLoopOnly) have no probes to choose among.
-func (c *compiler) costMode() bool {
-	return !c.ex.Syntactic && !c.ex.NoIndexes && !c.ex.NestedLoopOnly
-}
-
 func (c *compiler) compileStmt(stmt *sqlast.SelectStmt, parent *scope) (*program, error) {
 	if stmt == nil || len(stmt.Cores) == 0 {
 		return nil, fmt.Errorf("sqleval: empty statement")
@@ -342,7 +334,7 @@ func (c *compiler) compileSubquery(stmt *sqlast.SelectStmt, sc *scope) (*program
 		return nil, 0, err
 	}
 	slot := -1
-	if reached > sc.level && !c.ex.NestedLoopOnly {
+	if reached > sc.level && c.ex.mode != nestedLoop {
 		slot = c.slots
 		c.slots++
 	}
@@ -358,7 +350,7 @@ func (c *compiler) compileCore(core *sqlast.SelectCore, parent *scope) (*compile
 	if err != nil {
 		return nil, err
 	}
-	if c.costMode() && c.depth == 1 && parent == nil {
+	if c.ex.mode == costPlan && c.depth == 1 && parent == nil {
 		if re := c.reorderCore(cc, core); re != nil {
 			return re, nil
 		}
@@ -413,60 +405,31 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 	}
 	cc.width = sc.width
 
-	// WHERE splits into conjuncts; col = literal conjuncts become index
-	// probes on their scan, comparison/BETWEEN conjuncts become sorted-index
-	// range probes, and, for all-inner-join cores, equi conjuncts across
-	// tables become join keys and fully-bound conjuncts filter at the
-	// earliest scan or join where their columns exist. LEFT JOIN disables
-	// the pushdown: filtering before null extension would change results.
-	// Point probes claim their scans first (a point lookup subsumes any
-	// range on the same column), then WHERE-derived equi-join keys are
-	// extracted — before the range pass, so rangeConjunct's build-side
-	// guard sees a join's full key set whether the keys were spelled in ON
-	// or in WHERE — then range conjuncts, then everything unclaimed flows
-	// through pushdown/filtering in its original order.
+	// WHERE splits into conjuncts, claimed in three passes. Equi-join keys
+	// across tables (a.x = b.y) go first: a key conjunct is col = col and a
+	// probe candidate col OP literal, so the passes never compete, and the
+	// cost pass needs every join's complete key set — spelled in ON or in
+	// WHERE — to weigh prefiltering a reused build side. In cost mode
+	// costProbes then lowers at most one col = literal, comparison or
+	// BETWEEN conjunct per scan into an index probe (cost.go). Everything
+	// unclaimed flows, in its original order, to the earliest scan or join
+	// where its columns exist, or else to the post-join filter. Key
+	// extraction and pushdown need an all-inner-join core: filtering before
+	// null extension would change LEFT JOIN results.
 	conjs := sqlast.Conjuncts(core.Where)
 	claimed := make([]bool, len(conjs))
-	if c.costMode() {
-		// Cost-based lowering claims equi-join keys first — key extraction
-		// is independent of probe choice (a key conjunct is col = col, a
-		// probe candidate col OP literal), and the cost pass needs every
-		// join's complete key set to weigh prefiltering a reused build side
-		// — then selects at most one probe per scan by estimated
-		// selectivity (cost.go) instead of first-come.
-		if allInner && len(cc.scans) > 1 {
-			for i, conj := range conjs {
-				if !claimed[i] {
-					claimed[i] = c.pushEquiKey(cc, sc, conj)
-				}
-			}
-		}
-		c.costProbes(cc, sc, conjs, claimed, allInner)
-	} else {
+	pushdown := allInner && len(cc.scans) > 1 && c.ex.mode != nestedLoop
+	if pushdown {
 		for i, conj := range conjs {
-			claimed[i] = c.probeConjunct(cc, sc, conj, allInner)
-		}
-		if allInner && len(cc.scans) > 1 && !c.ex.NestedLoopOnly {
-			for i, conj := range conjs {
-				if !claimed[i] {
-					claimed[i] = c.pushEquiKey(cc, sc, conj)
-				}
-			}
-		}
-		for i, conj := range conjs {
-			if !claimed[i] {
-				claimed[i] = c.rangeConjunct(cc, sc, conj, allInner)
-			}
+			claimed[i] = c.pushEquiKey(cc, sc, conj)
 		}
 	}
+	if c.ex.mode == costPlan {
+		c.costProbes(cc, sc, conjs, claimed, allInner)
+	}
 	for i, conj := range conjs {
-		if claimed[i] {
+		if claimed[i] || pushdown && c.pushConjunct(cc, sc, conj) {
 			continue
-		}
-		if allInner && len(cc.scans) > 1 && !c.ex.NestedLoopOnly {
-			if c.pushConjunct(cc, sc, conj) {
-				continue
-			}
 		}
 		fn, err := c.compileExpr(conj, sc)
 		if err != nil {
@@ -520,8 +483,8 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 	cc.id = c.nextNode()
 	for i, jp := range cc.joins {
 		next := cc.scans[i+1]
-		jp.reuse = !c.ex.NoIndexes && !c.ex.NestedLoopOnly &&
-			next.sub == nil && next.probe == nil && next.rprobe == nil && len(jp.eqNew) > 0
+		jp.reuse = c.ex.mode != indexFree && len(jp.eqNew) > 0 &&
+			next.sub == nil && next.probe == nil && next.rprobe == nil
 	}
 	return cc, nil
 }
@@ -536,7 +499,7 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 // starts inside the probed span); any other probe keeps the regular path,
 // which is already pre-filtered by the index.
 func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *scope) {
-	if c.ex.NoIndexes || c.ex.NestedLoopOnly {
+	if c.ex.mode != costPlan {
 		return
 	}
 	if core.Distinct || cc.hasAgg || len(cc.groupBy) > 0 || len(cc.scans) != 1 {
@@ -628,7 +591,7 @@ func (c *compiler) compileJoin(j sqlast.Join, sc *scope, ts *tableScan) (*joinPl
 // a Compare-consistent encoding (NULL keys never match, numerics compare
 // as float64 across kinds).
 func (c *compiler) equiKey(conj sqlast.Expr, sc *scope, ts *tableScan) (accIdx, newIdx int, ok bool) {
-	if c.ex.NestedLoopOnly {
+	if c.ex.mode == nestedLoop {
 		return 0, 0, false
 	}
 	b, isBin := conj.(*sqlast.Binary)
@@ -659,10 +622,10 @@ func (c *compiler) equiKey(conj sqlast.Expr, sc *scope, ts *tableScan) (accIdx, 
 
 // pushEquiKey claims a WHERE conjunct that is an equi-join key pair (a.x =
 // b.y across tables), appending it to the join that completes its
-// bindings. It runs before range lowering (see compileCore) so every
-// join's key set is complete when rangeConjunct decides whether a scan
-// serves as a reused index build side; keys keep their conjunct order, so
-// composite key sequences are unchanged from the single-pass lowering.
+// bindings. It runs before probe selection (see lowerCore) so every join's
+// key set is complete when costProbes decides whether a scan serves as a
+// reused index build side; keys keep their conjunct order, so composite
+// key sequences follow the WHERE clause.
 func (c *compiler) pushEquiKey(cc *compiledCore, sc *scope, conj sqlast.Expr) bool {
 	maxOff, depth0Only, resolvable := c.conjunctSpan(conj, sc)
 	if !resolvable || !depth0Only {
@@ -687,13 +650,12 @@ func (c *compiler) pushEquiKey(cc *compiledCore, sc *scope, conj sqlast.Expr) bo
 	return true
 }
 
-// pushConjunct tries to evaluate a WHERE conjunct earlier: equi conjuncts
-// across two tables become join keys, fully-bound conjuncts attach to the
-// base scan or the join that completes their bindings. Returns false when
-// the conjunct must stay in the post-join filter (correlated references,
-// bare stars, or resolution failures that should error in compileExpr).
-// Equi keys are normally claimed by the earlier pushEquiKey pass; the
-// equiKey attempt here is kept for self-containedness.
+// pushConjunct tries to evaluate a WHERE conjunct earlier: a fully-bound
+// conjunct attaches to the base scan or to the join that completes its
+// bindings (equi keys were already claimed by pushEquiKey). Returns false
+// when the conjunct must stay in the post-join filter (correlated
+// references, bare stars, or resolution failures that should error in
+// compileExpr).
 func (c *compiler) pushConjunct(cc *compiledCore, sc *scope, conj sqlast.Expr) bool {
 	maxOff, depth0Only, resolvable := c.conjunctSpan(conj, sc)
 	if !resolvable || !depth0Only {
@@ -707,16 +669,11 @@ func (c *compiler) pushConjunct(cc *compiledCore, sc *scope, conj sqlast.Expr) b
 		}
 	}
 	if joinIdx >= 0 {
-		jp := cc.joins[joinIdx]
-		if accIdx, newIdx, ok := c.equiKey(conj, sc, cc.scans[joinIdx+1]); ok {
-			jp.eqAcc = append(jp.eqAcc, accIdx)
-			jp.eqNew = append(jp.eqNew, newIdx)
-			return true
-		}
 		fn, err := c.compileExpr(conj, sc)
 		if err != nil {
 			return false
 		}
+		jp := cc.joins[joinIdx]
 		jp.residual = append(jp.residual, fn)
 		return true
 	}
@@ -725,161 +682,6 @@ func (c *compiler) pushConjunct(cc *compiledCore, sc *scope, conj sqlast.Expr) b
 		return false
 	}
 	cc.baseFilters = append(cc.baseFilters, fn)
-	return true
-}
-
-// probeConjunct recognizes WHERE conjuncts of the form col = literal
-// (either operand order) whose column binds into a base-table scan of this
-// core, and lowers them into an index probe on that scan: execution fetches
-// exactly the rows holding the literal's key from a lazily built
-// storage.ColumnIndex instead of filtering a scan of Relation.Rows. The
-// probe fully subsumes the conjunct — the index's AppendCompareKey
-// encoding equates values exactly when the = operator (sqltypes.Compare)
-// does, and NULL columns are never indexed, matching the operator's
-// NULL-rejection — so nothing is re-checked per row.
-func (c *compiler) probeConjunct(cc *compiledCore, sc *scope, conj sqlast.Expr, allInner bool) bool {
-	if c.ex.NoIndexes || c.ex.NestedLoopOnly {
-		return false
-	}
-	b, ok := conj.(*sqlast.Binary)
-	if !ok || b.Op != "=" {
-		return false
-	}
-	cr, lit := probeOperands(b)
-	if cr == nil || cr.Column == "*" || lit.Value.IsNull() {
-		return false
-	}
-	depth, idx, found := sc.resolve(cr.Table, cr.Column)
-	if !found || depth != 0 {
-		return false
-	}
-	si := 0
-	for i := 1; i < len(cc.scans); i++ {
-		if idx >= cc.scans[i].offset {
-			si = i
-		}
-	}
-	ts := cc.scans[si]
-	if ts.table == "" || ts.probe != nil {
-		return false
-	}
-	// Probing the base scan is order- and semantics-preserving under any
-	// join mix (base columns are never null-extended, so the WHERE conjunct
-	// removes the same output rows before or after the joins); later scans
-	// may only be pre-filtered when every join is inner.
-	if si > 0 && !allInner {
-		return false
-	}
-	key, ok := lit.Value.AppendCompareKey(nil)
-	if !ok {
-		return false
-	}
-	ts.probe = &scanProbe{col: idx - ts.offset, key: key, val: lit.Value}
-	return true
-}
-
-// rangeConjunct recognizes WHERE conjuncts of the form col OP literal for
-// OP in <, <=, >, >= (either operand order — a literal-first comparison
-// flips), and col BETWEEN lo AND hi with literal bounds, and lowers them
-// into a sorted-index range probe on the column's base-table scan. The
-// probe fully subsumes the conjunct: the sorted index orders rows by
-// sqltypes.Compare — the exact relation the comparison operators test —
-// and NULL rows sit outside every span, matching the operators' NULL
-// rejection. Two one-sided conjuncts on the same column merge into one
-// two-bound probe; anything that cannot claim a free bound stays a filter.
-// The same eligibility rules as point probes apply: base-table scans only,
-// and non-base scans only under all-inner joins (pre-filtering a LEFT JOIN
-// right side would change null extension).
-func (c *compiler) rangeConjunct(cc *compiledCore, sc *scope, conj sqlast.Expr, allInner bool) bool {
-	if c.ex.NoIndexes || c.ex.NestedLoopOnly {
-		return false
-	}
-	var cr *sqlast.ColumnRef
-	var lo, hi *sqltypes.Value
-	var loIncl, hiIncl bool
-	switch x := conj.(type) {
-	case *sqlast.Binary:
-		ref, lit, op := rangeOperands(x)
-		if ref == nil || lit.Value.IsNull() {
-			return false
-		}
-		cr = ref
-		v := lit.Value
-		switch op {
-		case "<":
-			hi = &v
-		case "<=":
-			hi, hiIncl = &v, true
-		case ">":
-			lo = &v
-		case ">=":
-			lo, loIncl = &v, true
-		}
-	case *sqlast.BetweenExpr:
-		if x.Not {
-			return false
-		}
-		ref, ok := x.X.(*sqlast.ColumnRef)
-		if !ok {
-			return false
-		}
-		loLit, loOk := x.Lo.(*sqlast.Literal)
-		hiLit, hiOk := x.Hi.(*sqlast.Literal)
-		if !loOk || !hiOk || loLit.Value.IsNull() || hiLit.Value.IsNull() {
-			return false
-		}
-		cr = ref
-		lv, hv := loLit.Value, hiLit.Value
-		lo, loIncl, hi, hiIncl = &lv, true, &hv, true
-	default:
-		return false
-	}
-	if cr.Column == "*" {
-		return false
-	}
-	depth, idx, found := sc.resolve(cr.Table, cr.Column)
-	if !found || depth != 0 {
-		return false
-	}
-	si := 0
-	for i := 1; i < len(cc.scans); i++ {
-		if idx >= cc.scans[i].offset {
-			si = i
-		}
-	}
-	ts := cc.scans[si]
-	if ts.table == "" || ts.probe != nil {
-		return false
-	}
-	// A non-base scan may only be pre-filtered under all-inner joins (as
-	// with point probes), and not when its join already has equi keys:
-	// those scans serve as reused index build sides, and pre-filtering
-	// would force the hash table to be rebuilt per execution — worse, in
-	// the repeated-execution regime, than filtering in the join residual.
-	if si > 0 && (!allInner || len(cc.joins[si-1].eqNew) > 0) {
-		return false
-	}
-	col := idx - ts.offset
-	rp := ts.rprobe
-	if rp == nil {
-		ts.rprobe = &rangeProbe{col: col, lo: lo, hi: hi, loIncl: loIncl, hiIncl: hiIncl}
-		return true
-	}
-	if rp.col != col {
-		return false
-	}
-	// Merge into the existing probe only when every bound this conjunct
-	// carries lands in a free slot; a partial merge would leave half the
-	// conjunct unchecked.
-	if (lo != nil && rp.lo != nil) || (hi != nil && rp.hi != nil) {
-		return false
-	}
-	if lo != nil {
-		rp.lo, rp.loIncl = lo, loIncl
-	}
-	if hi != nil {
-		rp.hi, rp.hiIncl = hi, hiIncl
-	}
 	return true
 }
 

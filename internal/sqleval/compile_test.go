@@ -45,32 +45,19 @@ func runBoth(t *testing.T, db *storage.Database, sql string) *sqltypes.Relation 
 	if err != nil {
 		t.Fatalf("indexed path %q: %v", sql, err)
 	}
-	scan := New(db)
-	scan.NoIndexes = true
-	hash, err := scan.ExecContext(context.Background(), stmt)
+	hash, err := NewIndexFree(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("hash path %q: %v", sql, err)
 	}
-	nl := New(db)
-	nl.NestedLoopOnly = true
-	loop, err := nl.ExecContext(context.Background(), stmt)
+	loop, err := NewNestedLoop(db).ExecContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("nested-loop path %q: %v", sql, err)
-	}
-	synEx := New(db)
-	synEx.Syntactic = true
-	syntactic, err := synEx.ExecContext(context.Background(), stmt)
-	if err != nil {
-		t.Fatalf("syntactic path %q: %v", sql, err)
 	}
 	if !relEqual(indexed, hash) {
 		t.Fatalf("index and scan paths diverge for %q:\nindexed:\n%s\nscan:\n%s", sql, indexed, hash)
 	}
 	if !relEqual(hash, loop) {
 		t.Fatalf("join paths diverge for %q:\nhash:\n%s\nnested loop:\n%s", sql, hash, loop)
-	}
-	if !relEqual(indexed, syntactic) {
-		t.Fatalf("cost and syntactic planners diverge for %q:\ncost:\n%s\nsyntactic:\n%s", sql, indexed, syntactic)
 	}
 	return hash
 }

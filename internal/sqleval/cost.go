@@ -9,15 +9,13 @@ import (
 	"cyclesql/internal/stats"
 )
 
-// Cost-based access-path selection. The syntactic lowering claims probes
-// first-come (the first eligible WHERE conjunct becomes the scan's probe)
-// and refuses to prefilter a reused join build side outright; this file
-// replaces both choices with estimates derived from internal/stats: each
-// scan probes its most selective candidate, a probe whose estimated span
-// covers most of the table is skipped, a reused build side is prefiltered
-// when fewer candidate pairs outweigh the per-execution hash build, and a
-// narrow class of aggregate-only join cores is reordered by estimated
-// frame growth. Every choice is among result-identical lowerings — an
+// Cost-based access-path selection, the lowering every production
+// executor runs. Each choice is an estimate derived from internal/stats:
+// each scan probes its most selective candidate, a probe whose estimated
+// span covers most of the table is skipped, a reused build side is
+// prefiltered when fewer candidate pairs outweigh the per-execution hash
+// build, and a narrow class of aggregate-only join cores is reordered by
+// estimated frame growth. Every choice is among result-identical lowerings — an
 // unclaimed conjunct simply stays a filter, a prefiltered build side
 // routes through the generic hash join, a reorder is restricted to
 // order-insensitive outputs — so a misestimate costs time, never
@@ -45,10 +43,9 @@ type probeCand struct {
 	loIncl, hiIncl bool
 }
 
-// costProbes is the cost-mode replacement for the probeConjunct and
-// rangeConjunct passes: it gathers every probe candidate, then walks the
-// scans in frame order choosing at most one probe per scan by estimated
-// selectivity, carrying a progressive estimate of the accumulated frame
+// costProbes lowers WHERE conjuncts into index probes: it gathers every
+// probe candidate, then walks the scans in frame order choosing at most
+// one probe per scan by estimated selectivity, carrying a progressive estimate of the accumulated frame
 // so the keyed-build-side decision at each join sees the estimated probe
 // count it will face. Chosen candidates mark their conjuncts claimed;
 // everything else flows to the pushdown/filter pass unchanged.
@@ -98,9 +95,15 @@ func (c *compiler) costProbes(cc *compiledCore, sc *scope, conjs []sqlast.Expr, 
 }
 
 // probeCandidate parses one conjunct into a probe candidate and resolves
-// the scan it targets, accepting exactly the shapes the syntactic
-// lowering accepts: col = literal (either order), col OP literal for the
-// ordering operators (literal-first flips), and col BETWEEN lo AND hi.
+// the base-table scan it targets. It accepts col = literal (either order)
+// as a point probe on the column's hash index, and col OP literal for the
+// ordering operators (literal-first flips) or col BETWEEN lo AND hi as a
+// range probe on its sorted index. A chosen probe fully subsumes its
+// conjuncts, so nothing is re-checked per row: the hash index's
+// AppendCompareKey encoding equates values exactly when = does, the
+// sorted index orders rows by sqltypes.Compare, the relation the ordering
+// operators test, and NULL rows sit in neither, matching the operators'
+// NULL rejection.
 func (c *compiler) probeCandidate(cc *compiledCore, sc *scope, conj sqlast.Expr, ci int) (int, probeCand, bool) {
 	var cr *sqlast.ColumnRef
 	cand := probeCand{cis: []int{ci}}
@@ -176,8 +179,9 @@ func (c *compiler) probeCandidate(cc *compiledCore, sc *scope, conj sqlast.Expr,
 
 // mergeRange folds a range candidate into an earlier range candidate on
 // the same column when every bound it carries lands in a free slot (two
-// one-sided conjuncts become one two-bounded span, as in rangeConjunct).
-// Candidates that cannot merge stay separate: at most one becomes the
+// one-sided conjuncts become one two-bounded span); a partial merge would
+// leave half the conjunct unchecked. Candidates that cannot merge stay
+// separate: at most one becomes the
 // scan's probe, and the others remain ordinary filters.
 func mergeRange(cands []probeCand, cand *probeCand) bool {
 	for i := range cands {
@@ -201,11 +205,13 @@ func mergeRange(cands []probeCand, cand *probeCand) bool {
 }
 
 // chooseProbe picks the most selective eligible candidate for one scan,
-// or none. Eligibility mirrors the syntactic rules (base tables only,
-// non-base scans only under all-inner joins), with two cost-based
-// refinements: a candidate whose estimate exceeds maxProbeFraction of the
-// table stays a filter, and a candidate on a reused index build side is
-// taken only when prefiltering wins the pairs-versus-build tradeoff.
+// or none. Only base tables probe, and scans after the first only under
+// all-inner joins: the first scan is never null-extended, so filtering it
+// early is sound under any join mix, while pre-filtering a LEFT JOIN's
+// right side would change its null extension. Two cost rules follow: a
+// candidate whose estimate exceeds maxProbeFraction of the table stays a
+// filter, and a candidate on a reused index build side is taken only when
+// prefiltering wins the pairs-versus-build tradeoff.
 // Ties break deterministically: point probes beat ranges, then earlier
 // conjuncts win, so plans are stable for golden snapshots.
 func (c *compiler) chooseProbe(cc *compiledCore, ts *tableScan, si int, cands []probeCand, allInner bool, frameEst float64) (*probeCand, float64) {

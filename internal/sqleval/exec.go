@@ -37,10 +37,8 @@
 // (the subquery-depth guard, the subquery memo, row contexts, scratch
 // buffers) belongs to the call, never to the executor or a cached plan;
 // the plan cache is guarded by a read-mostly lock, and the storage layer
-// guards its lazy index builds. The NestedLoopOnly, NoIndexes and
-// Syntactic flags must be set before the first execution and not changed
-// afterwards, and the database contents must not be mutated while
-// executions are in flight (the store itself documents the same
+// guards its lazy index builds. The database contents must not be mutated
+// while executions are in flight (the store itself documents the same
 // reader/writer contract).
 //
 // Cancellation: ExecContext aborts a running query when its context is
@@ -87,27 +85,9 @@ type Executor struct {
 	plans      map[*sqlast.SelectStmt]*program
 	plansByKey map[string]*program
 
-	// NestedLoopOnly disables equi-join detection, filter pushdown, and
-	// index probes so every join runs the nested-loop fallback, and runs
-	// every subquery once per outer row, memoising none. It exists to
-	// verify that the join paths and the subquery memo produce identical
-	// relations; set it before the first execution of a statement (plans
-	// are cached per statement).
-	NestedLoopOnly bool
-
-	// NoIndexes disables secondary-index probes and index-backed join build
-	// sides while keeping hash joins and filter pushdown, so every access
-	// path scans Relation.Rows. It exists to verify and benchmark the
-	// indexed paths against the scan paths; set it before the first
-	// execution.
-	NoIndexes bool
-
-	// Syntactic reverts plan selection to the pre-statistics lowering:
-	// first qualifying point probe wins, range probes refuse keyed build
-	// sides, joins stay in FROM order. Every choice the cost-based planner
-	// makes is output-identical to this mode by construction; TestPlanParity
-	// holds it to that. Set before the first execution.
-	Syntactic bool
+	// mode restricts the access paths the compiler may lower to; it is
+	// fixed at construction, so every cached plan was compiled under it.
+	mode planMode
 
 	// trace, when non-nil, receives actual row counts keyed by plan-node id
 	// during execution. It is only ever set on the throwaway executor
@@ -118,6 +98,25 @@ type Executor struct {
 
 // New returns an executor over db.
 func New(db *storage.Database) *Executor { return &Executor{db: db} }
+
+// planMode selects which access paths the compiler lowers to. Only
+// costPlan runs in production; the two restricted modes are the reference
+// legs the parity tests hold it to.
+type planMode uint8
+
+const (
+	// costPlan chooses probes, build sides, streamed orderings and join
+	// orders by estimated selectivity (cost.go).
+	costPlan planMode = iota
+	// indexFree keeps hash joins and filter pushdown but reads no index or
+	// statistic, so every access path scans Relation.Rows.
+	indexFree
+	// nestedLoop also drops equi-join keys and filter pushdown, so every
+	// join runs the nested-loop fallback, and classifies every subquery as
+	// correlated, so it re-runs once per outer row: the per-row oracle the
+	// subquery memo is checked against.
+	nestedLoop
+)
 
 // maxSubqueryDepth bounds nesting; benchmark queries nest at most 3 deep.
 const maxSubqueryDepth = 16
@@ -521,7 +520,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	}
 
 	var buf []byte
-	if !ex.NoIndexes && next.sub == nil && next.probe == nil && next.rprobe == nil {
+	if jp.reuse {
 		// The build side is a whole base table: reuse (or lazily build, once
 		// per database) its column index — or, for multi-key joins, its
 		// composite index over the exact key-column sequence — instead of

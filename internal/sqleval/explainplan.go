@@ -13,7 +13,7 @@ import (
 // statement on a throwaway executor whose trace records per-node actual
 // row counts, then folds the compiled structure and the trace into a
 // plan.Tree. ExplainPlan is the rendered form. The throwaway executor
-// copies this executor's mode flags, so the plan shown is the plan this
+// copies this executor's mode, so the plan shown is the plan this
 // executor would run — while normal executions keep a nil trace and pay
 // nothing.
 
@@ -69,16 +69,11 @@ func (t *execTrace) pairsAt(id int) int64 {
 
 // PlanTree compiles stmt, executes it once, and returns the plan tree with
 // estimated and actual row counts per node. The execution happens on a
-// throwaway executor sharing this executor's database and mode flags —
+// throwaway executor sharing this executor's database and mode —
 // never on this executor itself, so concurrent executions are undisturbed
 // and cached plans never carry trace state.
 func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*plan.Tree, error) {
-	child := &Executor{
-		db:             ex.db,
-		NestedLoopOnly: ex.NestedLoopOnly,
-		NoIndexes:      ex.NoIndexes,
-		Syntactic:      ex.Syntactic,
-	}
+	child := &Executor{db: ex.db, mode: ex.mode}
 	prog, err := child.compiled(stmt)
 	if err != nil {
 		return nil, err

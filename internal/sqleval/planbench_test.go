@@ -8,12 +8,11 @@ import (
 	"cyclesql/internal/sqlparse"
 )
 
-// The cost-vs-syntactic benchmark pairs below run the two
-// TestPlanQualityGate scenarios under the timer; BENCH_PR10.json records
-// their numbers. The warm-up execution compiles the plan and builds the
-// lazily constructed indexes, so measured iterations see each planner's
-// steady state.
-func benchSkew(b *testing.B, sql string, syntactic bool) {
+// The benchmarks below run the two TestPlanQualityGate scenarios under
+// the timer; BENCH_PR10.json records their numbers. The warm-up execution
+// compiles the plan and builds the lazily constructed indexes, so measured
+// iterations see the planner's steady state.
+func benchSkew(b *testing.B, sql string) {
 	b.Helper()
 	db := skewDB(b)
 	stmt, err := sqlparse.Parse(sql)
@@ -21,7 +20,6 @@ func benchSkew(b *testing.B, sql string, syntactic bool) {
 		b.Fatal(err)
 	}
 	ex := sqleval.New(db)
-	ex.Syntactic = syntactic
 	if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
 		b.Fatal(err)
 	}
@@ -41,15 +39,8 @@ const (
 
 // BenchmarkCostProbeChoice: statistics pick the ~3-row tenant probe over
 // the 1000-row status probe.
-func BenchmarkCostProbeChoice(b *testing.B) { benchSkew(b, skewProbeSQL, false) }
-
-// BenchmarkSyntacticProbeChoice: first-come conjunct order probes status.
-func BenchmarkSyntacticProbeChoice(b *testing.B) { benchSkew(b, skewProbeSQL, true) }
+func BenchmarkCostProbeChoice(b *testing.B) { benchSkew(b, skewProbeSQL) }
 
 // BenchmarkCostBuildSide: the selective range prefilters the keyed build
 // side before hashing it.
-func BenchmarkCostBuildSide(b *testing.B) { benchSkew(b, skewBuildSQL, false) }
-
-// BenchmarkSyntacticBuildSide: index reuse joins every left row, then
-// filters the range per candidate pair.
-func BenchmarkSyntacticBuildSide(b *testing.B) { benchSkew(b, skewBuildSQL, true) }
+func BenchmarkCostBuildSide(b *testing.B) { benchSkew(b, skewBuildSQL) }

@@ -12,18 +12,21 @@ import (
 
 	"cyclesql/internal/datasets"
 	"cyclesql/internal/sqleval"
+	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/storage"
 )
 
 var updatePlans = flag.Bool("update", false, "rewrite the golden plan snapshots")
 
 // TestPlanParity executes every Spider dev gold query (all 270, no slice
-// cap) through the cost-based planner, the pre-statistics syntactic
-// planner, the index-free executor, and the nested-loop executor (which
-// also re-runs every subquery per outer row instead of memoising the
-// uncorrelated ones), and requires bit-identical relations. This is the acceptance bar for cost-based planning: the
+// cap) through the cost-based planner, the index-free executor, and the
+// nested-loop executor (which also re-runs every subquery per outer row
+// instead of memoising the uncorrelated ones), and requires bit-identical
+// relations. This is the acceptance bar for cost-based planning: the
 // planner may only change HOW rows are found, never WHICH rows come back
-// or in what order. The sqlgen half of the bar lives in
-// TestPlanParitySQLGen (480 randomized queries over mixed-kind data).
+// or in what order. The sqlgen half of the bar runs the same three legs
+// through runBoth (TestRandomizedPredicateParity, TestRandomizedJoinParity:
+// 480 randomized queries over mixed-kind data).
 func TestPlanParity(t *testing.T) {
 	bench := datasets.Spider()
 	if len(bench.Dev) < 270 {
@@ -35,27 +38,13 @@ func TestPlanParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cost planner %q: %v", ex.GoldSQL, err)
 		}
-		synEx := sqleval.New(db)
-		synEx.Syntactic = true
-		syntactic, err := synEx.ExecContext(context.Background(), ex.Gold)
-		if err != nil {
-			t.Fatalf("syntactic planner %q: %v", ex.GoldSQL, err)
-		}
-		scan := sqleval.New(db)
-		scan.NoIndexes = true
-		noIdx, err := scan.ExecContext(context.Background(), ex.Gold)
+		noIdx, err := sqleval.NewIndexFree(db).ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("index-free path %q: %v", ex.GoldSQL, err)
 		}
-		nl := sqleval.New(db)
-		nl.NestedLoopOnly = true
-		perRow, err := nl.ExecContext(context.Background(), ex.Gold)
+		perRow, err := sqleval.NewNestedLoop(db).ExecContext(context.Background(), ex.Gold)
 		if err != nil {
 			t.Fatalf("nested-loop path %q: %v", ex.GoldSQL, err)
-		}
-		if !identical(cost, syntactic) {
-			t.Fatalf("cost and syntactic planners diverge for %q:\ncost:\n%s\nsyntactic:\n%s",
-				ex.GoldSQL, cost, syntactic)
 		}
 		if !identical(cost, noIdx) {
 			t.Fatalf("cost planner and index-free path diverge for %q:\ncost:\n%s\nscan:\n%s",
@@ -66,6 +55,60 @@ func TestPlanParity(t *testing.T) {
 				ex.GoldSQL, cost, perRow)
 		}
 	}
+}
+
+// TestIndexFreeModesBuildNoIndex runs every Spider dev gold query through
+// the index-free and nested-loop executors, each over a fresh clone of its
+// database, and requires that no column index or sorted index exists
+// afterwards: outside cost mode the compiler must not read statistics,
+// because ColStats and the key-distinct estimate build indexes as a side
+// effect.
+func TestIndexFreeModesBuildNoIndex(t *testing.T) {
+	bench := datasets.Spider()
+	if len(bench.Dev) < 270 {
+		t.Fatalf("dev set shrank: %d examples", len(bench.Dev))
+	}
+	for _, ex := range bench.Dev {
+		for _, leg := range []struct {
+			name string
+			new  func(*storage.Database) *sqleval.Executor
+		}{
+			{"index-free", sqleval.NewIndexFree},
+			{"nested-loop", sqleval.NewNestedLoop},
+		} {
+			db := bench.DB(ex.DBName).Clone()
+			if _, err := leg.new(db).ExecContext(context.Background(), ex.Gold); err != nil {
+				t.Fatalf("%s path %q: %v", leg.name, ex.GoldSQL, err)
+			}
+			for _, tbl := range db.Schema.Tables {
+				for col := range tbl.Columns {
+					if db.HasIndex(tbl.Name, col) || db.HasSorted(tbl.Name, col) {
+						t.Fatalf("%s path built an index on %s.%s for %q",
+							leg.name, tbl.Name, tbl.Columns[col].Name, ex.GoldSQL)
+					}
+				}
+			}
+		}
+	}
+}
+
+func identical(a, b *sqltypes.Relation) bool {
+	if a.NumCols() != b.NumCols() || a.NumRows() != b.NumRows() {
+		return false
+	}
+	for i, c := range a.Columns {
+		if b.Columns[i] != c {
+			return false
+		}
+	}
+	for ri, row := range a.Rows {
+		for ci, v := range row {
+			if sqltypes.Compare(v, b.Rows[ri][ci]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestPlanGolden pins the cost-based planner's EXPLAIN output for every

@@ -15,16 +15,16 @@ import (
 )
 
 // skewDB builds the plan-quality workload: data whose uniform-looking
-// schema hides heavy skew, so the syntactic planner's first-come choices
-// are measurably bad and the cost-based planner's statistics-driven ones
-// measurably good.
+// schema hides heavy skew, so an access path picked without statistics is
+// measurably bad and the cost-based planner's choice measurably good.
 //
 //   - Ticket (2000 rows): status has 2 distinct values (1000 rows each),
-//     tenant has 800 distinct values (~2.5 rows each). A WHERE naming
-//     status first tempts the syntactic planner into a 1000-row probe.
+//     tenant has 800 distinct values (~2.5 rows each). Probing status
+//     reads 1000 rows; probing tenant reads 3.
 //   - Customer (500 rows) / Orders (2000 rows, 4 per customer): score is
-//     uniform 0..499, so a range on score is a precise prefilter the
-//     syntactic planner refuses on keyed build sides.
+//     uniform 0..499, so a range on score is a precise prefilter of the
+//     keyed Customer build side; reusing its full cid index instead visits
+//     one candidate pair per Orders row.
 func skewDB(t testing.TB) *storage.Database {
 	t.Helper()
 	s := &schema.Schema{
@@ -63,16 +63,15 @@ func skewDB(t testing.TB) *storage.Database {
 	return db
 }
 
-// planFor compiles-and-runs sql on a fresh executor in the given mode and
-// returns its plan tree plus its result relation.
-func planFor(t *testing.T, db *storage.Database, sql string, syntactic bool) (*plan.Tree, *sqltypes.Relation) {
+// planFor plans sql through a fresh cost-based executor, requires its
+// result to equal the index-free executor's, and returns the plan tree.
+func planFor(t *testing.T, db *storage.Database, sql string) *plan.Tree {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
 	ex := sqleval.New(db)
-	ex.Syntactic = syntactic
 	tree, err := ex.PlanTree(context.Background(), stmt)
 	if err != nil {
 		t.Fatalf("plan %q: %v", sql, err)
@@ -81,7 +80,14 @@ func planFor(t *testing.T, db *storage.Database, sql string, syntactic bool) (*p
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
-	return tree, rel
+	ref, err := sqleval.NewIndexFree(db).ExecContext(context.Background(), stmt)
+	if err != nil {
+		t.Fatalf("index-free exec %q: %v", sql, err)
+	}
+	if !identical(rel, ref) {
+		t.Fatalf("results diverge for %q:\ncost:\n%s\nindex-free:\n%s", sql, rel, ref)
+	}
+	return tree
 }
 
 // nodesOf flattens a plan tree pre-order.
@@ -103,90 +109,66 @@ func findNode(tree *plan.Tree, kind string) *plan.Node {
 }
 
 // TestPlanQualityGate is the CI gate proving cost-based planning earns its
-// keep on skewed data, with hard multipliers the syntactic planner cannot
-// meet (measured numbers are recorded in docs/benchmarks.md and
+// keep on skewed data, with hard multipliers over baselines read off
+// skewDB itself (measured numbers are recorded in docs/benchmarks.md and
 // BENCH_PR10.json):
 //
-//  1. Probe choice: with WHERE status = .. AND tenant = .., the syntactic
-//     planner probes the first-named conjunct (status, 1000 rows); the
-//     cost planner must probe tenant and touch >=5x fewer rows.
-//  2. Build side: with a selective range on the keyed build side, the
-//     syntactic planner keeps index reuse and visits one candidate pair
-//     per left row; the cost planner must prefilter the build side and
-//     visit >=5x fewer pairs.
+//  1. Probe choice: with WHERE status = .. AND tenant = .., probing status
+//     would read every open ticket; the cost planner must probe tenant and
+//     touch >=5x fewer rows.
+//  2. Build side: with a selective range on the keyed build side, reusing
+//     the full index would visit one candidate pair per Orders row; the
+//     cost planner must prefilter the build side and visit >=5x fewer
+//     pairs.
 //  3. Probe skip: a range covering most of the table must stay a plain
 //     scan under the cost planner instead of a worse-than-scan probe.
 //
-// Every scenario also re-checks result parity, so a "better" plan that
-// changes answers can never pass the gate.
+// planFor re-checks result parity against the index-free executor, so a
+// "better" plan that changes answers can never pass the gate.
 func TestPlanQualityGate(t *testing.T) {
 	db := skewDB(t)
 
 	t.Run("probe-choice", func(t *testing.T) {
-		sql := "SELECT id FROM Ticket WHERE status = 'open' AND tenant = 17 ORDER BY id"
-		synTree, synRel := planFor(t, db, sql, true)
-		costTree, costRel := planFor(t, db, sql, false)
-		if !identical(synRel, costRel) {
-			t.Fatalf("results diverge:\n%s\nvs\n%s", synRel, costRel)
+		var open int64
+		for _, row := range db.Table("Ticket").Rows {
+			if row[1].Text() == "open" {
+				open++
+			}
 		}
-		synProbe, costProbe := findNode(synTree, "probe"), findNode(costTree, "probe")
-		if synProbe == nil || costProbe == nil {
-			t.Fatalf("both planners must probe:\nsyntactic:\n%scost:\n%s",
-				synTree.Render(), costTree.Render())
+		tree := planFor(t, db, skewProbeSQL)
+		probe := findNode(tree, "probe")
+		if probe == nil || !strings.Contains(probe.Label, "tenant") {
+			t.Fatalf("cost planner must pick the selective tenant probe:\n%s", tree.Render())
 		}
-		if !strings.Contains(synProbe.Label, "status") {
-			t.Fatalf("syntactic planner no longer probes status — scenario broken:\n%s", synTree.Render())
+		if probe.ActRows*5 > open {
+			t.Fatalf("tenant probe read %d rows vs %d open tickets, want >=5x fewer",
+				probe.ActRows, open)
 		}
-		if !strings.Contains(costProbe.Label, "tenant") {
-			t.Fatalf("cost planner must pick the selective tenant probe:\n%s", costTree.Render())
-		}
-		if costProbe.ActRows*5 > synProbe.ActRows {
-			t.Fatalf("probe flip won only %d vs %d rows, want >=5x fewer",
-				costProbe.ActRows, synProbe.ActRows)
-		}
-		t.Logf("probed rows: syntactic=%d cost=%d (%.0fx)",
-			synProbe.ActRows, costProbe.ActRows,
-			float64(synProbe.ActRows)/float64(costProbe.ActRows))
+		t.Logf("probed rows: status=%d tenant=%d (%.0fx)",
+			open, probe.ActRows, float64(open)/float64(probe.ActRows))
 	})
 
 	t.Run("build-side", func(t *testing.T) {
-		sql := "SELECT O.oid FROM Orders AS O JOIN Customer AS C ON O.cid = C.cid WHERE C.score < 10 ORDER BY O.oid"
-		synTree, synRel := planFor(t, db, sql, true)
-		costTree, costRel := planFor(t, db, sql, false)
-		if !identical(synRel, costRel) {
-			t.Fatalf("results diverge:\n%s\nvs\n%s", synRel, costRel)
+		// cid is Customer's primary key, so index reuse pairs each Orders
+		// row with exactly one Customer row.
+		reusePairs := int64(db.NumRows("Orders"))
+		tree := planFor(t, db, skewBuildSQL)
+		join := findNode(tree, "join")
+		if join == nil || join.Detail != "hash build" || findNode(tree, "range") == nil {
+			t.Fatalf("cost planner must prefilter the build side:\n%s", tree.Render())
 		}
-		synJoin, costJoin := findNode(synTree, "join"), findNode(costTree, "join")
-		if synJoin == nil || costJoin == nil {
-			t.Fatal("both plans must join")
+		if join.ActPairs*5 > reusePairs {
+			t.Fatalf("prefiltered join visited %d pairs vs %d under index reuse, want >=5x fewer",
+				join.ActPairs, reusePairs)
 		}
-		if synJoin.Detail != "index build" {
-			t.Fatalf("syntactic planner no longer reuses the index — scenario broken:\n%s", synTree.Render())
-		}
-		if costJoin.Detail != "hash build" || findNode(costTree, "range") == nil {
-			t.Fatalf("cost planner must prefilter the build side:\n%s", costTree.Render())
-		}
-		if costJoin.ActPairs*5 > synJoin.ActPairs {
-			t.Fatalf("build-side flip won only %d vs %d pairs, want >=5x fewer",
-				costJoin.ActPairs, synJoin.ActPairs)
-		}
-		t.Logf("candidate pairs: syntactic=%d cost=%d (%.0fx)",
-			synJoin.ActPairs, costJoin.ActPairs,
-			float64(synJoin.ActPairs)/float64(costJoin.ActPairs))
+		t.Logf("candidate pairs: index reuse=%d prefiltered=%d (%.0fx)",
+			reusePairs, join.ActPairs, float64(reusePairs)/float64(join.ActPairs))
 	})
 
 	t.Run("probe-skip", func(t *testing.T) {
-		sql := "SELECT count(*) FROM Customer WHERE score >= 5"
-		synTree, synRel := planFor(t, db, sql, true)
-		costTree, costRel := planFor(t, db, sql, false)
-		if !identical(synRel, costRel) {
-			t.Fatalf("results diverge:\n%s\nvs\n%s", synRel, costRel)
-		}
-		if findNode(synTree, "range") == nil {
-			t.Fatalf("syntactic planner no longer range-probes — scenario broken:\n%s", synTree.Render())
-		}
-		if findNode(costTree, "range") != nil || findNode(costTree, "scan") == nil {
-			t.Fatalf("cost planner must skip a probe covering 99%% of the table:\n%s", costTree.Render())
+		tree := planFor(t, db, "SELECT count(*) FROM Customer WHERE score >= 5")
+		if findNode(tree, "range") != nil || findNode(tree, "scan") == nil {
+			t.Fatalf("cost planner must skip a probe covering 99%% of the table:\n%s", tree.Render())
 		}
 	})
 }

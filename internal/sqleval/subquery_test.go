@@ -16,9 +16,12 @@ import (
 // tracedExec compiles stmt on a fresh executor with a trace, as PlanTree
 // does, and executes it runs times; the trace accumulates actual rows per
 // plan node across the runs.
-func tracedExec(t *testing.T, db *storage.Database, stmt *sqlast.SelectStmt, nestedLoop bool, runs int) (*program, *execTrace, *sqltypes.Relation) {
+func tracedExec(t *testing.T, db *storage.Database, stmt *sqlast.SelectStmt, perRow bool, runs int) (*program, *execTrace, *sqltypes.Relation) {
 	t.Helper()
-	ex := &Executor{db: db, NestedLoopOnly: nestedLoop}
+	ex := New(db)
+	if perRow {
+		ex = NewNestedLoop(db)
+	}
 	prog, err := ex.compiled(stmt)
 	if err != nil {
 		t.Fatal(err)
