@@ -290,8 +290,12 @@ func loopBench(b *testing.B, parallelism int, verifyLatency time.Duration) {
 		// abandons its simulated inference mid-wait, as in deployment.
 		reject = nli.Latency{V: reject, D: verifyLatency}
 	}
-	p := core.New(nl2sql.MustByName("resdsql-3b"),
-		core.WithVerifier(reject), core.WithBenchmark(bench.Name), core.WithParallelism(parallelism))
+	p := &core.Pipeline{
+		Model:       nl2sql.MustByName("resdsql-3b"),
+		Verifier:    reject,
+		Benchmark:   bench.Name,
+		Parallelism: parallelism,
+	}
 	var overhead time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -338,8 +342,7 @@ func sweepBench(b *testing.B, workers int, verifyLatency time.Duration) {
 	if verifyLatency > 0 {
 		reject = nli.Latency{V: reject, D: verifyLatency}
 	}
-	p := core.New(nl2sql.MustByName("resdsql-3b"),
-		core.WithVerifier(reject), core.WithBenchmark(bench.Name))
+	p := &core.Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: reject, Benchmark: bench.Name}
 	batch := experiments.Batch{Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -389,14 +392,17 @@ func resilientLoopBench(b *testing.B, parallelism int, faults faultinject.Config
 	dev := bench.Dev[:16]
 	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
 	inj := faultinject.New(faults)
-	p := core.New(inj.WrapModel(nl2sql.MustByName("resdsql-3b")),
-		core.WithVerifier(inj.WrapVerifier(reject)), core.WithBenchmark(bench.Name))
-	p.Feedback = inj.WrapFeedback(p.Feedback)
-	p.Parallelism = parallelism
-	p.Resilience = &resilience.Policy{
-		Retry:     resilience.Retry{MaxAttempts: 8, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Seed: 7},
-		Breaker:   resilience.BreakerConfig{Threshold: 5, Cooldown: 50 * time.Millisecond},
-		Collector: &resilience.Collector{},
+	p := &core.Pipeline{
+		Model:       inj.WrapModel(nl2sql.MustByName("resdsql-3b")),
+		Verifier:    inj.WrapVerifier(reject),
+		Feedback:    inj.WrapFeedback(core.NewDataGrounded()),
+		Benchmark:   bench.Name,
+		Parallelism: parallelism,
+		Resilience: &resilience.Policy{
+			Retry:     resilience.Retry{MaxAttempts: 8, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond, Seed: 7},
+			Breaker:   resilience.BreakerConfig{Threshold: 5, Cooldown: 50 * time.Millisecond},
+			Collector: &resilience.Collector{},
+		},
 	}
 	var overhead time.Duration
 	retries := 0

@@ -80,7 +80,7 @@ func main() {
 	}
 	built := opts.Build()
 	lim := built.Limits
-	reliability = built.Policy
+	reliability = built.Limits.Resilience
 
 	ids := experiments.IDs
 	if *exp != "all" {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -78,7 +79,7 @@ func main() {
 		os.Exit(2)
 	}
 	built := opts.Build()
-	reliability = built.Policy
+	reliability = built.Limits.Resilience
 
 	bench := datasets.Spider()
 
@@ -139,14 +140,15 @@ func main() {
 	db := bench.DB(found.DBName)
 
 	fmt.Printf("Question: %s\nDatabase: %s   Model: %s\n\n", found.Question, found.DBName, *modelName)
+	loopCtx := ctx
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		loopCtx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	res, err := pipeline.Translate(ctx, *found, db)
+	res, err := pipeline.Translate(loopCtx, *found, db)
 	if err != nil {
-		if ctx.Err() != nil && context.Cause(ctx) != context.DeadlineExceeded {
+		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted")
 			exit(130)
 		}
@@ -179,7 +181,12 @@ func main() {
 		status += fmt.Sprintf(" retries=%d", res.Retries)
 	}
 	fmt.Printf("\nFinal translation (%d iterations, %s):\n  %s\n", res.Iterations, status, res.FinalSQL)
-	fmt.Printf("Execution-correct vs gold: %v\n", eval.EX(db, res.Final, found.Gold))
+	correct := eval.EXContext(ctx, db, res.Final, found.Gold)
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "interrupted")
+		exit(130)
+	}
+	fmt.Printf("Execution-correct vs gold: %v\n", correct)
 	fmt.Printf("Feedback-loop overhead: %s\n", res.Overhead.Round(100))
 	exit(0)
 }
@@ -221,7 +228,14 @@ func sweep(ctx context.Context, pipeline *core.Pipeline, bench *datasets.Benchma
 			continue
 		}
 		res := results[i]
-		ok := eval.EX(bench.DB(ex.DBName), res.Final, ex.Gold)
+		// A false scored under a cancelled ctx is not a measurement.
+		exCorrect := "interrupted"
+		if ok := eval.EXContext(ctx, bench.DB(ex.DBName), res.Final, ex.Gold); ctx.Err() == nil {
+			exCorrect = strconv.FormatBool(ok)
+			if ok {
+				correct++
+			}
+		}
 		verdict := "rejected "
 		if res.Verified {
 			verdict = "VALIDATED"
@@ -231,11 +245,8 @@ func sweep(ctx context.Context, pipeline *core.Pipeline, bench *datasets.Benchma
 			verdict = "DEGRADED "
 			degraded++
 		}
-		if ok {
-			correct++
-		}
-		fmt.Printf("%3d %s %s\n    iterations=%d execution-correct=%v  %s\n",
-			i+1, verdict, ex.Question, res.Iterations, ok, res.FinalSQL)
+		fmt.Printf("%3d %s %s\n    iterations=%d execution-correct=%s  %s\n",
+			i+1, verdict, ex.Question, res.Iterations, exCorrect, res.FinalSQL)
 	}
 	fmt.Printf("\n%d/%d verified, %d/%d execution-correct, %d degraded, %d failed in %s\n",
 		verified, len(qs), correct, len(qs), degraded, failed, elapsed.Round(time.Millisecond))

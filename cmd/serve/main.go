@@ -106,8 +106,8 @@ func main() {
 	if err := <-drained; err != nil {
 		fmt.Fprintf(os.Stderr, "drain: %v\n", err)
 	}
-	if built.Policy != nil {
-		fmt.Fprintln(os.Stderr, "reliability: "+built.Policy.Stats().String())
+	if pol := built.Limits.Resilience; pol != nil {
+		fmt.Fprintln(os.Stderr, "reliability: "+pol.Stats().String())
 	}
 	fmt.Fprintln(os.Stderr, "shut down cleanly")
 }

@@ -28,9 +28,13 @@ func main() {
 	// 2. Train (or load) the NLI verifier once; it stays frozen afterwards.
 	verifier := experiments.Verifier(experiments.Limits{MaxTrain: 200, TrainModels: []string{"resdsql-3b", "gpt-3.5-turbo"}})
 
-	// 3. Wrap any model with the feedback loop.
-	pipeline := core.New(nl2sql.MustByName("resdsql-3b"),
-		core.WithVerifier(verifier), core.WithBenchmark(bench.Name))
+	// 3. Wrap any model with the feedback loop. Unset fields take the
+	// paper's defaults: beam 8, data-grounded feedback, sequential loop.
+	pipeline := &core.Pipeline{
+		Model:     nl2sql.MustByName("resdsql-3b"),
+		Verifier:  verifier,
+		Benchmark: bench.Name,
+	}
 
 	res, err := pipeline.Translate(context.Background(), ex, db)
 	if err != nil {

@@ -26,9 +26,12 @@ func main() {
 	verifier := experiments.Verifier(experiments.Limits{MaxTrain: 300, TrainModels: []string{"resdsql-3b", "gpt-3.5-turbo", "chess"}})
 
 	for _, modelName := range []string{"gpt-3.5-turbo", "chess"} {
-		pipeline := core.New(nl2sql.MustByName(modelName),
-			core.WithVerifier(verifier), core.WithBenchmark(science.Name))
-		pipeline.BeamSize = 5
+		pipeline := &core.Pipeline{
+			Model:     nl2sql.MustByName(modelName),
+			Verifier:  verifier,
+			Benchmark: science.Name,
+			BeamSize:  5,
+		}
 		baseOK, loopOK, n := 0, 0, 0
 		iters := 0
 		for _, ex := range science.Dev {

@@ -11,13 +11,11 @@
 //	opts.BindBeam(flag.CommandLine)
 //	flag.Parse()
 //	built := opts.Build()
-//	// built.Limits  -> experiments.Limits (parallelism, workers,
-//	//                  timeouts, resilience, faults, dev/train caps)
-//	// built.Policy  -> the armed *resilience.Policy, or nil when both
-//	//                  resilience and chaos are off (print its Stats()
-//	//                  on exit when non-nil)
-//	// built.Faults  -> the faultinject.Config for wrapping ad-hoc
-//	//                  pipelines outside the Limits machinery
+//	// built.Limits -> experiments.Limits (parallelism, workers,
+//	//                 timeouts, resilience, faults, dev/train caps);
+//	//                 built.Limits.Resilience is nil when both
+//	//                 resilience and chaos are off (print its Stats()
+//	//                 on exit when non-nil)
 //
 // The flag names, defaults and help strings are exactly the ones the
 // CLIs shipped with, so existing invocations keep working unchanged.
@@ -160,17 +158,12 @@ func (o Options) Validate() error {
 // Built is the assembled runtime configuration: everything a binary needs
 // to construct pipelines, sweeps and servers from one Options value.
 type Built struct {
-	// Limits carries the parallelism/timeout/cap knobs plus the armed
-	// resilience policy and fault config, ready for the experiment
-	// drivers and for Limits.Pipeline.
+	// Limits carries the parallelism/timeout/cap knobs plus the chaos
+	// configuration (Faults) and the armed resilience policy
+	// (Resilience, nil when retries, breakers and chaos are all off;
+	// binaries print its Stats() as their exit reliability summary),
+	// ready for the experiment drivers and for Limits.Pipeline.
 	Limits experiments.Limits
-	// Policy is the resilience policy the options armed, or nil when
-	// retries, breakers and chaos are all off. When non-nil it is the
-	// same pointer Limits.Resilience holds; binaries print
-	// Policy.Stats() as their exit reliability summary.
-	Policy *resilience.Policy
-	// Faults is the chaos configuration (also folded into Limits.Faults).
-	Faults faultinject.Config
 }
 
 // Build assembles the canonical runtime configuration from the parsed
@@ -184,21 +177,17 @@ func (o Options) Build() Built {
 	lim.Parallelism = o.Parallel
 	lim.Workers = o.Workers
 	lim.ExampleTimeout = o.Timeout
-	faults := faultinject.Config{
+	lim.Faults = faultinject.Config{
 		Seed:      o.FaultSeed,
 		ErrorRate: o.FaultRate, HangRate: o.FaultHang,
 		PanicRate: o.FaultPanic, LatencyRate: o.FaultSlow, Latency: o.FaultLatency,
 	}
-	lim.Faults = faults
-	b := Built{Faults: faults}
-	if o.Retries > 0 || o.Breaker > 0 || faults.Enabled() {
-		b.Policy = &resilience.Policy{
+	if o.Retries > 0 || o.Breaker > 0 || lim.Faults.Enabled() {
+		lim.Resilience = &resilience.Policy{
 			Retry:     resilience.Retry{MaxAttempts: o.Retries + 1, Seed: o.FaultSeed},
 			Breaker:   resilience.BreakerConfig{Threshold: o.Breaker},
 			Collector: &resilience.Collector{},
 		}
-		lim.Resilience = b.Policy
 	}
-	b.Limits = lim
-	return b
+	return Built{Limits: lim}
 }

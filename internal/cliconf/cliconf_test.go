@@ -32,10 +32,10 @@ func TestDefaultsMatchExperimentHarness(t *testing.T) {
 	if b.Limits.Parallelism != 1 || b.Limits.Workers != 1 || b.Limits.ExampleTimeout != 0 {
 		t.Fatalf("default parallelism drifted: %+v", b.Limits)
 	}
-	if b.Policy != nil || b.Limits.Resilience != nil {
+	if b.Limits.Resilience != nil {
 		t.Fatal("no flags set must mean no resilience policy")
 	}
-	if b.Faults.Enabled() {
+	if b.Limits.Faults.Enabled() {
 		t.Fatal("no flags set must mean no chaos")
 	}
 }
@@ -57,9 +57,7 @@ func TestFlagsFlowIntoLimits(t *testing.T) {
 }
 
 func TestResilienceArmsExactlyWhenConfigured(t *testing.T) {
-	// Any of retries, breaker, or a chaos rate arms the policy; the
-	// policy pointer must be shared with Limits.Resilience so sweeps and
-	// exit summaries observe the same counters.
+	// Any of retries, breaker, or a chaos rate arms the policy.
 	for _, args := range [][]string{
 		{"-retries", "4"},
 		{"-breaker", "3"},
@@ -69,21 +67,18 @@ func TestResilienceArmsExactlyWhenConfigured(t *testing.T) {
 		{"-fault-slow", "0.1"},
 	} {
 		b := parse(t, false, args...).Build()
-		if b.Policy == nil {
+		if b.Limits.Resilience == nil {
 			t.Fatalf("%v must arm the policy", args)
-		}
-		if b.Limits.Resilience != b.Policy {
-			t.Fatalf("%v: policy pointer not shared with limits", args)
 		}
 	}
 	b := parse(t, false, "-retries", "4", "-fault-seed", "7").Build()
-	if got := b.Policy.Retry.MaxAttempts; got != 5 {
+	if got := b.Limits.Resilience.Retry.MaxAttempts; got != 5 {
 		t.Fatalf("retries 4 must mean 5 attempts, got %d", got)
 	}
-	if b.Policy.Retry.Seed != 7 || b.Faults.Seed != 7 {
+	if b.Limits.Resilience.Retry.Seed != 7 || b.Limits.Faults.Seed != 7 {
 		t.Fatal("fault seed must drive both jitter and chaos draws")
 	}
-	if b.Policy.Collector == nil {
+	if b.Limits.Resilience.Collector == nil {
 		t.Fatal("armed policy must carry a collector for the exit summary")
 	}
 }
@@ -143,26 +138,26 @@ func TestResilienceArmingEdgeCases(t *testing.T) {
 	// Zero-valued chaos rates must not arm the policy even when the
 	// latency/seed knobs are explicitly set: only rates make chaos real.
 	b := parse(t, false, "-fault-latency", "5ms", "-fault-seed", "42").Build()
-	if b.Policy != nil || b.Faults.Enabled() {
+	if b.Limits.Resilience != nil || b.Limits.Faults.Enabled() {
 		t.Fatal("latency/seed without any rate must stay unarmed")
 	}
 	// Retries 0 with a breaker still arms (breaker-only operation), and
 	// MaxAttempts 1 keeps single attempts.
 	b = parse(t, false, "-breaker", "2").Build()
-	if b.Policy == nil {
+	if b.Limits.Resilience == nil {
 		t.Fatal("breaker alone must arm the policy")
 	}
-	if got := b.Policy.Retry.MaxAttempts; got != 1 {
+	if got := b.Limits.Resilience.Retry.MaxAttempts; got != 1 {
 		t.Fatalf("breaker-only policy must keep single attempts, got %d", got)
 	}
-	if got := b.Policy.Breaker.Threshold; got != 2 {
+	if got := b.Limits.Resilience.Breaker.Threshold; got != 2 {
 		t.Fatalf("breaker threshold = %d", got)
 	}
 	// Chaos alone arms too: injected faults need the retry machinery to
 	// be survivable, even at MaxAttempts 1 the collector observes them.
 	b = parse(t, false, "-fault-rate", "0.3").Build()
-	if b.Policy == nil || b.Limits.Resilience != b.Policy {
-		t.Fatal("chaos alone must arm and share the policy")
+	if b.Limits.Resilience == nil {
+		t.Fatal("chaos alone must arm the policy")
 	}
 }
 
@@ -170,14 +165,11 @@ func TestChaosConfigRoundTrip(t *testing.T) {
 	b := parse(t, false,
 		"-fault-rate", "0.2", "-fault-hang", "0.05", "-fault-panic", "0.01",
 		"-fault-slow", "0.1", "-fault-latency", "200us", "-fault-seed", "7").Build()
-	f := b.Faults
+	f := b.Limits.Faults
 	if f.ErrorRate != 0.2 || f.HangRate != 0.05 || f.PanicRate != 0.01 || f.LatencyRate != 0.1 {
 		t.Fatalf("rates = %+v", f)
 	}
 	if f.Latency != 200*time.Microsecond || f.Seed != 7 {
 		t.Fatalf("latency/seed = %+v", f)
-	}
-	if b.Limits.Faults != f {
-		t.Fatal("faults must be folded into the limits too")
 	}
 }

@@ -2,33 +2,24 @@ package core
 
 import "sync"
 
+// maxCachedPerDB bounds the pipeline's per-database executor and explainer
+// caches.
+const maxCachedPerDB = 8
+
 // boundedCache is the small per-database cache the pipeline and the
-// data-grounded feedback share for executors and explainers. At the limit
-// it evicts one arbitrary entry instead of clearing, so a workload that
-// interleaves more databases than the limit (the experiment drivers sweep
-// dev examples across many databases) degrades gracefully rather than
-// losing every warm entry at once.
+// data-grounded feedback share for executors and explainers. Its zero
+// value is ready to use. At maxCachedPerDB entries it evicts one arbitrary
+// entry instead of clearing, so a workload that interleaves more databases
+// than the limit (the experiment drivers sweep dev examples across many
+// databases) degrades gracefully rather than losing every warm entry at
+// once.
 //
 // The cache is safe for concurrent use: callers sharing one Pipeline
 // across goroutines — or one feedback across parallel candidates — hit
 // these maps simultaneously, so every access runs under the mutex.
 type boundedCache[K comparable, V any] struct {
-	limit int
-	mu    sync.Mutex
-	m     map[K]V
-}
-
-func (c *boundedCache[K, V]) get(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
-}
-
-func (c *boundedCache[K, V]) put(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store(k, v)
+	mu sync.Mutex
+	m  map[K]V
 }
 
 // getOrCreate returns the cached value for k, building and caching it with
@@ -43,19 +34,14 @@ func (c *boundedCache[K, V]) getOrCreate(k K, build func() V) V {
 		return v
 	}
 	v := build()
-	c.store(k, v)
-	return v
-}
-
-// store must be called with c.mu held.
-func (c *boundedCache[K, V]) store(k K, v V) {
 	if c.m == nil {
-		c.m = make(map[K]V, c.limit)
-	} else if len(c.m) >= c.limit {
+		c.m = make(map[K]V, maxCachedPerDB)
+	} else if len(c.m) >= maxCachedPerDB {
 		for evict := range c.m {
 			delete(c.m, evict)
 			break
 		}
 	}
 	c.m[k] = v
+	return v
 }

@@ -23,7 +23,7 @@ func TestTranslatePreCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		examined := 0
 		v := nli.Func{Label: "count", Fn: func(string, nli.Premise) bool { examined++; return false }}
-		p := New(nl2sql.MustByName("resdsql-3b"), WithVerifier(v), WithBenchmark(bench.Name))
+		p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: v, Benchmark: bench.Name}
 		p.Parallelism = workers
 		res, err := p.Translate(ctx, ex, db)
 		if !errors.Is(err, context.Canceled) {
@@ -51,7 +51,7 @@ func TestTranslateDeadlineMidLoop(t *testing.T) {
 			time.Sleep(30 * time.Millisecond)
 			return false
 		}}
-		p := New(nl2sql.MustByName("resdsql-3b"), WithVerifier(slowReject), WithBenchmark(bench.Name))
+		p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: slowReject, Benchmark: bench.Name}
 		p.Parallelism = workers
 		ctx, cancel := context.WithTimeout(context.Background(), 45*time.Millisecond)
 		res, err := p.Translate(ctx, ex, db)

@@ -65,7 +65,7 @@ func TestBeamPanicFailsTranslation(t *testing.T) {
 	ex := bench.Dev[0]
 	accept := nli.Func{Label: "accept", Fn: func(string, nli.Premise) bool { return true }}
 	for _, pol := range []*resilience.Policy{nil, retryPolicy()} {
-		p := New(panicModel{}, WithVerifier(accept), WithBenchmark(bench.Name), WithResilience(pol))
+		p := &Pipeline{Model: panicModel{}, Verifier: accept, Benchmark: bench.Name, Resilience: pol}
 		res, err := p.Translate(context.Background(), ex, bench.DB(ex.DBName))
 		if res != nil || err == nil || !strings.Contains(err.Error(), "model crashed") {
 			t.Fatalf("policy %v: got %+v, %v", pol != nil, res, err)

@@ -75,7 +75,7 @@ func TestCycleSQLImprovesExecutionAccuracy(t *testing.T) {
 		dev = dev[:160]
 	}
 	for _, modelName := range []string{"resdsql-3b", "gpt-3.5-turbo"} {
-		p := New(nl2sql.MustByName(modelName), WithVerifier(v), WithBenchmark(bench.Name))
+		p := &Pipeline{Model: nl2sql.MustByName(modelName), Verifier: v, Benchmark: bench.Name}
 		baseOK, loopOK := 0, 0
 		for _, ex := range dev {
 			db := bench.DB(ex.DBName)
@@ -110,7 +110,7 @@ func TestOracleVerifierBoundsTrained(t *testing.T) {
 	trainedOK, oracleOK := 0, 0
 	for _, ex := range dev {
 		db := bench.DB(ex.DBName)
-		pt := New(model, WithVerifier(v), WithBenchmark(bench.Name))
+		pt := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 		rt, err := pt.Translate(context.Background(), ex, db)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestOracleVerifierBoundsTrained(t *testing.T) {
 		if eval.EX(db, rt.Final, ex.Gold) {
 			trainedOK++
 		}
-		po := New(model, WithVerifier(oracle), WithBenchmark(bench.Name))
+		po := &Pipeline{Model: model, Verifier: oracle, Benchmark: bench.Name}
 		ro, err := po.Translate(context.Background(), ex, db)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestTranslateFallsBackToTop1(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
-	p := New(nl2sql.MustByName("resdsql-3b"), WithVerifier(reject), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: reject, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestTranslateAcceptsFirstVerified(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
-	p := New(nl2sql.MustByName("resdsql-3b"), WithVerifier(accept), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: accept, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestSQL2NLFeedbackIsDataBlind(t *testing.T) {
 func TestIterationsBoundedByBeam(t *testing.T) {
 	v := sharedVerifier(t)
 	bench := datasets.Spider()
-	p := New(nl2sql.MustByName("picard-3b"), WithVerifier(v), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: nl2sql.MustByName("picard-3b"), Verifier: v, Benchmark: bench.Name}
 	p.BeamSize = 4
 	for _, ex := range bench.Dev[:20] {
 		res, err := p.Translate(context.Background(), ex, bench.DB(ex.DBName))

@@ -72,57 +72,45 @@ type Feedback interface {
 }
 
 // DataGrounded is CycleSQL's own feedback: provenance-based explanations.
+// Its zero value is ready to use and keeps one explainer per database
+// alive across candidates — and across Translate calls that interleave
+// databases, as the experiment drivers do — so provenance queries reuse
+// compiled statements. Use it by pointer and do not copy it after first
+// use.
 type DataGrounded struct {
 	// Polish optionally refines explanation fluency; verification uses the
 	// raw mechanical text either way (the paper polishes only for users).
+	// It is fixed into each explainer at construction: set it before the
+	// first Premise call.
 	Polish explain.Polisher
-	// shared, when non-nil, keeps one explainer per database alive across
-	// candidates — and across Translate calls that interleave databases,
-	// as the experiment drivers do — so provenance queries reuse compiled
-	// statements. The zero value stays stateless (a fresh explainer per
-	// call).
-	shared *explainerCache
+
+	// explainers is bounded because test-suite distillation can sweep many
+	// short-lived database clones through one feedback.
+	explainers boundedCache[*storage.Database, *explain.Explainer]
 }
 
-// explainerCache holds the per-database explainers DataGrounded reuses,
-// bounded because test-suite distillation can sweep many short-lived
-// database clones through one feedback.
-type explainerCache = boundedCache[*storage.Database, *explain.Explainer]
-
-// maxCachedPerDB bounds the pipeline's per-database executor and explainer
-// caches.
-const maxCachedPerDB = 8
-
-// NewDataGrounded returns a DataGrounded feedback that reuses one explainer
-// (and its compiled provenance statements) per database across candidates.
-func NewDataGrounded() DataGrounded {
-	return DataGrounded{shared: &explainerCache{limit: maxCachedPerDB}}
-}
+// NewDataGrounded returns a DataGrounded feedback, the same as
+// &DataGrounded{}.
+func NewDataGrounded() *DataGrounded { return &DataGrounded{} }
 
 // Name implements Feedback.
-func (DataGrounded) Name() string { return "cyclesql" }
+func (*DataGrounded) Name() string { return "cyclesql" }
 
-func (d DataGrounded) explainer(db *storage.Database) *explain.Explainer {
-	build := func() *explain.Explainer {
+func (d *DataGrounded) explainer(db *storage.Database) *explain.Explainer {
+	return d.explainers.getOrCreate(db, func() *explain.Explainer {
 		e := explain.New(db)
-		// Polish is fixed at construction: reassigning it on every call
-		// would be a write-on-read of the shared cached explainer, racing
-		// as soon as two goroutines share the feedback. Set d.Polish
-		// before the first Premise call; later changes only affect
-		// explainers built for databases not yet cached.
+		// Reassigning Polish on every call would be a write-on-read of
+		// the shared cached explainer, racing as soon as two goroutines
+		// share the feedback.
 		e.Polish = d.Polish
 		return e
-	}
-	if d.shared == nil {
-		return build()
-	}
-	return d.shared.getOrCreate(db, build)
+	})
 }
 
 // Premise implements Feedback. It is safe for concurrent use: the cached
 // explainers are concurrency-safe and the cache hands concurrent callers
 // one shared explainer per database.
-func (d DataGrounded) Premise(ctx context.Context, db *storage.Database, stmt *sqlast.SelectStmt, result *sqltypes.Relation) (nli.Premise, error) {
+func (d *DataGrounded) Premise(ctx context.Context, db *storage.Database, stmt *sqlast.SelectStmt, result *sqltypes.Relation) (nli.Premise, error) {
 	e := d.explainer(db)
 	// The paper explains one representative result tuple; the first row is
 	// the deterministic choice (training randomizes, inference does not).
@@ -173,12 +161,23 @@ type Result struct {
 }
 
 // Pipeline wires a translation model, a feedback generator and a verifier
-// into the CycleSQL loop.
+// into the CycleSQL loop. Build it as a literal: Model and Verifier are
+// required, every other field's zero value is the paper's setting, and
+// every pipeline keeps its per-database executors (and, under the default
+// feedback, explainers) warm across Translate calls. Use it by pointer
+// and do not copy it after first use.
 type Pipeline struct {
-	Model     nl2sql.Model
-	Verifier  nli.Verifier
-	Feedback  Feedback
-	BeamSize  int
+	Model    nl2sql.Model
+	Verifier nli.Verifier
+	// Feedback generates each candidate's premise; nil means a
+	// DataGrounded feedback owned by the pipeline.
+	Feedback Feedback
+	// BeamSize is the number of candidates the model proposes; 0 means
+	// the paper's 8.
+	BeamSize int
+	// Benchmark names the benchmark the simulated models translate
+	// against (it keys the model's example lookup and the translate
+	// stage's breaker identity).
 	Benchmark string
 
 	// Parallelism bounds how many beam candidates are verified
@@ -201,23 +200,14 @@ type Pipeline struct {
 	// means single attempts and no breakers — the pre-resilience loop.
 	Resilience *resilience.Policy
 
-	// execs, when non-nil, keeps one executor per database alive across
-	// Translate calls. Beam candidates are fresh ASTs per call, but their
-	// SQL text recurs across beams, and the executor's plan cache is keyed
-	// by canonical SQL — so a persistent executor skips recompiling them
-	// even when the caller interleaves examples from different databases.
-	// The zero value stays stateless (a fresh executor per Translate).
-	execs *executorCache
-}
-
-// executorCache holds the per-database executors the pipeline reuses.
-type executorCache = boundedCache[*storage.Database, *sqleval.Executor]
-
-func (p *Pipeline) executor(db *storage.Database) *sqleval.Executor {
-	if p.execs == nil {
-		return sqleval.New(db)
-	}
-	return p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
+	// execs keeps one executor per database alive across Translate calls.
+	// Beam candidates are fresh ASTs per call, but their SQL text recurs
+	// across beams, and the executor's plan cache is keyed by canonical
+	// SQL — so a persistent executor skips recompiling them even when the
+	// caller interleaves examples from different databases.
+	execs boundedCache[*storage.Database, *sqleval.Executor]
+	// feedback is the data-grounded feedback a nil Feedback resolves to.
+	feedback DataGrounded
 }
 
 // Translate runs the feedback loop for one example. Cancelling ctx aborts
@@ -234,7 +224,7 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	}
 	fb := p.Feedback
 	if fb == nil {
-		fb = DataGrounded{}
+		fb = &p.feedback
 	}
 	k := p.BeamSize
 	if k <= 0 {
@@ -250,12 +240,12 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	res := &Result{Candidates: candidates, Retries: translateRetries}
 	start := time.Now()
 	defer func() { res.Overhead = time.Since(start) }()
-	// One executor serves every candidate — and, when the pipeline came
-	// from New, persists across Translate calls so textually
-	// recurring candidates reuse compiled plans (the cache is keyed by
-	// canonical SQL, not AST identity). The executor is safe for
-	// concurrent ExecContext, so speculative workers share it.
-	p.run(ctx, res, ex.Question, db, fb, p.executor(db), candidates)
+	// One executor serves every candidate and persists across Translate
+	// calls, so textually recurring candidates reuse compiled plans (the
+	// cache is keyed by canonical SQL, not AST identity). The executor is
+	// safe for concurrent ExecContext, so speculative workers share it.
+	executor := p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
+	p.run(ctx, res, ex.Question, db, fb, executor, candidates)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -30,9 +30,9 @@ func TestSequentialParallelParity(t *testing.T) {
 		dev = dev[:200]
 	}
 	model := nl2sql.MustByName("resdsql-3b")
-	seq := New(model, WithVerifier(v), WithBenchmark(bench.Name))
+	seq := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 	for _, workers := range []int{4, 8} {
-		par := New(model, WithVerifier(v), WithBenchmark(bench.Name))
+		par := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 		par.Parallelism = workers
 		for _, ex := range dev {
 			db := bench.DB(ex.DBName)
@@ -78,7 +78,7 @@ func TestConcurrentTranslateStress(t *testing.T) {
 	if len(dev) > 48 {
 		dev = dev[:48]
 	}
-	p := New(nl2sql.MustByName("picard-3b"), WithVerifier(nli.FewShotLLM{}), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: nl2sql.MustByName("picard-3b"), Verifier: nli.FewShotLLM{}, Benchmark: bench.Name}
 	p.Parallelism = 4
 
 	const drivers = 4
@@ -109,36 +109,35 @@ func TestConcurrentTranslateStress(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheConcurrent exercises concurrent get/put/getOrCreate on
-// one boundedCache — the race that exists today for any caller sharing a
-// Pipeline across goroutines, fixed by the cache's mutex.
+// TestBoundedCacheConcurrent drives getOrCreate from many goroutines
+// across the eviction limit — the race that exists for any caller sharing
+// a Pipeline across goroutines, fixed by the cache's mutex — and checks
+// the bound holds.
 func TestBoundedCacheConcurrent(t *testing.T) {
-	c := &boundedCache[int, int]{limit: 8}
+	var c boundedCache[int, int]
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := (g + i) % 12 // cross the eviction limit on purpose
-				c.put(k, g)
-				if v, ok := c.get(k); ok && v > 8 {
-					t.Errorf("impossible cached value %d", v)
-				}
-				got := c.getOrCreate(k, func() int { return g })
-				if got > 8 {
+				k := (g + i) % (maxCachedPerDB + 4) // cross the eviction limit on purpose
+				if got := c.getOrCreate(k, func() int { return g }); got > 8 {
 					t.Errorf("impossible created value %d", got)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	if len(c.m) > maxCachedPerDB {
+		t.Fatalf("cache holds %d entries, bound is %d", len(c.m), maxCachedPerDB)
+	}
 }
 
 // TestBoundedCacheGetOrCreateShares asserts the atomicity that matters to
 // the loop: concurrent cold-key callers must all observe one value.
 func TestBoundedCacheGetOrCreateShares(t *testing.T) {
-	c := &boundedCache[string, *int]{limit: 4}
+	var c boundedCache[string, *int]
 	var wg sync.WaitGroup
 	results := make([]*int, 16)
 	for g := range results {
@@ -184,7 +183,7 @@ func TestTranslateRecordsCandidateErrors(t *testing.T) {
 	model := stubModel{cands: []nl2sql.Candidate{candidateOf(bad), candidateOf(ex.Gold)}}
 	for _, workers := range []int{1, 4} {
 		reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
-		p := New(model, WithVerifier(reject), WithBenchmark(bench.Name))
+		p := &Pipeline{Model: model, Verifier: reject, Benchmark: bench.Name}
 		p.Parallelism = workers
 		res, err := p.Translate(context.Background(), ex, db)
 		if err != nil {

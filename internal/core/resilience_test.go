@@ -61,9 +61,9 @@ func TestRetryHealsFlakyVerifierParity(t *testing.T) {
 		dev = dev[:60]
 	}
 	model := nl2sql.MustByName("resdsql-3b")
-	clean := New(model, WithVerifier(v), WithBenchmark(bench.Name))
+	clean := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 	for _, workers := range []int{1, 4} {
-		flaky := New(model, WithVerifier(flakyVerifier{inner: v}), WithBenchmark(bench.Name))
+		flaky := &Pipeline{Model: model, Verifier: flakyVerifier{inner: v}, Benchmark: bench.Name}
 		flaky.Parallelism = workers
 		flaky.Resilience = retryPolicy()
 		for _, ex := range dev {
@@ -141,8 +141,8 @@ func TestExaminePanicRecovery(t *testing.T) {
 	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
 	for _, workers := range []int{1, 4} {
 		for _, policy := range []*resilience.Policy{nil, retryPolicy()} {
-			p := New(model, WithVerifier(accept), WithBenchmark(bench.Name))
-			p.Feedback = panickyFeedback{inner: NewDataGrounded(), poison: poison.SQL()}
+			p := &Pipeline{Model: model, Verifier: accept, Benchmark: bench.Name}
+			p.Feedback = panickyFeedback{inner: &DataGrounded{}, poison: poison.SQL()}
 			p.Parallelism = workers
 			p.Resilience = policy
 			res, err := p.Translate(context.Background(), ex, db)
@@ -192,7 +192,7 @@ func TestTransientPanicRetried(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
-	p := New(stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, WithVerifier(transientPanicVerifier{}), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, Verifier: transientPanicVerifier{}, Benchmark: bench.Name}
 	p.Resilience = retryPolicy()
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestVerifierBreakerDegradesGracefully(t *testing.T) {
 		Breaker:   resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 		Collector: &resilience.Collector{},
 	}
-	p := New(model, WithVerifier(downVerifier{}), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: model, Verifier: downVerifier{}, Benchmark: bench.Name}
 	p.Resilience = policy
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
@@ -287,7 +287,7 @@ func TestDegradationParityWithPreTrippedBreaker(t *testing.T) {
 			t.Fatal("fresh breaker must admit")
 		}
 		br.Record(false)
-		p := New(model, WithVerifier(accept), WithBenchmark(bench.Name))
+		p := &Pipeline{Model: model, Verifier: accept, Benchmark: bench.Name}
 		p.Parallelism = workers
 		p.Resilience = policy
 		res, err := p.Translate(context.Background(), ex, db)
@@ -317,7 +317,7 @@ func TestRetryBackoffHonorsCancellationInLoop(t *testing.T) {
 		once.Do(func() { close(entered) })
 		return false, resilience.MarkTransient(errors.New("always failing"))
 	}}
-	p := New(stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, WithVerifier(v), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, Verifier: v, Benchmark: bench.Name}
 	p.Resilience = &resilience.Policy{
 		// An hour of backoff: returning promptly proves the sleep aborted.
 		Retry: resilience.Retry{MaxAttempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour},

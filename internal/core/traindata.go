@@ -47,7 +47,8 @@ type TrainDataConfig struct {
 	Models []string
 	// MaxExamples bounds the train-split examples visited (0 = all).
 	MaxExamples int
-	// Feedback generates premises; defaults to DataGrounded.
+	// Feedback generates premises; nil means one DataGrounded feedback
+	// shared by the whole collection.
 	Feedback Feedback
 	// Seed drives the random representative-result selection.
 	Seed int64
@@ -71,7 +72,7 @@ type TrainDataConfig struct {
 func BuildTrainingPairs(ctx context.Context, bench *datasets.Benchmark, cfg TrainDataConfig) []nli.Pair {
 	fb := cfg.Feedback
 	if fb == nil {
-		fb = DataGrounded{}
+		fb = &DataGrounded{}
 	}
 	if len(cfg.Models) == 0 {
 		cfg.Models = nl2sql.ModelNames()

@@ -54,7 +54,7 @@ func TestParallelWinnerAbortsStragglerVerify(t *testing.T) {
 	}
 	v := &gatedVerifier{winnerSQL: nli.SQLOneLine(winner.SQL()), aborted: make(chan struct{})}
 	model := stubModel{cands: []nl2sql.Candidate{candidateOf(winner), candidateOf(straggler)}}
-	p := New(model, WithVerifier(v), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 	p.Parallelism = 2
 
 	start := time.Now()
@@ -89,7 +89,7 @@ func TestSequentialVerifyContextParity(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
-	p := New(stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, WithVerifier(accept), WithBenchmark(bench.Name))
+	p := &Pipeline{Model: stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, Verifier: accept, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
 		t.Fatal(err)

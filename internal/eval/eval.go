@@ -110,15 +110,10 @@ func dropRows(db *storage.Database, rng *rand.Rand) {
 	}
 }
 
-// TS reports test-suite equivalence: EX on every database of the suite.
-func TS(suite *Suite, pred, gold *sqlast.SelectStmt) bool {
-	return TSContext(context.Background(), suite, pred, gold)
-}
-
-// TSContext is TS under a context, with the same caveat as EXContext: a
-// cancelled ctx makes the remaining suite checks score false, so
-// deadline-enforcing callers must check ctx.Err() before recording the
-// verdict.
+// TSContext reports test-suite equivalence: EX on every database of the
+// suite. It carries the same caveat as EXContext: a cancelled ctx makes
+// the remaining suite checks score false, so deadline-enforcing callers
+// must check ctx.Err() before recording the verdict.
 func TSContext(ctx context.Context, suite *Suite, pred, gold *sqlast.SelectStmt) bool {
 	for _, db := range suite.DBs {
 		if !EXContext(ctx, db, pred, gold) {

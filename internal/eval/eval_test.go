@@ -54,10 +54,10 @@ func TestTSCatchesCoincidentalMatches(t *testing.T) {
 	if !EX(db, coincidence, gold) {
 		t.Skip("fixture drifted; coincidence premise no longer holds")
 	}
-	if TS(suite, coincidence, gold) {
+	if TSContext(t.Context(), suite, coincidence, gold) {
 		t.Fatal("TS must catch the coincidental match on some variant")
 	}
-	if !TS(suite, gold, gold) {
+	if !TSContext(t.Context(), suite, gold, gold) {
 		t.Fatal("gold must pass its own test suite")
 	}
 }

@@ -19,8 +19,7 @@ import (
 func sweepResults(t *testing.T, dev []datasets.Example, workers int) []*core.Result {
 	t.Helper()
 	bench := datasets.Spider()
-	p := core.New(nl2sql.MustByName("resdsql-3b"),
-		core.WithVerifier(Verifier(tinyLimits)), core.WithBenchmark(bench.Name))
+	p := &core.Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: Verifier(tinyLimits), Benchmark: bench.Name}
 	// Candidate-level parallelism composes with example-level workers;
 	// keeping it on in every sweep exercises the composition the -workers
 	// and -parallel flags expose together.

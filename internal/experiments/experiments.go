@@ -86,22 +86,24 @@ type Limits struct {
 // Pipeline builds one loop pipeline under the limits: the fault injector
 // wraps the model, verifier and feedback (when faults are enabled), and
 // the parallelism knob and resilience policy apply uniformly. A nil fb
-// means the default data-grounded feedback. The experiment drivers, the
+// means the default data-grounded feedback, set explicitly on the
+// returned pipeline so the injector, and any caller that wraps
+// p.Feedback, has a feedback to wrap. The experiment drivers, the
 // CLIs and the HTTP serving layer all assemble their pipelines here, so
 // the three surfaces cannot drift.
 func (l Limits) Pipeline(model nl2sql.Model, verifier nli.Verifier, benchmark string, fb core.Feedback) *core.Pipeline {
 	inj := faultinject.New(l.Faults)
-	p := core.New(inj.WrapModel(model),
-		core.WithVerifier(inj.WrapVerifier(verifier)),
-		core.WithBenchmark(benchmark),
-		core.WithParallelism(l.Parallelism),
-		core.WithResilience(l.Resilience),
-	)
 	if fb == nil {
-		fb = p.Feedback
+		fb = core.NewDataGrounded()
 	}
-	p.Feedback = inj.WrapFeedback(fb)
-	return p
+	return &core.Pipeline{
+		Model:       inj.WrapModel(model),
+		Verifier:    inj.WrapVerifier(verifier),
+		Feedback:    inj.WrapFeedback(fb),
+		Benchmark:   benchmark,
+		Parallelism: l.Parallelism,
+		Resilience:  l.Resilience,
+	}
 }
 
 // batch returns the cross-example worker pool the limits configure.

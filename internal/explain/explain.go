@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
@@ -41,60 +40,46 @@ type Explanation struct {
 	Prov    *provenance.Provenance
 }
 
-// Explainer generates explanations against one database. It is safe for
-// concurrent use once DB and Polish are set: the in-flight provenance is
-// passed explicitly through the generation call chain (no per-explanation
-// state lives on the struct), and the shared tracker guards its own
-// memoization — so the CycleSQL loop can explain beam candidates in
-// parallel through one cached explainer. Set DB and Polish before the
-// first Explain and leave them unchanged afterwards.
+// Explainer generates explanations against one database; build it with
+// New. It is safe for concurrent use once Polish is set: the in-flight
+// provenance is passed explicitly through the generation call chain (no
+// per-explanation state lives on the struct), and the shared tracker
+// guards its own memoization — so the CycleSQL loop can explain beam
+// candidates in parallel through one cached explainer. Set Polish before
+// the first Explain and leave it unchanged afterwards.
 type Explainer struct {
-	DB     *storage.Database
 	Polish Polisher // optional; set before first use
 
+	db *storage.Database
 	// tracker persists across Explain calls so repeated explanations
 	// against the same database reuse compiled provenance statements —
 	// its rewrite cache keys on rendered core SQL and its executor's plan
 	// cache on canonical SQL, so textually identical candidates share
 	// work even when every beam hands over a fresh AST. Callers that
 	// alternate databases cache whole explainers instead (see
-	// core.DataGrounded). mu guards the lazy (re)initialization for
-	// explainers constructed without New.
-	mu      sync.Mutex
+	// core.DataGrounded).
 	tracker *provenance.Tracker
 }
 
 // New returns an Explainer over db with no polisher.
 func New(db *storage.Database) *Explainer {
-	return &Explainer{DB: db, tracker: provenance.NewTracker(db)}
+	return &Explainer{db: db, tracker: provenance.NewTracker(db)}
 }
 
 // ExplainContext produces the explanation for row rowIdx of result, which
-// must be the output of executing stmt against e.DB. For empty results the
-// explanation is generated from operation-level semantics alone. The
-// provenance queries the tracker executes run under ctx, so the CycleSQL
-// loop can abort an in-flight speculative explanation once an earlier
-// candidate validates.
-// Phrase generation itself is pure in-memory string work and finishes
-// without further checks once tracking completes.
+// must be the output of executing stmt against the explainer's database.
+// For empty results the explanation is generated from operation-level
+// semantics alone. The provenance queries the tracker executes run under
+// ctx, so the CycleSQL loop can abort an in-flight speculative explanation
+// once an earlier candidate validates. Phrase generation itself is pure
+// in-memory string work and finishes without further checks once tracking
+// completes.
 func (e *Explainer) ExplainContext(ctx context.Context, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Explanation, error) {
-	prov, err := e.trackerFor().TrackContext(ctx, stmt, result, rowIdx)
+	prov, err := e.tracker.TrackContext(ctx, stmt, result, rowIdx)
 	if err != nil {
 		return nil, err
 	}
 	return e.FromProvenance(prov)
-}
-
-// trackerFor returns the persistent tracker, lazily (re)building it for
-// explainers constructed without New or rebound to another database. The
-// lock makes the one-time initialization safe under concurrent Explain.
-func (e *Explainer) trackerFor() *provenance.Tracker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tracker == nil || e.tracker.DB() != e.DB {
-		e.tracker = provenance.NewTracker(e.DB)
-	}
-	return e.tracker
 }
 
 // FromProvenance generates the explanation from already-tracked provenance.
@@ -164,7 +149,7 @@ func (e *Explainer) phraseStep(prov *provenance.Provenance, part provenance.Part
 			tableNames = append(tableNames, t.Name)
 		}
 	}
-	join := provgraph.DiscoverJoin(e.DB.Schema, tableNames)
+	join := provgraph.DiscoverJoin(e.db.Schema, tableNames)
 	subject := join.Phrase
 	if subject == "" {
 		subject = "the rows"
@@ -182,7 +167,7 @@ func (e *Explainer) phraseStep(prov *provenance.Provenance, part provenance.Part
 	}
 	// Table-level labels: aggregates, HAVING, ORDER/LIMIT, EXISTS.
 	tableNode := g.Nodes[g.Table]
-	entity := headEntity(e.DB, core)
+	entity := headEntity(e.db, core)
 	var tails []string
 	for _, lab := range tableNode.Labels {
 		if phrase := e.tablePhrase(prov, lab, part, entity); phrase != "" {
@@ -399,7 +384,7 @@ func (e *Explainer) operationStep(core *sqlast.SelectCore) string {
 			tableNames = append(tableNames, t.Name)
 		}
 	}
-	join := provgraph.DiscoverJoin(e.DB.Schema, tableNames)
+	join := provgraph.DiscoverJoin(e.db.Schema, tableNames)
 	var b strings.Builder
 	b.WriteString("No data matches: the query looks for ")
 	b.WriteString(describeItems(core))

@@ -94,9 +94,6 @@ func NewTracker(db *storage.Database) *Tracker {
 	return &Tracker{db: db, ex: sqleval.New(db)}
 }
 
-// DB returns the database the tracker is bound to.
-func (t *Tracker) DB() *storage.Database { return t.db }
-
 // TrackContext computes the provenance of result row rowIdx of stmt's
 // output. result must be the relation produced by executing stmt on t's
 // database. For empty results, it returns a Provenance with Empty set and
