@@ -145,9 +145,34 @@ func TestTrainDeterministicGivenSeed(t *testing.T) {
 	m2 := NewMLP(2, 4, 9)
 	Train(m1, data, TrainConfig{Epochs: 10, LR: 0.01, Seed: 1})
 	Train(m2, data, TrainConfig{Epochs: 10, LR: 0.01, Seed: 1})
-	if m1.B2 != m2.B2 || m1.W2[0] != m2.W2[0] {
+	if !sameBits(m1, m2) {
 		t.Fatal("training must be deterministic for a fixed seed")
 	}
+}
+
+// sameBits reports whether two models have bit-identical parameters.
+func sameBits(a, b *MLP) bool {
+	eq := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if a.In != b.In || a.Hidden != b.Hidden || len(a.W1) != len(b.W1) ||
+		!eq(a.B1, b.B1) || !eq(a.W2, b.W2) || !eq([]float64{a.B2}, []float64{b.B2}) {
+		return false
+	}
+	for h := range a.W1 {
+		if !eq(a.W1[h], b.W1[h]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestMarshalRoundTrip(t *testing.T) {

@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -124,4 +125,81 @@ func TestRecallSelfIsOne(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTokenNumberQuirks pins the tokenizer's and Numbers' observed
+// behaviour on edge cases, so that a faster tokenizer can be checked
+// against it. The verifier's features, and so its trained weights, depend
+// on every one of these.
+func TestTokenNumberQuirks(t *testing.T) {
+	cases := []struct {
+		text string
+		toks []string
+		nums []string
+	}{
+		{"nan", []string{"nan"}, []string{"NaN"}},
+		{"inf", []string{"inf"}, []string{"+Inf"}},
+		{"Infinity", []string{"infinity"}, []string{"+Inf"}},
+		{"1e5", []string{"1e5"}, []string{"100000"}},
+		{"0x1p4", []string{"0x1p4"}, []string{"16"}},
+		{"007", []string{"007"}, []string{"7"}},
+		{"1.50", []string{"1.50"}, []string{"1.5"}},
+		{"1_000", []string{"1_000"}, []string{"1000"}},
+		{"1e400", []string{"1e400"}, nil},
+		// The minus sign is a boundary, so an exponent's sign splits it.
+		{"1e-3", []string{"1e", "3"}, []string{"3"}},
+		// A '.' joins a digit to a token that parses as a number so far.
+		{"inf.5", []string{"inf.5"}, nil},
+		{"3.5.5", []string{"3.5.5"}, nil},
+		{"0x1.8p1", []string{"0x1", "8p1"}, nil},
+		{"a.5", []string{"a", "5"}, []string{"5"}},
+		// An apostrophe before a letter folds into the word.
+		{"iraq's", []string{"iraqs"}, nil},
+		{"1'e5", []string{"1e5"}, []string{"100000"}},
+		{"5's", []string{"5s"}, nil},
+		{"'a a'", []string{"a", "a"}, nil},
+		// A Unicode digit is a token character but not a number.
+		{"٣", []string{"٣"}, nil},
+		// Lower-casing changes these runes' byte lengths: İ (2 bytes)
+		// becomes i (1), the Kelvin sign (3) becomes k (1), Ⱥ (2) becomes
+		// ⱥ (3).
+		{"İstanbul", []string{"istanbul"}, nil},
+		{"K2", []string{"k2"}, nil},
+		{"Ⱥb 2.5", []string{"ⱥb", "2.5"}, []string{"2.5"}},
+		// Invalid UTF-8 lowers to U+FFFD, a boundary.
+		{"a\xffb", []string{"a", "b"}, nil},
+	}
+	for _, c := range cases {
+		if got := Tokenize(c.text); !reflect.DeepEqual(got, c.toks) {
+			t.Errorf("Tokenize(%q) = %q want %q", c.text, got, c.toks)
+		}
+		if got := Numbers(c.text); !reflect.DeepEqual(got, c.nums) {
+			t.Errorf("Numbers(%q) = %q want %q", c.text, got, c.nums)
+		}
+	}
+}
+
+// FuzzNumbers checks that Numbers keeps exactly the tokens that
+// strconv.ParseFloat accepts, in canonical form.
+func FuzzNumbers(f *testing.F) {
+	for _, s := range []string{"nan inf infinity", "1e5 0x1p4 007 1.50", "1e-3 inf.5", "iraq's ٣", "8:30 $12.5", "1_000 0x_1p4 1e400"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		var want []string
+		for _, tok := range Tokenize(text) {
+			v, err := strconv.ParseFloat(tok, 64)
+			if err != nil {
+				continue
+			}
+			if v == float64(int64(v)) {
+				want = append(want, strconv.FormatInt(int64(v), 10))
+			} else {
+				want = append(want, strconv.FormatFloat(v, 'g', -1, 64))
+			}
+		}
+		if got := Numbers(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Numbers(%q) = %q want %q", text, got, want)
+		}
+	})
 }
