@@ -17,8 +17,10 @@ package nli
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"cyclesql/internal/nn"
 	"cyclesql/internal/textproc"
@@ -74,68 +76,69 @@ const numEngineered = 20
 var aggClasses = []string{"count", "sum", "avg", "max", "min"}
 var cmpClasses = []string{"greater", "less", "equal", "between", "not", "distinct"}
 
-// Features computes the feature vector.
+// Features computes the feature vector, which is its only allocation.
 func (f Featurizer) Features(hypothesis string, premise Premise) []float64 {
-	h := canonicalStems(hypothesis)
-	p := canonicalStems(premise.Text())
-	pExplOnly := canonicalStems(premise.Explanation)
-
 	out := make([]float64, f.Dim())
-	out[0] = textproc.Jaccard(h, p)
-	out[1] = textproc.Recall(h, p)
-	out[2] = textproc.Recall(pExplOnly, h)
+	a := analyze(hypothesis, premise)
+	f.fill(out, a)
+	a.release()
+	return out
+}
+
+// fill writes the features of an analyzed pair into out, which must be
+// zeroed and f.Dim() long.
+func (f Featurizer) fill(out []float64, a *analysis) {
+	out[0] = textproc.JaccardSorted(a.hSet, a.pSet)
+	out[1] = textproc.RecallSorted(a.hSet, a.pSet)
+	out[2] = textproc.RecallSorted(a.pExplSet, a.hSet)
 	// Number alignment in both directions.
-	hNums := textproc.Numbers(hypothesis)
-	pNums := textproc.Numbers(premise.Explanation)
-	out[3] = textproc.Recall(hNums, pNums)
-	out[4] = textproc.Recall(pNums, hNums)
-	if len(hNums) == 0 {
+	out[3] = textproc.RecallSorted(a.hNumSet, a.pNumSet)
+	out[4] = textproc.RecallSorted(a.pNumSet, a.hNumSet)
+	if len(a.hNumSet) == 0 {
 		out[5] = 1 // no numeric constraints to align
 	}
 	// Aggregate-class agreement.
-	hSet := toSet(h)
-	pSet := toSet(p)
 	idx := 6
 	for _, class := range aggClasses {
+		inH, inP := contains(a.hSet, class), contains(a.pSet, class)
 		switch {
-		case hSet[class] && pSet[class]:
+		case inH && inP:
 			out[idx] += 1
-		case hSet[class] != pSet[class]:
+		case inH != inP:
 			out[idx+1] += 1 // mismatch count across agg classes
 		}
 	}
 	idx += 2
 	for _, class := range cmpClasses {
+		inH, inP := contains(a.hSet, class), contains(a.pSet, class)
 		switch {
-		case hSet[class] && pSet[class]:
+		case inH && inP:
 			out[idx] += 1
-		case hSet[class] != pSet[class]:
+		case inH != inP:
 			out[idx+1] += 1
 		}
 	}
 	idx += 2
 	// Length ratio and absolute sizes (normalized).
-	out[idx] = ratio(len(h), len(p))
-	out[idx+1] = clamp01(float64(len(h)) / 24.0)
+	out[idx] = ratio(a.nH, a.nP)
+	out[idx+1] = clamp01(float64(a.nH) / 24.0)
 	idx += 2
 	// SQL-constant alignment: literal values in the SQL must appear in the
 	// question (wrong-value and wrong-column corruptions break this), and
 	// the question's value words must be reachable in the SQL+explanation.
-	sqlVals := sqlLiteralTokens(premise.SQL)
-	out[idx] = textproc.Recall(sqlVals, h)
-	out[idx+1] = textproc.Recall(h, append(append([]string{}, p...), sqlVals...))
-	sqlNums := textproc.Numbers(premise.SQL)
-	out[idx+2] = textproc.Recall(sqlNums, hNums)
-	out[idx+3] = textproc.Recall(hNums, append(sqlNums, pNums...))
+	out[idx] = textproc.RecallSorted(a.sqlValSet, a.hSet)
+	a.union = textproc.SortedSet(append(append(a.union[:0], a.pSet...), a.sqlValSet...))
+	out[idx+1] = textproc.RecallSorted(a.hSet, a.union)
+	out[idx+2] = textproc.RecallSorted(a.sqlNumSet, a.hNumSet)
+	a.union = textproc.SortedSet(append(append(a.union[:0], a.sqlNumSet...), a.pNumSet...))
+	out[idx+3] = textproc.RecallSorted(a.hNumSet, a.union)
 	idx += 4
 	// Projection agreement: what the SQL SELECTs must be what the question
 	// asks for. Wrong-projection corruptions (name -> color) and spurious
 	// aggregates (the paper's Fig 2 count-vs-list error) break this.
-	sel := selectClauseTokens(premise.SQL)
-	selSet := toSet(sel)
-	out[idx] = textproc.Recall(sel, h)
-	selCount := selSet["count"] || selSet["sum"] || selSet["avg"] || selSet["min"] || selSet["max"]
-	hCount := hSet["count"] || hSet["sum"] || hSet["avg"] || hSet["min"] || hSet["max"]
+	out[idx] = textproc.RecallSorted(a.selSet, a.hSet)
+	selCount := hasAggregate(a.selSet)
+	hCount := hasAggregate(a.hSet)
 	if selCount == hCount {
 		out[idx+1] = 1
 	}
@@ -151,36 +154,95 @@ func (f Featurizer) Features(hypothesis string, premise Premise) []float64 {
 	}
 	// Hashed bags: shared stems support entailment, hypothesis-only stems
 	// are evidence the explanation misses part of the question.
-	for tok := range hSet {
-		if pSet[tok] {
+	for _, tok := range a.hSet {
+		if contains(a.pSet, tok) {
 			out[numEngineered+bucket(tok, f.SharedBuckets)] += 0.5
 		} else {
 			out[numEngineered+f.SharedBuckets+bucket(tok, f.HOnlyBuckets)] += 0.5
 		}
 	}
-	return out
 }
 
-// selectClauseTokens extracts the canonical stems of the SQL text between
-// SELECT and FROM — the projection surface.
-func selectClauseTokens(sql string) []string {
-	upper := strings.ToUpper(sql)
-	start := strings.Index(upper, "SELECT")
-	if start < 0 {
-		return nil
-	}
-	start += len("SELECT")
-	end := strings.Index(upper[start:], " FROM ")
-	if end < 0 {
-		end = len(upper) - start
-	}
-	return canonicalStems(sql[start : start+end])
+// analysis is the token-level view of one (hypothesis, premise) pair that
+// the featurizer and the few-shot strawman score: the sets of canonical
+// stems of the hypothesis, the whole premise, its explanation, its SQL
+// literals and its SELECT clause, the sets of numbers in the hypothesis,
+// the explanation and the SQL, and the stem counts of the hypothesis and
+// the premise. Sets are sorted and duplicate-free. Everything lives in
+// pooled scratch memory, valid until release.
+type analysis struct {
+	ts                                      textproc.Scratch
+	raw, phrased                            []string
+	nH, nP                                  int
+	hSet, pSet, pExplSet, sqlValSet, selSet []string
+	hNumSet, pNumSet, sqlNumSet, union      []string
+	x                                       []float64
+	ws                                      nn.Workspace
 }
 
-// sqlLiteralTokens extracts the canonical stems of quoted string literals
-// in a SQL text.
-func sqlLiteralTokens(sql string) []string {
-	var out []string
+var analyses = sync.Pool{New: func() any { return new(analysis) }}
+
+// analyze tokenizes each text once. The premise's three parts are
+// tokenized separately and concatenated: the " | " separators of
+// Premise.Text are token boundaries, so the concatenation is the token
+// stream of Text, and the phrase idioms are matched across it, exactly as
+// over Text.
+func analyze(hypothesis string, premise Premise) *analysis {
+	a := analyses.Get().(*analysis)
+	ts := &a.ts
+	ts.Reset()
+
+	a.raw = ts.AppendTokens(a.raw[:0], hypothesis)
+	a.hSet = a.canonical(a.hSet[:0], a.raw)
+	a.nH = len(a.hSet)
+	a.hSet = textproc.SortedSet(a.hSet)
+	a.hNumSet = textproc.SortedSet(ts.AppendNumbers(a.hNumSet[:0], a.raw))
+
+	a.raw = ts.AppendTokens(a.raw[:0], premise.Explanation)
+	nExpl := len(a.raw)
+	a.raw = ts.AppendTokens(a.raw, premise.SQL)
+	nSQL := len(a.raw)
+	a.raw = ts.AppendTokens(a.raw, premise.Result)
+	a.pSet = a.canonical(a.pSet[:0], a.raw)
+	a.nP = len(a.pSet)
+	a.pSet = textproc.SortedSet(a.pSet)
+	// The explanation's stems alone, its phrases matched within it.
+	a.pExplSet = textproc.SortedSet(a.canonical(a.pExplSet[:0], a.raw[:nExpl]))
+	a.pNumSet = textproc.SortedSet(ts.AppendNumbers(a.pNumSet[:0], a.raw[:nExpl]))
+	a.sqlNumSet = textproc.SortedSet(ts.AppendNumbers(a.sqlNumSet[:0], a.raw[nExpl:nSQL]))
+
+	a.sqlValSet = textproc.SortedSet(a.sqlLiteralStems(a.sqlValSet[:0], premise.SQL))
+	a.selSet = textproc.SortedSet(a.canonicalText(a.selSet[:0], selectClause(premise.SQL)))
+	return a
+}
+
+func (a *analysis) release() { analyses.Put(a) }
+
+// canonicalText appends the canonical stems of text to dst.
+func (a *analysis) canonicalText(dst []string, text string) []string {
+	tokStart := len(a.raw)
+	a.raw = a.ts.AppendTokens(a.raw, text)
+	dst = a.canonical(dst, a.raw[tokStart:])
+	a.raw = a.raw[:tokStart]
+	return dst
+}
+
+// canonical appends the canonical stems of raw tokens to dst: phrase
+// idioms first ("at least" -> greater), then stopwords, stems and synonym
+// classes.
+func (a *analysis) canonical(dst, toks []string) []string {
+	a.phrased = textproc.AppendPhrases(a.phrased[:0], toks)
+	for _, t := range a.phrased {
+		if !textproc.IsStopword(t) {
+			dst = append(dst, textproc.Canonical(a.ts.Stem(t)))
+		}
+	}
+	return dst
+}
+
+// sqlLiteralStems appends the canonical stems of the quoted string
+// literals in a SQL text to dst, each literal taken on its own.
+func (a *analysis) sqlLiteralStems(dst []string, sql string) []string {
 	for i := 0; i < len(sql); i++ {
 		if sql[i] != '\'' {
 			continue
@@ -192,41 +254,78 @@ func sqlLiteralTokens(sql string) []string {
 		if j >= len(sql) {
 			break
 		}
-		out = append(out, canonicalStems(sql[i+1:j])...)
+		dst = a.canonicalText(dst, sql[i+1:j])
 		i = j
 	}
-	return out
+	return dst
 }
 
-func canonicalStems(text string) []string {
-	// Phrase idioms first ("at least" -> greater), then stopwords, stems
-	// and synonym classes.
-	toks := textproc.ApplyPhrases(textproc.Tokenize(text))
-	kept := toks[:0]
-	for _, t := range toks {
-		if !textproc.IsStopword(t) {
-			kept = append(kept, t)
+// selectClause returns the SQL text between SELECT and FROM — the
+// projection surface — matching both keywords case-insensitively.
+func selectClause(sql string) string {
+	upper := sql
+	for i := 0; i < len(sql); i++ {
+		if sql[i] >= utf8.RuneSelf {
+			// Upper-casing may change byte lengths; keep the offsets
+			// into the upper-cased text that this clause always used.
+			upper = strings.ToUpper(sql)
+			break
 		}
 	}
-	toks = textproc.StemAll(kept)
-	for i, t := range toks {
-		toks[i] = textproc.Canonical(t)
+	start := indexUpper(upper, "SELECT")
+	if start < 0 {
+		return ""
 	}
-	return toks
+	start += len("SELECT")
+	end := indexUpper(upper[start:], " FROM ")
+	if end < 0 {
+		end = len(upper) - start
+	}
+	return sql[start : start+end]
 }
 
-func toSet(toks []string) map[string]bool {
-	s := make(map[string]bool, len(toks))
-	for _, t := range toks {
-		s[t] = true
+// indexUpper is strings.Index(strings.ToUpper(s), pat) for an upper-case
+// ASCII pattern, without building the upper-cased copy of s's ASCII.
+func indexUpper(s, pat string) int {
+	for i := 0; i+len(pat) <= len(s); i++ {
+		j := 0
+		for j < len(pat) && upperASCII(s[i+j]) == pat[j] {
+			j++
+		}
+		if j == len(pat) {
+			return i
+		}
 	}
-	return s
+	return -1
 }
 
-func bucket(tok string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(tok))
-	return int(h.Sum32() % uint32(n))
+func upperASCII(c byte) byte {
+	if 'a' <= c && c <= 'z' {
+		return c - 'a' + 'A'
+	}
+	return c
+}
+
+func contains(set []string, tok string) bool {
+	_, ok := slices.BinarySearch(set, tok)
+	return ok
+}
+
+func hasAggregate(set []string) bool {
+	return contains(set, "count") || contains(set, "sum") || contains(set, "avg") || contains(set, "min") || contains(set, "max")
+}
+
+// bucket hashes tok with 32-bit FNV-1a into [0, n).
+func bucket(tok string, n int) int { return int(fnv1a(fnvOffset, tok) % uint32(n)) }
+
+const fnvOffset = 2166136261
+
+func fnv1a(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 func ratio(a, b int) float64 {
@@ -257,9 +356,16 @@ type Trained struct {
 // Name implements Verifier.
 func (t *Trained) Name() string { return "trained-nli" }
 
-// Score implements Verifier.
+// Score implements Verifier. It featurizes into pooled scratch and runs
+// the sparse forward pass there, so a warm call allocates nothing.
 func (t *Trained) Score(hypothesis string, premise Premise) float64 {
-	return t.Model.Predict(t.Feat.Features(hypothesis, premise))
+	a := analyze(hypothesis, premise)
+	a.x = slices.Grow(a.x[:0], t.Feat.Dim())[:t.Feat.Dim()]
+	clear(a.x)
+	t.Feat.fill(a.x, a)
+	score := a.ws.Predict(t.Model, a.x)
+	a.release()
+	return score
 }
 
 // VerifyContext implements Verifier.
@@ -316,12 +422,18 @@ func Train(pairs []Pair, cfg TrainConfig) *Trained {
 // calibrateThreshold sweeps the decision threshold and keeps the one
 // maximizing Youden's J (sensitivity + specificity - 1) on the training
 // pairs, compensating for the class imbalance the focal loss trains under.
+// Each sample is scored once; the sweep reads the cached scores.
 func calibrateThreshold(model *nn.MLP, samples []nn.Sample) float64 {
+	var w nn.Workspace
+	scores := make([]float64, len(samples))
+	for i, s := range samples {
+		scores[i] = w.Predict(model, s.X)
+	}
 	best, bestJ := 0.5, -1.0
 	for th := 0.20; th <= 0.81; th += 0.025 {
 		var tp, fn, tn, fp float64
-		for _, s := range samples {
-			pred := model.Predict(s.X) >= th
+		for i, s := range samples {
+			pred := scores[i] >= th
 			switch {
 			case s.Y == 1 && pred:
 				tp++
@@ -374,17 +486,17 @@ func (FewShotLLM) Name() string { return "llm-verifier" }
 
 // Score implements Verifier.
 func (FewShotLLM) Score(hypothesis string, premise Premise) float64 {
-	h := canonicalStems(hypothesis)
-	p := canonicalStems(premise.Text())
-	score := 0.55*textproc.Recall(h, p) + 0.25*textproc.Jaccard(h, p)
-	hNums := textproc.Numbers(hypothesis)
-	if len(hNums) > 0 {
-		score += 0.2 * textproc.Recall(hNums, textproc.Numbers(premise.Explanation))
+	a := analyze(hypothesis, premise)
+	score := 0.55*textproc.RecallSorted(a.hSet, a.pSet) + 0.25*textproc.JaccardSorted(a.hSet, a.pSet)
+	if len(a.hNumSet) > 0 {
+		score += 0.2 * textproc.RecallSorted(a.hNumSet, a.pNumSet)
 	} else {
 		score += 0.1
 	}
-	// Deterministic wobble standing in for LLM sampling variance.
-	wobble := float64(bucket(hypothesis+premise.Explanation, 101))/101.0 - 0.5
+	a.release()
+	// Deterministic wobble standing in for LLM sampling variance: the
+	// bucket of hypothesis+explanation, hashed without concatenating.
+	wobble := float64(fnv1a(fnv1a(fnvOffset, hypothesis), premise.Explanation)%101)/101.0 - 0.5
 	return clamp01(score + 0.12*wobble)
 }
 

@@ -2,6 +2,10 @@ package nli
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"cyclesql/internal/nn"
@@ -45,40 +49,18 @@ func TestFeaturizerAlignmentOrdering(t *testing.T) {
 }
 
 func TestSQLLiteralTokens(t *testing.T) {
-	toks := sqlLiteralTokens("SELECT a FROM t WHERE x = 'Airbus A340-300' AND y = 'red'")
-	joined := ""
-	for _, tok := range toks {
-		joined += tok + " "
-	}
-	if joined == "" {
-		t.Fatal("no literal tokens extracted")
-	}
-	found := false
-	for _, tok := range toks {
-		if tok == "airbus" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("airbus missing from %v", toks)
+	a := analyze("q", Premise{SQL: "SELECT a FROM t WHERE x = 'Airbus A340-300' AND y = 'red'"})
+	defer a.release()
+	if want := []string{"300", "a340", "airbus", "red"}; !slices.Equal(a.sqlValSet, want) {
+		t.Fatalf("SQL literal stems = %v want %v", a.sqlValSet, want)
 	}
 }
 
 func TestSelectClauseTokens(t *testing.T) {
-	toks := selectClauseTokens("SELECT count(*), name FROM t WHERE x = 1")
-	hasCount, hasName, hasWhereCol := false, false, false
-	for _, tok := range toks {
-		switch tok {
-		case "count":
-			hasCount = true
-		case "name":
-			hasName = true
-		case "x":
-			hasWhereCol = true
-		}
-	}
-	if !hasCount || !hasName || hasWhereCol {
-		t.Fatalf("selectClauseTokens = %v", toks)
+	a := analyze("q", Premise{SQL: "SELECT count(*), name FROM t WHERE x = 1"})
+	defer a.release()
+	if want := []string{"count", "name"}; !slices.Equal(a.selSet, want) {
+		t.Fatalf("SELECT-clause stems = %v want %v", a.selSet, want)
 	}
 }
 
@@ -176,3 +158,76 @@ func BenchmarkFeaturize(b *testing.B) {
 }
 
 var _ nn.Loss = nn.PaperFocal // the verifier's loss satisfies the contract
+
+// TestFeaturizeAllocGate holds the featurizer to its scratch discipline:
+// a warm Featurizer.Features allocates only its result, and a warm
+// Trained.Score (featurizer plus sparse forward pass) at most 4 times.
+// testing.AllocsPerRun is deterministic, so the gate cannot flake.
+func TestFeaturizeAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
+	}
+	var pairs []Pair
+	for i := 0; i < 20; i++ {
+		pairs = append(pairs,
+			Pair{Hypothesis: "count flights", Premise: premiseFor("there are 2 flights in total"), Label: 1},
+			Pair{Hypothesis: "count flights", Premise: premiseFor("the name is Boeing"), Label: 0},
+		)
+	}
+	v := Train(pairs, TrainConfig{Seed: 1, Epochs: 2})
+	q := "How many flights use aircraft Airbus A340-300 with at least 2.5 hours, or fewer than 10?"
+	p := Premise{
+		Explanation: "Filtered by name equal to Airbus A340-300, there are 2 flights in total; the cities are Chicago and Los Angeles",
+		SQL:         "SELECT count(*), T1.origin FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300' AND T1.hours >= 2.5",
+		Result:      "2 rows ; 2 | Chicago ; 2 | Los Angeles",
+	}
+	f := DefaultFeaturizer
+	if n := testing.AllocsPerRun(100, func() { f.Features(q, p) }); n != 1 {
+		t.Errorf("Featurizer.Features allocates %v times per call, want exactly 1 (its result)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.Score(q, p) }); n > 4 {
+		t.Errorf("warm Trained.Score allocates %v times per call, want at most 4", n)
+	}
+}
+
+// TestScoreConcurrent scores distinct pairs from several goroutines at
+// once through the pooled scratch, and requires every score and feature
+// vector to match the sequential one bit for bit.
+func TestScoreConcurrent(t *testing.T) {
+	var pairs []Pair
+	for i := 0; i < 16; i++ {
+		pairs = append(pairs,
+			Pair{Hypothesis: fmt.Sprintf("How many flights cost at least %d dollars?", i), Premise: premiseFor(fmt.Sprintf("there are %d flights in total", i)), Label: 1},
+			Pair{Hypothesis: fmt.Sprintf("Which cities have %d.5 airports?", i), Premise: premiseFor("the largest distance is 8430 for İstanbul"), Label: 0},
+		)
+	}
+	v := Train(pairs, TrainConfig{Seed: 1, Epochs: 3})
+	want := make([]float64, len(pairs))
+	wantX := make([][]float64, len(pairs))
+	for i, p := range pairs {
+		want[i] = v.Score(p.Hypothesis, p.Premise)
+		wantX[i] = v.Feat.Features(p.Hypothesis, p.Premise)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				for i := range pairs {
+					k := (i + g*3) % len(pairs)
+					p := pairs[k]
+					if got := v.Score(p.Hypothesis, p.Premise); math.Float64bits(got) != math.Float64bits(want[k]) {
+						t.Errorf("concurrent Score of pair %d = %v, sequential %v", k, got, want[k])
+						return
+					}
+					if got := v.Feat.Features(p.Hypothesis, p.Premise); !slices.Equal(got, wantX[k]) {
+						t.Errorf("concurrent Features of pair %d diverge", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -47,27 +47,66 @@ func NewMLP(in, hidden int, seed int64) *MLP {
 
 // Logit runs the forward pass.
 func (m *MLP) Logit(x []float64) float64 {
-	z, _ := m.forward(x)
-	return z
+	var w Workspace
+	return w.Logit(m, x)
 }
 
-func (m *MLP) forward(x []float64) (logit float64, hidden []float64) {
-	hidden = make([]float64, m.Hidden)
+// Workspace holds the buffers of a forward pass, so that repeated
+// inference through one Workspace does not allocate. The zero value is
+// ready to use. A Workspace must not be used by two goroutines at once.
+type Workspace struct {
+	nz     []int
+	hidden []float64
+}
+
+// Logit runs m's forward pass on x in w's buffers.
+func (w *Workspace) Logit(m *MLP, x []float64) float64 {
+	w.nz = nonZero(w.nz[:0], x)
+	if cap(w.hidden) < m.Hidden {
+		w.hidden = make([]float64, m.Hidden)
+	}
+	w.hidden = w.hidden[:m.Hidden]
+	return m.forward(x, w.nz, w.hidden)
+}
+
+// Predict returns P(label = positive) through w's buffers.
+func (w *Workspace) Predict(m *MLP, x []float64) float64 { return Sigmoid(w.Logit(m, x)) }
+
+// nonZero appends the ascending indices of x's non-zero entries to dst.
+func nonZero(dst []int, x []float64) []int {
+	for i, xi := range x {
+		if xi != 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// forward computes the logit of x, whose non-zero entries are exactly
+// those at the ascending indices nz, and writes the ReLU activations into
+// hidden. Visiting only the non-zero inputs adds the same non-zero terms
+// in the same order as a dense pass: a skipped row[i]*0 term is a signed
+// zero, which can change only the sign of a zero pre-activation, and the
+// ReLU maps both signs to +0. (That holds for finite weights; a NaN or
+// infinite weight times 0 is NaN in a dense pass.)
+func (m *MLP) forward(x []float64, nz []int, hidden []float64) float64 {
 	for h := 0; h < m.Hidden; h++ {
 		s := m.B1[h]
 		row := m.W1[h]
-		for i, xi := range x {
-			s += row[i] * xi
+		for _, i := range nz {
+			s += row[i] * x[i]
 		}
 		if s > 0 {
 			hidden[h] = s
+		} else {
+			hidden[h] = 0
 		}
 	}
-	logit = m.B2
+	logit := m.B2
 	for h, a := range hidden {
 		logit += m.W2[h] * a
 	}
-	return logit, hidden
+	return logit
 }
 
 // Predict returns P(label = positive).
@@ -163,8 +202,18 @@ func newGrads(m *MLP) *grads {
 	return g
 }
 
-// backward accumulates gradients for one example into g.
-func (m *MLP) backward(x []float64, dLdZ float64, hidden []float64, g *grads) {
+func (g *grads) zero() {
+	for _, row := range g.w1 {
+		clear(row)
+	}
+	clear(g.b1)
+	clear(g.w2)
+	g.b2 = 0
+}
+
+// backward accumulates gradients for one example into g; nz and hidden
+// are the example's forward-pass indices and activations.
+func (m *MLP) backward(x []float64, nz []int, dLdZ float64, hidden []float64, g *grads) {
 	g.b2 += dLdZ
 	for h, a := range hidden {
 		g.w2[h] += dLdZ * a
@@ -172,10 +221,8 @@ func (m *MLP) backward(x []float64, dLdZ float64, hidden []float64, g *grads) {
 			dh := dLdZ * m.W2[h]
 			g.b1[h] += dh
 			row := g.w1[h]
-			for i, xi := range x {
-				if xi != 0 {
-					row[i] += dh * xi
-				}
+			for _, i := range nz {
+				row[i] += dh * x[i]
 			}
 		}
 	}
@@ -273,6 +320,14 @@ func Train(m *MLP, data []Sample, cfg TrainConfig) []float64 {
 	for i := range order {
 		order[i] = i
 	}
+	// Inputs are sparse: find each sample's non-zero entries once, and
+	// reuse one gradient buffer and one activation buffer throughout.
+	nz := make([][]int, len(data))
+	for i, s := range data {
+		nz[i] = nonZero(nil, s.X)
+	}
+	g := newGrads(m)
+	hidden := make([]float64, m.Hidden)
 	var epochLosses []float64
 	for e := 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -282,13 +337,13 @@ func Train(m *MLP, data []Sample, cfg TrainConfig) []float64 {
 			if end > len(order) {
 				end = len(order)
 			}
-			g := newGrads(m)
+			g.zero()
 			for _, idx := range order[start:end] {
 				s := data[idx]
-				logit, hidden := m.forward(s.X)
+				logit := m.forward(s.X, nz[idx], hidden)
 				l, dLdZ := loss.Eval(logit, s.Y)
 				total += l
-				m.backward(s.X, dLdZ/float64(end-start), hidden, g)
+				m.backward(s.X, nz[idx], dLdZ/float64(end-start), hidden, g)
 			}
 			opt.Step(m, g)
 		}

@@ -5,44 +5,162 @@
 package textproc
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Tokenize lower-cases and splits text into word and number tokens,
 // treating punctuation as boundaries but keeping decimal numbers intact.
 func Tokenize(text string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
-	runes := []rune(strings.ToLower(text))
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_':
-			cur.WriteRune(r)
-		case r == '.' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsDigit(runes[i+1]) && isNumber(cur.String()):
-			cur.WriteRune(r) // decimal point inside a number
-		case r == '\'' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsLetter(runes[i+1]):
-			// Contractions and possessives fold into the word (don't, iraq's).
-		default:
-			flush()
-		}
-	}
-	flush()
-	return toks
+	// A Scratch that is never reset: the tokens own its arena.
+	var s Scratch
+	return s.AppendTokens(nil, text)
 }
 
-func isNumber(s string) bool {
-	_, err := strconv.ParseFloat(s, 64)
+// Scratch is reusable memory for allocation-free tokenization. Tokens
+// and numbers produced through a Scratch are views into its arena: they
+// stay valid until the next Reset, and must not be kept past it. The zero
+// value is ready to use; a Scratch must not be used by two goroutines at
+// once.
+type Scratch struct {
+	arena []byte
+}
+
+// Reset forgets every token produced so far, so their memory is reused.
+func (s *Scratch) Reset() { s.arena = s.arena[:0] }
+
+// view returns the arena bytes from start on as a string sharing their
+// memory. The bytes are never written again before Reset, so the string
+// stays immutable for as long as the Scratch contract lets it live.
+func (s *Scratch) view(start int) string {
+	b := s.arena[start:]
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// ASCII character classes of the tokenizer, matching unicode.IsLetter and
+// unicode.IsDigit on bytes below utf8.RuneSelf.
+const (
+	classLetter = 1 << iota
+	classDigit
+	classWord // letter, digit or '_'
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		switch {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+			t[c] = classLetter | classWord
+		case '0' <= c && c <= '9':
+			t[c] = classDigit | classWord
+		case c == '_':
+			t[c] = classWord
+		}
+	}
+	return t
+}()
+
+// AppendTokens appends Tokenize(text) to dst, writing the lower-cased
+// token bytes into s. ASCII text is scanned byte by byte through a class
+// table; text with any byte >= utf8.RuneSelf takes the rune path, which
+// lower-cases and classifies each rune as unicode does.
+func (s *Scratch) AppendTokens(dst []string, text string) []string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return s.appendTokensRunes(dst, text)
+		}
+	}
+	start := len(s.arena)
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		cls := asciiClass[c]
+		switch {
+		case cls&classWord != 0:
+			if cls&classLetter != 0 {
+				c |= 0x20 // lower case
+			}
+			s.arena = append(s.arena, c)
+		case c == '.' && len(s.arena) > start && i+1 < len(text) && asciiClass[text[i+1]]&classDigit != 0 && isNumber(s.view(start)):
+			s.arena = append(s.arena, c) // decimal point inside a number
+		case c == '\'' && len(s.arena) > start && i+1 < len(text) && asciiClass[text[i+1]]&classLetter != 0:
+			// Contractions and possessives fold into the word (don't, iraq's).
+		default:
+			if len(s.arena) > start {
+				dst = append(dst, s.view(start))
+				start = len(s.arena)
+			}
+		}
+	}
+	if len(s.arena) > start {
+		dst = append(dst, s.view(start))
+	}
+	return dst
+}
+
+// appendTokensRunes is AppendTokens over runes: each rune is lower-cased
+// with unicode.ToLower (as strings.ToLower does, invalid UTF-8 becoming
+// U+FFFD) before it is classified.
+func (s *Scratch) appendTokensRunes(dst []string, text string) []string {
+	next := func(i int) rune {
+		r, _ := utf8.DecodeRuneInString(text[i:])
+		return unicode.ToLower(r)
+	}
+	start := len(s.arena)
+	for i := 0; i < len(text); {
+		r, w := utf8.DecodeRuneInString(text[i:])
+		r = unicode.ToLower(r)
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_':
+			s.arena = utf8.AppendRune(s.arena, r)
+		case r == '.' && len(s.arena) > start && i+w < len(text) && unicode.IsDigit(next(i+w)) && isNumber(s.view(start)):
+			s.arena = append(s.arena, '.')
+		case r == '\'' && len(s.arena) > start && i+w < len(text) && unicode.IsLetter(next(i+w)):
+		default:
+			if len(s.arena) > start {
+				dst = append(dst, s.view(start))
+				start = len(s.arena)
+			}
+		}
+		i += w
+	}
+	if len(s.arena) > start {
+		dst = append(dst, s.view(start))
+	}
+	return dst
+}
+
+// isNumber reports whether strconv.ParseFloat accepts tok.
+func isNumber(tok string) bool {
+	if !canParse(tok) {
+		return false
+	}
+	_, err := strconv.ParseFloat(tok, 64)
 	return err == nil
 }
+
+// canParse is a cheap necessary condition for strconv.ParseFloat to
+// accept a token, checked first so that ordinary words never pay for a
+// *NumError. Tokens are lower case and carry no sign or leading '.', so a
+// number is one of the special values or starts with a digit. It also
+// ends with a digit: ParseFloat rejects a trailing exponent marker or
+// underscore, and a token never ends in '.'.
+func canParse(tok string) bool {
+	if tok == "" {
+		return false
+	}
+	if isDigit(tok[0]) {
+		return isDigit(tok[len(tok)-1])
+	}
+	return tok == "nan" || tok == "inf" || tok == "infinity"
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // stopwords are high-frequency function words excluded from overlap
 // features.
@@ -77,30 +195,43 @@ func ContentTokens(text string) []string {
 // Stem applies a small suffix stemmer (plural and -ing/-ed forms), enough
 // to align "flights" with "flight" and "ranked" with "rank".
 func Stem(tok string) string {
+	keep, y := stemCut(tok)
+	if y {
+		return tok[:keep] + "y"
+	}
+	return tok[:keep]
+}
+
+// Stem is the package-level Stem, writing a rewritten stem ("cities" ->
+// "city") into s instead of allocating it.
+func (s *Scratch) Stem(tok string) string {
+	keep, y := stemCut(tok)
+	if !y {
+		return tok[:keep]
+	}
+	start := len(s.arena)
+	s.arena = append(append(s.arena, tok[:keep]...), 'y')
+	return s.view(start)
+}
+
+// stemCut returns the length of tok's prefix that its stem keeps, and
+// whether the stem appends a "y" to it.
+func stemCut(tok string) (keep int, y bool) {
 	n := len(tok)
 	switch {
 	case n > 4 && strings.HasSuffix(tok, "ies"):
-		return tok[:n-3] + "y"
+		return n - 3, true
 	case n > 4 && strings.HasSuffix(tok, "ing"):
-		return tok[:n-3]
+		return n - 3, false
 	case n > 3 && strings.HasSuffix(tok, "ed") && !strings.HasSuffix(tok, "eed"):
-		return tok[:n-2]
+		return n - 2, false
 	case n > 3 && strings.HasSuffix(tok, "es") && !strings.HasSuffix(tok, "ses"):
-		return tok[:n-2]
+		return n - 2, false
 	case n > 2 && strings.HasSuffix(tok, "s") && !strings.HasSuffix(tok, "ss") && !strings.HasSuffix(tok, "us"):
-		return tok[:n-1]
+		return n - 1, false
 	default:
-		return tok
+		return n, false
 	}
-}
-
-// StemAll stems every token.
-func StemAll(toks []string) []string {
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = Stem(t)
-	}
-	return out
 }
 
 // canonical groups SQL-flavored synonym classes onto one representative,
@@ -153,37 +284,49 @@ var phrasePairs = map[[2]string]string{
 	{"up", "to"}:        "less",
 }
 
-// ApplyPhrases rewrites two-token idioms in place, returning a new slice
-// where each matched pair collapses onto its class token.
-func ApplyPhrases(toks []string) []string {
-	out := make([]string, 0, len(toks))
+// AppendPhrases appends toks to dst with two-token idioms rewritten: each
+// matched pair collapses onto its class token.
+func AppendPhrases(dst, toks []string) []string {
 	for i := 0; i < len(toks); i++ {
 		if i+1 < len(toks) {
 			if repl, ok := phrasePairs[[2]string{toks[i], toks[i+1]}]; ok {
-				out = append(out, repl)
+				dst = append(dst, repl)
 				i++
 				continue
 			}
 		}
-		out = append(out, toks[i])
+		dst = append(dst, toks[i])
 	}
-	return out
+	return dst
 }
 
 // Numbers extracts the numeric tokens of a text as canonical strings
 // (integral floats collapse onto integers).
 func Numbers(text string) []string {
-	var out []string
-	for _, t := range Tokenize(text) {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			if f == float64(int64(f)) {
-				out = append(out, strconv.FormatInt(int64(f), 10))
-			} else {
-				out = append(out, strconv.FormatFloat(f, 'g', -1, 64))
-			}
+	var s Scratch
+	return s.AppendNumbers(nil, s.AppendTokens(nil, text))
+}
+
+// AppendNumbers appends the canonical form of each token strconv.ParseFloat
+// accepts to dst, writing the forms into s.
+func (s *Scratch) AppendNumbers(dst, toks []string) []string {
+	for _, t := range toks {
+		if !canParse(t) {
+			continue
 		}
+		f, err := strconv.ParseFloat(t, 64)
+		if err != nil {
+			continue
+		}
+		start := len(s.arena)
+		if f == float64(int64(f)) {
+			s.arena = strconv.AppendInt(s.arena, int64(f), 10)
+		} else {
+			s.arena = strconv.AppendFloat(s.arena, f, 'g', -1, 64)
+		}
+		dst = append(dst, s.view(start))
 	}
-	return out
+	return dst
 }
 
 // Bigrams returns adjacent token pairs joined with '_'.
@@ -198,27 +341,22 @@ func Bigrams(toks []string) []string {
 	return out
 }
 
+// SortedSet sorts toks in place and drops repeats, returning the set in
+// the form JaccardSorted and RecallSorted take.
+func SortedSet(toks []string) []string {
+	slices.Sort(toks)
+	return slices.Compact(toks)
+}
+
 // Jaccard computes set overlap of two token lists.
 func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	sa := map[string]bool{}
-	for _, t := range a {
-		sa[t] = true
-	}
-	inter := 0
-	sb := map[string]bool{}
-	for _, t := range b {
-		if sb[t] {
-			continue
-		}
-		sb[t] = true
-		if sa[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
+	return JaccardSorted(SortedSet(slices.Clone(a)), SortedSet(slices.Clone(b)))
+}
+
+// JaccardSorted is Jaccard over two sets in SortedSet form.
+func JaccardSorted(a, b []string) float64 {
+	inter := intersection(a, b)
+	union := len(a) + len(b) - inter
 	if union == 0 {
 		return 0
 	}
@@ -227,23 +365,31 @@ func Jaccard(a, b []string) float64 {
 
 // Recall computes |a ∩ b| / |a|: how much of a is covered by b.
 func Recall(a, b []string) float64 {
+	return RecallSorted(SortedSet(slices.Clone(a)), SortedSet(slices.Clone(b)))
+}
+
+// RecallSorted is Recall over two sets in SortedSet form.
+func RecallSorted(a, b []string) float64 {
 	if len(a) == 0 {
 		return 0
 	}
-	sb := map[string]bool{}
-	for _, t := range b {
-		sb[t] = true
-	}
-	sa := map[string]bool{}
-	hit := 0
-	for _, t := range a {
-		if sa[t] {
-			continue
+	return float64(intersection(a, b)) / float64(len(a))
+}
+
+// intersection counts the tokens two sorted sets share.
+func intersection(a, b []string) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
 		}
-		sa[t] = true
-		if sb[t] {
-			hit++
-		}
 	}
-	return float64(hit) / float64(len(sa))
+	return n
 }

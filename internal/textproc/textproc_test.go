@@ -3,8 +3,10 @@ package textproc
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -54,12 +56,12 @@ func TestCanonicalClasses(t *testing.T) {
 }
 
 func TestApplyPhrases(t *testing.T) {
-	got := ApplyPhrases([]string{"visits", "at", "least", "14"})
+	got := AppendPhrases(nil, []string{"visits", "at", "least", "14"})
 	want := []string{"visits", "greater", "14"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ApplyPhrases = %v", got)
+		t.Fatalf("AppendPhrases = %v", got)
 	}
-	got = ApplyPhrases([]string{"how", "many", "pets"})
+	got = AppendPhrases(nil, []string{"how", "many", "pets"})
 	if got[0] != "count" {
 		t.Fatalf("how many -> %v", got)
 	}
@@ -127,9 +129,8 @@ func TestRecallSelfIsOne(t *testing.T) {
 	}
 }
 
-// TestTokenNumberQuirks pins the tokenizer's and Numbers' observed
-// behaviour on edge cases, so that a faster tokenizer can be checked
-// against it. The verifier's features, and so its trained weights, depend
+// TestTokenNumberQuirks pins the tokenizer's and Numbers' behaviour on
+// edge cases. The verifier's features, and so its trained weights, depend
 // on every one of these.
 func TestTokenNumberQuirks(t *testing.T) {
 	cases := []struct {
@@ -202,4 +203,73 @@ func FuzzNumbers(f *testing.F) {
 			t.Fatalf("Numbers(%q) = %q want %q", text, got, want)
 		}
 	})
+}
+
+// referenceTokenize is the straightforward tokenizer over
+// []rune(strings.ToLower(text)), one strings.Builder per token: the
+// oracle for both paths of Tokenize.
+func referenceTokenize(text string) []string {
+	var toks []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			toks = append(toks, cur.String())
+			cur.Reset()
+		}
+	}
+	runes := []rune(strings.ToLower(text))
+	for i := 0; i < len(runes); i++ {
+		r := runes[i]
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_':
+			cur.WriteRune(r)
+		case r == '.' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsDigit(runes[i+1]):
+			if _, err := strconv.ParseFloat(cur.String(), 64); err == nil {
+				cur.WriteRune(r)
+			} else {
+				flush()
+			}
+		case r == '\'' && cur.Len() > 0 && i+1 < len(runes) && unicode.IsLetter(runes[i+1]):
+		default:
+			flush()
+		}
+	}
+	flush()
+	return toks
+}
+
+// FuzzTokenize checks both tokenizer paths, the ASCII byte scanner and
+// the rune path, against the reference tokenizer, and a reused Scratch
+// against a fresh one.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{
+		"How many flights, at 8:30, cost $12.5?", "Iraq's don't", "1e-3 inf.5 3.5.5 0x1.8p1",
+		"İstanbul K Ⱥb ٣", "a\xffb", "SELECT T1.name FROM t WHERE x = 'Airbus A340-300'",
+	} {
+		f.Add(s)
+	}
+	var reused Scratch
+	f.Fuzz(func(t *testing.T, text string) {
+		want := referenceTokenize(text)
+		if got := Tokenize(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q want %q", text, got, want)
+		}
+		var runes Scratch
+		if got := runes.appendTokensRunes(nil, text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rune path(%q) = %q want %q", text, got, want)
+		}
+		reused.Reset()
+		if got := reused.AppendTokens(nil, text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused Scratch(%q) = %q want %q", text, got, want)
+		}
+	})
+}
+
+func TestStemInScratchMatchesStem(t *testing.T) {
+	var s Scratch
+	for _, tok := range []string{"cities", "flights", "ranked", "running", "classes", "bus", "miss", "ies", "flies", ""} {
+		if got, want := s.Stem(tok), Stem(tok); got != want {
+			t.Errorf("Scratch.Stem(%q) = %q want %q", tok, got, want)
+		}
+	}
 }
