@@ -218,13 +218,11 @@ func analyze(hypothesis string, premise Premise) *analysis {
 
 func (a *analysis) release() { analyses.Put(a) }
 
-// canonicalText appends the canonical stems of text to dst.
+// canonicalText appends the canonical stems of text to dst, tokenizing
+// into a.raw, so it runs after analyze has read the premise's tokens.
 func (a *analysis) canonicalText(dst []string, text string) []string {
-	tokStart := len(a.raw)
-	a.raw = a.ts.AppendTokens(a.raw, text)
-	dst = a.canonical(dst, a.raw[tokStart:])
-	a.raw = a.raw[:tokStart]
-	return dst
+	a.raw = a.ts.AppendTokens(a.raw[:0], text)
+	return a.canonical(dst, a.raw)
 }
 
 // canonical appends the canonical stems of raw tokens to dst: phrase
