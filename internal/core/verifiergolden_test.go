@@ -20,7 +20,7 @@ import (
 	"cyclesql/internal/nn"
 )
 
-var updateVerifier = flag.Bool("update", false, "rewrite the verifier training golden")
+var updateGoldens = flag.Bool("update", false, "rewrite the verifier training and premise goldens")
 
 const verifierGolden = "testdata/verifier.golden"
 
@@ -97,7 +97,7 @@ func TestVerifierTrainingGolden(t *testing.T) {
 		"threshold %v\nfinal_loss %v\nmodel %s\ndev_scores %s\n",
 		len(train), trainDigest.sum(), len(dev), devDigest.sum(),
 		v.Threshold, losses[len(losses)-1], modelDigest.sum(), scoreDigest.sum())
-	if *updateVerifier {
+	if *updateGoldens {
 		if err := os.MkdirAll(filepath.Dir(verifierGolden), 0o755); err != nil {
 			t.Fatal(err)
 		}
