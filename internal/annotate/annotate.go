@@ -8,6 +8,7 @@
 package annotate
 
 import (
+	"strconv"
 	"strings"
 
 	"cyclesql/internal/provenance"
@@ -35,39 +36,41 @@ const (
 )
 
 // Annotation is one query unit's semantics, anchored to a provenance
-// column (Column non-empty) or to the whole provenance table.
+// column (Column non-empty, qualified by Table as the query spells it) or
+// to the whole provenance table. The fields after Column are
+// unit-specific; each names the kinds that set it.
 type Annotation struct {
 	Kind   Kind
-	Clause string            // source clause: SELECT, WHERE, HAVING, ...
-	Column string            // anchor column ("" = whole table)
-	Detail map[string]string // unit-specific fields (op, value, func, ...)
+	Clause string // source clause: SELECT, WHERE, HAVING, ...
+	Table  string // anchor column's qualifier, "" when unqualified
+	Column string // anchor column ("" = whole table)
+
+	Op    string // comparison operator: filter, having
+	Value string // comparand: filter, membership, pattern, exists, having
+	Func  string // lower-case aggregate function: aggregate, having
+	Arg   string // aggregate argument SQL, "*" for an aggregate over *
+	Lo    string // lower bound: range
+	Hi    string // upper bound: range
+	Key   string // key SQL: order
+	Limit string // LIMIT count, "" without one: order
+
+	Desc     bool // descending: order
+	Not      bool // negated: membership, pattern, nullcheck, exists
+	Subquery bool // Value describes a subquery: filter, membership
+	Distinct bool // DISTINCT aggregate: aggregate
+	Disjunct bool // one branch of an OR: any WHERE unit
 }
 
 // Anchored reports whether the annotation attaches to a specific column.
 func (a Annotation) Anchored() bool { return a.Column != "" }
 
-// Annotated pairs a provenance with per-part annotation lists.
-type Annotated struct {
-	Prov  *provenance.Provenance
-	Parts [][]Annotation // parallel to Prov.Parts
-}
-
-// Annotate decomposes every core of the traced query and aligns its units
-// with the provenance parts.
-func Annotate(prov *provenance.Provenance) *Annotated {
-	out := &Annotated{Prov: prov}
-	for _, part := range prov.Parts {
-		out.Parts = append(out.Parts, decomposeCore(part.Core))
-	}
-	return out
-}
-
-// decomposeCore chunks one SELECT core into annotations, clause by clause.
-func decomposeCore(core *sqlast.SelectCore) []Annotation {
-	var anns []Annotation
+// Append decomposes one SELECT core of the traced query into its
+// annotations, clause by clause, and appends them to dst. The annotations
+// of provenance part i come from the part's Core.
+func Append(dst []Annotation, core *sqlast.SelectCore) []Annotation {
 	// SELECT clause.
 	if core.Distinct {
-		anns = append(anns, Annotation{Kind: KindDistinct, Clause: "SELECT"})
+		dst = append(dst, Annotation{Kind: KindDistinct, Clause: "SELECT"})
 	}
 	for _, it := range core.Items {
 		if it.Star {
@@ -75,42 +78,26 @@ func decomposeCore(core *sqlast.SelectCore) []Annotation {
 		}
 		switch x := it.Expr.(type) {
 		case *sqlast.ColumnRef:
-			anns = append(anns, Annotation{
-				Kind: KindProjection, Clause: "SELECT", Column: colName(x),
-				Detail: map[string]string{"alias": it.Alias},
-			})
+			dst = append(dst, Annotation{Kind: KindProjection, Clause: "SELECT", Table: x.Table, Column: x.Column})
 		case *sqlast.FuncCall:
 			if x.IsAggregate() {
-				anns = append(anns, aggregateAnnotation(x, "SELECT"))
+				dst = append(dst, aggregateAnnotation(x, "SELECT"))
 			}
 		case *sqlast.Binary:
 			// Arithmetic over aggregates (max(a) - min(a)).
-			sqlast.WalkExpr(x, func(e sqlast.Expr) bool {
-				if f, ok := e.(*sqlast.FuncCall); ok && f.IsAggregate() {
-					anns = append(anns, aggregateAnnotation(f, "SELECT"))
-				}
-				return true
-			})
+			dst = appendAggregates(dst, x)
 		}
 	}
 	// WHERE clause, conjunct by conjunct.
-	for _, c := range sqlast.Conjuncts(core.Where) {
-		anns = append(anns, predicateAnnotations(c, "WHERE")...)
-	}
+	dst = appendConjuncts(dst, core.Where, "WHERE")
 	// JOIN conditions.
 	if core.From != nil {
 		for _, j := range core.From.Joins {
-			if j.On == nil {
-				continue
-			}
 			if b, ok := j.On.(*sqlast.Binary); ok && b.Op == "=" {
 				l, lok := b.L.(*sqlast.ColumnRef)
-				r, rok := b.R.(*sqlast.ColumnRef)
+				_, rok := b.R.(*sqlast.ColumnRef)
 				if lok && rok {
-					anns = append(anns, Annotation{
-						Kind: KindJoin, Clause: "JOIN", Column: colName(l),
-						Detail: map[string]string{"left": colName(l), "right": colName(r)},
-					})
+					dst = append(dst, Annotation{Kind: KindJoin, Clause: "JOIN", Table: l.Table, Column: l.Column})
 				}
 			}
 		}
@@ -118,189 +105,215 @@ func decomposeCore(core *sqlast.SelectCore) []Annotation {
 	// GROUP BY keys.
 	for _, g := range core.GroupBy {
 		if cr, ok := g.(*sqlast.ColumnRef); ok {
-			anns = append(anns, Annotation{Kind: KindGroup, Clause: "GROUP BY", Column: colName(cr)})
+			dst = append(dst, Annotation{Kind: KindGroup, Clause: "GROUP BY", Table: cr.Table, Column: cr.Column})
 		}
 	}
 	// HAVING: aggregate conditions apply to the whole (grouped) table.
-	for _, c := range sqlast.Conjuncts(core.Having) {
-		if b, ok := c.(*sqlast.Binary); ok {
-			if f, ok := b.L.(*sqlast.FuncCall); ok && f.IsAggregate() {
-				det := map[string]string{
-					"func": strings.ToLower(f.Name),
-					"op":   b.Op,
-					"rhs":  sqlast.ExprSQL(b.R),
-				}
-				if !f.Star && len(f.Args) == 1 {
-					det["arg"] = sqlast.ExprSQL(f.Args[0])
-				}
-				anns = append(anns, Annotation{Kind: KindHaving, Clause: "HAVING", Detail: det})
-			}
-		}
-	}
+	dst = appendHaving(dst, core.Having)
 	// ORDER BY (+ LIMIT) selects representative rows; table-level.
 	for _, o := range core.OrderBy {
-		det := map[string]string{"key": sqlast.ExprSQL(o.Expr)}
-		if o.Desc {
-			det["dir"] = "descending"
-		} else {
-			det["dir"] = "ascending"
-		}
+		a := Annotation{Kind: KindOrder, Clause: "ORDER BY", Key: sqlast.ExprSQL(o.Expr), Desc: o.Desc}
 		if core.Limit != nil {
-			det["limit"] = itoa(*core.Limit)
+			a.Limit = strconv.FormatInt(*core.Limit, 10)
 		}
-		anns = append(anns, Annotation{Kind: KindOrder, Clause: "ORDER BY", Detail: det})
+		dst = append(dst, a)
 	}
-	return anns
+	return dst
+}
+
+// appendAggregates appends an annotation for every aggregate call in e,
+// in walk order.
+func appendAggregates(dst []Annotation, e sqlast.Expr) []Annotation {
+	switch x := e.(type) {
+	case *sqlast.FuncCall:
+		if x.IsAggregate() {
+			dst = append(dst, aggregateAnnotation(x, "SELECT"))
+		}
+		for _, a := range x.Args {
+			dst = appendAggregates(dst, a)
+		}
+	case *sqlast.Unary:
+		dst = appendAggregates(dst, x.X)
+	case *sqlast.Binary:
+		dst = appendAggregates(dst, x.L)
+		dst = appendAggregates(dst, x.R)
+	case *sqlast.InExpr:
+		dst = appendAggregates(dst, x.X)
+		for _, a := range x.List {
+			dst = appendAggregates(dst, a)
+		}
+	case *sqlast.LikeExpr:
+		dst = appendAggregates(dst, x.X)
+		dst = appendAggregates(dst, x.Pattern)
+	case *sqlast.BetweenExpr:
+		dst = appendAggregates(dst, x.X)
+		dst = appendAggregates(dst, x.Lo)
+		dst = appendAggregates(dst, x.Hi)
+	case *sqlast.IsNullExpr:
+		dst = appendAggregates(dst, x.X)
+	}
+	return dst
+}
+
+// appendHaving appends a table-level annotation for every HAVING conjunct
+// that compares an aggregate.
+func appendHaving(dst []Annotation, e sqlast.Expr) []Annotation {
+	b, ok := e.(*sqlast.Binary)
+	if !ok {
+		return dst
+	}
+	if b.Op == "AND" {
+		return appendHaving(appendHaving(dst, b.L), b.R)
+	}
+	if f, ok := b.L.(*sqlast.FuncCall); ok && f.IsAggregate() {
+		a := Annotation{Kind: KindHaving, Clause: "HAVING", Func: FuncName(f), Op: b.Op, Value: sqlast.ExprSQL(b.R)}
+		if !f.Star && len(f.Args) == 1 {
+			a.Arg = sqlast.ExprSQL(f.Args[0])
+		}
+		dst = append(dst, a)
+	}
+	return dst
 }
 
 func aggregateAnnotation(f *sqlast.FuncCall, clause string) Annotation {
-	det := map[string]string{"func": strings.ToLower(f.Name)}
-	col := ""
-	if f.Star {
-		det["arg"] = "*"
-	} else if len(f.Args) == 1 {
-		det["arg"] = sqlast.ExprSQL(f.Args[0])
-		if cr, ok := f.Args[0].(*sqlast.ColumnRef); ok {
-			col = colName(cr)
-		}
-	}
-	if f.Distinct {
-		det["distinct"] = "true"
-	}
 	// Aggregates over * (or over a collapsed column) describe the whole
 	// provenance table rather than one element.
-	return Annotation{Kind: KindAggregate, Clause: clause, Column: col, Detail: det}
+	a := Annotation{Kind: KindAggregate, Clause: clause, Func: FuncName(f), Distinct: f.Distinct}
+	if f.Star {
+		a.Arg = "*"
+	} else if len(f.Args) == 1 {
+		a.Arg = sqlast.ExprSQL(f.Args[0])
+		if cr, ok := f.Args[0].(*sqlast.ColumnRef); ok {
+			a.Table, a.Column = cr.Table, cr.Column
+		}
+	}
+	return a
 }
 
-// predicateAnnotations maps one WHERE conjunct to annotations.
-func predicateAnnotations(c sqlast.Expr, clause string) []Annotation {
+// FuncName returns f's name in lower case; the aggregate names, which the
+// parser spells in upper case, need no allocation.
+func FuncName(f *sqlast.FuncCall) string {
+	switch f.Name {
+	case "COUNT":
+		return "count"
+	case "SUM":
+		return "sum"
+	case "AVG":
+		return "avg"
+	case "MIN":
+		return "min"
+	case "MAX":
+		return "max"
+	}
+	return strings.ToLower(f.Name)
+}
+
+// appendConjuncts appends the annotations of every top-level AND operand
+// of e, left to right.
+func appendConjuncts(dst []Annotation, e sqlast.Expr, clause string) []Annotation {
+	if b, ok := e.(*sqlast.Binary); ok && b.Op == "AND" {
+		return appendConjuncts(appendConjuncts(dst, b.L, clause), b.R, clause)
+	}
+	if e == nil {
+		return dst
+	}
+	return appendPredicate(dst, e, clause)
+}
+
+// appendPredicate maps one WHERE conjunct to annotations.
+func appendPredicate(dst []Annotation, c sqlast.Expr, clause string) []Annotation {
 	switch x := c.(type) {
 	case *sqlast.Binary:
 		if x.Op == "OR" {
 			// Disjunctions annotate the table with each branch.
-			var anns []Annotation
-			for _, branch := range []sqlast.Expr{x.L, x.R} {
-				for _, a := range predicateAnnotations(branch, clause) {
-					a.Detail["disjunct"] = "true"
-					anns = append(anns, a)
-				}
+			start := len(dst)
+			dst = appendPredicate(appendPredicate(dst, x.L, clause), x.R, clause)
+			for i := start; i < len(dst); i++ {
+				dst[i].Disjunct = true
 			}
-			return anns
+			return dst
 		}
 		cr, okL := x.L.(*sqlast.ColumnRef)
 		if !okL {
-			return nil
+			return dst
 		}
-		det := map[string]string{"op": x.Op}
+		a := Annotation{Kind: KindFilter, Clause: clause, Table: cr.Table, Column: cr.Column, Op: x.Op}
 		switch r := x.R.(type) {
 		case *sqlast.Literal:
-			det["value"] = r.Value.String()
+			a.Value = r.Value.String()
 		case *sqlast.SubqueryExpr:
-			det["value"] = describeSub(r.Sub)
-			det["subquery"] = "true"
+			a.Value, a.Subquery = describeSub(r.Sub), true
 		default:
-			det["value"] = sqlast.ExprSQL(x.R)
+			a.Value = sqlast.ExprSQL(x.R)
 		}
-		return []Annotation{{Kind: KindFilter, Clause: clause, Column: colName(cr), Detail: det}}
+		return append(dst, a)
 	case *sqlast.InExpr:
 		cr, ok := x.X.(*sqlast.ColumnRef)
 		if !ok {
-			return nil
+			return dst
 		}
-		det := map[string]string{}
-		if x.Not {
-			det["not"] = "true"
-		}
+		a := Annotation{Kind: KindMembership, Clause: clause, Table: cr.Table, Column: cr.Column, Not: x.Not}
 		if x.Sub != nil {
-			det["value"] = describeSub(x.Sub)
-			det["subquery"] = "true"
+			a.Value, a.Subquery = describeSub(x.Sub), true
 		} else {
-			vals := make([]string, len(x.List))
+			var b []byte
 			for i, v := range x.List {
-				vals[i] = sqlast.ExprSQL(v)
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = sqlast.AppendExpr(b, v)
 			}
-			det["value"] = strings.Join(vals, ", ")
+			a.Value = string(b)
 		}
-		return []Annotation{{Kind: KindMembership, Clause: clause, Column: colName(cr), Detail: det}}
+		return append(dst, a)
 	case *sqlast.LikeExpr:
 		cr, ok := x.X.(*sqlast.ColumnRef)
 		if !ok {
-			return nil
+			return dst
 		}
-		det := map[string]string{"pattern": sqlast.ExprSQL(x.Pattern)}
-		if x.Not {
-			det["not"] = "true"
-		}
-		return []Annotation{{Kind: KindPattern, Clause: clause, Column: colName(cr), Detail: det}}
+		return append(dst, Annotation{Kind: KindPattern, Clause: clause, Table: cr.Table, Column: cr.Column,
+			Value: sqlast.ExprSQL(x.Pattern), Not: x.Not})
 	case *sqlast.BetweenExpr:
 		cr, ok := x.X.(*sqlast.ColumnRef)
 		if !ok {
-			return nil
+			return dst
 		}
-		return []Annotation{{Kind: KindRange, Clause: clause, Column: colName(cr), Detail: map[string]string{
-			"lo": sqlast.ExprSQL(x.Lo), "hi": sqlast.ExprSQL(x.Hi),
-		}}}
+		return append(dst, Annotation{Kind: KindRange, Clause: clause, Table: cr.Table, Column: cr.Column,
+			Lo: sqlast.ExprSQL(x.Lo), Hi: sqlast.ExprSQL(x.Hi)})
 	case *sqlast.IsNullExpr:
 		cr, ok := x.X.(*sqlast.ColumnRef)
 		if !ok {
-			return nil
+			return dst
 		}
-		det := map[string]string{}
-		if x.Not {
-			det["not"] = "true"
-		}
-		return []Annotation{{Kind: KindNullCheck, Clause: clause, Column: colName(cr), Detail: det}}
+		return append(dst, Annotation{Kind: KindNullCheck, Clause: clause, Table: cr.Table, Column: cr.Column, Not: x.Not})
 	case *sqlast.ExistsExpr:
-		det := map[string]string{"value": describeSub(x.Sub)}
-		if x.Not {
-			det["not"] = "true"
-		}
-		return []Annotation{{Kind: KindExists, Clause: clause, Detail: det}}
+		return append(dst, Annotation{Kind: KindExists, Clause: clause, Value: describeSub(x.Sub), Not: x.Not})
 	}
-	return nil
+	return dst
 }
 
 // describeSub summarizes a subquery for annotation detail text: its
 // projection and its literal filters.
 func describeSub(sub *sqlast.SelectStmt) string {
 	core := sub.Cores[0]
-	var b strings.Builder
+	var b []byte
 	for i, it := range core.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(it.SQL())
+		b = it.AppendSQL(b)
 	}
-	fs := provenance.Filters(core)
-	if len(fs) > 0 {
-		b.WriteString(" where ")
-		for i, f := range fs {
-			if i > 0 {
-				b.WriteString(" and ")
-			}
-			b.WriteString(f.Column.Column)
-			b.WriteByte(' ')
-			b.WriteString(strings.ToLower(f.Op))
-			b.WriteByte(' ')
-			b.WriteString(f.Value.String())
+	for i, f := range provenance.Filters(core) {
+		if i == 0 {
+			b = append(b, " where "...)
+		} else {
+			b = append(b, " and "...)
 		}
+		b = append(b, f.Column.Column...)
+		b = append(b, ' ')
+		b = append(b, strings.ToLower(f.Op)...)
+		b = append(b, ' ')
+		b = f.Value.AppendString(b)
 	}
-	return b.String()
-}
-
-func colName(cr *sqlast.ColumnRef) string {
-	if cr.Table != "" {
-		return cr.Table + "." + cr.Column
-	}
-	return cr.Column
-}
-
-func itoa(n int64) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + itoa(n%10)
+	return string(b)
 }

@@ -22,11 +22,10 @@ func annotateSQL(t *testing.T, sql string) []Annotation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := Annotate(prov)
-	if len(ann.Parts) == 0 {
+	if len(prov.Parts) == 0 {
 		return nil
 	}
-	return ann.Parts[0]
+	return Append(nil, prov.Parts[0].Core)
 }
 
 func kinds(anns []Annotation) map[Kind]int {
@@ -46,11 +45,11 @@ func TestAnnotatePaperExample(t *testing.T) {
 	for _, a := range anns {
 		switch a.Kind {
 		case KindFilter:
-			if a.Column != "T2.name" || a.Detail["value"] != "Airbus A340-300" || a.Detail["op"] != "=" {
+			if a.Table != "T2" || a.Column != "name" || a.Value != "Airbus A340-300" || a.Op != "=" {
 				t.Fatalf("filter annotation: %+v", a)
 			}
 		case KindAggregate:
-			if a.Detail["func"] != "count" || a.Detail["arg"] != "*" || a.Anchored() {
+			if a.Func != "count" || a.Arg != "*" || a.Anchored() {
 				t.Fatalf("aggregate annotation must be table-level: %+v", a)
 			}
 		}
@@ -65,12 +64,12 @@ func TestAnnotateGroupHavingOrder(t *testing.T) {
 	}
 	for _, a := range anns {
 		if a.Kind == KindOrder {
-			if a.Detail["dir"] != "descending" || a.Detail["limit"] != "1" {
-				t.Fatalf("order detail: %v", a.Detail)
+			if !a.Desc || a.Limit != "1" || a.Key != "COUNT(*)" {
+				t.Fatalf("order annotation: %+v", a)
 			}
 		}
-		if a.Kind == KindHaving && a.Detail["op"] != ">" {
-			t.Fatalf("having detail: %v", a.Detail)
+		if a.Kind == KindHaving && (a.Op != ">" || a.Func != "count" || a.Arg != "" || a.Value != "1") {
+			t.Fatalf("having annotation: %+v", a)
 		}
 	}
 }
@@ -83,8 +82,8 @@ func TestAnnotateMembershipAndPattern(t *testing.T) {
 	}
 	for _, a := range anns {
 		if a.Kind == KindMembership {
-			if a.Detail["not"] != "true" || a.Detail["subquery"] != "true" {
-				t.Fatalf("membership detail: %v", a.Detail)
+			if !a.Not || !a.Subquery || a.Value != "aid" {
+				t.Fatalf("membership annotation: %+v", a)
 			}
 		}
 	}
@@ -94,7 +93,7 @@ func TestAnnotateDisjunction(t *testing.T) {
 	anns := annotateSQL(t, "SELECT count(*) FROM flight WHERE origin = 'Chicago' OR destination = 'Tokyo'")
 	disjuncts := 0
 	for _, a := range anns {
-		if a.Detail["disjunct"] == "true" {
+		if a.Disjunct {
 			disjuncts++
 		}
 	}
@@ -132,8 +131,18 @@ func TestAnnotateCompoundParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := Annotate(prov)
-	if len(ann.Parts) != 2 {
-		t.Fatalf("compound annotation parts = %d", len(ann.Parts))
+	if len(prov.Parts) != 2 {
+		t.Fatalf("compound provenance parts = %d", len(prov.Parts))
+	}
+	for i, want := range []string{"Europe", "1000000"} {
+		anns := Append(nil, prov.Parts[i].Core)
+		if k := kinds(anns); k[KindFilter] != 1 || k[KindProjection] != 1 {
+			t.Fatalf("part %d kinds = %v", i, k)
+		}
+		for _, a := range anns {
+			if a.Kind == KindFilter && a.Value != want {
+				t.Fatalf("part %d filter value = %q, want %q", i, a.Value, want)
+			}
+		}
 	}
 }

@@ -47,6 +47,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"cyclesql/internal/datasets"
@@ -304,19 +305,15 @@ func resultSnippet(rel *sqltypes.Relation) string {
 	if rel == nil {
 		return "no result"
 	}
-	out := fmt.Sprintf("%d rows", rel.NumRows())
-	limit := rel.NumRows()
-	if limit > 2 {
-		limit = 2
-	}
-	for r := 0; r < limit; r++ {
-		out += " ;"
-		for c, v := range rel.Rows[r] {
-			if c >= 4 {
-				break
-			}
-			out += " " + v.String()
+	var buf [128]byte
+	b := strconv.AppendInt(buf[:0], int64(rel.NumRows()), 10)
+	b = append(b, " rows"...)
+	for _, row := range rel.Rows[:min(rel.NumRows(), 2)] {
+		b = append(b, " ;"...)
+		for _, v := range row[:min(len(row), 4)] {
+			b = append(b, ' ')
+			b = v.AppendString(b)
 		}
 	}
-	return out
+	return string(b)
 }

@@ -12,12 +12,17 @@
 // The generated text is intentionally mechanical; a Polisher can refine it
 // for readability (the paper uses a few-shot prompted LLM; this repo ships
 // a rule-based polisher, see DESIGN.md "Substitutions").
+//
+// Every stage appends into one pooled buffer, in the order the composed
+// text reads, so an explanation costs a handful of allocations: its
+// results.
 package explain
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
@@ -82,347 +87,523 @@ func (e *Explainer) ExplainContext(ctx context.Context, stmt *sqlast.SelectStmt,
 	return e.FromProvenance(prov)
 }
 
+// composer is the scratch of one explanation. buf holds the raw composed
+// text: the summary, then each step preceded by a space and its set-
+// operation connective; steps records each step's span in buf. The rest
+// is per-part working storage reused across parts and calls.
+type composer struct {
+	e       *Explainer
+	prov    *provenance.Provenance
+	buf     []byte
+	steps   [][2]int
+	tmp     []byte
+	keys    []byte // the summary's filter dedup keys, back to back
+	keyEnds []int
+	anns    []annotate.Annotation
+	graph   provgraph.Graph
+	tables  []string
+	filters []provenance.FilterValue
+}
+
+var composers = sync.Pool{New: func() any { return new(composer) }}
+
 // FromProvenance generates the explanation from already-tracked provenance.
 // The provenance is threaded explicitly through the generation chain, so
 // concurrent calls on one Explainer never observe each other's tuples.
 func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, error) {
-	ann := annotate.Annotate(prov)
-	out := &Explanation{Prov: prov}
-	out.Summary = e.summary(prov)
+	c := composers.Get().(*composer)
+	c.e, c.prov = e, prov
+	c.buf, c.steps = c.buf[:0], c.steps[:0]
+	c.summary()
+	summaryEnd := len(c.buf)
 	if prov.Empty {
 		// Operation-level semantics only (paper §IV-A, empty results).
-		for _, core := range prov.Original.Cores {
-			out.Steps = append(out.Steps, e.operationStep(core))
+		for i, core := range prov.Original.Cores {
+			c.beginStep(i)
+			c.operationStep(core)
+			c.endStep()
 		}
 	} else {
 		for i, part := range prov.Parts {
-			g := provgraph.Build(part, ann.Parts[i])
-			out.Steps = append(out.Steps, e.phraseStep(prov, part, g))
+			c.anns = annotate.Append(c.anns[:0], part.Core)
+			c.graph.Build(part, c.anns)
+			c.beginStep(i)
+			c.phraseStep(part)
+			c.endStep()
 		}
 	}
-	out.Text = e.compose(prov, out.Summary, out.Steps)
+
+	// COMPOSE-PHRASE normalizes whitespace. When that leaves the raw text
+	// as it is, the summary and the steps share the text's storage.
+	out := &Explanation{Prov: prov, Text: normalizeSpace(c.buf, &c.tmp)}
+	raw := out.Text
+	if raw != string(c.buf) {
+		raw = string(c.buf)
+	}
+	out.Summary = raw[:summaryEnd]
+	if len(c.steps) > 0 {
+		out.Steps = make([]string, len(c.steps))
+		for i, sp := range c.steps {
+			out.Steps[i] = raw[sp[0]:sp[1]]
+		}
+	}
+	c.release()
 	if e.Polish != nil {
 		out.Text = e.Polish.Polish(out.Text)
 	}
 	return out, nil
 }
 
-// summary implements GENERATE-SUMMARY: result-set shape plus the query's
-// surface filters.
-func (e *Explainer) summary(prov *provenance.Provenance) string {
-	r := prov.ResultSet
-	var b strings.Builder
-	b.WriteString("The query returns a result set with ")
-	aggs := aggregateTypes(prov.Original)
-	switch {
-	case len(aggs) == len(r.Columns) && len(aggs) > 0:
-		fmt.Fprintf(&b, "%s of aggregation type (%s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
-	case len(aggs) > 0:
-		fmt.Fprintf(&b, "%s (including aggregation type %s)", plural(len(r.Columns), "column"), strings.Join(aggs, ", "))
-	default:
-		fmt.Fprintf(&b, "%s (%s)", plural(len(r.Columns), "column"), strings.Join(bareColumns(r.Columns), ", "))
-	}
-	fmt.Fprintf(&b, " and %s", plural(r.NumRows(), "row"))
-	if fs := allFilters(prov.Original); len(fs) != 0 {
-		b.WriteString(", filtered by ")
-		for i, f := range fs {
-			if i > 0 {
-				b.WriteString(" and ")
-			}
-			fmt.Fprintf(&b, "%s %s %s", bareColumn(f.Column), opPhrase(f.Op), f.Value.String())
+// release drops the composer's references into the explanation's inputs
+// and returns it to the pool.
+func (c *composer) release() {
+	c.e, c.prov = nil, nil
+	clear(c.anns)
+	clear(c.tables)
+	clear(c.filters)
+	c.graph = provgraph.Graph{Anchor: c.graph.Anchor[:0]}
+	composers.Put(c)
+}
+
+// beginStep opens step i: COMPOSE-PHRASE stitches the steps with a space
+// and, between the parts of a compound query, the set operation's
+// connective.
+func (c *composer) beginStep(i int) {
+	c.buf = append(c.buf, ' ')
+	if ops := c.prov.Original.Ops; i > 0 && i-1 < len(ops) {
+		switch ops[i-1] {
+		case sqlast.Intersect:
+			c.buf = append(c.buf, "And also: "...)
+		case sqlast.Except:
+			c.buf = append(c.buf, "Excluding: "...)
+		default:
+			c.buf = append(c.buf, "Or: "...)
 		}
 	}
-	b.WriteString(".")
-	return b.String()
+	c.steps = append(c.steps, [2]int{len(c.buf), 0})
+}
+
+func (c *composer) endStep() { c.steps[len(c.steps)-1][1] = len(c.buf) }
+
+// summary implements GENERATE-SUMMARY: result-set shape plus the query's
+// surface filters.
+func (c *composer) summary() {
+	r := c.prov.ResultSet
+	b := append(c.buf, "The query returns a result set with "...)
+	aggs := c.aggregateTypes()
+	b = appendPlural(b, len(r.Columns), "column")
+	switch {
+	case aggs == len(r.Columns) && aggs > 0:
+		b = append(b, " of aggregation type ("...)
+		b = append(b, c.tmp...)
+		b = append(b, ')')
+	case aggs > 0:
+		b = append(b, " (including aggregation type "...)
+		b = append(b, c.tmp...)
+		b = append(b, ')')
+	default:
+		b = append(b, " ("...)
+		for i, col := range r.Columns {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendBareColumn(b, col)
+		}
+		b = append(b, ')')
+	}
+	b = append(b, " and "...)
+	b = appendPlural(b, r.NumRows(), "row")
+	c.buf = b
+	c.appendSurfaceFilters()
+	c.buf = append(c.buf, '.')
+}
+
+// aggregateTypes renders into c.tmp the aggregate function names of the
+// statement's first core, in projection order, and returns their count.
+func (c *composer) aggregateTypes() int {
+	n := 0
+	c.tmp = c.tmp[:0]
+	for _, it := range c.prov.Original.Cores[0].Items {
+		sqlast.WalkExpr(it.Expr, func(e sqlast.Expr) bool {
+			if f, ok := e.(*sqlast.FuncCall); ok && f.IsAggregate() {
+				if n > 0 {
+					c.tmp = append(c.tmp, ", "...)
+				}
+				c.tmp = append(c.tmp, annotate.FuncName(f)...)
+				n++
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// appendSurfaceFilters appends ", filtered by ..." over the literal
+// filters of every core, and the HAVING thresholds (paper Q5: "filtered by
+// country language greater than 2"), each distinct filter once.
+func (c *composer) appendSurfaceFilters() {
+	c.keys, c.keyEnds = c.keys[:0], c.keyEnds[:0]
+	n := 0
+	for _, core := range c.prov.Original.Cores {
+		c.filters = provenance.AppendFilters(c.filters[:0], core)
+		for _, f := range c.filters {
+			n = c.appendSurfaceFilter(n, f.Column.Column, f.Op, f.Value)
+		}
+		for _, h := range sqlast.Conjuncts(core.Having) {
+			b, ok := h.(*sqlast.Binary)
+			if !ok {
+				continue
+			}
+			f, okL := b.L.(*sqlast.FuncCall)
+			lit, okR := b.R.(*sqlast.Literal)
+			if okL && f.IsAggregate() && okR {
+				arg := annotate.FuncName(f)
+				if !f.Star && len(f.Args) == 1 {
+					arg = sqlast.ExprSQL(f.Args[0])
+				}
+				n = c.appendSurfaceFilter(n, arg, b.Op, lit.Value)
+			}
+		}
+	}
+}
+
+// appendSurfaceFilter appends the n-th surface filter unless an identical
+// one (same column, operator and rendered value) came earlier, and
+// returns the new count.
+func (c *composer) appendSurfaceFilter(n int, column, op string, v sqltypes.Value) int {
+	start := len(c.keys)
+	c.keys = append(c.keys, column...)
+	c.keys = append(c.keys, op...)
+	c.keys = v.AppendString(c.keys)
+	key, from := c.keys[start:], 0
+	for _, end := range c.keyEnds {
+		if string(c.keys[from:end]) == string(key) {
+			c.keys = c.keys[:start]
+			return n
+		}
+		from = end
+	}
+	c.keyEnds = append(c.keyEnds, len(c.keys))
+	if n == 0 {
+		c.buf = append(c.buf, ", filtered by "...)
+	} else {
+		c.buf = append(c.buf, " and "...)
+	}
+	c.buf = appendBareColumn(c.buf, column)
+	c.buf = append(c.buf, ' ')
+	c.buf = append(c.buf, opPhrase(op)...)
+	c.buf = append(c.buf, ' ')
+	c.buf = v.AppendString(c.buf)
+	return n + 1
 }
 
 // phraseStep implements GENERATE-PHRASE + the per-part portion of
 // COMPOSE-PHRASE for one provenance part, traversing the provenance graph
-// and verbalizing each labeled element. prov is the in-flight provenance
-// the part belongs to; it rides along so aggregate phrases can ground
-// themselves in the to-explain result tuple.
-func (e *Explainer) phraseStep(prov *provenance.Provenance, part provenance.Part, g *provgraph.Graph) string {
-	core := part.Core
-	var tableNames []string
-	for _, t := range core.Tables() {
-		if t.Name != "" {
-			tableNames = append(tableNames, t.Name)
-		}
+// in c.graph and verbalizing each labeled element.
+func (c *composer) phraseStep(part provenance.Part) {
+	g := &c.graph
+	b := append(c.buf, "For "...)
+	c.tables = appendTableNames(c.tables[:0], part.Core)
+	subject := len(b)
+	b, _ = provgraph.AppendJoin(b, c.e.db.Schema, c.tables)
+	if len(b) == subject {
+		b = append(b, "the rows"...)
 	}
-	join := provgraph.DiscoverJoin(e.db.Schema, tableNames)
-	subject := join.Phrase
-	if subject == "" {
-		subject = "the rows"
-	}
-
-	var clauses []string
 
 	// Filter-like labels on column nodes, grounded in provenance values.
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if phrase := e.groundedColumnPhrase(col, lab, g); phrase != "" {
-				clauses = append(clauses, phrase)
+	clauses := 0
+	for col := range g.Columns {
+		for i, lab := range g.Labels {
+			if g.Anchor[i] != col {
+				continue
+			}
+			mark := len(b)
+			b = append(b, ", "...)
+			if next := c.groundedColumnPhrase(b, col, lab); len(next) > len(b) {
+				b = next
+				clauses++
+			} else {
+				b = b[:mark]
 			}
 		}
 	}
-	// Table-level labels: aggregates, HAVING, ORDER/LIMIT, EXISTS.
-	tableNode := g.Nodes[g.Table]
-	entity := headEntity(e.db, core)
-	var tails []string
-	for _, lab := range tableNode.Labels {
-		if phrase := e.tablePhrase(prov, lab, part, entity); phrase != "" {
-			tails = append(tails, phrase)
-		}
-	}
-	// Aggregate labels anchored on a concrete column still summarize the
-	// table (count(T2.language) counts rows of the group).
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if lab.Kind == annotate.KindAggregate {
-				if phrase := e.tablePhrase(prov, lab, part, entity); phrase != "" {
-					tails = append(tails, phrase)
-				}
+	// Table-level labels: aggregates, HAVING, ORDER/LIMIT, EXISTS. Then
+	// aggregate labels anchored on a concrete column, which still
+	// summarize the table (count(T2.language) counts rows of the group).
+	tails := 0
+	for col := provgraph.TableNode; col < len(g.Columns); col++ {
+		for i, lab := range g.Labels {
+			if g.Anchor[i] != col || col != provgraph.TableNode && lab.Kind != annotate.KindAggregate {
+				continue
+			}
+			mark := len(b)
+			if tails == 0 {
+				b = append(b, ", "...)
+			} else {
+				b = append(b, ", and "...)
+			}
+			if next := c.tablePhrase(b, lab, part); len(next) > len(b) {
+				b = next
+				tails++
+			} else {
+				b = b[:mark]
 			}
 		}
 	}
-
-	var b strings.Builder
-	b.WriteString("For ")
-	b.WriteString(subject)
-	if len(clauses) > 0 {
-		b.WriteString(", ")
-		b.WriteString(strings.Join(clauses, ", "))
-	}
-	if len(tails) > 0 {
-		b.WriteString(", ")
-		b.WriteString(strings.Join(tails, ", and "))
-	}
-	if len(clauses) == 0 && len(tails) == 0 {
+	if clauses == 0 && tails == 0 {
 		// Pure projection query: ground the representative row.
-		if row := representativeRow(part); row != "" {
-			b.WriteString(", ")
-			b.WriteString(row)
-		}
+		b = appendRepresentativeRow(b, part)
 	}
-	b.WriteString(".")
-	return b.String()
+	c.buf = append(b, '.')
 }
 
-// groundedColumnPhrase verbalizes one column-anchored label using the
-// column's provenance value, so the explanation reflects the data instance
-// rather than the query surface alone.
-func (e *Explainer) groundedColumnPhrase(col *provgraph.Node, lab annotate.Annotation, g *provgraph.Graph) string {
-	val, hasVal := g.ValueOf(col.ID)
-	colNL := bareColumn(col.Label)
+// groundedColumnPhrase appends the verbalization of one label on column
+// node col to dst, using the column's provenance value so the explanation
+// reflects the data instance rather than the query surface alone. It
+// appends nothing for labels that have no column phrase.
+func (c *composer) groundedColumnPhrase(dst []byte, col int, lab annotate.Annotation) []byte {
+	g := &c.graph
+	val, hasVal := g.ValueOf(col)
+	colName := g.Columns[col]
 	switch lab.Kind {
 	case annotate.KindFilter:
-		op := lab.Detail["op"]
-		want := lab.Detail["value"]
-		if lab.Detail["subquery"] == "true" {
-			return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(op), want)
-		}
-		if hasVal && val.String() != want {
+		op, want := lab.Op, lab.Value
+		switch {
+		case lab.Subquery:
+			dst = appendThe(dst, colName, " is ")
+		case hasVal && string(c.render(val)) != want:
 			// Data value differs from the filter constant (inequalities):
 			// surface both, as in the paper's Estonia example.
-			return fmt.Sprintf("the %s is %s, %s %s", colNL, val, opPhrase(op), want)
+			dst = appendThe(dst, colName, " is ")
+			dst = val.AppendString(dst)
+			dst = append(dst, ", "...)
+		case op == "=":
+			dst = append(dst, "with "...)
+			dst = appendBareColumn(dst, colName)
+			dst = append(dst, ' ')
+			return append(dst, want...)
+		default:
+			dst = appendThe(dst, colName, " is ")
 		}
-		if op == "=" {
-			return fmt.Sprintf("with %s %s", colNL, want)
-		}
-		return fmt.Sprintf("the %s is %s %s", colNL, opPhrase(op), want)
+		dst = append(dst, opPhrase(op)...)
+		dst = append(dst, ' ')
+		return append(dst, want...)
 	case annotate.KindMembership:
-		neg := lab.Detail["not"] == "true"
-		target := lab.Detail["value"]
-		if neg {
-			return fmt.Sprintf("whose %s is not among %s", colNL, target)
+		dst = append(dst, "whose "...)
+		dst = appendBareColumn(dst, colName)
+		if lab.Not {
+			dst = append(dst, " is not among "...)
+		} else {
+			dst = append(dst, " is among "...)
 		}
-		return fmt.Sprintf("whose %s is among %s", colNL, target)
+		return append(dst, lab.Value...)
 	case annotate.KindPattern:
-		neg := lab.Detail["not"] == "true"
-		pat := strings.Trim(lab.Detail["pattern"], "'")
-		verb := "matches"
-		if neg {
-			verb = "does not match"
+		verb := " matches the pattern "
+		if lab.Not {
+			verb = " does not match the pattern "
 		}
+		dst = appendThe(dst, colName, "")
 		if hasVal {
-			return fmt.Sprintf("the %s %s %s the pattern %s", colNL, val, verb, pat)
+			dst = append(dst, ' ')
+			dst = val.AppendString(dst)
 		}
-		return fmt.Sprintf("the %s %s the pattern %s", colNL, verb, pat)
+		dst = append(dst, verb...)
+		return append(dst, strings.Trim(lab.Value, "'")...)
 	case annotate.KindRange:
-		return fmt.Sprintf("the %s is between %s and %s", colNL, lab.Detail["lo"], lab.Detail["hi"])
+		dst = appendThe(dst, colName, " is between ")
+		dst = append(dst, lab.Lo...)
+		dst = append(dst, " and "...)
+		return append(dst, lab.Hi...)
 	case annotate.KindNullCheck:
-		if lab.Detail["not"] == "true" {
-			return fmt.Sprintf("the %s is present", colNL)
+		if lab.Not {
+			return appendThe(dst, colName, " is present")
 		}
-		return fmt.Sprintf("the %s is missing", colNL)
+		return appendThe(dst, colName, " is missing")
 	case annotate.KindGroup:
+		dst = append(dst, "grouped by "...)
+		dst = appendBareColumn(dst, colName)
 		if hasVal {
-			return fmt.Sprintf("grouped by %s, here %s %s", colNL, colNL, val)
+			dst = append(dst, ", here "...)
+			dst = appendBareColumn(dst, colName)
+			dst = append(dst, ' ')
+			dst = val.AppendString(dst)
 		}
-		return fmt.Sprintf("grouped by %s", colNL)
+		return dst
 	case annotate.KindProjection:
 		if hasVal {
-			return fmt.Sprintf("the %s is %s", colNL, val)
+			dst = appendThe(dst, colName, " is ")
+			return val.AppendString(dst)
 		}
 	}
-	return ""
+	return dst
 }
 
-// tablePhrase verbalizes one table-level label.
-func (e *Explainer) tablePhrase(prov *provenance.Provenance, lab annotate.Annotation, part provenance.Part, entity string) string {
-	rows := 0
-	if part.Table != nil {
-		rows = part.Table.NumRows()
-	}
+// tablePhrase appends the verbalization of one table-level label to dst,
+// or nothing for labels without one.
+func (c *composer) tablePhrase(dst []byte, lab annotate.Annotation, part provenance.Part) []byte {
 	switch lab.Kind {
 	case annotate.KindAggregate:
-		fn := lab.Detail["func"]
-		arg := lab.Detail["arg"]
-		resultVal := e.aggregateResultValue(prov, part, lab)
-		switch fn {
+		arg := lab.Arg
+		switch lab.Func {
 		case "count":
-			noun := pluralNoun(entity)
+			dst = append(dst, "there are "...)
+			dst = c.appendAggregateResult(dst, lab, part)
+			if lab.Distinct {
+				dst = append(dst, " distinct"...)
+			}
+			dst = append(dst, ' ')
+			noun := len(dst)
 			if arg != "*" && arg != "" && !isIDColumn(arg) {
-				noun = pluralNoun(bareColumn(arg))
+				dst = appendBareColumn(dst, arg)
+			} else {
+				dst = appendEntity(dst, c.e.db, part.Core)
 			}
-			if lab.Detail["distinct"] == "true" {
-				return fmt.Sprintf("there are %s distinct %s in total", resultVal, noun)
-			}
-			return fmt.Sprintf("there are %s %s in total", resultVal, noun)
+			dst = pluralize(dst, noun)
+			return append(dst, " in total"...)
 		case "sum":
-			return fmt.Sprintf("the total %s is %s", bareColumn(arg), resultVal)
+			dst = append(dst, "the total "...)
 		case "avg":
-			return fmt.Sprintf("the average %s is %s", bareColumn(arg), resultVal)
+			dst = append(dst, "the average "...)
 		case "min":
-			return fmt.Sprintf("the smallest %s is %s", bareColumn(arg), resultVal)
+			dst = append(dst, "the smallest "...)
 		case "max":
-			return fmt.Sprintf("the largest %s is %s", bareColumn(arg), resultVal)
+			dst = append(dst, "the largest "...)
+		default:
+			return dst
 		}
+		dst = appendBareColumn(dst, arg)
+		dst = append(dst, " is "...)
+		return c.appendAggregateResult(dst, lab, part)
 	case annotate.KindHaving:
-		fn, arg, op, rhs := lab.Detail["func"], lab.Detail["arg"], lab.Detail["op"], lab.Detail["rhs"]
-		noun := pluralNoun(bareColumn(arg))
-		if arg == "" {
-			noun = "rows"
-		}
-		return fmt.Sprintf("keeping only groups where the %s of %s is %s %s", fn, noun, opPhrase(op), rhs)
+		dst = append(dst, "keeping only groups where the "...)
+		dst = append(dst, lab.Func...)
+		dst = append(dst, " of "...)
+		noun := len(dst)
+		dst = pluralize(appendBareColumn(dst, lab.Arg), noun)
+		dst = append(dst, " is "...)
+		dst = append(dst, opPhrase(lab.Op)...)
+		dst = append(dst, ' ')
+		return append(dst, lab.Value...)
 	case annotate.KindOrder:
-		key := lab.Detail["key"]
-		dir := lab.Detail["dir"]
-		if lim := lab.Detail["limit"]; lim != "" {
-			return fmt.Sprintf("ranked by %s %s taking the top %s", bareColumn(key), dir, lim)
+		if lab.Limit != "" {
+			dst = append(dst, "ranked by "...)
+		} else {
+			dst = append(dst, "ordered by "...)
 		}
-		return fmt.Sprintf("ordered by %s %s", bareColumn(key), dir)
+		dst = appendBareColumn(dst, lab.Key)
+		if lab.Desc {
+			dst = append(dst, " descending"...)
+		} else {
+			dst = append(dst, " ascending"...)
+		}
+		if lab.Limit != "" {
+			dst = append(dst, " taking the top "...)
+			dst = append(dst, lab.Limit...)
+		}
+		return dst
 	case annotate.KindExists:
-		if lab.Detail["not"] == "true" {
-			return fmt.Sprintf("with no matching %s", lab.Detail["value"])
+		if lab.Not {
+			dst = append(dst, "with no matching "...)
+		} else {
+			dst = append(dst, "with some matching "...)
 		}
-		return fmt.Sprintf("with some matching %s", lab.Detail["value"])
+		return append(dst, lab.Value...)
 	case annotate.KindDistinct:
-		return "with duplicate entries removed"
+		return append(dst, "with duplicate entries removed"...)
 	case annotate.KindFilter, annotate.KindMembership, annotate.KindPattern:
 		// A filter that could not anchor to a provenance column (for
 		// example the rewrite failed): verbalize from the query surface.
-		op := lab.Detail["op"]
+		// The operator defaults to equality, and a pattern's text shows
+		// only in its anchored phrase.
+		op, value := lab.Op, lab.Value
 		if op == "" {
 			op = "="
 		}
-		return fmt.Sprintf("where %s is %s %s", bareColumn(lab.Column), opPhrase(op), lab.Detail["value"])
-	case annotate.KindJoin:
-		_ = rows // join structure is already carried by the subject phrase
+		if lab.Kind == annotate.KindPattern {
+			value = ""
+		}
+		dst = append(dst, "where "...)
+		dst = appendBareColumn(dst, lab.Column)
+		dst = append(dst, " is "...)
+		dst = append(dst, opPhrase(op)...)
+		dst = append(dst, ' ')
+		return append(dst, value...)
 	}
-	return ""
+	// Join labels add nothing: the subject phrase carries the join.
+	return dst
 }
 
-// aggregateResultValue resolves the concrete value of an aggregate label:
+// appendAggregateResult appends the concrete value of an aggregate label:
 // the matching column of the to-explain result tuple when identifiable,
 // else the recomputed aggregate over the provenance rows.
-func (e *Explainer) aggregateResultValue(prov *provenance.Provenance, part provenance.Part, lab annotate.Annotation) string {
-	table := part.Table
-	// Find the aggregate's position among the core's items and take the
-	// corresponding result value if the result tuple aligns.
-	fn, arg := lab.Detail["func"], lab.Detail["arg"]
-	if res := lookupResultAggregate(prov, part.Core, fn, arg); res != "" {
-		return res
+func (c *composer) appendAggregateResult(dst []byte, lab annotate.Annotation, part provenance.Part) []byte {
+	if v, ok := c.lookupResultAggregate(part.Core, lab.Func, lab.Arg); ok {
+		if next := v.AppendString(dst); len(next) > len(dst) {
+			return next
+		}
 	}
-	if table != nil && fn == "count" {
-		return fmt.Sprintf("%d", table.NumRows())
+	if part.Table != nil && lab.Func == "count" {
+		return strconv.AppendInt(dst, int64(part.Table.NumRows()), 10)
 	}
-	return "the computed value"
+	return append(dst, "the computed value"...)
 }
 
 // lookupResultAggregate aligns an aggregate label with the to-explain
-// result tuple the Provenance carries, returning the concrete value of the
-// matching projection column (or "" when no item aligns).
-func lookupResultAggregate(prov *provenance.Provenance, core *sqlast.SelectCore, fn, arg string) string {
-	if prov == nil || len(prov.Result) == 0 {
-		return ""
-	}
+// result tuple the provenance carries, returning the value of the first
+// matching projection column.
+func (c *composer) lookupResultAggregate(core *sqlast.SelectCore, fn, arg string) (sqltypes.Value, bool) {
+	result := c.prov.Result
 	for i, it := range core.Items {
 		f, ok := it.Expr.(*sqlast.FuncCall)
-		if !ok || !f.IsAggregate() {
+		if !ok || !f.IsAggregate() || !strings.EqualFold(f.Name, fn) || i >= len(result) {
 			continue
 		}
-		gotArg := "*"
+		if arg == "" {
+			return result[i], true
+		}
+		c.tmp = append(c.tmp[:0], '*')
 		if !f.Star && len(f.Args) == 1 {
-			gotArg = sqlast.ExprSQL(f.Args[0])
+			c.tmp = sqlast.AppendExpr(c.tmp[:0], f.Args[0])
 		}
-		if strings.EqualFold(f.Name, fn) && (gotArg == arg || arg == "") {
-			if i < len(prov.Result) {
-				return prov.Result[i].String()
-			}
+		if string(c.tmp) == arg {
+			return result[i], true
 		}
 	}
-	return ""
+	return sqltypes.Value{}, false
 }
 
-// operationStep verbalizes a core from its query surface alone; used for
-// empty-result queries that carry no data-level provenance.
-func (e *Explainer) operationStep(core *sqlast.SelectCore) string {
-	var tableNames []string
-	for _, t := range core.Tables() {
-		if t.Name != "" {
-			tableNames = append(tableNames, t.Name)
+// operationStep appends the verbalization of a core from its query
+// surface alone; used for empty-result queries that carry no data-level
+// provenance.
+func (c *composer) operationStep(core *sqlast.SelectCore) {
+	b := append(c.buf, "No data matches: the query looks for "...)
+	b = appendItems(b, core)
+	c.tables = appendTableNames(c.tables[:0], core)
+	of := len(b)
+	b = append(b, " of "...)
+	if next, _ := provgraph.AppendJoin(b, c.e.db.Schema, c.tables); len(next) > len(b) {
+		b = next
+	} else {
+		b = b[:of]
+	}
+	c.filters = provenance.AppendFilters(c.filters[:0], core)
+	for i, f := range c.filters {
+		if i == 0 {
+			b = append(b, " where "...)
+		} else {
+			b = append(b, " and "...)
 		}
+		b = appendBareColumn(b, f.Column.Column)
+		b = append(b, " is "...)
+		b = append(b, opPhrase(f.Op)...)
+		b = append(b, ' ')
+		b = f.Value.AppendString(b)
 	}
-	join := provgraph.DiscoverJoin(e.db.Schema, tableNames)
-	var b strings.Builder
-	b.WriteString("No data matches: the query looks for ")
-	b.WriteString(describeItems(core))
-	if join.Phrase != "" {
-		b.WriteString(" of ")
-		b.WriteString(join.Phrase)
-	}
-	if fs := provenance.Filters(core); len(fs) > 0 {
-		b.WriteString(" where ")
-		for i, f := range fs {
-			if i > 0 {
-				b.WriteString(" and ")
-			}
-			fmt.Fprintf(&b, "%s is %s %s", bareColumn(f.Column.Column), opPhrase(f.Op), f.Value.String())
-		}
-	}
-	b.WriteString(", and no such rows exist.")
-	return b.String()
+	c.buf = append(b, ", and no such rows exist."...)
 }
 
-// compose implements COMPOSE-PHRASE: the summary plus the per-part steps
-// stitched with set-operation connectives.
-func (e *Explainer) compose(prov *provenance.Provenance, summary string, steps []string) string {
-	var b strings.Builder
-	b.WriteString(summary)
-	for i, s := range steps {
-		b.WriteByte(' ')
-		if i > 0 && i-1 < len(prov.Original.Ops) {
-			switch prov.Original.Ops[i-1] {
-			case sqlast.Intersect:
-				b.WriteString("And also: ")
-			case sqlast.Except:
-				b.WriteString("Excluding: ")
-			default:
-				b.WriteString("Or: ")
-			}
-		}
-		b.WriteString(s)
-	}
-	return strings.Join(strings.Fields(b.String()), " ")
+// render renders v into c.tmp for comparison.
+func (c *composer) render(v sqltypes.Value) []byte {
+	c.tmp = v.AppendString(c.tmp[:0])
+	return c.tmp
 }

@@ -217,7 +217,7 @@ func TestOpPhraseTable(t *testing.T) {
 func TestPluralNoun(t *testing.T) {
 	cases := map[string]string{"flight": "flights", "city": "cities", "bus": "buses", "match": "matches", "day": "days"}
 	for in, want := range cases {
-		if got := pluralNoun(in); got != want {
+		if got := string(pluralize([]byte("the "+in+" "), 4)); got != "the "+want {
 			t.Errorf("pluralNoun(%q) = %q want %q", in, got, want)
 		}
 	}
@@ -276,4 +276,19 @@ func TestExplainerConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// normalizeSpace must agree with strings.Fields on every input, ASCII or
+// not, normalized already or not.
+func TestNormalizeSpace(t *testing.T) {
+	var scratch []byte
+	for _, in := range []string{
+		"", " ", "a", "a b", " a b", "a b ", "a  b", "a\tb", "a\n\nb ", " a b",
+		"a b", "Côte d'Ivoire is here", "Côte  d'Ivoire", "x y", "\xffa b", "\xff a\x85b",
+	} {
+		want := strings.Join(strings.Fields(in), " ")
+		if got := normalizeSpace([]byte(in), &scratch); got != want {
+			t.Errorf("normalizeSpace(%q) = %q want %q", in, got, want)
+		}
+	}
 }

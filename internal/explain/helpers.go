@@ -1,9 +1,13 @@
 package explain
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
+	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
 	"cyclesql/internal/schema"
 	"cyclesql/internal/sqlast"
@@ -34,28 +38,35 @@ func opPhrase(op string) string {
 	}
 }
 
-// plural renders "1 column" / "3 columns".
-func plural(n int, noun string) string {
+// appendPlural appends "one column" / "3 columns".
+func appendPlural(dst []byte, n int, noun string) []byte {
 	if n == 1 {
-		return fmt.Sprintf("one %s", noun)
+		dst = append(dst, "one "...)
+		return append(dst, noun...)
 	}
-	return fmt.Sprintf("%d %s", n, pluralNoun(noun))
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, ' ')
+	start := len(dst)
+	return pluralize(append(dst, noun...), start)
 }
 
-// pluralNoun naively pluralizes an English noun phrase (its head word).
-func pluralNoun(noun string) string {
-	noun = strings.TrimSpace(noun)
-	if noun == "" {
-		return "rows"
-	}
+// pluralize rewrites the noun phrase dst[start:] into its naive English
+// plural (of its head word), "rows" when it is blank.
+func pluralize(dst []byte, start int) []byte {
+	noun := bytes.TrimSpace(dst[start:])
+	dst = dst[:start+copy(dst[start:], noun)]
+	noun = dst[start:]
+	n := len(noun)
 	switch {
-	case strings.HasSuffix(noun, "s"), strings.HasSuffix(noun, "x"),
-		strings.HasSuffix(noun, "ch"), strings.HasSuffix(noun, "sh"):
-		return noun + "es"
-	case strings.HasSuffix(noun, "y") && len(noun) > 1 && !isVowel(noun[len(noun)-2]):
-		return noun[:len(noun)-1] + "ies"
+	case n == 0:
+		return append(dst, "rows"...)
+	case noun[n-1] == 's', noun[n-1] == 'x',
+		noun[n-1] == 'h' && n > 1 && (noun[n-2] == 'c' || noun[n-2] == 's'):
+		return append(dst, "es"...)
+	case noun[n-1] == 'y' && n > 1 && !isVowel(noun[n-2]):
+		return append(dst[:len(dst)-1], "ies"...)
 	default:
-		return noun + "s"
+		return append(dst, 's')
 	}
 }
 
@@ -67,149 +78,155 @@ func isVowel(c byte) bool {
 	return false
 }
 
-// bareColumn strips qualifiers and naturalizes a column spelling.
-func bareColumn(col string) string {
-	if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-		col = col[dot+1:]
-	}
-	return schema.Naturalize(col)
+// appendBareColumn appends a column spelling with its qualifiers stripped,
+// naturalized.
+func appendBareColumn(dst []byte, col string) []byte {
+	return schema.AppendNatural(dst, col[strings.LastIndexByte(col, '.')+1:])
 }
 
-func bareColumns(cols []string) []string {
-	out := make([]string, len(cols))
-	for i, c := range cols {
-		out[i] = bareColumn(c)
-	}
-	return out
-}
-
-// aggregateTypes lists the aggregate function names of the statement's
-// first core, in projection order.
-func aggregateTypes(stmt *sqlast.SelectStmt) []string {
-	var out []string
-	for _, it := range stmt.Cores[0].Items {
-		sqlast.WalkExpr(it.Expr, func(e sqlast.Expr) bool {
-			if f, ok := e.(*sqlast.FuncCall); ok && f.IsAggregate() {
-				out = append(out, strings.ToLower(f.Name))
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// allFilters collects literal filters across every core of the statement.
-func allFilters(stmt *sqlast.SelectStmt) []filterSurface {
-	var out []filterSurface
-	seen := map[string]bool{}
-	for _, core := range stmt.Cores {
-		for _, f := range provenance.Filters(core) {
-			fs := filterSurface{Column: f.Column.Column, Op: f.Op, Value: f.Value}
-			key := fs.Column + fs.Op + fs.Value.String()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, fs)
-			}
-		}
-		// HAVING thresholds surface in summaries too (paper Q5: "filtered
-		// by country language greater than 2").
-		for _, c := range sqlast.Conjuncts(core.Having) {
-			if b, ok := c.(*sqlast.Binary); ok {
-				if f, okL := b.L.(*sqlast.FuncCall); okL && f.IsAggregate() {
-					if lit, okR := b.R.(*sqlast.Literal); okR {
-						arg := strings.ToLower(f.Name)
-						if !f.Star && len(f.Args) == 1 {
-							arg = sqlast.ExprSQL(f.Args[0])
-						}
-						fs := filterSurface{Column: arg, Op: b.Op, Value: lit.Value}
-						key := fs.Column + fs.Op + fs.Value.String()
-						if !seen[key] {
-							seen[key] = true
-							out = append(out, fs)
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-type filterSurface struct {
-	Column string
-	Op     string
-	Value  interface{ String() string }
+// appendThe appends "the <bare column><rest>".
+func appendThe(dst []byte, col, rest string) []byte {
+	dst = append(dst, "the "...)
+	dst = appendBareColumn(dst, col)
+	return append(dst, rest...)
 }
 
 // isIDColumn reports whether an aggregate argument is an identifier-like
 // column; COUNT over identifiers reads as counting the entity itself
 // ("2 flights", not "2 ids").
 func isIDColumn(arg string) bool {
-	col := strings.ToLower(arg)
-	if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-		col = col[dot+1:]
-	}
+	col := strings.ToLower(arg[strings.LastIndexByte(arg, '.')+1:])
 	return col == "id" || strings.HasSuffix(col, "_id") || strings.HasSuffix(col, "id") && len(col) <= 4 || col == "code"
 }
 
-// headEntity names the entity a count(*) counts: the natural name of the
-// first base table of the core.
-func headEntity(db *storage.Database, core *sqlast.SelectCore) string {
-	tables := core.Tables()
-	if len(tables) == 0 {
-		return "row"
+// appendTableNames appends the names of the core's base tables, in FROM
+// order; derived tables have none.
+func appendTableNames(dst []string, core *sqlast.SelectCore) []string {
+	if core.From == nil {
+		return dst
 	}
-	if t := db.Schema.Table(tables[0].Name); t != nil {
-		return t.Natural()
+	if name := core.From.Base.Name; name != "" {
+		dst = append(dst, name)
 	}
-	return schema.Naturalize(tables[0].Name)
-}
-
-// describeItems verbalizes a core's projection list.
-func describeItems(core *sqlast.SelectCore) string {
-	var parts []string
-	for _, it := range core.Items {
-		switch {
-		case it.Star:
-			parts = append(parts, "all columns")
-		default:
-			switch x := it.Expr.(type) {
-			case *sqlast.ColumnRef:
-				parts = append(parts, "the "+bareColumn(x.Column))
-			case *sqlast.FuncCall:
-				if x.IsAggregate() {
-					arg := "rows"
-					if !x.Star && len(x.Args) == 1 {
-						arg = bareColumn(sqlast.ExprSQL(x.Args[0]))
-					}
-					parts = append(parts, fmt.Sprintf("the %s of %s", strings.ToLower(x.Name), arg))
-				}
-			default:
-				parts = append(parts, sqlast.ExprSQL(it.Expr))
-			}
+	for _, j := range core.From.Joins {
+		if j.Table.Name != "" {
+			dst = append(dst, j.Table.Name)
 		}
 	}
-	if len(parts) == 0 {
-		return "the rows"
-	}
-	return strings.Join(parts, " and ")
+	return dst
 }
 
-// representativeRow verbalizes the first provenance row of a part for
-// pure-projection queries ("country Anguilla, belongs to the continent
-// North America").
-func representativeRow(part provenance.Part) string {
+// appendEntity appends the entity a count(*) counts: the natural name of
+// the first table of the core.
+func appendEntity(dst []byte, db *storage.Database, core *sqlast.SelectCore) []byte {
+	if core.From == nil {
+		return append(dst, "row"...)
+	}
+	name := core.From.Base.Name
+	if t := db.Schema.Table(name); t != nil {
+		return t.AppendNatural(dst)
+	}
+	return schema.AppendNatural(dst, name)
+}
+
+// appendItems verbalizes a core's projection list.
+func appendItems(dst []byte, core *sqlast.SelectCore) []byte {
+	start := len(dst)
+	for _, it := range core.Items {
+		mark := len(dst)
+		if mark > start {
+			dst = append(dst, " and "...)
+		}
+		if it.Star {
+			dst = append(dst, "all columns"...)
+			continue
+		}
+		switch x := it.Expr.(type) {
+		case *sqlast.ColumnRef:
+			dst = appendThe(dst, x.Column, "")
+		case *sqlast.FuncCall:
+			if !x.IsAggregate() {
+				dst = dst[:mark]
+				continue
+			}
+			dst = append(dst, "the "...)
+			dst = append(dst, annotate.FuncName(x)...)
+			dst = append(dst, " of "...)
+			if !x.Star && len(x.Args) == 1 {
+				dst = appendBareColumn(dst, sqlast.ExprSQL(x.Args[0]))
+			} else {
+				dst = append(dst, "rows"...)
+			}
+		default:
+			dst = sqlast.AppendExpr(dst, it.Expr)
+		}
+	}
+	if len(dst) == start {
+		dst = append(dst, "the rows"...)
+	}
+	return dst
+}
+
+// appendRepresentativeRow appends ", for example, ..." over the first
+// provenance row of a part, for pure-projection queries ("country
+// Anguilla, belongs to the continent North America"); nothing when the
+// part has no rows.
+func appendRepresentativeRow(dst []byte, part provenance.Part) []byte {
 	if part.Table == nil || part.Table.NumRows() == 0 {
-		return ""
+		return dst
 	}
 	row := part.Table.Rows[0]
-	var parts []string
-	limit := len(part.Table.Columns)
-	if limit > 5 {
-		limit = 5 // keep phrases short; Rule 2 can project many columns
+	dst = append(dst, ", for example, "...)
+	// Keep phrases short; Rule 2 can project many columns.
+	for i := range min(len(part.Table.Columns), 5) {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendThe(dst, part.Table.Columns[i], " is ")
+		dst = row[i].AppendString(dst)
 	}
-	for i := 0; i < limit; i++ {
-		parts = append(parts, fmt.Sprintf("the %s is %s", bareColumn(part.Table.Columns[i]), row[i]))
+	return dst
+}
+
+// normalizeSpace returns strings.Join(strings.Fields(string(raw)), " ").
+// Text that is already normalized, the common case, is checked in one
+// pass and copied once; ASCII text that is not is collapsed in *scratch,
+// and any other text takes strings.Fields itself, whose Unicode notion of
+// space it must keep.
+func normalizeSpace(raw []byte, scratch *[]byte) string {
+	clean, space, ascii := true, true, true
+	for i := 0; i < len(raw); {
+		r, n := rune(raw[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(raw[i:])
+			ascii = false
+		}
+		i += n
+		if !unicode.IsSpace(r) {
+			space = false
+			continue
+		}
+		clean = clean && !space && r == ' '
+		space = true
 	}
-	return "for example, " + strings.Join(parts, ", ")
+	switch {
+	case clean && (!space || len(raw) == 0):
+		return string(raw)
+	case !ascii:
+		return strings.Join(strings.Fields(string(raw)), " ")
+	}
+	out, pending := (*scratch)[:0], false
+	for _, c := range raw {
+		if unicode.IsSpace(rune(c)) {
+			pending = len(out) > 0
+			continue
+		}
+		if pending {
+			out = append(out, ' ')
+			pending = false
+		}
+		out = append(out, c)
+	}
+	*scratch = out
+	return string(out)
 }

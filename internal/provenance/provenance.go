@@ -20,6 +20,7 @@ package provenance
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -61,29 +62,31 @@ const RowLimit = 64
 // experiments), including through a textually identical core arriving as a
 // distinct AST from another beam, reuses the compiled statement instead of
 // rebuilding and recompiling it. A Tracker is safe for concurrent Track
-// calls: the memo maps are guarded by a mutex and the executor is safe for
+// calls: the memo is guarded by a mutex and the executor is safe for
 // concurrent Exec, so parallel beam candidates can share one tracker.
 type Tracker struct {
 	db *storage.Database
 	ex *sqleval.Executor
-	// mu guards the two memo maps below; rewrites themselves are immutable
-	// once published (the executor never mutates statements), so concurrent
-	// Track calls share them freely.
+	// mu guards the memo and its key scratch; rewrites themselves are
+	// immutable once published (the executor never mutates statements),
+	// so concurrent Track calls share them freely.
 	mu       sync.Mutex
-	rewrites map[rewriteKey]*sqlast.SelectStmt
-	// coreSQL memoizes the rendered SQL per core AST, so the common case —
-	// re-tracking the same candidate object — skips the O(core) render
-	// and goes straight to the rewrite lookup.
-	coreSQL map[*sqlast.SelectCore]string
+	rewrites map[string]*sqlast.SelectStmt
+	// key is the reused buffer each lookup renders its rewriteKey into.
+	key []byte
 }
 
-// rewriteKey identifies a provenance rewrite: the rendered SQL of the core
-// (deterministic, so textually identical cores share an entry regardless
-// of AST identity) plus the binary encoding of the to-explain tuple — the
-// only inputs the rewriting rules vary on.
-type rewriteKey struct {
-	core string
-	row  string
+// appendRewriteKey appends the memo key of a provenance rewrite: the
+// rendered SQL of the core (deterministic, so textually identical cores
+// share an entry regardless of AST identity), the binary encoding of the
+// to-explain tuple — the only inputs the rewriting rules vary on — and
+// the SQL's length, which keeps the concatenation unambiguous.
+func appendRewriteKey(dst []byte, core *sqlast.SelectCore, result sqltypes.Row) []byte {
+	start := len(dst)
+	dst = core.AppendSQL(dst)
+	sqlLen := len(dst) - start
+	dst = result.AppendKey(dst)
+	return binary.LittleEndian.AppendUint64(dst, uint64(sqlLen))
 }
 
 // maxCachedRewrites bounds the per-tracker rewrite cache.
@@ -133,38 +136,23 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 	return p, nil
 }
 
-// coreKey must be called with t.mu held.
-func (t *Tracker) coreKey(core *sqlast.SelectCore) string {
-	if s, ok := t.coreSQL[core]; ok {
-		return s
-	}
-	s := core.SQL()
-	if t.coreSQL == nil {
-		t.coreSQL = make(map[*sqlast.SelectCore]string)
-	} else if len(t.coreSQL) >= maxCachedRewrites {
-		clear(t.coreSQL)
-	}
-	t.coreSQL[core] = s
-	return s
-}
-
 func (t *Tracker) rewrite(core *sqlast.SelectCore, result sqltypes.Row) *sqlast.SelectStmt {
 	// The whole memo round-trip runs under the lock; RewriteCore is a
 	// cheap AST clone next to executing the provenance query, so a finer
 	// lock would buy nothing.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := rewriteKey{core: t.coreKey(core), row: string(result.AppendKey(nil))}
-	if rw, ok := t.rewrites[k]; ok {
+	t.key = appendRewriteKey(t.key[:0], core, result)
+	if rw, ok := t.rewrites[string(t.key)]; ok {
 		return rw
 	}
 	rw := RewriteCore(t.db, core, result)
 	if t.rewrites == nil {
-		t.rewrites = make(map[rewriteKey]*sqlast.SelectStmt)
+		t.rewrites = make(map[string]*sqlast.SelectStmt)
 	} else if len(t.rewrites) >= maxCachedRewrites {
 		clear(t.rewrites)
 	}
-	t.rewrites[k] = rw
+	t.rewrites[string(t.key)] = rw
 	return rw
 }
 
@@ -271,27 +259,35 @@ type FilterValue struct {
 }
 
 // Filters lists the literal comparisons in the core's WHERE clause.
-func Filters(core *sqlast.SelectCore) []FilterValue {
-	var out []FilterValue
-	for _, c := range sqlast.Conjuncts(core.Where) {
-		switch x := c.(type) {
-		case *sqlast.Binary:
-			cr, okL := x.L.(*sqlast.ColumnRef)
-			lit, okR := x.R.(*sqlast.Literal)
-			if okL && okR {
-				out = append(out, FilterValue{Column: cr, Op: x.Op, Value: lit.Value})
+func Filters(core *sqlast.SelectCore) []FilterValue { return AppendFilters(nil, core) }
+
+// AppendFilters appends Filters(core) to dst.
+func AppendFilters(dst []FilterValue, core *sqlast.SelectCore) []FilterValue {
+	return appendFilters(dst, core.Where)
+}
+
+// appendFilters visits the top-level AND operands of e left to right.
+func appendFilters(dst []FilterValue, e sqlast.Expr) []FilterValue {
+	switch x := e.(type) {
+	case *sqlast.Binary:
+		if x.Op == "AND" {
+			return appendFilters(appendFilters(dst, x.L), x.R)
+		}
+		cr, okL := x.L.(*sqlast.ColumnRef)
+		lit, okR := x.R.(*sqlast.Literal)
+		if okL && okR {
+			dst = append(dst, FilterValue{Column: cr, Op: x.Op, Value: lit.Value})
+		}
+	case *sqlast.LikeExpr:
+		cr, okL := x.X.(*sqlast.ColumnRef)
+		lit, okR := x.Pattern.(*sqlast.Literal)
+		if okL && okR {
+			op := "LIKE"
+			if x.Not {
+				op = "NOT LIKE"
 			}
-		case *sqlast.LikeExpr:
-			cr, okL := x.X.(*sqlast.ColumnRef)
-			lit, okR := x.Pattern.(*sqlast.Literal)
-			if okL && okR {
-				op := "LIKE"
-				if x.Not {
-					op = "NOT LIKE"
-				}
-				out = append(out, FilterValue{Column: cr, Op: op, Value: lit.Value})
-			}
+			dst = append(dst, FilterValue{Column: cr, Op: op, Value: lit.Value})
 		}
 	}
-	return out
+	return dst
 }

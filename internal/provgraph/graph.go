@@ -20,149 +20,98 @@ import (
 	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
 	"cyclesql/internal/schema"
+	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 )
 
-// NodeKind classifies provenance graph nodes.
-type NodeKind int
+// TableNode is the anchor of labels on the (joint) table node.
+const TableNode = -1
 
-// Node kinds.
-const (
-	TableNode NodeKind = iota
-	ColumnNode
-	ValueNode
-)
-
-// EdgeHasAttribute connects a table node to its column nodes;
-// EdgeHasValue connects a column node to a value node.
-const (
-	EdgeHasAttribute = "hasAttribute"
-	EdgeHasValue     = "hasValue"
-)
-
-// Node is one provenance element with its attached semantics labels.
-type Node struct {
-	ID     int
-	Kind   NodeKind
-	Label  string // table name, column name, or value text
-	Value  sqltypes.Value
-	Labels []annotate.Annotation // semantics labels from the annotator
-}
-
-// Edge is a typed directed edge.
-type Edge struct {
-	From, To int
-	Type     string
-}
-
-// Graph is the provenance graph of one provenance part.
+// Graph is the provenance graph of one provenance part, stored flat. Its
+// nodes are the joint table node, named after the referenced tables
+// (TableLabel), column node i for provenance column Columns[i] (a
+// "hasAttribute" edge from the table), and value node i for Values[i], the
+// column's value in the first representative provenance row (a
+// "hasValue" edge from column i). Labels are the part's annotations as
+// semantics labels; Anchor[i] is the column node Labels[i] attaches to, or
+// TableNode. The zero Graph is ready for Build, which reuses its storage.
 type Graph struct {
-	Nodes []*Node
-	Edges []Edge
-	// Table is the index of the (joint) table node.
-	Table int
+	Core    *sqlast.SelectCore
+	Columns []string
+	Values  sqltypes.Row // nil when the provenance table has no rows
+	Labels  []annotate.Annotation
+	Anchor  []int
 }
 
-// Build constructs the provenance graph for one provenance part: a joint
-// table node named after the referenced tables, one column node per
-// provenance column, and value nodes for the first representative
-// provenance row. Annotations anchor onto matching column nodes; anchorless
-// annotations label the table node (the paper's asterisk rule).
-func Build(part provenance.Part, anns []annotate.Annotation) *Graph {
-	g := &Graph{}
-	tables := part.Core.Tables()
-	names := make([]string, 0, len(tables))
-	for _, t := range tables {
-		if t.Name != "" {
-			names = append(names, t.Name)
+// Build fills g with the provenance graph of one provenance part, reusing
+// g's storage. Annotations anchor onto matching column nodes; anchorless
+// annotations, and those whose column the provenance lacks, label the
+// table node (the paper's asterisk rule).
+func (g *Graph) Build(part provenance.Part, anns []annotate.Annotation) {
+	g.Core, g.Columns, g.Values, g.Labels = part.Core, nil, nil, anns
+	g.Anchor = g.Anchor[:0]
+	if part.Table != nil {
+		g.Columns = part.Table.Columns
+		if len(part.Table.Rows) > 0 {
+			g.Values = part.Table.Rows[0]
 		}
 	}
-	tn := &Node{ID: 0, Kind: TableNode, Label: strings.Join(names, "-")}
-	g.Nodes = append(g.Nodes, tn)
-	g.Table = 0
-
-	if part.Table == nil {
-		// Operation-level-only provenance: annotations all label the table.
-		tn.Labels = append(tn.Labels, anns...)
-		return g
-	}
-	colIdx := map[string]int{}
-	for _, col := range part.Table.Columns {
-		n := &Node{ID: len(g.Nodes), Kind: ColumnNode, Label: col}
-		g.Nodes = append(g.Nodes, n)
-		g.Edges = append(g.Edges, Edge{From: tn.ID, To: n.ID, Type: EdgeHasAttribute})
-		colIdx[strings.ToLower(col)] = n.ID
-	}
-	if len(part.Table.Rows) > 0 {
-		row := part.Table.Rows[0]
-		for ci, col := range part.Table.Columns {
-			if ci >= len(row) {
-				break
-			}
-			n := &Node{ID: len(g.Nodes), Kind: ValueNode, Label: row[ci].String(), Value: row[ci]}
-			g.Nodes = append(g.Nodes, n)
-			g.Edges = append(g.Edges, Edge{From: colIdx[strings.ToLower(col)], To: n.ID, Type: EdgeHasValue})
-		}
-	}
-	// Attach semantics labels.
 	for _, a := range anns {
-		if !a.Anchored() {
-			tn.Labels = append(tn.Labels, a)
-			continue
+		col := TableNode
+		if a.Anchored() {
+			// A column missing from the provenance (for example dropped by a
+			// failed rewrite, or an operation-level-only part) falls back to
+			// the table node.
+			col = matchColumn(g.Columns, a.Table, a.Column)
 		}
-		if id, ok := matchColumn(colIdx, a.Column); ok {
-			g.Nodes[id].Labels = append(g.Nodes[id].Labels, a)
-		} else {
-			// Column missing from provenance (for example dropped by a
-			// failed rewrite): fall back to the table node.
-			tn.Labels = append(tn.Labels, a)
-		}
+		g.Anchor = append(g.Anchor, col)
 	}
-	return g
 }
 
-// matchColumn resolves an annotation anchor ("T2.name" or "name") against
-// the provenance columns, tolerating qualification differences.
-func matchColumn(colIdx map[string]int, anchor string) (int, bool) {
-	a := strings.ToLower(anchor)
-	if id, ok := colIdx[a]; ok {
-		return id, true
-	}
-	bare := a
-	if dot := strings.LastIndexByte(a, '.'); dot >= 0 {
-		bare = a[dot+1:]
-	}
-	for col, id := range colIdx {
-		c := col
-		if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-			c = col[dot+1:]
-		}
-		if c == bare {
-			return id, true
+// TableLabel names the joint table node: the referenced base tables
+// joined by "-".
+func (g *Graph) TableLabel() string {
+	var b []byte
+	for _, t := range g.Core.Tables() {
+		if t.Name != "" {
+			if len(b) > 0 {
+				b = append(b, '-')
+			}
+			b = append(b, t.Name...)
 		}
 	}
-	return 0, false
+	return string(b)
 }
 
-// ValueOf returns the representative value of a column node, if present.
-func (g *Graph) ValueOf(columnID int) (sqltypes.Value, bool) {
-	for _, e := range g.Edges {
-		if e.From == columnID && e.Type == EdgeHasValue {
-			return g.Nodes[e.To].Value, true
+// matchColumn resolves an annotation anchor (table "T2", column "name",
+// or an unqualified column) against the provenance columns, tolerating
+// qualification differences: an exact case-insensitive match wins, then
+// the first column in provenance order with the same bare name. It
+// returns TableNode when no column matches.
+func matchColumn(cols []string, table, column string) int {
+	for i, c := range cols {
+		if table == "" && strings.EqualFold(c, column) ||
+			len(c) == len(table)+1+len(column) && c[len(table)] == '.' &&
+				strings.EqualFold(c[:len(table)], table) && strings.EqualFold(c[len(table)+1:], column) {
+			return i
 		}
 	}
-	return sqltypes.Value{}, false
+	bare := column[strings.LastIndexByte(column, '.')+1:]
+	for i, c := range cols {
+		if strings.EqualFold(c[strings.LastIndexByte(c, '.')+1:], bare) {
+			return i
+		}
+	}
+	return TableNode
 }
 
-// Columns returns the column nodes in insertion order.
-func (g *Graph) Columns() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if n.Kind == ColumnNode {
-			out = append(out, n)
-		}
+// ValueOf returns the representative value of column node col, if the
+// provenance has one.
+func (g *Graph) ValueOf(col int) (sqltypes.Value, bool) {
+	if col < 0 || col >= len(g.Values) {
+		return sqltypes.Value{}, false
 	}
-	return out
+	return g.Values[col], true
 }
 
 // ---- Join-semantics discovery (Fig 6) ----
@@ -170,11 +119,12 @@ func (g *Graph) Columns() []*Node {
 // Topology is one pre-defined inter-table relation graph in the pool.
 type Topology struct {
 	Name string
-	// Adjacency over node indices 0..N-1.
+	// Adjacency over node indices 0..N-1 (N <= 3).
 	Edges [][2]int
-	// Phrase instantiates the topology with concrete natural table names;
-	// the argument order follows the matched node assignment.
-	Phrase func(names []string) string
+	// The phrase instantiates the topology with concrete natural table
+	// names: node Subject's name, Connective, node Object's name.
+	Subject, Object int
+	Connective      string
 }
 
 // Pool is the pre-defined inter-table relation graph pool. Matching is
@@ -182,27 +132,21 @@ type Topology struct {
 var Pool = []Topology{
 	{
 		// A junction table linking two entities: subject-relationship-object.
-		Name:  "subject-relationship-object",
-		Edges: [][2]int{{1, 0}, {1, 2}}, // node 1 is the junction
-		Phrase: func(names []string) string {
-			return names[0] + " with " + names[2]
-		},
+		Name:    "subject-relationship-object",
+		Edges:   [][2]int{{1, 0}, {1, 2}}, // node 1 is the junction
+		Subject: 0, Object: 2, Connective: " with ",
 	},
 	{
 		// A chain where one endpoint hangs off an entity: object-attribute.
-		Name:  "object-attribute",
-		Edges: [][2]int{{0, 1}, {1, 2}},
-		Phrase: func(names []string) string {
-			return names[0] + " of " + names[2]
-		},
+		Name:    "object-attribute",
+		Edges:   [][2]int{{0, 1}, {1, 2}},
+		Subject: 0, Object: 2, Connective: " of ",
 	},
 	{
 		// Two directly related entities: object-object.
-		Name:  "object-object",
-		Edges: [][2]int{{0, 1}},
-		Phrase: func(names []string) string {
-			return names[0] + " with " + names[1]
-		},
+		Name:    "object-object",
+		Edges:   [][2]int{{0, 1}},
+		Subject: 0, Object: 1, Connective: " with ",
 	},
 }
 
@@ -218,148 +162,152 @@ type JoinSemantics struct {
 // in subject-relationship-object matches. With no isomorphic pool entry,
 // the associated table names represent the semantics.
 func DiscoverJoin(s *schema.Schema, tables []string) JoinSemantics {
+	phrase, topo := AppendJoin(nil, s, tables)
+	return JoinSemantics{Topology: topo, Phrase: string(phrase)}
+}
+
+// AppendJoin appends DiscoverJoin's phrase to dst and returns the matched
+// topology's name alongside. It allocates nothing: the schema's table
+// graph is built once per schema, and the match runs over table indices.
+func AppendJoin(dst []byte, s *schema.Schema, tables []string) ([]byte, string) {
 	if len(tables) < 2 {
-		name := ""
 		if len(tables) == 1 {
 			if t := s.Table(tables[0]); t != nil {
-				name = t.Natural()
+				dst = t.AppendNatural(dst)
 			}
 		}
-		return JoinSemantics{Phrase: name}
+		return dst, ""
 	}
-	sub := s.Graph().Subgraph(tables)
-	for _, topo := range Pool {
-		if assign, ok := isomorphic(sub, topo); ok {
+	// The induced subgraph's nodes: the referenced schema tables, in schema
+	// order. Pool topologies have at most three nodes.
+	var nodes [3]int
+	n := 0
+	for i, t := range s.Tables {
+		if !references(tables, t.Name) {
+			continue
+		}
+		if n == len(nodes) {
+			n++
+			break
+		}
+		nodes[n] = i
+		n++
+	}
+	if n <= len(nodes) {
+		g := s.Graph()
+		for _, topo := range Pool {
+			assign, ok := isomorphic(g, nodes[:n], topo)
+			if !ok {
+				continue
+			}
 			// For subject-relationship-object, verify the middle node is a
 			// true junction (out-FKs to both neighbors); otherwise prefer
 			// the chain reading.
 			if topo.Name == "subject-relationship-object" && !isJunction(s, assign[1], assign[0], assign[2]) {
 				continue
 			}
-			names := make([]string, len(assign))
-			for i, tname := range assign {
-				if t := s.Table(tname); t != nil {
-					names[i] = t.Natural()
-				} else {
-					names[i] = schema.Naturalize(tname)
-				}
-			}
-			return JoinSemantics{Topology: topo.Name, Phrase: topo.Phrase(names)}
+			dst = s.Tables[assign[topo.Subject]].AppendNatural(dst)
+			dst = append(dst, topo.Connective...)
+			dst = s.Tables[assign[topo.Object]].AppendNatural(dst)
+			return dst, topo.Name
 		}
 	}
 	// Fallback: join the natural table names.
-	names := make([]string, len(tables))
 	for i, tname := range tables {
+		if i > 0 {
+			dst = append(dst, " with "...)
+		}
 		if t := s.Table(tname); t != nil {
-			names[i] = t.Natural()
+			dst = t.AppendNatural(dst)
 		} else {
-			names[i] = schema.Naturalize(tname)
+			dst = schema.AppendNatural(dst, tname)
 		}
 	}
-	return JoinSemantics{Phrase: strings.Join(names, " with ")}
+	return dst, ""
 }
 
-func isJunction(s *schema.Schema, mid, a, b string) bool {
+// references reports whether the query's table list names table.
+func references(tables []string, table string) bool {
+	for _, t := range tables {
+		if strings.EqualFold(t, table) {
+			return true
+		}
+	}
+	return false
+}
+
+// isJunction reports whether table mid has foreign keys to both a and b
+// (schema table indices).
+func isJunction(s *schema.Schema, mid, a, b int) bool {
 	toA, toB := false, false
-	for _, fk := range s.ForeignKeysFrom(mid) {
-		if strings.EqualFold(fk.RefTable, a) {
+	for _, fk := range s.ForeignKeys {
+		if !strings.EqualFold(fk.Table, s.Tables[mid].Name) {
+			continue
+		}
+		if strings.EqualFold(fk.RefTable, s.Tables[a].Name) {
 			toA = true
 		}
-		if strings.EqualFold(fk.RefTable, b) {
+		if strings.EqualFold(fk.RefTable, s.Tables[b].Name) {
 			toB = true
 		}
 	}
 	return toA && toB
 }
 
-// isomorphic checks whether g (an undirected schema subgraph) is
-// isomorphic to the topology, returning the table assigned to each
-// topology node. Pool graphs are tiny, so permutation search suffices.
-func isomorphic(g *schema.Graph, topo Topology) ([]string, bool) {
-	n := topoSize(topo)
-	if len(g.Nodes) != n {
-		return nil, false
+// permutations lists, per node count, every assignment of graph nodes to
+// topology nodes in lexicographic order, so the first match is the one a
+// depth-first search in index order finds.
+var permutations = [4][][3]int{
+	2: {{0, 1}, {1, 0}},
+	3: {{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}},
+}
+
+// isomorphic checks whether the schema subgraph induced by nodes (schema
+// table indices, undirected, self-loops counted as edges) is isomorphic to
+// the topology, returning the schema table assigned to each topology node.
+// Pool graphs have at most three nodes, so the search runs over a fixed
+// permutation table and an adjacency matrix, with no maps.
+func isomorphic(g *schema.Graph, nodes []int, topo Topology) ([3]int, bool) {
+	var out [3]int
+	n := len(nodes)
+	if n != topoSize(topo) {
+		return out, false
 	}
-	want := make(map[[2]int]bool, len(topo.Edges))
-	for _, e := range topo.Edges {
-		want[norm(e[0], e[1])] = true
-	}
-	adj := map[[2]int]bool{}
-	index := map[string]int{}
-	for i, t := range g.Nodes {
-		index[strings.ToLower(t)] = i
-	}
-	edgeCount := 0
-	seen := map[[2]int]bool{}
-	for from, tos := range g.Edges {
-		fi := index[strings.ToLower(from)]
-		for _, to := range tos {
-			ti, ok := index[strings.ToLower(to)]
-			if !ok {
-				continue
-			}
-			k := norm(fi, ti)
-			adj[k] = true
-			if !seen[k] {
-				seen[k] = true
-				edgeCount++
+	var adj [3][3]bool
+	edges := 0
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			if g.Adjacent(nodes[a], nodes[b]) {
+				adj[a][b], adj[b][a] = true, true
+				edges++
 			}
 		}
 	}
-	if edgeCount != len(want) {
-		return nil, false
+	if edges != len(topo.Edges) {
+		return out, false
 	}
-	var try func(k int) bool
-	used := make([]bool, n)
-	assign := make([]int, n) // topology node -> graph node
-	try = func(k int) bool {
-		if k == n {
-			for e := range want {
-				if !adj[norm(assign[e[0]], assign[e[1]])] {
-					return false
-				}
+	for _, p := range permutations[n] {
+		ok := true
+		for _, e := range topo.Edges {
+			if !adj[p[e[0]]][p[e[1]]] {
+				ok = false
+				break
 			}
-			return true
 		}
-		for v := 0; v < n; v++ {
-			if used[v] {
-				continue
+		if ok {
+			for k := 0; k < n; k++ {
+				out[k] = nodes[p[k]]
 			}
-			used[v] = true
-			assign[k] = v
-			if try(k + 1) {
-				return true
-			}
-			used[v] = false
+			return out, true
 		}
-		return false
 	}
-	if !try(0) {
-		return nil, false
-	}
-	out := make([]string, n)
-	for topoNode, gNode := range assign {
-		out[topoNode] = g.Nodes[gNode]
-	}
-	return out, true
+	return out, false
 }
 
 func topoSize(t Topology) int {
-	max := 0
+	size := 0
 	for _, e := range t.Edges {
-		if e[0] > max {
-			max = e[0]
-		}
-		if e[1] > max {
-			max = e[1]
-		}
+		size = max(size, e[0]+1, e[1]+1)
 	}
-	return max + 1
-}
-
-func norm(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
+	return size
 }

@@ -26,40 +26,38 @@ func buildFor(t *testing.T, sql string) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := annotate.Annotate(prov)
-	return Build(prov.Parts[0], ann.Parts[0])
+	var g Graph
+	g.Build(prov.Parts[0], annotate.Append(nil, prov.Parts[0].Core))
+	return &g
 }
 
 func TestBuildGraphShape(t *testing.T) {
 	g := buildFor(t, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	if g.Nodes[g.Table].Kind != TableNode {
-		t.Fatal("table node missing")
+	if got := g.TableLabel(); got != "flight-aircraft" {
+		t.Fatalf("joint table label: %q", got)
 	}
-	if !strings.Contains(g.Nodes[g.Table].Label, "flight") || !strings.Contains(g.Nodes[g.Table].Label, "aircraft") {
-		t.Fatalf("joint table label: %q", g.Nodes[g.Table].Label)
-	}
-	cols := g.Columns()
-	if len(cols) == 0 {
+	if len(g.Columns) == 0 {
 		t.Fatal("no column nodes")
 	}
-	// Every column node must link from the table and have a value node.
-	for _, col := range cols {
-		if _, ok := g.ValueOf(col.ID); !ok {
-			t.Fatalf("column %s has no value", col.Label)
+	// Every column node must have a value node.
+	for i, col := range g.Columns {
+		if _, ok := g.ValueOf(i); !ok {
+			t.Fatalf("column %s has no value", col)
 		}
+	}
+	if _, ok := g.ValueOf(len(g.Columns)); ok {
+		t.Fatal("value past the last column")
 	}
 }
 
 func TestAnnotationsAttachToColumns(t *testing.T) {
 	g := buildFor(t, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
 	found := false
-	for _, col := range g.Columns() {
-		for _, lab := range col.Labels {
-			if lab.Kind == annotate.KindFilter {
-				found = true
-				if v, ok := g.ValueOf(col.ID); !ok || v.Text() != "Airbus A340-300" {
-					t.Fatalf("filter anchored to wrong column value: %v", v)
-				}
+	for i, lab := range g.Labels {
+		if lab.Kind == annotate.KindFilter {
+			found = true
+			if v, ok := g.ValueOf(g.Anchor[i]); !ok || v.Text() != "Airbus A340-300" {
+				t.Fatalf("filter anchored to wrong column value: %v", v)
 			}
 		}
 	}
@@ -70,15 +68,37 @@ func TestAnnotationsAttachToColumns(t *testing.T) {
 
 func TestTableLevelAnnotations(t *testing.T) {
 	g := buildFor(t, "SELECT count(*) FROM flight")
-	tn := g.Nodes[g.Table]
 	hasAgg := false
-	for _, lab := range tn.Labels {
-		if lab.Kind == annotate.KindAggregate {
+	for i, lab := range g.Labels {
+		if lab.Kind == annotate.KindAggregate && g.Anchor[i] == TableNode {
 			hasAgg = true
 		}
 	}
 	if !hasAgg {
 		t.Fatal("count(*) must label the table node")
+	}
+}
+
+// An anchor whose bare name matches several provenance columns resolves
+// to the first of them in provenance order, never to a random one.
+func TestMatchColumnAmbiguousBareName(t *testing.T) {
+	cols := []string{"T1.name", "T1.id", "T2.id", "T3.id"}
+	for range 50 {
+		if got := matchColumn(cols, "", "id"); got != 1 {
+			t.Fatalf("matchColumn(id) = %d, want 1", got)
+		}
+	}
+	cases := []struct {
+		table, column string
+		want          int
+	}{
+		{"T2", "id", 2}, {"t3", "ID", 3}, {"T9", "id", 1}, {"", "NAME", 0},
+		{"T1", "name", 0}, {"", "missing", TableNode}, {"T1", "missing", TableNode},
+	}
+	for _, c := range cases {
+		if got := matchColumn(cols, c.table, c.column); got != c.want {
+			t.Errorf("matchColumn(%q, %q) = %d, want %d", c.table, c.column, got, c.want)
+		}
 	}
 }
 

@@ -11,8 +11,10 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"cyclesql/internal/sqltypes"
 )
@@ -84,21 +86,35 @@ func (t *Table) Natural() string {
 	return Naturalize(t.Name)
 }
 
-// Schema is a complete database schema.
+// Schema is a complete database schema. Build it fully before first use
+// and do not copy it afterwards: its table graph is derived once and
+// cached.
 type Schema struct {
 	Name        string
 	Tables      []*Table
 	ForeignKeys []ForeignKey
+
+	graphOnce sync.Once
+	graph     *Graph
 }
 
 // Table returns the named table, or nil. Matching is case-insensitive.
 func (s *Schema) Table(name string) *Table {
-	for _, t := range s.Tables {
-		if strings.EqualFold(t.Name, name) {
-			return t
-		}
+	if i := s.TableIndex(name); i >= 0 {
+		return s.Tables[i]
 	}
 	return nil
+}
+
+// TableIndex returns the position of the named table in Tables, or -1.
+// Matching is case-insensitive.
+func (s *Schema) TableIndex(name string) int {
+	for i, t := range s.Tables {
+		if strings.EqualFold(t.Name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // TableNames returns the table identifiers in declaration order.
@@ -228,61 +244,76 @@ func Naturalize(ident string) string {
 	return strings.ToLower(strings.Join(strings.Fields(b.String()), " "))
 }
 
-// Graph returns the schema's table graph: one node per table, one
-// undirected edge per foreign key. Node order is deterministic.
-type Graph struct {
-	Nodes []string
-	Edges map[string][]string // adjacency, keys and values are table names
-}
-
-// Graph builds the table graph of the schema.
-func (s *Schema) Graph() *Graph {
-	g := &Graph{Edges: map[string][]string{}}
-	for _, t := range s.Tables {
-		g.Nodes = append(g.Nodes, t.Name)
-	}
-	add := func(a, b string) {
-		g.Edges[a] = append(g.Edges[a], b)
-	}
-	for _, fk := range s.ForeignKeys {
-		add(fk.Table, fk.RefTable)
-		add(fk.RefTable, fk.Table)
-	}
-	for k := range g.Edges {
-		sort.Strings(g.Edges[k])
-	}
-	return g
-}
-
-// Subgraph returns the induced subgraph over the given table names.
-func (g *Graph) Subgraph(tables []string) *Graph {
-	want := map[string]bool{}
-	for _, t := range tables {
-		want[strings.ToLower(t)] = true
-	}
-	out := &Graph{Edges: map[string][]string{}}
-	for _, n := range g.Nodes {
-		if want[strings.ToLower(n)] {
-			out.Nodes = append(out.Nodes, n)
+// AppendNatural appends Naturalize(ident) to dst. ASCII identifiers take
+// one pass with no allocation; others fall back to Naturalize.
+func AppendNatural(dst []byte, ident string) []byte {
+	for i := 0; i < len(ident); i++ {
+		if ident[i] >= utf8.RuneSelf {
+			return append(dst, Naturalize(ident)...)
 		}
 	}
-	for _, n := range out.Nodes {
-		for _, m := range g.Edges[n] {
-			if want[strings.ToLower(m)] {
-				out.Edges[n] = append(out.Edges[n], m)
+	start, sep := len(dst), false
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		switch c {
+		case '_', ' ', '\t', '\n', '\v', '\f', '\r':
+			sep = true
+			continue
+		}
+		if c >= 'A' && c <= 'Z' {
+			if i > 0 && ident[i-1] >= 'a' && ident[i-1] <= 'z' {
+				sep = true
 			}
+			c += 'a' - 'A'
 		}
+		if sep && len(dst) > start {
+			dst = append(dst, ' ')
+		}
+		sep = false
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
-// Degrees returns the sorted degree sequence of the graph, the cheap
-// invariant used before attempting isomorphism matching.
-func (g *Graph) Degrees() []int {
-	out := make([]int, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		out = append(out, len(g.Edges[n]))
+// AppendNatural appends Natural's rendering of t to dst.
+func (t *Table) AppendNatural(dst []byte) []byte {
+	if t.NaturalName != "" {
+		return append(dst, t.NaturalName...)
 	}
-	sort.Ints(out)
-	return out
+	return AppendNatural(dst, t.Name)
+}
+
+// Graph is the schema's table graph: node i is Tables[i], and Adj[i]
+// lists in ascending order the nodes sharing a foreign key with node i,
+// once per key. Foreign-key endpoints resolve case-insensitively, as in
+// Table.
+type Graph struct {
+	Adj [][]int
+}
+
+// Graph returns the schema's table graph. It is built on the first call
+// and shared by every later one, so complete the schema before calling it.
+func (s *Schema) Graph() *Graph {
+	s.graphOnce.Do(func() {
+		g := &Graph{Adj: make([][]int, len(s.Tables))}
+		for _, fk := range s.ForeignKeys {
+			a, b := s.TableIndex(fk.Table), s.TableIndex(fk.RefTable)
+			if a < 0 || b < 0 {
+				continue
+			}
+			g.Adj[a] = append(g.Adj[a], b)
+			g.Adj[b] = append(g.Adj[b], a)
+		}
+		for _, adj := range g.Adj {
+			slices.Sort(adj)
+		}
+		s.graph = g
+	})
+	return s.graph
+}
+
+// Adjacent reports whether nodes i and j share a foreign key.
+func (g *Graph) Adjacent(i, j int) bool {
+	_, found := slices.BinarySearch(g.Adj[i], j)
+	return found
 }

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"cyclesql/internal/sqltypes"
@@ -124,17 +125,41 @@ func TestTableNatural(t *testing.T) {
 }
 
 func TestGraphTopology(t *testing.T) {
-	g := testSchema().Graph()
-	if len(g.Nodes) != 3 {
-		t.Fatalf("nodes = %v", g.Nodes)
+	s := testSchema()
+	g := s.Graph()
+	if len(g.Adj) != 3 {
+		t.Fatalf("nodes = %v", g.Adj)
 	}
 	// Junction table has degree 2, endpoints degree 1.
-	if got := g.Degrees(); !reflect.DeepEqual(got, []int{1, 1, 2}) {
-		t.Fatalf("degrees = %v", got)
+	var degrees []int
+	for _, adj := range g.Adj {
+		degrees = append(degrees, len(adj))
 	}
-	sub := g.Subgraph([]string{"Concert", "Singer_in_concert"})
-	if got := sub.Degrees(); !reflect.DeepEqual(got, []int{1, 1}) {
-		t.Fatalf("subgraph degrees = %v", got)
+	sort.Ints(degrees)
+	if !reflect.DeepEqual(degrees, []int{1, 1, 2}) {
+		t.Fatalf("degrees = %v", degrees)
+	}
+	concert, junction := s.TableIndex("concert"), s.TableIndex("Singer_in_concert")
+	if !g.Adjacent(concert, junction) || !g.Adjacent(junction, concert) || g.Adjacent(concert, concert) {
+		t.Fatalf("adjacency = %v", g.Adj)
+	}
+	if s.Graph() != g {
+		t.Fatal("Graph must be built once per schema")
+	}
+}
+
+// AppendNatural must render exactly what Naturalize returns, on the ASCII
+// fast path and through the non-ASCII fallback alike.
+func TestAppendNaturalMatchesNaturalize(t *testing.T) {
+	idents := []string{
+		"", "_", "__a__", "Singer_in_concert", "flightNo", "countrycode", "HS",
+		"aB", "ABc", "a1B", "x_Y", " lead trail ", "tab\tsep", "a__b", "Épée_Name",
+		"naïveCase", "nbsp\u00a0sep", "T2.name", "camelCaseID",
+	}
+	for _, in := range idents {
+		if got, want := string(AppendNatural([]byte("p:"), in)), "p:"+Naturalize(in); got != want {
+			t.Errorf("AppendNatural(%q) = %q want %q", in, got, want)
+		}
 	}
 }
 

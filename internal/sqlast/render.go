@@ -2,127 +2,153 @@ package sqlast
 
 import (
 	"strconv"
-	"strings"
+	"sync"
 )
+
+// renderBufs recycles the scratch that SQL and ExprSQL render into, so a
+// rendering costs one allocation: the returned string.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // SQL renders the statement back to SQL text. Rendering is deterministic,
 // so rendered text is safe to use as a cache key; it is re-parseable by
 // sqlparse (round-trip property covered by tests).
 func (s *SelectStmt) SQL() string {
-	var b strings.Builder
+	bp := renderBufs.Get().(*[]byte)
+	*bp = s.AppendSQL((*bp)[:0])
+	out := string(*bp)
+	renderBufs.Put(bp)
+	return out
+}
+
+// AppendSQL appends the statement's SQL rendering to dst, byte for byte
+// what SQL returns, without materializing intermediate strings.
+func (s *SelectStmt) AppendSQL(dst []byte) []byte {
 	for i, core := range s.Cores {
 		if i > 0 {
-			b.WriteByte(' ')
-			b.WriteString(string(s.Ops[i-1]))
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
+			dst = append(dst, s.Ops[i-1]...)
+			dst = append(dst, ' ')
 		}
-		core.render(&b)
+		dst = core.AppendSQL(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // SQL renders a single SELECT core. Like SelectStmt.SQL, the rendering is
 // deterministic, so it doubles as a memoization key for per-core caches
 // (the provenance tracker keys its rewrite cache on it).
 func (c *SelectCore) SQL() string {
-	var b strings.Builder
-	c.render(&b)
-	return b.String()
+	bp := renderBufs.Get().(*[]byte)
+	*bp = c.AppendSQL((*bp)[:0])
+	out := string(*bp)
+	renderBufs.Put(bp)
+	return out
 }
 
-func (c *SelectCore) render(b *strings.Builder) {
-	b.WriteString("SELECT ")
+// AppendSQL appends the core's SQL rendering to dst.
+func (c *SelectCore) AppendSQL(dst []byte) []byte {
+	dst = append(dst, "SELECT "...)
 	if c.Distinct {
-		b.WriteString("DISTINCT ")
+		dst = append(dst, "DISTINCT "...)
 	}
 	for i, it := range c.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(it.SQL())
+		dst = it.AppendSQL(dst)
 	}
 	if c.From != nil {
-		b.WriteString(" FROM ")
-		b.WriteString(c.From.Base.SQL())
+		dst = append(dst, " FROM "...)
+		dst = c.From.Base.AppendSQL(dst)
 		for _, j := range c.From.Joins {
-			b.WriteByte(' ')
-			b.WriteString(string(j.Type))
-			b.WriteByte(' ')
-			b.WriteString(j.Table.SQL())
+			dst = append(dst, ' ')
+			dst = append(dst, j.Type...)
+			dst = append(dst, ' ')
+			dst = j.Table.AppendSQL(dst)
 			if j.On != nil {
-				b.WriteString(" ON ")
-				b.WriteString(ExprSQL(j.On))
+				dst = append(dst, " ON "...)
+				dst = AppendExpr(dst, j.On)
 			}
 		}
 	}
 	if c.Where != nil {
-		b.WriteString(" WHERE ")
-		b.WriteString(ExprSQL(c.Where))
+		dst = append(dst, " WHERE "...)
+		dst = AppendExpr(dst, c.Where)
 	}
 	if len(c.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
+		dst = append(dst, " GROUP BY "...)
 		for i, g := range c.GroupBy {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			b.WriteString(ExprSQL(g))
+			dst = AppendExpr(dst, g)
 		}
 	}
 	if c.Having != nil {
-		b.WriteString(" HAVING ")
-		b.WriteString(ExprSQL(c.Having))
+		dst = append(dst, " HAVING "...)
+		dst = AppendExpr(dst, c.Having)
 	}
 	if len(c.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
+		dst = append(dst, " ORDER BY "...)
 		for i, o := range c.OrderBy {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			b.WriteString(ExprSQL(o.Expr))
+			dst = AppendExpr(dst, o.Expr)
 			if o.Desc {
-				b.WriteString(" DESC")
+				dst = append(dst, " DESC"...)
 			}
 		}
 	}
 	if c.Limit != nil {
-		b.WriteString(" LIMIT ")
-		b.WriteString(strconv.FormatInt(*c.Limit, 10))
+		dst = append(dst, " LIMIT "...)
+		dst = strconv.AppendInt(dst, *c.Limit, 10)
 	}
 	if c.Offset != nil {
-		b.WriteString(" OFFSET ")
-		b.WriteString(strconv.FormatInt(*c.Offset, 10))
+		dst = append(dst, " OFFSET "...)
+		dst = strconv.AppendInt(dst, *c.Offset, 10)
 	}
+	return dst
 }
 
 // SQL renders a projection item.
-func (it SelectItem) SQL() string {
-	var s string
+func (it SelectItem) SQL() string { return string(it.AppendSQL(nil)) }
+
+// AppendSQL appends the projection item's SQL rendering to dst.
+func (it SelectItem) AppendSQL(dst []byte) []byte {
 	switch {
 	case it.Star && it.TableStar != "":
-		s = it.TableStar + ".*"
+		dst = append(dst, it.TableStar...)
+		dst = append(dst, ".*"...)
 	case it.Star:
-		s = "*"
+		dst = append(dst, '*')
 	default:
-		s = ExprSQL(it.Expr)
+		dst = AppendExpr(dst, it.Expr)
 	}
 	if it.Alias != "" {
-		s += " AS " + it.Alias
+		dst = append(dst, " AS "...)
+		dst = append(dst, it.Alias...)
 	}
-	return s
+	return dst
 }
 
 // SQL renders a table reference.
-func (t TableRef) SQL() string {
-	var s string
+func (t TableRef) SQL() string { return string(t.AppendSQL(nil)) }
+
+// AppendSQL appends the table reference's SQL rendering to dst.
+func (t TableRef) AppendSQL(dst []byte) []byte {
 	if t.Sub != nil {
-		s = "(" + t.Sub.SQL() + ")"
+		dst = append(dst, '(')
+		dst = t.Sub.AppendSQL(dst)
+		dst = append(dst, ')')
 	} else {
-		s = t.Name
+		dst = append(dst, t.Name...)
 	}
 	if t.Alias != "" {
-		s += " AS " + t.Alias
+		dst = append(dst, " AS "...)
+		dst = append(dst, t.Alias...)
 	}
-	return s
+	return dst
 }
 
 // precedence for minimal parenthesization; higher binds tighter.
@@ -145,100 +171,136 @@ func precedence(op string) int {
 
 // ExprSQL renders an expression to SQL text.
 func ExprSQL(e Expr) string {
+	if c, ok := e.(*ColumnRef); ok && c.Table == "" {
+		return c.Column
+	}
+	bp := renderBufs.Get().(*[]byte)
+	*bp = AppendExpr((*bp)[:0], e)
+	out := string(*bp)
+	renderBufs.Put(bp)
+	return out
+}
+
+// AppendExpr appends ExprSQL's rendering of e to dst.
+func AppendExpr(dst []byte, e Expr) []byte {
 	if e == nil {
-		return ""
+		return dst
 	}
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.Table != "" {
-			return x.Table + "." + x.Column
+			dst = append(dst, x.Table...)
+			dst = append(dst, '.')
 		}
-		return x.Column
+		return append(dst, x.Column...)
 	case *Literal:
-		return x.Value.SQLLiteral()
+		return x.Value.AppendSQLLiteral(dst)
 	case *Unary:
 		if x.Op == "NOT" {
-			return "NOT " + maybeParen(x.X, 6)
+			dst = append(dst, "NOT "...)
+		} else {
+			dst = append(dst, x.Op...)
 		}
-		return x.Op + maybeParen(x.X, 6)
+		return appendParen(dst, x.X, 6)
 	case *Binary:
 		p := precedence(x.Op)
-		return maybeParen(x.L, p) + " " + x.Op + " " + maybeParenRight(x.R, p)
+		dst = appendParen(dst, x.L, p)
+		dst = append(dst, ' ')
+		dst = append(dst, x.Op...)
+		dst = append(dst, ' ')
+		return appendParenRight(dst, x.R, p)
 	case *FuncCall:
-		var inner string
-		switch {
-		case x.Star:
-			inner = "*"
-		default:
-			parts := make([]string, len(x.Args))
-			for i, a := range x.Args {
-				parts[i] = ExprSQL(a)
-			}
-			inner = strings.Join(parts, ", ")
-		}
+		dst = append(dst, x.Name...)
+		dst = append(dst, '(')
 		if x.Distinct {
-			inner = "DISTINCT " + inner
+			dst = append(dst, "DISTINCT "...)
 		}
-		return x.Name + "(" + inner + ")"
-	case *InExpr:
-		var rhs string
-		if x.Sub != nil {
-			rhs = "(" + x.Sub.SQL() + ")"
+		if x.Star {
+			dst = append(dst, '*')
 		} else {
-			parts := make([]string, len(x.List))
-			for i, a := range x.List {
-				parts[i] = ExprSQL(a)
+			for i, a := range x.Args {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				dst = AppendExpr(dst, a)
 			}
-			rhs = "(" + strings.Join(parts, ", ") + ")"
 		}
-		op := " IN "
+		return append(dst, ')')
+	case *InExpr:
+		dst = appendParen(dst, x.X, 3)
 		if x.Not {
-			op = " NOT IN "
+			dst = append(dst, " NOT IN ("...)
+		} else {
+			dst = append(dst, " IN ("...)
 		}
-		return maybeParen(x.X, 3) + op + rhs
+		if x.Sub != nil {
+			dst = x.Sub.AppendSQL(dst)
+		} else {
+			for i, a := range x.List {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				dst = AppendExpr(dst, a)
+			}
+		}
+		return append(dst, ')')
 	case *LikeExpr:
-		op := " LIKE "
+		dst = appendParen(dst, x.X, 3)
 		if x.Not {
-			op = " NOT LIKE "
+			dst = append(dst, " NOT LIKE "...)
+		} else {
+			dst = append(dst, " LIKE "...)
 		}
-		return maybeParen(x.X, 3) + op + ExprSQL(x.Pattern)
+		return AppendExpr(dst, x.Pattern)
 	case *BetweenExpr:
-		op := " BETWEEN "
+		dst = appendParen(dst, x.X, 3)
 		if x.Not {
-			op = " NOT BETWEEN "
+			dst = append(dst, " NOT BETWEEN "...)
+		} else {
+			dst = append(dst, " BETWEEN "...)
 		}
-		return maybeParen(x.X, 3) + op + ExprSQL(x.Lo) + " AND " + ExprSQL(x.Hi)
+		dst = AppendExpr(dst, x.Lo)
+		dst = append(dst, " AND "...)
+		return AppendExpr(dst, x.Hi)
 	case *IsNullExpr:
-		op := " IS NULL"
+		dst = appendParen(dst, x.X, 3)
 		if x.Not {
-			op = " IS NOT NULL"
+			return append(dst, " IS NOT NULL"...)
 		}
-		return maybeParen(x.X, 3) + op
+		return append(dst, " IS NULL"...)
 	case *ExistsExpr:
-		prefix := "EXISTS "
 		if x.Not {
-			prefix = "NOT EXISTS "
+			dst = append(dst, "NOT "...)
 		}
-		return prefix + "(" + x.Sub.SQL() + ")"
+		dst = append(dst, "EXISTS ("...)
+		dst = x.Sub.AppendSQL(dst)
+		return append(dst, ')')
 	case *SubqueryExpr:
-		return "(" + x.Sub.SQL() + ")"
+		dst = append(dst, '(')
+		dst = x.Sub.AppendSQL(dst)
+		return append(dst, ')')
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
-func maybeParen(e Expr, parentPrec int) string {
+// appendParen parenthesizes e when it binds looser than its parent.
+func appendParen(dst []byte, e Expr, parentPrec int) []byte {
 	if b, ok := e.(*Binary); ok && precedence(b.Op) < parentPrec {
-		return "(" + ExprSQL(e) + ")"
+		dst = append(dst, '(')
+		dst = AppendExpr(dst, e)
+		return append(dst, ')')
 	}
-	return ExprSQL(e)
+	return AppendExpr(dst, e)
 }
 
-// maybeParenRight parenthesizes right operands at equal precedence too, so
-// non-associative trees such as a - (b - c) survive the round trip.
-func maybeParenRight(e Expr, parentPrec int) string {
+// appendParenRight parenthesizes right operands at equal precedence too,
+// so non-associative trees such as a - (b - c) survive the round trip.
+func appendParenRight(dst []byte, e Expr, parentPrec int) []byte {
 	if b, ok := e.(*Binary); ok && precedence(b.Op) <= parentPrec && parentPrec >= 3 {
-		return "(" + ExprSQL(e) + ")"
+		dst = append(dst, '(')
+		dst = AppendExpr(dst, e)
+		return append(dst, ')')
 	}
-	return maybeParen(e, parentPrec)
+	return appendParen(dst, e, parentPrec)
 }

@@ -135,6 +135,22 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends String's rendering of v to dst.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindText:
+		return append(dst, v.s...)
+	default:
+		return append(dst, '?')
+	}
+}
+
 // SQLLiteral renders v as a SQL literal (text quoted and escaped).
 func (v Value) SQLLiteral() string {
 	if v.kind == KindText {
