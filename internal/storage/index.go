@@ -119,9 +119,19 @@ func (db *Database) Index(table string, col int) *ColumnIndex {
 	built := buildColumnIndex(rel, col)
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.indexLocked(name, rel, col, built)
+}
+
+// indexLocked returns the published up-to-date hash index for the column,
+// else publishes built, building it first when nil. Must be called with
+// db.mu held.
+func (db *Database) indexLocked(name string, rel *sqltypes.Relation, col int, built *ColumnIndex) *ColumnIndex {
 	if ix := db.indexes[name][col]; ix != nil && ix.rows == len(rel.Rows) {
 		// Another goroutine published an up-to-date index first; share it.
 		return ix
+	}
+	if built == nil {
+		built = buildColumnIndex(rel, col)
 	}
 	if db.indexes == nil {
 		db.indexes = make(map[string]map[int]*ColumnIndex)

@@ -174,8 +174,18 @@ func (db *Database) Sorted(table string, col int) *SortedIndex {
 	built := buildSortedIndex(rel, col)
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.sortedLocked(name, rel, col, built)
+}
+
+// sortedLocked returns the published up-to-date sorted index for the
+// column, else publishes built, building it first when nil. Must be
+// called with db.mu held.
+func (db *Database) sortedLocked(name string, rel *sqltypes.Relation, col int, built *SortedIndex) *SortedIndex {
 	if ix := db.sorted[name][col]; ix != nil && ix.rows == len(rel.Rows) {
 		return ix
+	}
+	if built == nil {
+		built = buildSortedIndex(rel, col)
 	}
 	if db.sorted == nil {
 		db.sorted = make(map[string]map[int]*SortedIndex)

@@ -9,7 +9,10 @@
 // now, and the indexes are exact.
 package storage
 
-import "cyclesql/internal/stats"
+import (
+	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/stats"
+)
 
 // ColStats returns planner statistics for one column of a table, building
 // the column's hash and sorted indexes on first use (the same lazy
@@ -18,7 +21,22 @@ import "cyclesql/internal/stats"
 // ok=false only for unknown tables or out-of-range columns; an empty
 // table or an all-NULL column yields ok=true with zero counts, which the
 // estimators read as "equality selects nothing", not "unknown".
+//
+// A live database's rows and indexes change under Insert, which holds the
+// write lock, so ColStats reads them, and builds missing indexes, under
+// that lock; snapshot views are immutable and take the lazy lock-free
+// probes.
 func (db *Database) ColStats(table string, col int) (stats.Column, bool) {
+	if !db.frozen {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		name := lowerName(table)
+		rel := db.tables[name]
+		if rel == nil || col < 0 || col >= len(rel.Columns) {
+			return stats.Column{}, false
+		}
+		return columnStats(rel, db.indexLocked(name, rel, col, nil), db.sortedLocked(name, rel, col, nil)), true
+	}
 	rel := db.Table(table)
 	if rel == nil || col < 0 || col >= len(rel.Columns) {
 		return stats.Column{}, false
@@ -28,6 +46,11 @@ func (db *Database) ColStats(table string, col int) (stats.Column, bool) {
 	if ix == nil || sx == nil {
 		return stats.Column{}, false
 	}
+	return columnStats(rel, ix, sx), true
+}
+
+// columnStats derives one column's statistics from its indexes.
+func columnStats(rel *sqltypes.Relation, ix *ColumnIndex, sx *SortedIndex) stats.Column {
 	c := stats.Column{
 		Rows:     len(rel.Rows),
 		NonNull:  ix.NonNull(),
@@ -38,5 +61,5 @@ func (db *Database) ColStats(table string, col int) (stats.Column, bool) {
 		c.HasBounds = true
 		c.Min, c.Max = minV, maxV
 	}
-	return c, true
+	return c
 }
