@@ -92,7 +92,7 @@ func (e *Explainer) ExplainContext(ctx context.Context, stmt *sqlast.SelectStmt,
 // operation connective; steps records each step's span in buf. The rest
 // is per-part working storage reused across parts and calls.
 type composer struct {
-	e       *Explainer
+	db      *storage.Database
 	prov    *provenance.Provenance
 	buf     []byte
 	steps   [][2]int
@@ -112,7 +112,7 @@ var composers = sync.Pool{New: func() any { return new(composer) }}
 // concurrent calls on one Explainer never observe each other's tuples.
 func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, error) {
 	c := composers.Get().(*composer)
-	c.e, c.prov = e, prov
+	c.db, c.prov = e.db, prov
 	c.buf, c.steps = c.buf[:0], c.steps[:0]
 	c.summary()
 	summaryEnd := len(c.buf)
@@ -157,7 +157,7 @@ func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, e
 // release drops the composer's references into the explanation's inputs
 // and returns it to the pool.
 func (c *composer) release() {
-	c.e, c.prov = nil, nil
+	c.db, c.prov = nil, nil
 	clear(c.anns)
 	clear(c.tables)
 	clear(c.filters)
@@ -305,7 +305,7 @@ func (c *composer) phraseStep(part provenance.Part) {
 	b := append(c.buf, "For "...)
 	c.tables = appendTableNames(c.tables[:0], part.Core)
 	subject := len(b)
-	b, _ = provgraph.AppendJoin(b, c.e.db.Schema, c.tables)
+	b, _ = provgraph.AppendJoin(b, c.db.Schema, c.tables)
 	if len(b) == subject {
 		b = append(b, "the rows"...)
 	}
@@ -456,7 +456,7 @@ func (c *composer) tablePhrase(dst []byte, lab annotate.Annotation, part provena
 			if arg != "*" && arg != "" && !isIDColumn(arg) {
 				dst = appendBareColumn(dst, arg)
 			} else {
-				dst = appendEntity(dst, c.e.db, part.Core)
+				dst = appendEntity(dst, c.db, part.Core)
 			}
 			dst = pluralize(dst, noun)
 			return append(dst, " in total"...)
@@ -581,7 +581,7 @@ func (c *composer) operationStep(core *sqlast.SelectCore) {
 	c.tables = appendTableNames(c.tables[:0], core)
 	of := len(b)
 	b = append(b, " of "...)
-	if next, _ := provgraph.AppendJoin(b, c.e.db.Schema, c.tables); len(next) > len(b) {
+	if next, _ := provgraph.AppendJoin(b, c.db.Schema, c.tables); len(next) > len(b) {
 		b = next
 	} else {
 		b = b[:of]

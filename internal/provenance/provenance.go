@@ -72,7 +72,7 @@ type Tracker struct {
 	// so concurrent Track calls share them freely.
 	mu       sync.Mutex
 	rewrites map[string]*sqlast.SelectStmt
-	// key is the reused buffer each lookup renders its rewriteKey into.
+	// key is the reused buffer each lookup renders its memo key into.
 	key []byte
 }
 

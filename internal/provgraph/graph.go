@@ -90,9 +90,7 @@ func (g *Graph) TableLabel() string {
 // returns TableNode when no column matches.
 func matchColumn(cols []string, table, column string) int {
 	for i, c := range cols {
-		if table == "" && strings.EqualFold(c, column) ||
-			len(c) == len(table)+1+len(column) && c[len(table)] == '.' &&
-				strings.EqualFold(c[:len(table)], table) && strings.EqualFold(c[len(table)+1:], column) {
+		if spells(c, table, column) {
 			return i
 		}
 	}
@@ -103,6 +101,17 @@ func matchColumn(cols []string, table, column string) int {
 		}
 	}
 	return TableNode
+}
+
+// spells reports whether a provenance column label spells table.column,
+// or column when table is empty, ignoring case.
+func spells(label, table, column string) bool {
+	if table == "" {
+		return strings.EqualFold(label, column)
+	}
+	n := len(table)
+	return len(label) == n+1+len(column) && label[n] == '.' &&
+		strings.EqualFold(label[:n], table) && strings.EqualFold(label[n+1:], column)
 }
 
 // ValueOf returns the representative value of column node col, if the

@@ -11,6 +11,8 @@
 // (Insert, MustInsert, Mutate) still require exclusion from readers of
 // the live database and from each other: they mutate relation contents
 // in place, and a query racing a row append would read a torn table.
+// ColStats is the one reader that may overlap them: on a live database
+// it reads under the write lock (stats.go).
 // Both parallelism levels above this package — concurrent candidate
 // verification inside one core.Pipeline.Translate and the cross-example
 // batch sweep in internal/experiments — lean on the reader half of this
