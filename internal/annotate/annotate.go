@@ -85,7 +85,12 @@ func Append(dst []Annotation, core *sqlast.SelectCore) []Annotation {
 			}
 		case *sqlast.Binary:
 			// Arithmetic over aggregates (max(a) - min(a)).
-			dst = appendAggregates(dst, x)
+			sqlast.WalkExpr(x, func(e sqlast.Expr) bool {
+				if f, ok := e.(*sqlast.FuncCall); ok && f.IsAggregate() {
+					dst = append(dst, aggregateAnnotation(f, "SELECT"))
+				}
+				return true
+			})
 		}
 	}
 	// WHERE clause, conjunct by conjunct.
@@ -117,40 +122,6 @@ func Append(dst []Annotation, core *sqlast.SelectCore) []Annotation {
 			a.Limit = strconv.FormatInt(*core.Limit, 10)
 		}
 		dst = append(dst, a)
-	}
-	return dst
-}
-
-// appendAggregates appends an annotation for every aggregate call in e,
-// in walk order.
-func appendAggregates(dst []Annotation, e sqlast.Expr) []Annotation {
-	switch x := e.(type) {
-	case *sqlast.FuncCall:
-		if x.IsAggregate() {
-			dst = append(dst, aggregateAnnotation(x, "SELECT"))
-		}
-		for _, a := range x.Args {
-			dst = appendAggregates(dst, a)
-		}
-	case *sqlast.Unary:
-		dst = appendAggregates(dst, x.X)
-	case *sqlast.Binary:
-		dst = appendAggregates(dst, x.L)
-		dst = appendAggregates(dst, x.R)
-	case *sqlast.InExpr:
-		dst = appendAggregates(dst, x.X)
-		for _, a := range x.List {
-			dst = appendAggregates(dst, a)
-		}
-	case *sqlast.LikeExpr:
-		dst = appendAggregates(dst, x.X)
-		dst = appendAggregates(dst, x.Pattern)
-	case *sqlast.BetweenExpr:
-		dst = appendAggregates(dst, x.X)
-		dst = appendAggregates(dst, x.Lo)
-		dst = appendAggregates(dst, x.Hi)
-	case *sqlast.IsNullExpr:
-		dst = appendAggregates(dst, x.X)
 	}
 	return dst
 }

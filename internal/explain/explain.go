@@ -30,6 +30,7 @@ import (
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 	"cyclesql/internal/storage"
+	"cyclesql/internal/textproc"
 )
 
 // Polisher refines the mechanical explanation for readability.
@@ -133,14 +134,11 @@ func (e *Explainer) FromProvenance(prov *provenance.Provenance) (*Explanation, e
 		}
 	}
 
-	// COMPOSE-PHRASE normalizes whitespace. When that leaves the raw text
-	// as it is, the summary and the steps share the text's storage.
-	out := &Explanation{Prov: prov, Text: normalizeSpace(c.buf, &c.tmp)}
-	raw := out.Text
-	if raw != string(c.buf) {
-		raw = string(c.buf)
-	}
-	out.Summary = raw[:summaryEnd]
+	// COMPOSE-PHRASE normalizes whitespace, which mostly leaves the raw
+	// text as it is; the summary and the steps share the raw text's
+	// storage either way.
+	raw := string(c.buf)
+	out := &Explanation{Prov: prov, Text: textproc.JoinFields(raw), Summary: raw[:summaryEnd]}
 	if len(c.steps) > 0 {
 		out.Steps = make([]string, len(c.steps))
 		for i, sp := range c.steps {
@@ -371,7 +369,7 @@ func (c *composer) groundedColumnPhrase(dst []byte, col int, lab annotate.Annota
 		switch {
 		case lab.Subquery:
 			dst = appendThe(dst, colName, " is ")
-		case hasVal && string(c.render(val)) != want:
+		case hasVal && string(c.renderTmp(val)) != want:
 			// Data value differs from the filter constant (inequalities):
 			// surface both, as in the paper's Estonia example.
 			dst = appendThe(dst, colName, " is ")
@@ -602,8 +600,8 @@ func (c *composer) operationStep(core *sqlast.SelectCore) {
 	c.buf = append(b, ", and no such rows exist."...)
 }
 
-// render renders v into c.tmp for comparison.
-func (c *composer) render(v sqltypes.Value) []byte {
+// renderTmp renders v into c.tmp, for comparison.
+func (c *composer) renderTmp(v sqltypes.Value) []byte {
 	c.tmp = v.AppendString(c.tmp[:0])
 	return c.tmp
 }

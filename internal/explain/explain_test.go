@@ -277,18 +277,3 @@ func TestExplainerConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// normalizeSpace must agree with strings.Fields on every input, ASCII or
-// not, normalized already or not.
-func TestNormalizeSpace(t *testing.T) {
-	var scratch []byte
-	for _, in := range []string{
-		"", " ", "a", "a b", " a b", "a b ", "a  b", "a\tb", "a\n\nb ", " a b",
-		"a b", "Côte d'Ivoire is here", "Côte  d'Ivoire", "x y", "\xffa b", "\xff a\x85b",
-	} {
-		want := strings.Join(strings.Fields(in), " ")
-		if got := normalizeSpace([]byte(in), &scratch); got != want {
-			t.Errorf("normalizeSpace(%q) = %q want %q", in, got, want)
-		}
-	}
-}

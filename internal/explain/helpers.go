@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
@@ -186,47 +184,4 @@ func appendRepresentativeRow(dst []byte, part provenance.Part) []byte {
 		dst = row[i].AppendString(dst)
 	}
 	return dst
-}
-
-// normalizeSpace returns strings.Join(strings.Fields(string(raw)), " ").
-// Text that is already normalized, the common case, is checked in one
-// pass and copied once; ASCII text that is not is collapsed in *scratch,
-// and any other text takes strings.Fields itself, whose Unicode notion of
-// space it must keep.
-func normalizeSpace(raw []byte, scratch *[]byte) string {
-	clean, space, ascii := true, true, true
-	for i := 0; i < len(raw); {
-		r, n := rune(raw[i]), 1
-		if r >= utf8.RuneSelf {
-			r, n = utf8.DecodeRune(raw[i:])
-			ascii = false
-		}
-		i += n
-		if !unicode.IsSpace(r) {
-			space = false
-			continue
-		}
-		clean = clean && !space && r == ' '
-		space = true
-	}
-	switch {
-	case clean && (!space || len(raw) == 0):
-		return string(raw)
-	case !ascii:
-		return strings.Join(strings.Fields(string(raw)), " ")
-	}
-	out, pending := (*scratch)[:0], false
-	for _, c := range raw {
-		if unicode.IsSpace(rune(c)) {
-			pending = len(out) > 0
-			continue
-		}
-		if pending {
-			out = append(out, ' ')
-			pending = false
-		}
-		out = append(out, c)
-	}
-	*scratch = out
-	return string(out)
 }

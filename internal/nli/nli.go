@@ -20,7 +20,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"unicode"
 	"unicode/utf8"
 
 	"cyclesql/internal/nn"
@@ -567,23 +566,6 @@ func UnmarshalTrained(data []byte) (*Trained, error) {
 	return &Trained{Feat: DefaultFeaturizer, Model: m, Threshold: 0.5}, nil
 }
 
-// SQLOneLine flattens SQL text for premise rendering: whitespace runs
-// collapse to one space and the ends are trimmed, as strings.Fields splits
-// them. Rendered SQL is one line already, so it comes back as it is.
-func SQLOneLine(sql string) string {
-	space := true
-	for _, r := range sql {
-		if !unicode.IsSpace(r) {
-			space = false
-			continue
-		}
-		if space || r != ' ' {
-			return strings.Join(strings.Fields(sql), " ")
-		}
-		space = true
-	}
-	if space && sql != "" {
-		return strings.Join(strings.Fields(sql), " ")
-	}
-	return sql
-}
+// SQLOneLine flattens SQL text for premise rendering. Rendered SQL is
+// one line already, so it comes back as it is.
+func SQLOneLine(sql string) string { return textproc.JoinFields(sql) }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"cyclesql/internal/nn"
 )
@@ -232,24 +230,4 @@ func TestScoreConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// SQLOneLine collapses whitespace exactly as strings.Fields splits it, and
-// hands one-line SQL back as it is.
-func TestSQLOneLine(t *testing.T) {
-	cases := []string{
-		"SELECT a FROM t", "", " ", "SELECT  a\tFROM\nt ", " SELECT a", "SELECT a ",
-		"SELECT name FROM t WHERE name = 'Côte'", "SELECT a FROM t", "SELECT a",
-		"SELECT 'x\r\ny'", "SELECT 'a\u00a0b'",
-	}
-	for _, sql := range cases {
-		want := strings.Join(strings.Fields(sql), " ")
-		got := SQLOneLine(sql)
-		if got != want {
-			t.Errorf("SQLOneLine(%q) = %q want %q", sql, got, want)
-		}
-		if got == sql && sql != "" && unsafe.StringData(got) != unsafe.StringData(sql) {
-			t.Errorf("SQLOneLine(%q) copied a one-line input", sql)
-		}
-	}
 }

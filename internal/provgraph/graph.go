@@ -20,7 +20,6 @@ import (
 	"cyclesql/internal/annotate"
 	"cyclesql/internal/provenance"
 	"cyclesql/internal/schema"
-	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 )
 
@@ -28,15 +27,14 @@ import (
 const TableNode = -1
 
 // Graph is the provenance graph of one provenance part, stored flat. Its
-// nodes are the joint table node, named after the referenced tables
-// (TableLabel), column node i for provenance column Columns[i] (a
+// nodes are the (joint) table node, column node i for provenance column
+// Columns[i] (a
 // "hasAttribute" edge from the table), and value node i for Values[i], the
 // column's value in the first representative provenance row (a
 // "hasValue" edge from column i). Labels are the part's annotations as
 // semantics labels; Anchor[i] is the column node Labels[i] attaches to, or
 // TableNode. The zero Graph is ready for Build, which reuses its storage.
 type Graph struct {
-	Core    *sqlast.SelectCore
 	Columns []string
 	Values  sqltypes.Row // nil when the provenance table has no rows
 	Labels  []annotate.Annotation
@@ -48,7 +46,7 @@ type Graph struct {
 // annotations, and those whose column the provenance lacks, label the
 // table node (the paper's asterisk rule).
 func (g *Graph) Build(part provenance.Part, anns []annotate.Annotation) {
-	g.Core, g.Columns, g.Values, g.Labels = part.Core, nil, nil, anns
+	g.Columns, g.Values, g.Labels = nil, nil, anns
 	g.Anchor = g.Anchor[:0]
 	if part.Table != nil {
 		g.Columns = part.Table.Columns
@@ -66,21 +64,6 @@ func (g *Graph) Build(part provenance.Part, anns []annotate.Annotation) {
 		}
 		g.Anchor = append(g.Anchor, col)
 	}
-}
-
-// TableLabel names the joint table node: the referenced base tables
-// joined by "-".
-func (g *Graph) TableLabel() string {
-	var b []byte
-	for _, t := range g.Core.Tables() {
-		if t.Name != "" {
-			if len(b) > 0 {
-				b = append(b, '-')
-			}
-			b = append(b, t.Name...)
-		}
-	}
-	return string(b)
 }
 
 // matchColumn resolves an annotation anchor (table "T2", column "name",
@@ -249,10 +232,7 @@ func references(tables []string, table string) bool {
 // (schema table indices).
 func isJunction(s *schema.Schema, mid, a, b int) bool {
 	toA, toB := false, false
-	for _, fk := range s.ForeignKeys {
-		if !strings.EqualFold(fk.Table, s.Tables[mid].Name) {
-			continue
-		}
+	for _, fk := range s.ForeignKeysFrom(s.Tables[mid].Name) {
 		if strings.EqualFold(fk.RefTable, s.Tables[a].Name) {
 			toA = true
 		}

@@ -33,9 +33,6 @@ func buildFor(t *testing.T, sql string) *Graph {
 
 func TestBuildGraphShape(t *testing.T) {
 	g := buildFor(t, "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'")
-	if got := g.TableLabel(); got != "flight-aircraft" {
-		t.Fatalf("joint table label: %q", got)
-	}
 	if len(g.Columns) == 0 {
 		t.Fatal("no column nodes")
 	}

@@ -13,6 +13,27 @@ import (
 	"unsafe"
 )
 
+// JoinFields returns strings.Join(strings.Fields(s), " "): whitespace runs
+// collapse to one space and the ends are trimmed. Text that is already so
+// comes back as it is, without a copy.
+func JoinFields(s string) string {
+	space := true
+	for _, r := range s {
+		if !unicode.IsSpace(r) {
+			space = false
+			continue
+		}
+		if space || r != ' ' {
+			return strings.Join(strings.Fields(s), " ")
+		}
+		space = true
+	}
+	if space && s != "" {
+		return strings.Join(strings.Fields(s), " ")
+	}
+	return s
+}
+
 // Tokenize lower-cases and splits text into word and number tokens,
 // treating punctuation as boundaries but keeping decimal numbers intact.
 func Tokenize(text string) []string {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unsafe"
 )
 
 func TestTokenize(t *testing.T) {
@@ -270,6 +271,25 @@ func TestStemInScratchMatchesStem(t *testing.T) {
 	for _, tok := range []string{"cities", "flights", "ranked", "running", "classes", "bus", "miss", "ies", "flies", ""} {
 		if got, want := s.Stem(tok), Stem(tok); got != want {
 			t.Errorf("Scratch.Stem(%q) = %q want %q", tok, got, want)
+		}
+	}
+}
+
+// JoinFields collapses whitespace exactly as strings.Fields splits it, and
+// hands text that needs no change back as it is.
+func TestJoinFields(t *testing.T) {
+	for _, in := range []string{
+		"", " ", "a", "a b", " a b", "a b ", "a  b", "a\tb", "a\n\nb ",
+		"SELECT name FROM t WHERE name = 'Côte'", "Côte  d'Ivoire", "SELECT 'a\u00a0b'",
+		"\xffa b", "\xff a\u0085b", "SELECT 'x\r\ny'",
+	} {
+		want := strings.Join(strings.Fields(in), " ")
+		got := JoinFields(in)
+		if got != want {
+			t.Errorf("JoinFields(%q) = %q want %q", in, got, want)
+		}
+		if got == in && in != "" && unsafe.StringData(got) != unsafe.StringData(in) {
+			t.Errorf("JoinFields(%q) copied text that needed no change", in)
 		}
 	}
 }
