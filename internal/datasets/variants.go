@@ -2,7 +2,9 @@ package datasets
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -50,15 +52,8 @@ func makeSyn(ex Example) (Example, bool) {
 	if len(syn) == 0 {
 		return ex, false
 	}
-	q := ex.Question
-	changed := false
-	for from, to := range syn {
-		if replaced := replaceWord(q, from, to); replaced != q {
-			q = replaced
-			changed = true
-		}
-	}
-	if !changed {
+	q := replaceWords(ex.Question, syn)
+	if q == ex.Question {
 		return ex, false
 	}
 	out := ex
@@ -66,6 +61,17 @@ func makeSyn(ex Example) (Example, bool) {
 	out.Question = q
 	out.SynPerturbed = true
 	return out, true
+}
+
+// replaceWords applies every whole-word replacement of syn to s, in
+// sorted key order: a replacement can create or consume a word another
+// one matches, so a fixed order keeps the result the same in every
+// process.
+func replaceWords(s string, syn map[string]string) string {
+	for _, from := range slices.Sorted(maps.Keys(syn)) {
+		s = replaceWord(s, from, syn[from])
+	}
+	return s
 }
 
 // makeRealistic produces the Spider-Realistic perturbation: explicit
@@ -151,8 +157,10 @@ func buildDK() *Benchmark {
 	for _, v := range devVocabs {
 		db := base.DB(v.Domain)
 		i := 0
-		for adj, cond := range v.DK {
-			col, op, val := parseDKCond(cond)
+		// Sorted keys fix the example numbering and the RNG draws, so IDs
+		// and questions are the same in every process.
+		for _, adj := range slices.Sorted(maps.Keys(v.DK)) {
+			col, op, val := parseDKCond(v.DK[adj])
 			patterns := []struct{ q, sql string }{
 				{fmt.Sprintf("How many %s %ss are there?", adj, subjectFor(v, col)),
 					fmt.Sprintf("SELECT count(*) FROM %s WHERE %s %s %s", tableFor(v, col), col, op, val)},

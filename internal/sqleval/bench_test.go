@@ -332,6 +332,51 @@ func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 	t.Logf("NOT IN subquery allocs/op: 100 outer rows=%.0f 1000 outer rows=%.0f", small, large)
 }
 
+// TestStreamedCoreAllocGate pins the push path's scaling: a core's last
+// join hands each joined row straight to WHERE and then to projection or
+// its group, so no joined row is copied, and 10x the joined rows with the
+// same output must cost under 2x the allocations (copying every joined
+// row costs about 10x). One case is a LEFT JOIN whose WHERE on the right
+// side cannot be pushed below the join, the other a grouped join with a
+// DISTINCT aggregate. Counted on one P (AllocsPerRun) with the collector
+// off, so the counts are deterministic.
+func TestStreamedCoreAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct{ name, sql string }{
+		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7"},
+		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name"},
+	} {
+		stmt, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure := func(flights int) (float64, *sqltypes.Relation) {
+			ex := New(benchDB(t, 50, flights))
+			rel, err := ex.ExecContext(context.Background(), stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(20, func() {
+				if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+					t.Fatal(err)
+				}
+			}), rel
+		}
+		small, want := measure(400)
+		large, got := measure(4000)
+		if got.String() != want.String() {
+			t.Fatalf("%s: output differs between 400 and 4000 joined rows:\n%s\nvs\n%s", tc.name, want, got)
+		}
+		if large >= 2*small {
+			t.Errorf("%s: allocates %.0f/op at 4000 joined rows vs %.0f/op at 400 — want under 2x", tc.name, large, small)
+		}
+		t.Logf("%s allocs/op: 400 joined rows=%.0f 4000 joined rows=%.0f", tc.name, small, large)
+	}
+}
+
 // BenchmarkExecWhere measures a filtered single-table scan.
 func BenchmarkExecWhere(b *testing.B) {
 	benchExec(b, "SELECT name FROM aircraft WHERE distance > 3000", 400, 0)

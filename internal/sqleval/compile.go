@@ -65,8 +65,8 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 
 // rowCtx is the runtime environment a compiled expression evaluates in:
 // the current flat frame row, the enclosing query's context for correlated
-// references, and — during grouped projection — the rows of the current
-// group for aggregate closures. The embedded execution carries what
+// references, and — during grouped projection — the current group's
+// aggregate accumulators. The embedded execution carries what
 // subquery closures need to recurse: the nesting depth, the caller's
 // context.Context and the per-execution subquery memo; keeping it here
 // (instead of on the executor) is what lets one executor run concurrent
@@ -74,13 +74,16 @@ func (s *scope) resolve(table, column string) (depth, idx int, ok bool) {
 type rowCtx struct {
 	row    sqltypes.Row
 	parent *rowCtx
-	grp    *groupRows
+	grp    *groupView
 	execution
 }
 
-// groupRows carries one group's member rows into aggregate closures.
-type groupRows struct {
-	rows []sqltypes.Row
+// groupView is what a grouped core's aggregate closures read for the group
+// being projected: its row count (COUNT(*)) and one accumulator per
+// aggregate call of the core, indexed by the call's slot.
+type groupView struct {
+	n    int64
+	aggs []aggState
 }
 
 // compiledExpr evaluates one expression against a row context.
@@ -127,10 +130,15 @@ type compiledCore struct {
 	groupBy     []compiledExpr
 	having      compiledExpr
 	orderKeys   []orderKey
+	// aggs are the core's aggregate calls (in projection items, HAVING and
+	// ORDER BY), each folded per group as frame rows arrive; the slot of a
+	// call is its index here. grouped marks cores projected per group
+	// (GROUP BY, an aggregate item, or HAVING).
+	aggs    []aggSpec
+	grouped bool
 	// stream, when non-nil, lowers ORDER BY (and LIMIT/OFFSET) into a walk
 	// of the base table's sorted index instead of materialize-and-sort.
 	stream *streamPlan
-	hasAgg bool
 	width  int
 	// id is the core's output plan node, filterID the post-join filter
 	// stage's (-1 when the core has no post-join filters); est is the
@@ -280,7 +288,10 @@ type orderKey struct {
 // nodes hands out plan-node ids, unique across the whole statement; reach
 // is the outermost scope level a column resolution reached (see
 // compileSubquery), subs the subquery expressions compiled so far and
-// slots the memo slots handed to the uncorrelated ones.
+// slots the memo slots handed to the uncorrelated ones. aggs, when
+// non-nil, collects the aggregate calls compiled in a grouped position of
+// the core being lowered (see compileAggregate); it is nil everywhere an
+// aggregate may not be evaluated.
 type compiler struct {
 	ex    *Executor
 	depth int
@@ -288,6 +299,7 @@ type compiler struct {
 	reach int
 	subs  []subquery
 	slots int
+	aggs  *[]aggSpec
 }
 
 func (c *compiler) nextNode() int {
@@ -359,7 +371,20 @@ func (c *compiler) compileCore(core *sqlast.SelectCore, parent *scope) (*compile
 }
 
 func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledCore, error) {
-	cc := &compiledCore{core: core, est: -1, filterID: -1}
+	cc := &compiledCore{core: core, est: -1, filterID: -1,
+		grouped: len(core.GroupBy) > 0 || core.HasAggregate()}
+	// Aggregates register with this core only where it evaluates them per
+	// group: projection items, HAVING and ORDER BY of a grouped core. In
+	// FROM, WHERE and GROUP BY — and in an ungrouped core — an aggregate
+	// compiles to the "outside grouped context" error.
+	outerAggs := c.aggs
+	c.aggs = nil
+	defer func() { c.aggs = outerAggs }()
+	collectAggs := func() {
+		if cc.grouped {
+			c.aggs = &cc.aggs
+		}
+	}
 	sc := &scope{parent: parent, reach: &c.reach}
 	if parent != nil {
 		sc.level = parent.level + 1
@@ -438,12 +463,14 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		cc.filters = append(cc.filters, fn)
 	}
 
+	collectAggs()
 	items, starts, err := c.compileItems(core, sc)
 	if err != nil {
 		return nil, err
 	}
 	cc.items = items
 
+	c.aggs = nil
 	for _, g := range core.GroupBy {
 		fn, err := c.compileExpr(g, sc)
 		if err != nil {
@@ -451,12 +478,12 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		}
 		cc.groupBy = append(cc.groupBy, fn)
 	}
+	collectAggs()
 	if core.Having != nil {
 		if cc.having, err = c.compileExpr(core.Having, sc); err != nil {
 			return nil, err
 		}
 	}
-	cc.hasAgg = core.HasAggregate()
 
 	for _, o := range core.OrderBy {
 		idx, kexpr := orderKeyExpr(o, core.Items, items, starts)
@@ -502,7 +529,7 @@ func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *sc
 	if c.ex.mode != costPlan {
 		return
 	}
-	if core.Distinct || cc.hasAgg || len(cc.groupBy) > 0 || len(cc.scans) != 1 {
+	if core.Distinct || cc.grouped || len(cc.scans) != 1 {
 		return
 	}
 	ts := cc.scans[0]

@@ -21,7 +21,13 @@
 // fallback for non-equi conditions), evaluates the pre-bound closures
 // directly against flat rows — no per-row environment allocation, no name
 // lookups — and uses compact binary row keys (sqltypes.AppendKey) for
-// every dedup, grouping, and join-matching structure. The compile phase
+// every dedup, grouping, and join-matching structure. Every other core
+// runs one push path: the base scan, or the core's last join, hands each
+// frame row as a scratch view to the core's sink (project.go), which
+// applies the post-join WHERE and then projects the row or folds it into
+// its group's aggregate accumulators, so no joined row is copied except
+// each group's first; intermediate joins of a multi-join core still
+// materialize, because the next join reads its input whole. The compile phase
 // also classifies every subquery expression: an uncorrelated one (no
 // column reference reaches an enclosing query) runs at most once per
 // execution, on first use, and later rows read its memoised result — IN
@@ -57,6 +63,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqlnorm"
@@ -121,8 +128,9 @@ const (
 // maxSubqueryDepth bounds nesting; benchmark queries nest at most 3 deep.
 const maxSubqueryDepth = 16
 
-// maxCachedPlans bounds the per-executor plan cache; long-lived executors
-// (the CycleSQL pipeline keeps one per database) reset it on overflow.
+// maxCachedPlans bounds each of the per-executor plan maps; long-lived
+// executors (the CycleSQL pipeline keeps one per database) reset a map on
+// overflow.
 const maxCachedPlans = 512
 
 // cancelCheckInterval is how many rows an inner loop visits between
@@ -230,8 +238,15 @@ func (ex *Executor) storePlan(stmt *sqlast.SelectStmt, key string, p *program) {
 	if ex.plans == nil {
 		ex.plans = make(map[*sqlast.SelectStmt]*program)
 		ex.plansByKey = make(map[string]*program)
-	} else if len(ex.plans) >= maxCachedPlans {
+	}
+	// Each map is bounded on its own: the identity map gains an entry for
+	// every fresh AST, so it overflows long before the canonical map, and
+	// resetting it must not drop the compiled plans the canonical map
+	// still shares.
+	if len(ex.plans) >= maxCachedPlans {
 		clear(ex.plans)
+	}
+	if _, ok := ex.plansByKey[key]; !ok && len(ex.plansByKey) >= maxCachedPlans {
 		clear(ex.plansByKey)
 	}
 	ex.plans[stmt] = p
@@ -328,46 +343,23 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	return out, nil
 }
 
+// runCore executes one SELECT core: a sorted-index walk (runStream) when
+// its ordering was lowered to one, otherwise the push path, where the
+// frame rows flow from the base scan or the last join straight into the
+// core's sink.
 func (ex *Executor) runCore(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
 	if cc.stream != nil {
 		return ex.runStream(e, cc, outer)
 	}
-	rows, owned, err := ex.buildFrom(e, cc, outer)
-	if err != nil {
+	s := &coreSink{cc: cc, rc: rowCtx{parent: outer, execution: e}}
+	if err := ex.pushFrom(e, cc, outer, s); err != nil {
 		return nil, err
 	}
-	if len(cc.filters) > 0 {
-		kept := rows[:0]
-		if !owned {
-			kept = rows[:0:0]
-		}
-		cancel := cancelCheck{ctx: e.qctx}
-		rc := &rowCtx{parent: outer, execution: e}
-		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return nil, err
-			}
-			rc.row = row
-			ok, err := truthyAll(cc.filters, rc)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-		if ex.trace != nil {
-			ex.trace.addRows(cc.filterID, int64(len(rows)))
-		}
-	}
-	var result *sqltypes.Relation
-	if len(cc.groupBy) > 0 || cc.hasAgg {
-		result, err = ex.projectGrouped(e, cc, rows, outer)
-	} else {
-		result, err = ex.projectPlain(e, cc, rows, outer)
-	}
+	result, err := s.finish()
 	if err == nil && ex.trace != nil {
+		if len(cc.filters) > 0 {
+			ex.trace.addRows(cc.filterID, s.kept)
+		}
 		ex.trace.addRows(cc.id, int64(len(result.Rows)))
 	}
 	return result, err
@@ -389,68 +381,133 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 	return true, nil
 }
 
-// buildFrom produces the frame rows: the base scan (filtered by any
-// pushed-down conjuncts) joined with each subsequent table. The returned
-// flag reports whether the slice is owned by the caller (safe to filter in
-// place) or shared with the storage layer.
-func (ex *Executor) buildFrom(e execution, cc *compiledCore, outer *rowCtx) ([]sqltypes.Row, bool, error) {
+// pushFrom produces the frame rows and hands each to the core's sink: the
+// base scan (filtered by any pushed-down conjuncts) joined with each
+// subsequent table. Every join but the last materializes its output, since
+// the next join reads it whole (and picks its build side by its length);
+// the last pushes its scratch row directly.
+func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) error {
 	if len(cc.scans) == 0 {
 		// SELECT without FROM evaluates items once over an empty row.
-		return []sqltypes.Row{{}}, true, nil
+		return s.push(sqltypes.Row{})
 	}
 	rows, owned, err := cc.scans[0].rows(ex, e, outer)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
+	cancel := cancelCheck{ctx: e.qctx}
 	if len(cc.baseFilters) > 0 {
 		kept := rows[:0]
 		if !owned {
 			kept = rows[:0:0]
 		}
-		cancel := cancelCheck{ctx: e.qctx}
-		rc := &rowCtx{parent: outer, execution: e}
+		// The sink's context is idle until the first push, so the base
+		// filters borrow it.
+		rc := &s.rc
 		for _, row := range rows {
 			if err := cancel.poll(); err != nil {
-				return nil, false, err
+				return err
 			}
 			rc.row = row
 			ok, err := truthyAll(cc.baseFilters, rc)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
 			if ok {
 				kept = append(kept, row)
 			}
 		}
-		rows, owned = kept, true
+		rows = kept
+	}
+	if len(cc.joins) == 0 {
+		for _, row := range rows {
+			if err := cancel.poll(); err != nil {
+				return err
+			}
+			if err := s.push(row); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	accW := cc.scans[0].width
+	last := len(cc.joins) - 1
 	for i, jp := range cc.joins {
 		next := cc.scans[i+1]
 		right, _, err := next.rows(ex, e, outer)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		rows, err = ex.execJoin(e, rows, accW, next, right, jp, outer)
-		if err != nil {
-			return nil, false, err
+		if i == last {
+			return ex.execJoin(e, rows, accW, next, right, jp, outer, s)
 		}
+		buf := &rowBuffer{}
+		if err := ex.execJoin(e, rows, accW, next, right, jp, outer, buf); err != nil {
+			return err
+		}
+		rows = buf.rows
 		accW += next.width
-		owned = true
 	}
-	return rows, owned, nil
+	return nil
 }
 
-// execJoin combines the accumulated frame rows with one table. With a
-// single equi key against a whole base table it probes the table's column
-// index — the prebuilt equivalent of the hash table the generic path
-// rebuilds per execution. With equi keys otherwise it runs a streaming
+// rowBuffer materializes an intermediate join's output into rows carved
+// from an arena.
+type rowBuffer struct {
+	rows  []sqltypes.Row
+	arena rowArena
+}
+
+func (b *rowBuffer) push(row sqltypes.Row) error {
+	r := b.arena.alloc(len(row))
+	copy(r, row)
+	b.rows = append(b.rows, r)
+	return nil
+}
+
+// arenaChunkBytes caps an arena chunk below the runtime's large-object
+// threshold, so chunks come from the size-classed allocator.
+const arenaChunkBytes = 16 << 10
+
+// rowArena hands out fixed-length rows carved from shared chunks: a
+// chunk holds twice the rows of the one before, up to arenaChunkBytes,
+// so a short result costs a few allocations and a long one one per
+// chunk, not one per row. Each row is capped at its length, so appending
+// to one copies instead of overwriting its neighbour.
+type rowArena struct {
+	chunk sqltypes.Row
+	rows  int // rows the current chunk was sized for
+}
+
+// reserve sizes the next chunk for rows rows of length n.
+func (a *rowArena) reserve(rows, n int) {
+	a.chunk, a.rows = make(sqltypes.Row, 0, rows*n), rows
+}
+
+func (a *rowArena) alloc(n int) sqltypes.Row {
+	if n == 0 {
+		return sqltypes.Row{}
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.rows = max(1, min(2*a.rows, arenaChunkBytes/(n*int(unsafe.Sizeof(sqltypes.Value{})))))
+		a.chunk = make(sqltypes.Row, 0, a.rows*n)
+	}
+	lo := len(a.chunk)
+	a.chunk = a.chunk[:lo+n]
+	return a.chunk[lo : lo+n : lo+n]
+}
+
+// execJoin combines the accumulated frame rows with one table, pushing
+// each joined row into sink as a scratch view. With a single equi key
+// against a whole base table it probes the table's column index — the
+// prebuilt equivalent of the hash table the generic path rebuilds per
+// execution. With equi keys otherwise it runs a streaming
 // hash join, building the hash table on the smaller side; without keys it
 // falls back to a nested loop. All paths emit rows in identical order
 // (left-major, right rows in scan order) and null-extend unmatched left
 // rows inline for LEFT JOIN, matching rows by index — never by value — so
 // duplicate-valued rows cannot collide.
-func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx) (out []sqltypes.Row, err error) {
+func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx, sink rowSink) (err error) {
 	outW := accW + next.width
 	scratch := make(sqltypes.Row, outW)
 	rc := &rowCtx{parent: outer, row: scratch, execution: e}
@@ -458,21 +515,16 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	// (through tryPair) and every build-side row, so even an n×m nested
 	// loop observes cancellation within cancelCheckInterval pair visits.
 	cancel := cancelCheck{ctx: e.qctx}
-	var pairs int64
+	var pairs, emitted int64
 	if ex.trace != nil {
 		defer func() {
 			if err == nil {
-				ex.trace.addRows(jp.id, int64(len(out)))
+				ex.trace.addRows(jp.id, emitted)
 				ex.trace.addPairs(jp.id, pairs)
 			}
 		}()
 	}
 
-	emit := func() {
-		combined := make(sqltypes.Row, outW)
-		copy(combined, scratch)
-		out = append(out, combined)
-	}
 	// tryPair evaluates the residual over scratch (left part already
 	// filled) and emits on success.
 	tryPair := func(rrow sqltypes.Row) (bool, error) {
@@ -487,36 +539,41 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 				return false, err
 			}
 		}
-		emit()
-		return true, nil
+		emitted++
+		return true, sink.push(scratch)
 	}
-	nullExtend := func() {
+	// nullExtend emits a LEFT JOIN's left row that matched nothing.
+	nullExtend := func(matched bool) error {
+		if !jp.left || matched {
+			return nil
+		}
 		for i := accW; i < outW; i++ {
 			scratch[i] = sqltypes.Null()
 		}
-		emit()
+		emitted++
+		return sink.push(scratch)
 	}
 
 	if len(jp.eqAcc) == 0 {
 		// Nested loop: cross join, or arbitrary non-equi ON condition.
 		for _, lrow := range acc {
 			if err := cancel.poll(); err != nil {
-				return nil, err
+				return err
 			}
 			copy(scratch, lrow)
 			matched := false
 			for _, rrow := range right {
 				ok, err := tryPair(rrow)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				matched = matched || ok
 			}
-			if jp.left && !matched {
-				nullExtend()
+			if err := nullExtend(matched); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	var buf []byte
@@ -537,7 +594,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 		}()
 		for _, lrow := range acc {
 			if err := cancel.poll(); err != nil {
-				return nil, err
+				return err
 			}
 			copy(scratch, lrow)
 			matched := false
@@ -546,23 +603,23 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 				for _, ri := range lookup(key) {
 					hit, err := tryPair(right[ri])
 					if err != nil {
-						return nil, err
+						return err
 					}
 					matched = matched || hit
 				}
 			}
-			if jp.left && !matched {
-				nullExtend()
+			if err := nullExtend(matched); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
 	if len(right) <= len(acc) {
 		// Build on the right side; probe with left rows in order.
 		ht := make(map[string][]int32, len(right))
 		for ri, rrow := range right {
 			if err := cancel.poll(); err != nil {
-				return nil, err
+				return err
 			}
 			key, ok := joinKey(buf[:0], rrow, jp.eqNew)
 			if !ok {
@@ -573,7 +630,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 		}
 		for _, lrow := range acc {
 			if err := cancel.poll(); err != nil {
-				return nil, err
+				return err
 			}
 			copy(scratch, lrow)
 			matched := false
@@ -582,16 +639,16 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 				for _, ri := range ht[string(key)] {
 					hit, err := tryPair(right[ri])
 					if err != nil {
-						return nil, err
+						return err
 					}
 					matched = matched || hit
 				}
 			}
-			if jp.left && !matched {
-				nullExtend()
+			if err := nullExtend(matched); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	// Build on the (smaller) left side; a per-left match list restores the
@@ -599,7 +656,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	ht := make(map[string][]int32, len(acc))
 	for li, lrow := range acc {
 		if err := cancel.poll(); err != nil {
-			return nil, err
+			return err
 		}
 		key, ok := joinKey(buf[:0], lrow, jp.eqAcc)
 		if !ok {
@@ -611,7 +668,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	matches := make([][]int32, len(acc))
 	for ri, rrow := range right {
 		if err := cancel.poll(); err != nil {
-			return nil, err
+			return err
 		}
 		key, ok := joinKey(buf[:0], rrow, jp.eqNew)
 		if !ok {
@@ -624,22 +681,22 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	}
 	for li, lrow := range acc {
 		if err := cancel.poll(); err != nil {
-			return nil, err
+			return err
 		}
 		copy(scratch, lrow)
 		matched := false
 		for _, ri := range matches[li] {
 			hit, err := tryPair(right[ri])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matched = matched || hit
 		}
-		if jp.left && !matched {
-			nullExtend()
+		if err := nullExtend(matched); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // joinKey encodes the equi-key columns of a row into dst. A NULL in any

@@ -116,7 +116,7 @@ func coreNode(cc *compiledCore, tr *execTrace) *plan.Node {
 	switch {
 	case cc.stream != nil:
 		kind = "stream"
-	case len(cc.groupBy) > 0 || cc.hasAgg:
+	case cc.grouped:
 		kind = "aggregate"
 	}
 	out := &plan.Node{Kind: kind, EstRows: cc.est,

@@ -2,6 +2,7 @@ package sqleval
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"cyclesql/internal/sqlparse"
@@ -148,5 +149,36 @@ func TestPlanCacheSharedAcrossIdenticalASTs(t *testing.T) {
 	}
 	if textCase := parse("SELECT flno FROM Flight WHERE origin = 'CHICAGO' AND aid > 2"); textCase == base {
 		t.Fatal("text literal case is semantic and must not share a plan")
+	}
+}
+
+// TestPlanCacheSurvivesIdentityChurn feeds one executor a fresh AST on
+// every execution, cycling over 40 statements for more than three times
+// the identity map's bound. The identity map resets on overflow; the
+// canonical map must not reset with it, so every statement keeps the one
+// program compiled for it first.
+func TestPlanCacheSurvivesIdentityChurn(t *testing.T) {
+	db := flightDB(t)
+	ex := New(db)
+	const statements = 40
+	first := make([]*program, statements)
+	for i := range 3*maxCachedPlans + statements {
+		k := i % statements
+		stmt, err := sqlparse.Parse(fmt.Sprintf("SELECT flno FROM Flight WHERE aid > %d", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+			t.Fatal(err)
+		}
+		p, err := ex.compiled(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first[k] == nil {
+			first[k] = p
+		} else if p != first[k] {
+			t.Fatalf("execution %d: statement %d was recompiled", i, k)
+		}
 	}
 }

@@ -37,6 +37,13 @@ func (ex *Executor) runStream(e execution, cc *compiledCore, outer *rowCtx) (*sq
 	}
 
 	out := sqltypes.NewRelation(cc.labels()...)
+	var arena rowArena
+	if target >= 0 {
+		// LIMIT bounds the output: size it once.
+		k := min(target, len(span))
+		out.Rows = make([]sqltypes.Row, 0, k)
+		arena.reserve(k, len(cc.items))
+	}
 	cancel := cancelCheck{ctx: e.qctx}
 	rc := &rowCtx{parent: outer, execution: e}
 	var visited int64
@@ -58,7 +65,7 @@ func (ex *Executor) runStream(e execution, cc *compiledCore, outer *rowCtx) (*sq
 		if ok, err := truthyAll(cc.filters, rc); err != nil || !ok {
 			return false, err
 		}
-		proj := make(sqltypes.Row, len(cc.items))
+		proj := arena.alloc(len(cc.items))
 		for i, it := range cc.items {
 			v, err := it.fn(rc)
 			if err != nil {
