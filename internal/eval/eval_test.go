@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"hash/fnv"
+	"maps"
+	"slices"
 	"testing"
 
 	"cyclesql/internal/datasets"
@@ -62,15 +65,38 @@ func TestTSCatchesCoincidentalMatches(t *testing.T) {
 	}
 }
 
+// TestBuildSuiteDeterministic rebuilds every Spider and Science
+// database's suite in one process: the perturbations draw from one seeded
+// source, so every build must produce the same rows in every variant.
 func TestBuildSuiteDeterministic(t *testing.T) {
-	db := datasets.FlightDB()
-	a := BuildSuite(db, 7)
-	b := BuildSuite(db, 7)
-	for i := range a.DBs {
-		if a.DBs[i].TotalRows() != b.DBs[i].TotalRows() {
-			t.Fatal("suite construction must be deterministic")
+	for _, b := range []*datasets.Benchmark{datasets.Spider(), datasets.Science()} {
+		for _, name := range slices.Sorted(maps.Keys(b.Databases)) {
+			db := b.Databases[name]
+			want := suiteDigest(BuildSuite(db, 7))
+			for run := 0; run < 3; run++ {
+				if got := suiteDigest(BuildSuite(db, 7)); got != want {
+					t.Fatalf("%s/%s: rebuild %d digest %x, want %x", b.Name, name, run, got, want)
+				}
+			}
 		}
 	}
+}
+
+// suiteDigest hashes every row of every table of every suite database, in
+// suite, schema and scan order.
+func suiteDigest(s *Suite) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	for _, db := range s.DBs {
+		for _, name := range db.Schema.TableNames() {
+			buf = append(buf[:0], name...)
+			for _, row := range db.Table(name).Rows {
+				buf = row.AppendKey(buf)
+			}
+			h.Write(buf)
+		}
+	}
+	return h.Sum64()
 }
 
 func TestBuildSuiteDoesNotMutateOriginal(t *testing.T) {

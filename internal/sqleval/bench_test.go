@@ -138,9 +138,9 @@ const topKSQL = "SELECT flno, origin FROM flight ORDER BY flno DESC LIMIT 3"
 const rangeCountSQL = "SELECT count(*) FROM flight WHERE flno > 1800"
 
 // compositeJoinSQL is a two-key equi-join whose build side is a whole base
-// table: the indexed path probes the table's composite index; the scan
-// path rebuilds a multi-key hash table (one string key per build row) on
-// every execution.
+// table: the indexed path probes the table's two-column hash index; the
+// scan path rebuilds a multi-key hash table (one string key per build
+// row) on every execution.
 const compositeJoinSQL = "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid AND T1.flno = T2.distance"
 
 // BenchmarkIndexRangeTopK measures a range conjunct + ORDER BY LIMIT
@@ -178,7 +178,7 @@ func BenchmarkScanRangeCount(b *testing.B) {
 }
 
 // BenchmarkIndexCompositeJoin measures a multi-key equi-join served by the
-// build table's composite index.
+// build table's two-column hash index.
 func BenchmarkIndexCompositeJoin(b *testing.B) {
 	benchExecPath(b, compositeJoinSQL, 2000, 400, false)
 }

@@ -261,7 +261,7 @@ type joinPlan struct {
 	est      float64 // cost-based estimate of emitted rows; -1 outside cost mode
 	estPairs float64 // cost-based estimate of candidate pairs; -1 outside cost mode
 	// reuse marks joins whose build side is a whole base table, so
-	// execution probes the table's (composite) index instead of hashing a
+	// execution probes the table's key-tuple index instead of hashing a
 	// side per execution; recorded for plan rendering.
 	reuse bool
 }

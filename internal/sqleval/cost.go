@@ -272,17 +272,10 @@ func (c *compiler) prefilterWins(ts *tableScan, jp *joinPlan, frameEst, filtered
 }
 
 // keyDistinct returns the exact number of distinct key tuples on a base
-// table's join-key columns, read off the same (composite) index a reused
-// build side would probe — so the estimate and the execution share one
-// structure.
+// table's join-key columns, read off the same index a reused build side
+// would probe — so the estimate and the execution share one structure.
 func (c *compiler) keyDistinct(table string, cols []int) float64 {
-	if len(cols) == 1 {
-		if ix := c.ex.db.Index(table, cols[0]); ix != nil {
-			return float64(ix.Distinct())
-		}
-		return 0
-	}
-	if ix := c.ex.db.Composite(table, cols); ix != nil {
+	if ix := c.ex.db.Index(table, cols...); ix != nil {
 		return float64(ix.Distinct())
 	}
 	return 0

@@ -14,9 +14,9 @@
 // lowers every expression into a closure. The execute phase reads point
 // lookups and range spans straight off lazily built storage indexes,
 // streams ordered output (stream.go) in index order with early cutoff
-// under LIMIT, streams rows through hash equi-joins (single-column build
-// sides reuse the table's column index and multi-key build sides its
-// composite index instead of rebuilding a hash table per execution;
+// under LIMIT, streams rows through hash equi-joins (build sides reuse the
+// table's hash index over the key-column tuple instead of rebuilding a
+// hash table per execution;
 // otherwise the build side is chosen by cardinality, with a nested-loop
 // fallback for non-equi conditions), evaluates the pre-bound closures
 // directly against flat rows — no per-row environment allocation, no name
@@ -579,19 +579,13 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	var buf []byte
 	if jp.reuse {
 		// The build side is a whole base table: reuse (or lazily build, once
-		// per database) its column index — or, for multi-key joins, its
-		// composite index over the exact key-column sequence — instead of
-		// hashing the table again on every execution. Index buckets hold
-		// row positions in scan order, so output order matches the generic
-		// paths, and buckets and probe keys share the Compare-consistent
-		// AppendCompareKey encoding the generic paths use, so the matched
-		// pairs are bit-identical too.
-		lookup := func() func([]byte) []int32 {
-			if len(jp.eqNew) == 1 {
-				return ex.db.Index(next.table, jp.eqNew[0]).Lookup
-			}
-			return ex.db.Composite(next.table, jp.eqNew).Lookup
-		}()
+		// per database) its hash index over the exact key-column sequence
+		// instead of hashing the table again on every execution. Index
+		// buckets hold row positions in scan order, so output order matches
+		// the generic paths, and buckets and probe keys share the
+		// Compare-consistent AppendCompareKeyCols encoding the generic paths
+		// use, so the matched pairs are bit-identical too.
+		ix := ex.db.Index(next.table, jp.eqNew...)
 		for _, lrow := range acc {
 			if err := cancel.poll(); err != nil {
 				return err
@@ -600,7 +594,7 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 			matched := false
 			if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
 				buf = key
-				for _, ri := range lookup(key) {
+				for _, ri := range ix.Lookup(key) {
 					hit, err := tryPair(right[ri])
 					if err != nil {
 						return err

@@ -93,7 +93,7 @@ func TestRandomizedPredicateParity(t *testing.T) {
 
 // TestRandomizedJoinParity stresses composite-key equi-joins with
 // randomized residual predicates: the multi-key build side served by the
-// composite index must match the per-execution hash table and the nested
+// table's two-column hash index must match the per-execution hash table and the nested
 // loop, row for row, across NULL keys and mixed-kind key columns.
 func TestRandomizedJoinParity(t *testing.T) {
 	db := randomDB(t, rand.New(rand.NewSource(sqlgen.JoinSeed)))

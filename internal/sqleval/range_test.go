@@ -95,8 +95,9 @@ func TestOrderByStreamParity(t *testing.T) {
 }
 
 // TestCompositeJoinParity covers multi-key equi-joins — the shape whose
-// build side is served by a composite index — including LEFT JOIN null
-// extension, WHERE-derived keys, and three-key joins.
+// build side is served by a hash index over the key-column tuple —
+// including LEFT JOIN null extension, WHERE-derived keys, and three-key
+// joins.
 func TestCompositeJoinParity(t *testing.T) {
 	db := flightDB(t)
 	for _, sql := range []string{

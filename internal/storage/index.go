@@ -1,164 +1,271 @@
-// Secondary hash indexes over stored tables. An index maps the binary key
-// encoding of one column's values (sqltypes.Value.AppendCompareKey — under
-// which two values share a bucket exactly when the = operator treats them
-// as equal; its text path reuses AppendKey) to the list of row positions
-// holding that value, in scan order.
+// Secondary indexes over stored tables: one hash-index type over an
+// ordered column tuple (this file) and one sorted-index type over a
+// single column (sorted.go), kept per table in one indexSet.
 //
-// Indexes are built lazily on first use and then kept consistent with the
-// table: Insert appends the new row to every built index of its table,
-// Mutate drops all indexes (the callback rewrites values in place), and
-// Clone starts the copy with no indexes so the clone's perturbed contents
-// can never read the original's buckets. A row-count check on every access
-// catches direct Relation.Append misuse and triggers a rebuild.
+// A hash index maps the binary key encoding of a column tuple's values
+// (sqltypes.Row.AppendCompareKeyCols — under which two tuples share a
+// bucket exactly when the = operator treats every pair of values as
+// equal; over one column it is Value.AppendCompareKey) to the list of row
+// positions holding that tuple, in scan order. The executor reads it both
+// as a point-lookup structure (WHERE col = literal) and as a prebuilt
+// hash-join build side — the exact buckets execJoin otherwise rebuilds per
+// execution, for single- and multi-key equi-joins alike. Indexes are found
+// by their exact column sequence: (a, b) and (b, a) are distinct indexes,
+// because the probe side encodes its key columns in the same order.
+//
+// Every index kind shares one lifecycle. Indexes are built lazily on first
+// use and then kept consistent with the table: Insert appends the new row
+// to every built index of its table, Mutate drops all indexes (the
+// callback rewrites values in place), and Clone starts the copy with no
+// indexes so the clone's perturbed contents can never read the original's
+// buckets. A row-count check on every access catches direct
+// Relation.Append misuse and triggers a rebuild.
 //
 // NULL values are never indexed: the = operator is NULL-rejecting, so a
-// probe must not return NULL rows and a NULL probe key matches nothing.
+// probe must not return NULL rows and a NULL probe key matches nothing. A
+// NULL in any key column leaves the row out of the index.
 //
-// Lazy builds are safe under concurrent readers: Index publishes built
+// Lazy builds are safe under concurrent readers: lazyIndex publishes built
 // indexes under the database's lock with a double-check, so parallel
 // queries racing on a cold index either share one build or briefly build
-// interchangeable copies. Lookup stays lock-free — a published index is
+// interchangeable copies. Probes stay lock-free — a published index is
 // immutable until the next write, and writes require reader exclusion.
 package storage
 
 import (
-	"strings"
+	"slices"
 
 	"cyclesql/internal/sqltypes"
 )
 
-// ColumnIndex is a hash index over one column of a stored table. The
-// executor treats it both as a point-lookup structure (WHERE col = literal)
-// and as a prebuilt hash-join build side (groups row positions by key, the
-// exact shape execJoin otherwise rebuilds per execution).
-type ColumnIndex struct {
-	column  int
-	rows    int // relation rows covered; mismatch triggers a rebuild
-	nonNull int // indexed rows (NULL values are never indexed)
+// HashIndex is a hash index over an ordered tuple of columns of a stored
+// table.
+type HashIndex struct {
+	indexHead
+	nonNull int // indexed rows (a NULL in any key column skips the row)
 	groups  map[string][]int32
 }
 
-// Lookup returns the positions of rows whose column value encodes to key,
+// Lookup returns the positions of rows whose key columns encode to key,
 // in ascending row order. The returned slice is shared; callers must not
 // mutate it. Probing with string(key) keeps the lookup allocation-free.
-func (ix *ColumnIndex) Lookup(key []byte) []int32 { return ix.groups[string(key)] }
+func (ix *HashIndex) Lookup(key []byte) []int32 { return ix.groups[string(key)] }
 
-// Distinct returns the number of distinct non-NULL keys in the index. It
-// returns 0 both for an empty table and for a column whose every value is
-// NULL — an index over either holds no buckets at all. Callers asking
-// "is there an index?" must test the *ColumnIndex for nil instead (Index
-// never returns a non-nil index for an unknown table or column): a
-// non-nil index with Distinct() == 0 is a real, up-to-date index that
-// proves no probe can match. The cost-based planner (internal/stats)
-// relies on exactly that reading — zero distinct keys means equality
-// selects nothing, not "unknown".
-func (ix *ColumnIndex) Distinct() int { return len(ix.groups) }
+// Distinct returns the number of distinct fully-non-NULL key tuples. It
+// returns 0 both for an empty table and when every row holds a NULL in at
+// least one key column — an index over either holds no buckets at all.
+// Callers asking "is there an index?" must test the *HashIndex for nil
+// instead (Index never returns a non-nil index for an unknown table or
+// column): a non-nil index with Distinct() == 0 is a real, up-to-date
+// index that proves no probe can match. The cost-based planner
+// (internal/stats) relies on exactly that reading — zero distinct keys
+// means equality selects nothing, not "unknown".
+func (ix *HashIndex) Distinct() int { return len(ix.groups) }
 
-// NonNull returns how many rows the index covers with a non-NULL value —
-// the sum of all bucket sizes. Together with Distinct it yields the
-// average bucket size NonNull/Distinct, the planner's equality
-// selectivity estimate.
-func (ix *ColumnIndex) NonNull() int { return ix.nonNull }
+// NonNull returns how many rows the index covers — rows whose every key
+// column is non-NULL (the sum of all bucket sizes). Together with
+// Distinct it yields the average bucket size NonNull/Distinct, the
+// planner's equality selectivity estimate.
+func (ix *HashIndex) NonNull() int { return ix.nonNull }
 
-func buildColumnIndex(rel *sqltypes.Relation, col int) *ColumnIndex {
-	ix := &ColumnIndex{
-		column: col,
-		rows:   len(rel.Rows),
-		groups: make(map[string][]int32, len(rel.Rows)),
+func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
+	ix := &HashIndex{
+		indexHead: indexHead{cols: slices.Clone(cols), rows: len(rel.Rows)},
+		groups:    make(map[string][]int32, len(rel.Rows)),
 	}
 	var buf []byte
 	for ri, row := range rel.Rows {
-		if col >= len(row) {
-			continue
-		}
-		key, ok := row[col].AppendCompareKey(buf[:0])
-		if !ok {
-			continue
-		}
+		key, ok := hashKey(buf[:0], row, ix.cols)
 		buf = key
-		ix.groups[string(key)] = append(ix.groups[string(key)], int32(ri))
-		ix.nonNull++
+		if ok {
+			ix.groups[string(key)] = append(ix.groups[string(key)], int32(ri))
+			ix.nonNull++
+		}
 	}
 	return ix
 }
 
-// add appends one freshly inserted row to the index.
-func (ix *ColumnIndex) add(row sqltypes.Row, pos int) {
+func (ix *HashIndex) add(row sqltypes.Row, pos int) {
 	ix.rows++
-	if ix.column >= len(row) {
-		return
+	if key, ok := hashKey(nil, row, ix.cols); ok {
+		ix.groups[string(key)] = append(ix.groups[string(key)], int32(pos))
+		ix.nonNull++
 	}
-	key, ok := row[ix.column].AppendCompareKey(nil)
-	if !ok {
-		return
-	}
-	ix.groups[string(key)] = append(ix.groups[string(key)], int32(pos))
-	ix.nonNull++
 }
 
-// Index returns the hash index for one column of a table, building it on
-// first use. It returns nil for unknown tables or out-of-range columns.
-// The index stays valid until the next Mutate; Insert maintains it in
-// place. Index is safe to call from concurrent readers: the lazy build is
-// double-checked under the database lock, so racing probes either share
-// the published index or build interchangeable copies of which one wins.
-func (db *Database) Index(table string, col int) *ColumnIndex {
-	rel := db.Table(table)
-	if rel == nil || col < 0 || col >= len(rel.Columns) {
+// hashKey encodes the key columns of a row, reporting ok=false for NULL
+// key values or rows too short to hold every column (direct Relation
+// misuse).
+func hashKey(dst []byte, row sqltypes.Row, cols []int) ([]byte, bool) {
+	for _, c := range cols {
+		if c >= len(row) {
+			return dst, false
+		}
+	}
+	return row.AppendCompareKeyCols(dst, cols)
+}
+
+// indexHead is what the lazy-publish path reads of every index kind.
+type indexHead struct {
+	cols []int // the ordered column tuple the index is over
+	rows int   // relation rows covered; a mismatch triggers a rebuild
+}
+
+func (h *indexHead) head() *indexHead { return h }
+
+// index is one built index of either kind.
+type index interface {
+	head() *indexHead
+	// add appends one freshly inserted row at position pos.
+	add(row sqltypes.Row, pos int)
+}
+
+// indexSet holds one table's built indexes: hash indexes found by their
+// column tuple, sorted indexes by their one-column tuple. A Snapshot
+// copies the set, so each slice has exactly one owner.
+type indexSet struct {
+	hash, sorted []index
+}
+
+// kind returns the slice holding the sorted or the hash indexes.
+func (s *indexSet) kind(sorted bool) *[]index {
+	if sorted {
+		return &s.sorted
+	}
+	return &s.hash
+}
+
+// find returns the index of the kind over exactly cols if it covers rows,
+// else nil. A nil set finds nothing.
+func (s *indexSet) find(sorted bool, cols []int, rows int) index {
+	if s == nil {
 		return nil
 	}
-	name := strings.ToLower(table)
-	db.mu.RLock()
-	ix := db.indexes[name][col]
-	db.mu.RUnlock()
-	if ix != nil && ix.rows == len(rel.Rows) {
-		return ix
+	for _, ix := range *s.kind(sorted) {
+		if h := ix.head(); h.rows == rows && slices.Equal(h.cols, cols) {
+			return ix
+		}
 	}
-	// Build outside the write lock — construction only reads the relation,
-	// which is stable while readers are active — then publish under it.
-	built := buildColumnIndex(rel, col)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexLocked(name, rel, col, built)
+	return nil
 }
 
-// indexLocked returns the published up-to-date hash index for the column,
-// else publishes built, building it first when nil. Must be called with
-// db.mu held.
-func (db *Database) indexLocked(name string, rel *sqltypes.Relation, col int, built *ColumnIndex) *ColumnIndex {
-	if ix := db.indexes[name][col]; ix != nil && ix.rows == len(rel.Rows) {
-		// Another goroutine published an up-to-date index first; share it.
+// put publishes ix, replacing a stale index over the same columns.
+func (s *indexSet) put(sorted bool, ix index) {
+	list := s.kind(sorted)
+	for i, old := range *list {
+		if slices.Equal(old.head().cols, ix.head().cols) {
+			(*list)[i] = ix
+			return
+		}
+	}
+	*list = append(*list, ix)
+}
+
+// add maintains every index in the set for one inserted row.
+func (s *indexSet) add(row sqltypes.Row, pos int) {
+	if s == nil {
+		return
+	}
+	for _, ix := range s.hash {
+		ix.add(row, pos)
+	}
+	for _, ix := range s.sorted {
+		ix.add(row, pos)
+	}
+}
+
+// clone copies the set's slices; the index objects are shared.
+func (s *indexSet) clone() *indexSet {
+	return &indexSet{hash: slices.Clone(s.hash), sorted: slices.Clone(s.sorted)}
+}
+
+// lazyIndex returns the published index of the kind over cols for the
+// named table, building and publishing one when none covers rel's current
+// rows. The caller has checked cols against rel. Unless locked says the
+// caller holds db.mu for writing, the build runs outside the lock — it
+// only reads the relation, which is stable while readers are active — and
+// publishes under it with a double check, so racing readers share the
+// published index or build interchangeable copies of which one wins.
+func (db *Database) lazyIndex(name string, rel *sqltypes.Relation, sorted bool, cols []int, locked bool) index {
+	var built index
+	if !locked {
+		db.mu.RLock()
+		ix := db.indexes[name].find(sorted, cols, len(rel.Rows))
+		db.mu.RUnlock()
+		if ix != nil {
+			return ix
+		}
+		built = buildIndex(rel, sorted, cols)
+		db.mu.Lock()
+		defer db.mu.Unlock()
+	}
+	set := db.indexes[name]
+	if ix := set.find(sorted, cols, len(rel.Rows)); ix != nil {
 		return ix
 	}
 	if built == nil {
-		built = buildColumnIndex(rel, col)
+		built = buildIndex(rel, sorted, cols)
 	}
-	if db.indexes == nil {
-		db.indexes = make(map[string]map[int]*ColumnIndex)
+	if set == nil {
+		if db.indexes == nil {
+			db.indexes = make(map[string]*indexSet)
+		}
+		set = &indexSet{}
+		db.indexes[name] = set
 	}
-	byCol := db.indexes[name]
-	if byCol == nil {
-		byCol = make(map[int]*ColumnIndex)
-		db.indexes[name] = byCol
-	}
-	byCol[col] = built
+	set.put(sorted, built)
 	return built
 }
 
-// HasIndex reports whether a built index currently exists for the column.
-// It never builds one; tests use it to observe invalidation.
-func (db *Database) HasIndex(table string, col int) bool {
+func buildIndex(rel *sqltypes.Relation, sorted bool, cols []int) index {
+	if sorted {
+		return buildSortedIndex(rel, cols[0])
+	}
+	return buildHashIndex(rel, cols)
+}
+
+// validCols reports whether rel exists and cols is a non-empty tuple of
+// its columns.
+func validCols(rel *sqltypes.Relation, cols []int) bool {
+	if rel == nil || len(cols) == 0 {
+		return false
+	}
+	for _, c := range cols {
+		if c < 0 || c >= len(rel.Columns) {
+			return false
+		}
+	}
+	return true
+}
+
+// Index returns the hash index over an ordered column tuple of a table,
+// building it on first use; a single column is a 1-tuple. It returns nil
+// for unknown tables, out-of-range columns or an empty tuple. The index
+// stays valid until the next Mutate; Insert maintains it in place. Index
+// is safe to call from concurrent readers (see lazyIndex).
+func (db *Database) Index(table string, cols ...int) *HashIndex {
+	rel := db.Table(table)
+	if !validCols(rel, cols) {
+		return nil
+	}
+	return db.lazyIndex(lowerName(table), rel, false, cols, false).(*HashIndex)
+}
+
+// HasIndex reports whether a built, up-to-date hash index exists for the
+// exact column sequence. It never builds one; tests use it to observe
+// invalidation.
+func (db *Database) HasIndex(table string, cols ...int) bool {
+	return db.hasIndex(table, false, cols)
+}
+
+// hasIndex reports whether an up-to-date index of the kind over cols is
+// published.
+func (db *Database) hasIndex(table string, sorted bool, cols []int) bool {
 	rel := db.Table(table)
 	if rel == nil {
 		return false
 	}
 	db.mu.RLock()
-	ix := db.indexes[strings.ToLower(table)][col]
-	db.mu.RUnlock()
-	return ix != nil && ix.rows == len(rel.Rows)
+	defer db.mu.RUnlock()
+	return db.indexes[lowerName(table)].find(sorted, cols, len(rel.Rows)) != nil
 }
-
-// Index maintenance on Insert and wholesale invalidation on Mutate live
-// inline in those writers (storage.go): both must happen in the same
-// critical section as the copy-on-write table swap so a Snapshot taken at
-// any instant sees a consistent store.

@@ -98,14 +98,18 @@ func (db *Database) Snapshot() *Snapshot {
 		frozen: true,
 		epoch:  db.epoch,
 		tables: make(map[string]*sqltypes.Relation, len(db.tables)),
-		// The built index objects are immutable until the next write to
-		// their table — and a write to a shared table drops the live
-		// store's references instead of mutating them — so the view shares
-		// them outright. Only the maps are copied: the view's own lazy
-		// builds publish into them under the view's lock.
-		indexes:   copyIndexMap(db.indexes),
-		sorted:    copyIndexMap(db.sorted),
-		composite: copyIndexMap(db.composite),
+	}
+	// The built index objects are immutable until the next write to their
+	// table — and a write to a shared table drops the live store's
+	// references instead of mutating them — so the view shares them
+	// outright. Each table's set is copied: the view's own lazy builds
+	// publish into its copy under the view's lock, and the live store's
+	// into the original, so neither sees the other's new indexes.
+	if db.indexes != nil {
+		view.indexes = make(map[string]*indexSet, len(db.indexes))
+		for name, set := range db.indexes {
+			view.indexes[name] = set.clone()
+		}
 	}
 	if db.shared == nil {
 		db.shared = make(map[string]bool, len(db.tables))
@@ -115,25 +119,6 @@ func (db *Database) Snapshot() *Snapshot {
 		db.shared[name] = true
 	}
 	return &Snapshot{db: view, epoch: db.epoch}
-}
-
-// copyIndexMap copies the two map levels of an index store; the index
-// objects themselves are shared (immutable until their table is written,
-// at which point the live store drops its references rather than mutate
-// them).
-func copyIndexMap[K comparable, V any](m map[string]map[K]V) map[string]map[K]V {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]map[K]V, len(m))
-	for name, byKey := range m {
-		cp := make(map[K]V, len(byKey))
-		for k, v := range byKey {
-			cp[k] = v
-		}
-		out[name] = cp
-	}
-	return out
 }
 
 // writeTableLocked returns the relation for table name ready to be
@@ -160,7 +145,5 @@ func (db *Database) writeTableLocked(name string, deepRows bool) *sqltypes.Relat
 	db.tables[name] = cp
 	delete(db.shared, name)
 	delete(db.indexes, name)
-	delete(db.sorted, name)
-	delete(db.composite, name)
 	return cp
 }

@@ -91,6 +91,33 @@ func TestSnapshotSharesBuiltIndexes(t *testing.T) {
 	}
 }
 
+// TestSnapshotLazyIndexesStayApart pins the copied per-table index set:
+// after the pin, the view and the live store each lazily build an index
+// the other never built, and neither may appear in the other's set. The
+// live set holds three indexes first, so its slice has spare capacity a
+// shared backing array would let both sides append into.
+func TestSnapshotLazyIndexesStayApart(t *testing.T) {
+	db := testDB()
+	seedPets(db, 8)
+	for col := 0; col < 3; col++ {
+		db.Index("Pet", col)
+	}
+	view := db.Snapshot().DB()
+	view.Index("Pet", 0, 1)
+	db.Index("Pet", 1, 2)
+	if !view.HasIndex("Pet", 0, 1) || view.HasIndex("Pet", 1, 2) {
+		t.Fatal("the view's set must hold its own build and not the live store's")
+	}
+	if !db.HasIndex("Pet", 1, 2) || db.HasIndex("Pet", 0, 1) {
+		t.Fatal("the live set must hold its own build and not the view's")
+	}
+	for col := 0; col < 3; col++ {
+		if !view.HasIndex("Pet", col) || !db.HasIndex("Pet", col) {
+			t.Fatalf("pre-pin index on column %d lost", col)
+		}
+	}
+}
+
 func TestSnapshotEpochAdvances(t *testing.T) {
 	db := testDB()
 	seedPets(db, 2)

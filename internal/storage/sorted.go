@@ -12,13 +12,9 @@
 // computed with the same Compare over the non-NULL suffix of the index
 // returns exactly the rows the scan-and-filter path would keep.
 //
-// Like the hash indexes (index.go), sorted indexes are built lazily on
-// first use, maintained on Insert (binary-search insertion keeps the
-// position list ordered), dropped wholesale on Mutate, never shared with
-// clones, and rebuilt when a row-count check detects direct Relation
-// appends. Lazy builds are double-checked under the database lock; a
-// published index is immutable until the next write, so probes and
-// iteration run lock-free.
+// Sorted indexes share the hash indexes' lifecycle and lazy-publish path
+// (index.go); on Insert, binary-search insertion keeps the position list
+// ordered.
 package storage
 
 import (
@@ -29,8 +25,8 @@ import (
 
 // SortedIndex is an ordered index over one column of a stored table.
 type SortedIndex struct {
+	indexHead
 	column int
-	rows   int // relation rows covered; mismatch triggers a rebuild
 	rel    *sqltypes.Relation
 	// pos holds every row position, ordered by (Compare(value), position).
 	// NULL values (and rows too short to hold the column) occupy the first
@@ -111,10 +107,10 @@ func (ix *SortedIndex) Range(lo, hi *sqltypes.Value, loIncl, hiIncl bool) []int3
 
 func buildSortedIndex(rel *sqltypes.Relation, col int) *SortedIndex {
 	ix := &SortedIndex{
-		column: col,
-		rows:   len(rel.Rows),
-		rel:    rel,
-		pos:    make([]int32, len(rel.Rows)),
+		indexHead: indexHead{cols: []int{col}, rows: len(rel.Rows)},
+		column:    col,
+		rel:       rel,
+		pos:       make([]int32, len(rel.Rows)),
 	}
 	for i := range ix.pos {
 		ix.pos[i] = int32(i)
@@ -156,58 +152,18 @@ func (ix *SortedIndex) add(row sqltypes.Row, pos int) {
 
 // Sorted returns the ordered index for one column of a table, building it
 // on first use. It returns nil for unknown tables or out-of-range columns.
-// Like Index, the lazy build is double-checked under the database lock, so
-// concurrent readers either share the published index or build
-// interchangeable copies of which one wins.
+// Like Index, it is safe to call from concurrent readers (see lazyIndex).
 func (db *Database) Sorted(table string, col int) *SortedIndex {
 	rel := db.Table(table)
-	if rel == nil || col < 0 || col >= len(rel.Columns) {
+	cols := []int{col}
+	if !validCols(rel, cols) {
 		return nil
 	}
-	name := lowerName(table)
-	db.mu.RLock()
-	ix := db.sorted[name][col]
-	db.mu.RUnlock()
-	if ix != nil && ix.rows == len(rel.Rows) {
-		return ix
-	}
-	built := buildSortedIndex(rel, col)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.sortedLocked(name, rel, col, built)
-}
-
-// sortedLocked returns the published up-to-date sorted index for the
-// column, else publishes built, building it first when nil. Must be
-// called with db.mu held.
-func (db *Database) sortedLocked(name string, rel *sqltypes.Relation, col int, built *SortedIndex) *SortedIndex {
-	if ix := db.sorted[name][col]; ix != nil && ix.rows == len(rel.Rows) {
-		return ix
-	}
-	if built == nil {
-		built = buildSortedIndex(rel, col)
-	}
-	if db.sorted == nil {
-		db.sorted = make(map[string]map[int]*SortedIndex)
-	}
-	byCol := db.sorted[name]
-	if byCol == nil {
-		byCol = make(map[int]*SortedIndex)
-		db.sorted[name] = byCol
-	}
-	byCol[col] = built
-	return built
+	return db.lazyIndex(lowerName(table), rel, true, cols, false).(*SortedIndex)
 }
 
 // HasSorted reports whether a built, up-to-date sorted index exists for
 // the column. It never builds one; tests use it to observe invalidation.
 func (db *Database) HasSorted(table string, col int) bool {
-	rel := db.Table(table)
-	if rel == nil {
-		return false
-	}
-	db.mu.RLock()
-	ix := db.sorted[lowerName(table)][col]
-	db.mu.RUnlock()
-	return ix != nil && ix.rows == len(rel.Rows)
+	return db.hasIndex(table, true, []int{col})
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"sync"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -172,140 +171,5 @@ func TestSortedIndexRebuiltOnDirectAppend(t *testing.T) {
 	got := positions(db.Sorted("Item", 2))
 	if len(got) != 6 || got[5] != 5 {
 		t.Fatalf("positions after direct append = %v", got)
-	}
-}
-
-func compositeLookup(db *Database, table string, cols []int, vals ...sqltypes.Value) []int32 {
-	key, ok := sqltypes.Row(vals).AppendCompareKeyCols(nil, []int{0, 1}[:len(vals)])
-	if !ok {
-		return nil
-	}
-	return db.Composite(table, cols).Lookup(key)
-}
-
-func compositeDB(t testing.TB) *Database {
-	t.Helper()
-	s := &schema.Schema{
-		Name: "compidx",
-		Tables: []*schema.Table{
-			{Name: "Pair", Columns: []schema.Column{
-				{Name: "a", Type: sqltypes.KindInt},
-				{Name: "b", Type: sqltypes.KindText},
-				{Name: "c", Type: sqltypes.KindInt},
-			}},
-		},
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	db := NewDatabase(s)
-	db.MustInsert("Pair", sqltypes.NewInt(1), sqltypes.NewText("x"), sqltypes.NewInt(10))
-	db.MustInsert("Pair", sqltypes.NewInt(1), sqltypes.NewText("y"), sqltypes.NewInt(11))
-	db.MustInsert("Pair", sqltypes.NewInt(1), sqltypes.NewText("x"), sqltypes.NewInt(12))
-	db.MustInsert("Pair", sqltypes.Null(), sqltypes.NewText("x"), sqltypes.NewInt(13))
-	db.MustInsert("Pair", sqltypes.NewInt(2), sqltypes.Null(), sqltypes.NewInt(14))
-	return db
-}
-
-func TestCompositeIndexLookup(t *testing.T) {
-	db := compositeDB(t)
-	// (1, 'x') appears at rows 0 and 2, in scan order.
-	if got := compositeLookup(db, "Pair", []int{0, 1}, sqltypes.NewInt(1), sqltypes.NewText("x")); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("(1,x) rows: %v", got)
-	}
-	// A NULL in either key column leaves the row unindexed.
-	if db.Composite("Pair", []int{0, 1}).Distinct() != 2 {
-		t.Fatalf("distinct tuples: %d", db.Composite("Pair", []int{0, 1}).Distinct())
-	}
-	// Single columns and bad columns are not composite indexes.
-	if db.Composite("Pair", []int{0}) != nil {
-		t.Fatal("single-column tuple must not build a composite index")
-	}
-	if db.Composite("Pair", []int{0, 9}) != nil || db.Composite("Ghost", []int{0, 1}) != nil {
-		t.Fatal("out-of-range columns / unknown tables must have no index")
-	}
-	// Column order is part of the identity.
-	ab, ba := db.Composite("Pair", []int{0, 1}), db.Composite("Pair", []int{1, 0})
-	if ab == ba {
-		t.Fatal("(a,b) and (b,a) must be distinct indexes")
-	}
-}
-
-func TestCompositeIndexMaintainedOnInsert(t *testing.T) {
-	db := compositeDB(t)
-	if got := compositeLookup(db, "Pair", []int{0, 1}, sqltypes.NewInt(1), sqltypes.NewText("x")); len(got) != 2 {
-		t.Fatalf("(1,x) rows: %v", got)
-	}
-	db.MustInsert("Pair", sqltypes.NewInt(1), sqltypes.NewText("x"), sqltypes.NewInt(15))
-	if !db.HasComposite("Pair", []int{0, 1}) {
-		t.Fatal("insert must maintain the built composite index")
-	}
-	if got := compositeLookup(db, "Pair", []int{0, 1}, sqltypes.NewInt(1), sqltypes.NewText("x")); len(got) != 3 || got[2] != 5 {
-		t.Fatalf("(1,x) rows after insert: %v", got)
-	}
-	// A NULL-keyed insert maintains the index without indexing the row.
-	db.MustInsert("Pair", sqltypes.Null(), sqltypes.NewText("x"), sqltypes.NewInt(16))
-	if !db.HasComposite("Pair", []int{0, 1}) {
-		t.Fatal("NULL-keyed insert must still keep the index up to date")
-	}
-}
-
-func TestCompositeIndexInvalidatedOnMutateAndClone(t *testing.T) {
-	db := compositeDB(t)
-	if db.Composite("Pair", []int{0, 1}) == nil {
-		t.Fatal("no composite index")
-	}
-	cp := db.Clone()
-	if cp.HasComposite("Pair", []int{0, 1}) {
-		t.Fatal("clone must start with no composite indexes")
-	}
-	db.Mutate(func(table string, row sqltypes.Row) {
-		if row[0].Int() == 1 {
-			row[0] = sqltypes.NewInt(7)
-		}
-	})
-	if db.HasComposite("Pair", []int{0, 1}) {
-		t.Fatal("mutate must drop built composite indexes")
-	}
-	if got := compositeLookup(db, "Pair", []int{0, 1}, sqltypes.NewInt(7), sqltypes.NewText("x")); len(got) != 2 {
-		t.Fatalf("(7,x) rows after mutate: %v", got)
-	}
-	// The clone still sees the pre-mutation values.
-	if got := compositeLookup(cp, "Pair", []int{0, 1}, sqltypes.NewInt(1), sqltypes.NewText("x")); len(got) != 2 {
-		t.Fatalf("clone (1,x) rows: %v", got)
-	}
-}
-
-// TestSortedCompositeConcurrentLazyBuild races readers on cold sorted and
-// composite indexes, mirroring TestIndexConcurrentLazyBuild for the new
-// kinds. Run under -race this is the regression gate for their guarded
-// double-checked builds.
-func TestSortedCompositeConcurrentLazyBuild(t *testing.T) {
-	db := compositeDB(t)
-	key, ok := sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewText("x")}.AppendCompareKeyCols(nil, []int{0, 1})
-	if !ok {
-		t.Fatal("unexpected null key")
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if got := len(db.Sorted("Pair", 2).Positions()); got != 5 {
-					t.Errorf("sorted positions = %d, want 5", got)
-				}
-				if got := len(db.Composite("Pair", []int{0, 1}).Lookup(key)); got != 2 {
-					t.Errorf("(1,x) rows = %d, want 2", got)
-				}
-				if got := db.Sorted("pair", 0).NullCount(); got != 1 {
-					t.Errorf("null count = %d, want 1", got)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if !db.HasSorted("Pair", 2) || !db.HasComposite("Pair", []int{0, 1}) {
-		t.Fatal("indexes must remain published after concurrent builds")
 	}
 }

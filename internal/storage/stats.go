@@ -24,33 +24,27 @@ import (
 //
 // A live database's rows and indexes change under Insert, which holds the
 // write lock, so ColStats reads them, and builds missing indexes, under
-// that lock; snapshot views are immutable and take the lazy lock-free
-// probes.
+// that lock; snapshot views are immutable and take lazyIndex's
+// double-checked path.
 func (db *Database) ColStats(table string, col int) (stats.Column, bool) {
-	if !db.frozen {
+	live := !db.frozen
+	if live {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		name := lowerName(table)
-		rel := db.tables[name]
-		if rel == nil || col < 0 || col >= len(rel.Columns) {
-			return stats.Column{}, false
-		}
-		return columnStats(rel, db.indexLocked(name, rel, col, nil), db.sortedLocked(name, rel, col, nil)), true
 	}
-	rel := db.Table(table)
-	if rel == nil || col < 0 || col >= len(rel.Columns) {
+	name := lowerName(table)
+	rel := db.tables[name]
+	cols := []int{col}
+	if !validCols(rel, cols) {
 		return stats.Column{}, false
 	}
-	ix := db.Index(table, col)
-	sx := db.Sorted(table, col)
-	if ix == nil || sx == nil {
-		return stats.Column{}, false
-	}
+	ix := db.lazyIndex(name, rel, false, cols, live).(*HashIndex)
+	sx := db.lazyIndex(name, rel, true, cols, live).(*SortedIndex)
 	return columnStats(rel, ix, sx), true
 }
 
 // columnStats derives one column's statistics from its indexes.
-func columnStats(rel *sqltypes.Relation, ix *ColumnIndex, sx *SortedIndex) stats.Column {
+func columnStats(rel *sqltypes.Relation, ix *HashIndex, sx *SortedIndex) stats.Column {
 	c := stats.Column{
 		Rows:     len(rel.Rows),
 		NonNull:  ix.NonNull(),

@@ -100,10 +100,10 @@ func TestColStatsBoundaries(t *testing.T) {
 		t.Fatalf("all-NULL EqRows = %v, want 0", got)
 	}
 
-	// Composite over a tuple containing the all-NULL column: same story.
-	cx := db.Composite("Item", []int{1, 2})
+	// A tuple containing the all-NULL column: same story.
+	cx := db.Index("Item", 1, 2)
 	if cx == nil || cx.Distinct() != 0 || cx.NonNull() != 0 {
-		t.Fatal("composite with an all-NULL key column must index zero rows")
+		t.Fatal("a tuple with an all-NULL key column must index zero rows")
 	}
 }
 

@@ -37,22 +37,20 @@ import (
 
 // Database is an in-memory database instance: a schema plus table contents,
 // plus lazily built secondary indexes over table columns — hash indexes
-// for point probes (index.go), sorted indexes for range probes and ordered
-// streaming (sorted.go), and composite hash indexes for multi-key
-// equi-joins (composite.go).
+// over column tuples for point probes and equi-join build sides
+// (index.go), and sorted indexes for range probes and ordered streaming
+// (sorted.go).
 type Database struct {
 	Schema *schema.Schema
 	tables map[string]*sqltypes.Relation
-	// mu guards the index maps: concurrent queries trigger lazy index
+	// mu guards the index sets: concurrent queries trigger lazy index
 	// builds, and publishing a built index must be ordered before other
 	// goroutines probe it. Built indexes of every kind are immutable
 	// between writes, so probes run outside the lock.
 	mu sync.RWMutex
-	// indexes, sorted and composite hold the built indexes per lower-cased
-	// table name. nil until the first probe; dropped wholesale on Mutate.
-	indexes   map[string]map[int]*ColumnIndex
-	sorted    map[string]map[int]*SortedIndex
-	composite map[string]map[string]*CompositeIndex
+	// indexes holds the built indexes per lower-cased table name. nil
+	// until the first probe; dropped wholesale on Mutate.
+	indexes map[string]*indexSet
 	// epoch advances on every Snapshot and every write; snapshot holders
 	// compare it against their pinned epoch to detect staleness. Guarded
 	// by mu.
@@ -123,16 +121,7 @@ func (db *Database) Insert(table string, row sqltypes.Row) error {
 	}
 	rel.Append(coerced)
 	db.epoch++
-	pos := len(rel.Rows) - 1
-	for _, ix := range db.indexes[name] {
-		ix.add(coerced, pos)
-	}
-	for _, ix := range db.sorted[name] {
-		ix.add(coerced, pos)
-	}
-	for _, ix := range db.composite[name] {
-		ix.add(coerced, pos)
-	}
+	db.indexes[name].add(coerced, len(rel.Rows)-1)
 	return nil
 }
 
@@ -197,22 +186,26 @@ func (db *Database) Clone() *Database {
 	return out
 }
 
-// Mutate applies fn to every stored row of every table. The test-suite
-// distillation uses it to perturb copies of the database. It drops every
-// built index first — fn rewrites values in place, so any probe served
-// from a pre-mutation bucket would read stale rows. Tables pinned by a
-// snapshot are deep-copied before fn touches them (fn rewrites row
-// contents, so even row-header sharing would tear the pinned view).
-// Mutating a snapshot view panics: views are immutable by contract.
+// Mutate applies fn to every stored row of every table, visiting tables
+// in schema order and rows in scan order, so a callback that draws from
+// a seeded random source perturbs the same cells on every run. The
+// test-suite distillation uses it to perturb copies of the database. It
+// drops every built index first — fn rewrites values in place, so any
+// probe served from a pre-mutation bucket would read stale rows. Tables
+// pinned by a snapshot are deep-copied before fn touches them (fn
+// rewrites row contents, so even row-header sharing would tear the pinned
+// view). Mutating a snapshot view panics: views are immutable by
+// contract.
 func (db *Database) Mutate(fn func(table string, row sqltypes.Row)) {
 	if db.frozen {
 		panic("storage: cannot mutate a snapshot view")
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.indexes, db.sorted, db.composite = nil, nil, nil
+	db.indexes = nil
 	db.epoch++
-	for name := range db.tables {
+	for _, t := range db.Schema.Tables {
+		name := lowerName(t.Name)
 		rel := db.writeTableLocked(name, true)
 		for _, row := range rel.Rows {
 			fn(name, row)
