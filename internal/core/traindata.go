@@ -112,12 +112,9 @@ func BuildTrainingPairs(ctx context.Context, bench *datasets.Benchmark, cfg Trai
 				if negs >= 6 {
 					break
 				}
-				if eval.EXContext(ctx, db, cand.Stmt, ex.Gold) {
-					continue // correct translations are not contradictions
-				}
 				rel, err := executor.ExecContext(ctx, cand.Stmt)
-				if err != nil {
-					continue
+				if err != nil || sqltypes.BagEqual(rel, goldRel) {
+					continue // correct translations are not contradictions
 				}
 				premise, err := fb.Premise(ctx, db, cand.Stmt, rel)
 				if err != nil {

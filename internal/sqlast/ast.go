@@ -1,5 +1,7 @@
 // Package sqlast defines the abstract syntax tree for the Spider SQL
-// dialect, together with SQL rendering, deep cloning, and tree walking.
+// dialect, together with deep cloning, tree walking and the dialect's one
+// SQL renderer: the verbatim form, and the canonical form plan-cache keys
+// are built from.
 // Every downstream system manipulates this AST: the executor evaluates it,
 // the provenance tracker rewrites it (paper §IV-A), the annotator chunks it
 // into clause units (§IV-B), the corruption engine mutates it, and the EM

@@ -384,8 +384,8 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 // pushFrom produces the frame rows and hands each to the core's sink: the
 // base scan (filtered by any pushed-down conjuncts) joined with each
 // subsequent table. Every join but the last materializes its output, since
-// the next join reads it whole (and picks its build side by its length);
-// the last pushes its scratch row directly.
+// the next join takes it as one slice of left rows; the last pushes its
+// scratch row directly.
 func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) error {
 	if len(cc.scans) == 0 {
 		// SELECT without FROM evaluates items once over an empty row.
@@ -498,12 +498,16 @@ func (a *rowArena) alloc(n int) sqltypes.Row {
 }
 
 // execJoin combines the accumulated frame rows with one table, pushing
-// each joined row into sink as a scratch view. With a single equi key
-// against a whole base table it probes the table's column index — the
-// prebuilt equivalent of the hash table the generic path rebuilds per
-// execution. With equi keys otherwise it runs a streaming
-// hash join, building the hash table on the smaller side; without keys it
-// falls back to a nested loop. All paths emit rows in identical order
+// each joined row into sink as a scratch view. With equi keys against a
+// whole base table it probes the table's hash index over the key-column
+// tuple — the prebuilt equivalent of the hash table the generic path
+// rebuilds per execution. With equi keys otherwise it runs a hash join
+// that builds on the right side and probes with each left row in order;
+// without keys it falls back to a nested loop. A NULL in any key column
+// never equi-matches: AppendCompareKeyCols reports it, and its
+// Compare-consistent encoding (shared with the secondary indexes)
+// matches the = operator exactly, keeping the hash and index paths
+// bit-identical to the nested loop. All paths emit rows in identical order
 // (left-major, right rows in scan order) and null-extend unmatched left
 // rows inline for LEFT JOIN, matching rows by index — never by value — so
 // duplicate-valued rows cannot collide.
@@ -608,96 +612,38 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 		}
 		return nil
 	}
-	if len(right) <= len(acc) {
-		// Build on the right side; probe with left rows in order.
-		ht := make(map[string][]int32, len(right))
-		for ri, rrow := range right {
-			if err := cancel.poll(); err != nil {
-				return err
-			}
-			key, ok := joinKey(buf[:0], rrow, jp.eqNew)
-			if !ok {
-				continue
-			}
-			buf = key
-			ht[string(key)] = append(ht[string(key)], int32(ri))
-		}
-		for _, lrow := range acc {
-			if err := cancel.poll(); err != nil {
-				return err
-			}
-			copy(scratch, lrow)
-			matched := false
-			if key, ok := joinKey(buf[:0], lrow, jp.eqAcc); ok {
-				buf = key
-				for _, ri := range ht[string(key)] {
-					hit, err := tryPair(right[ri])
-					if err != nil {
-						return err
-					}
-					matched = matched || hit
-				}
-			}
-			if err := nullExtend(matched); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Build on the (smaller) left side; a per-left match list restores the
-	// probe-left output order after scanning the right side once.
-	ht := make(map[string][]int32, len(acc))
-	for li, lrow := range acc {
-		if err := cancel.poll(); err != nil {
-			return err
-		}
-		key, ok := joinKey(buf[:0], lrow, jp.eqAcc)
-		if !ok {
-			continue
-		}
-		buf = key
-		ht[string(key)] = append(ht[string(key)], int32(li))
-	}
-	matches := make([][]int32, len(acc))
+	// Build on the right side; probe with left rows in order.
+	ht := make(map[string][]int32, len(right))
 	for ri, rrow := range right {
 		if err := cancel.poll(); err != nil {
 			return err
 		}
-		key, ok := joinKey(buf[:0], rrow, jp.eqNew)
+		key, ok := rrow.AppendCompareKeyCols(buf[:0], jp.eqNew)
 		if !ok {
 			continue
 		}
 		buf = key
-		for _, li := range ht[string(key)] {
-			matches[li] = append(matches[li], int32(ri))
-		}
+		ht[string(key)] = append(ht[string(key)], int32(ri))
 	}
-	for li, lrow := range acc {
+	for _, lrow := range acc {
 		if err := cancel.poll(); err != nil {
 			return err
 		}
 		copy(scratch, lrow)
 		matched := false
-		for _, ri := range matches[li] {
-			hit, err := tryPair(right[ri])
-			if err != nil {
-				return err
+		if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
+			buf = key
+			for _, ri := range ht[string(key)] {
+				hit, err := tryPair(right[ri])
+				if err != nil {
+					return err
+				}
+				matched = matched || hit
 			}
-			matched = matched || hit
 		}
 		if err := nullExtend(matched); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// joinKey encodes the equi-key columns of a row into dst. A NULL in any
-// key column reports ok=false: NULL never equi-matches anything. The
-// Compare-consistent encoding (sqltypes.AppendCompareKey, shared with the
-// secondary indexes) matches the = operator exactly, keeping the hash and
-// index paths bit-identical to the nested-loop path.
-func joinKey(dst []byte, row sqltypes.Row, idxs []int) ([]byte, bool) {
-	return row.AppendCompareKeyCols(dst, idxs)
 }

@@ -1,68 +1,21 @@
 package sqlnorm
 
 import (
-	"bytes"
-	"strconv"
-	"strings"
 	"sync"
 
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqlparse"
 )
 
-// This file is the one-pass CacheKey renderer. The seed implementation
-// (preserved in internal/sqloracle) computed the key as
-// Clone → mutate-into-canonical-form → SQL() → append projection labels,
-// which costs a deep copy plus a full string-concatenating render —
-// dozens to hundreds of allocations per candidate. Here the same bytes
-// are produced by a direct canonical render of the ORIGINAL statement
-// into a pooled buffer: identifier folding, literal-first comparison
-// orientation and conjunct sorting are applied on the fly as rendering
-// decisions, nothing is cloned, and the finished key is looked up in a
-// bounded intern table so the warm path returns a shared string without
-// allocating at all. The differential suites in internal/frontdiff hold
-// this renderer byte-identical to the oracle.
+// CacheKey renders the original statement through sqlast's canonical
+// form into a pooled buffer, so nothing is cloned, and interns the
+// finished key in a bounded table, so the warm path returns a shared
+// string without allocating. The differential suites in
+// internal/frontdiff hold the key byte-identical to the seed oracle in
+// internal/sqloracle, which clones, rewrites and re-renders instead.
 
-// renderMode selects how much canonicalization the renderer applies.
-type renderMode uint8
-
-const (
-	// modeVerbatim reproduces sqlast rendering exactly: original
-	// identifier case, original operand order, original conjunct order.
-	// Used for the projection-label appendix.
-	modeVerbatim renderMode = iota
-	// modeCanonical folds identifier case, orients literal-first
-	// comparisons in predicate positions, and sorts WHERE conjuncts —
-	// the seed cacheNormalizeCore, expressed as rendering rules.
-	modeCanonical
-)
-
-// exprCtx travels down the expression recursion. oriented marks the
-// WHERE/HAVING/ON trees of a canonical core, the positions where the
-// seed oriented comparisons; it never crosses a subquery boundary
-// (nested statements restart per clause, exactly like the seed's
-// per-core normalization).
-type exprCtx struct {
-	mode     renderMode
-	oriented bool
-}
-
-// segSpan is one rendered WHERE conjunct inside a depth buffer.
-type segSpan struct {
-	start, end int
-	parens     bool // emit wrapped in parens (top-level OR conjunct)
-}
-
-// keyRenderer carries the pooled scratch state for one CacheKey call.
-type keyRenderer struct {
-	buf   []byte        // the key being built
-	conj  []sqlast.Expr // conjunct flattening stack (mark/truncate)
-	meta  []segSpan     // conjunct spans (mark/truncate)
-	segs  [][]byte      // per-WHERE-depth segment buffers
-	depth int
-}
-
-var keyPool = sync.Pool{New: func() any { return new(keyRenderer) }}
+// keyBufs recycles the buffer a key is built in.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // CacheKey returns a value-preserving canonical rendering of stmt, meant
 // for keying compiled-plan caches: identifier case folds, the
@@ -77,8 +30,8 @@ var keyPool = sync.Pool{New: func() any { return new(keyRenderer) }}
 // statements (the common case: the same candidate SQL resurfacing in a
 // different beam) always share a CacheKey.
 func CacheKey(stmt *sqlast.SelectStmt) string {
-	r := keyPool.Get().(*keyRenderer)
-	buf := r.appendStmt(r.buf[:0], stmt, modeCanonical)
+	bp := keyBufs.Get().(*[]byte)
+	buf := sqlast.AppendCanonicalSQL((*bp)[:0], stmt)
 	for _, core := range stmt.Cores {
 		for _, it := range core.Items {
 			buf = append(buf, '\x00')
@@ -89,13 +42,13 @@ func CacheKey(stmt *sqlast.SelectStmt) string {
 				// Star expansion labels come from the (already lowered)
 				// stored column names, so stars are case-independent.
 			default:
-				buf = r.appendExpr(buf, it.Expr, exprCtx{mode: modeVerbatim})
+				buf = sqlast.AppendExpr(buf, it.Expr)
 			}
 		}
 	}
 	key := internKey(buf)
-	r.buf = buf
-	keyPool.Put(r)
+	*bp = buf
+	keyBufs.Put(bp)
 	return key
 }
 
@@ -142,360 +95,4 @@ func internKey(b []byte) string {
 	}
 	internMu.Unlock()
 	return s
-}
-
-func (r *keyRenderer) appendStmt(dst []byte, stmt *sqlast.SelectStmt, mode renderMode) []byte {
-	for i, core := range stmt.Cores {
-		if i > 0 {
-			dst = append(dst, ' ')
-			dst = append(dst, stmt.Ops[i-1]...)
-			dst = append(dst, ' ')
-		}
-		dst = r.appendCore(dst, core, mode)
-	}
-	return dst
-}
-
-func (r *keyRenderer) appendCore(dst []byte, core *sqlast.SelectCore, mode renderMode) []byte {
-	plain := exprCtx{mode: mode}
-	pred := exprCtx{mode: mode, oriented: mode == modeCanonical}
-	dst = append(dst, "SELECT "...)
-	if core.Distinct {
-		dst = append(dst, "DISTINCT "...)
-	}
-	for i, it := range core.Items {
-		if i > 0 {
-			dst = append(dst, ", "...)
-		}
-		switch {
-		case it.Star && it.TableStar != "":
-			dst = r.appendIdent(dst, it.TableStar, mode)
-			dst = append(dst, ".*"...)
-		case it.Star:
-			dst = append(dst, '*')
-		default:
-			dst = r.appendExpr(dst, it.Expr, plain)
-		}
-		if it.Alias != "" {
-			dst = append(dst, " AS "...)
-			dst = r.appendIdent(dst, it.Alias, mode)
-		}
-	}
-	if core.From != nil {
-		dst = append(dst, " FROM "...)
-		dst = r.appendTableRef(dst, core.From.Base, mode)
-		for _, j := range core.From.Joins {
-			dst = append(dst, ' ')
-			dst = append(dst, j.Type...)
-			dst = append(dst, ' ')
-			dst = r.appendTableRef(dst, j.Table, mode)
-			if j.On != nil {
-				dst = append(dst, " ON "...)
-				dst = r.appendExpr(dst, j.On, pred)
-			}
-		}
-	}
-	if core.Where != nil {
-		dst = append(dst, " WHERE "...)
-		if mode == modeCanonical {
-			dst = r.appendSortedWhere(dst, core.Where)
-		} else {
-			dst = r.appendExpr(dst, core.Where, plain)
-		}
-	}
-	if len(core.GroupBy) > 0 {
-		dst = append(dst, " GROUP BY "...)
-		for i, g := range core.GroupBy {
-			if i > 0 {
-				dst = append(dst, ", "...)
-			}
-			dst = r.appendExpr(dst, g, plain)
-		}
-	}
-	if core.Having != nil {
-		dst = append(dst, " HAVING "...)
-		dst = r.appendExpr(dst, core.Having, pred)
-	}
-	if len(core.OrderBy) > 0 {
-		dst = append(dst, " ORDER BY "...)
-		for i, o := range core.OrderBy {
-			if i > 0 {
-				dst = append(dst, ", "...)
-			}
-			dst = r.appendExpr(dst, o.Expr, plain)
-			if o.Desc {
-				dst = append(dst, " DESC"...)
-			}
-		}
-	}
-	if core.Limit != nil {
-		dst = append(dst, " LIMIT "...)
-		dst = strconv.AppendInt(dst, *core.Limit, 10)
-	}
-	if core.Offset != nil {
-		dst = append(dst, " OFFSET "...)
-		dst = strconv.AppendInt(dst, *core.Offset, 10)
-	}
-	return dst
-}
-
-// appendSortedWhere renders the top-level AND conjuncts of a canonical
-// WHERE in byte-sorted order — the rendering-time equivalent of the
-// seed's sort-then-rebuild (Conjuncts → SliceStable by ExprSQL →
-// FromAnd). Each conjunct is rendered standalone into a per-depth
-// scratch buffer (nested subqueries sort their own WHERE one depth
-// down), the spans insertion-sorted by content, then emitted joined by
-// " AND " with parens around OR conjuncts — exactly where rendering the
-// rebuilt left-leaning AND tree would have put them.
-func (r *keyRenderer) appendSortedWhere(dst []byte, where sqlast.Expr) []byte {
-	ctx := exprCtx{mode: modeCanonical, oriented: true}
-	cMark := len(r.conj)
-	r.flattenAnd(where)
-	conj := r.conj[cMark:]
-	if len(conj) == 1 {
-		// Single conjunct: rendered bare, even when it is an OR.
-		dst = r.appendExpr(dst, conj[0], ctx)
-		r.conj = r.conj[:cMark]
-		return dst
-	}
-	d := r.depth
-	r.depth++
-	if d == len(r.segs) {
-		r.segs = append(r.segs, nil)
-	}
-	seg := r.segs[d][:0]
-	mMark := len(r.meta)
-	for _, c := range conj {
-		start := len(seg)
-		seg = r.appendExpr(seg, c, ctx)
-		b, isBin := c.(*sqlast.Binary)
-		r.meta = append(r.meta, segSpan{start: start, end: len(seg), parens: isBin && b.Op == "OR"})
-	}
-	r.segs[d] = seg
-	spans := r.meta[mMark:]
-	// Insertion sort with strict less: stable, allocation-free, and the
-	// conjunct count is small.
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && bytes.Compare(seg[spans[j].start:spans[j].end], seg[spans[j-1].start:spans[j-1].end]) < 0; j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-	for i, sp := range spans {
-		if i > 0 {
-			dst = append(dst, " AND "...)
-		}
-		if sp.parens {
-			dst = append(dst, '(')
-		}
-		dst = append(dst, seg[sp.start:sp.end]...)
-		if sp.parens {
-			dst = append(dst, ')')
-		}
-	}
-	r.meta = r.meta[:mMark]
-	r.conj = r.conj[:cMark]
-	r.depth--
-	return dst
-}
-
-// flattenAnd pushes the top-level AND operands of e onto r.conj in
-// left-to-right order, matching sqlast.Conjuncts.
-func (r *keyRenderer) flattenAnd(e sqlast.Expr) {
-	if b, ok := e.(*sqlast.Binary); ok && b.Op == "AND" {
-		r.flattenAnd(b.L)
-		r.flattenAnd(b.R)
-		return
-	}
-	r.conj = append(r.conj, e)
-}
-
-func (r *keyRenderer) appendTableRef(dst []byte, t sqlast.TableRef, mode renderMode) []byte {
-	if t.Sub != nil {
-		dst = append(dst, '(')
-		dst = r.appendStmt(dst, t.Sub, mode)
-		dst = append(dst, ')')
-	} else {
-		dst = r.appendIdent(dst, t.Name, mode)
-	}
-	if t.Alias != "" {
-		dst = append(dst, " AS "...)
-		dst = r.appendIdent(dst, t.Alias, mode)
-	}
-	return dst
-}
-
-// appendIdent appends an identifier, lower-casing it in canonical mode.
-// The fold matches strings.ToLower: a byte loop for ASCII, with a
-// fallback for the rare non-ASCII identifier.
-func (r *keyRenderer) appendIdent(dst []byte, s string, mode renderMode) []byte {
-	if mode != modeCanonical {
-		return append(dst, s...)
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			return append(dst, strings.ToLower(s)...)
-		}
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
-}
-
-// prec mirrors sqlast's operator precedence for minimal
-// parenthesization; higher binds tighter.
-func prec(op string) int {
-	switch op {
-	case "OR":
-		return 1
-	case "AND":
-		return 2
-	case "=", "!=", "<>", "<", "<=", ">", ">=":
-		return 3
-	case "+", "-":
-		return 4
-	case "*", "/", "%":
-		return 5
-	default:
-		return 6
-	}
-}
-
-func (r *keyRenderer) appendMaybeParen(dst []byte, e sqlast.Expr, parentPrec int, ctx exprCtx) []byte {
-	if b, ok := e.(*sqlast.Binary); ok && prec(b.Op) < parentPrec {
-		dst = append(dst, '(')
-		dst = r.appendExpr(dst, e, ctx)
-		return append(dst, ')')
-	}
-	return r.appendExpr(dst, e, ctx)
-}
-
-// appendMaybeParenRight parenthesizes right operands at equal precedence
-// too, so non-associative trees such as a - (b - c) survive.
-func (r *keyRenderer) appendMaybeParenRight(dst []byte, e sqlast.Expr, parentPrec int, ctx exprCtx) []byte {
-	if b, ok := e.(*sqlast.Binary); ok && prec(b.Op) <= parentPrec && parentPrec >= 3 {
-		dst = append(dst, '(')
-		dst = r.appendExpr(dst, e, ctx)
-		return append(dst, ')')
-	}
-	return r.appendMaybeParen(dst, e, parentPrec, ctx)
-}
-
-func (r *keyRenderer) appendExpr(dst []byte, e sqlast.Expr, ctx exprCtx) []byte {
-	if e == nil {
-		return dst
-	}
-	switch x := e.(type) {
-	case *sqlast.ColumnRef:
-		if x.Table != "" {
-			dst = r.appendIdent(dst, x.Table, ctx.mode)
-			dst = append(dst, '.')
-		}
-		return r.appendIdent(dst, x.Column, ctx.mode)
-	case *sqlast.Literal:
-		return x.Value.AppendSQLLiteral(dst)
-	case *sqlast.Unary:
-		if x.Op == "NOT" {
-			dst = append(dst, "NOT "...)
-		} else {
-			dst = append(dst, x.Op...)
-		}
-		return r.appendMaybeParen(dst, x.X, 6, ctx)
-	case *sqlast.Binary:
-		op, l, rr := x.Op, x.L, x.R
-		if ctx.oriented {
-			// Literal-first comparisons render operand-swapped — the
-			// rendering-time form of the seed's orientComparisons.
-			if flipped, cmp := flippedCmp[op]; cmp {
-				if _, lLit := l.(*sqlast.Literal); lLit {
-					if _, rLit := rr.(*sqlast.Literal); !rLit {
-						l, rr, op = rr, l, flipped
-					}
-				}
-			}
-		}
-		p := prec(op)
-		dst = r.appendMaybeParen(dst, l, p, ctx)
-		dst = append(dst, ' ')
-		dst = append(dst, op...)
-		dst = append(dst, ' ')
-		return r.appendMaybeParenRight(dst, rr, p, ctx)
-	case *sqlast.FuncCall:
-		dst = append(dst, x.Name...)
-		dst = append(dst, '(')
-		if x.Distinct {
-			dst = append(dst, "DISTINCT "...)
-		}
-		if x.Star {
-			dst = append(dst, '*')
-		} else {
-			for i, a := range x.Args {
-				if i > 0 {
-					dst = append(dst, ", "...)
-				}
-				dst = r.appendExpr(dst, a, ctx)
-			}
-		}
-		return append(dst, ')')
-	case *sqlast.InExpr:
-		dst = r.appendMaybeParen(dst, x.X, 3, ctx)
-		if x.Not {
-			dst = append(dst, " NOT IN ("...)
-		} else {
-			dst = append(dst, " IN ("...)
-		}
-		if x.Sub != nil {
-			dst = r.appendStmt(dst, x.Sub, ctx.mode)
-		} else {
-			for i, a := range x.List {
-				if i > 0 {
-					dst = append(dst, ", "...)
-				}
-				dst = r.appendExpr(dst, a, ctx)
-			}
-		}
-		return append(dst, ')')
-	case *sqlast.LikeExpr:
-		dst = r.appendMaybeParen(dst, x.X, 3, ctx)
-		if x.Not {
-			dst = append(dst, " NOT LIKE "...)
-		} else {
-			dst = append(dst, " LIKE "...)
-		}
-		return r.appendExpr(dst, x.Pattern, ctx)
-	case *sqlast.BetweenExpr:
-		dst = r.appendMaybeParen(dst, x.X, 3, ctx)
-		if x.Not {
-			dst = append(dst, " NOT BETWEEN "...)
-		} else {
-			dst = append(dst, " BETWEEN "...)
-		}
-		dst = r.appendExpr(dst, x.Lo, ctx)
-		dst = append(dst, " AND "...)
-		return r.appendExpr(dst, x.Hi, ctx)
-	case *sqlast.IsNullExpr:
-		dst = r.appendMaybeParen(dst, x.X, 3, ctx)
-		if x.Not {
-			return append(dst, " IS NOT NULL"...)
-		}
-		return append(dst, " IS NULL"...)
-	case *sqlast.ExistsExpr:
-		if x.Not {
-			dst = append(dst, "NOT EXISTS ("...)
-		} else {
-			dst = append(dst, "EXISTS ("...)
-		}
-		dst = r.appendStmt(dst, x.Sub, ctx.mode)
-		return append(dst, ')')
-	case *sqlast.SubqueryExpr:
-		dst = append(dst, '(')
-		dst = r.appendStmt(dst, x.Sub, ctx.mode)
-		return append(dst, ')')
-	default:
-		return append(dst, '?')
-	}
 }

@@ -1,6 +1,8 @@
 // Package sqlnorm canonicalizes SQL statements for the Spider exact-match
-// (EM) metric and classifies queries into the Spider difficulty buckets
-// (easy / medium / hard / extra) used by the paper's Table II.
+// (EM) metric, keys compiled-plan caches (CacheKey, built on sqlast's
+// canonical rendering: one renderer, canonical form for cache keys) and
+// classifies queries into the Spider difficulty buckets (easy / medium /
+// hard / extra) used by the paper's Table II.
 //
 // EM canonicalization follows the Spider evaluation convention: identifier
 // case is ignored, table aliases are renamed positionally (T1, T2, ...),
@@ -37,17 +39,6 @@ func EMEqual(a, b *sqlast.SelectStmt) bool {
 		return false
 	}
 	return Canonical(a) == Canonical(b)
-}
-
-// flippedCmp maps each comparison operator to its operand-swapped
-// spelling; the CacheKey renderer (cachekey.go) uses it to orient
-// literal-first comparisons — "5 > a" renders as "a < 5" — so range and
-// equality predicates hit the same cache key regardless of operand
-// order. The executor lowers both spellings into the same probes, so
-// the shared plan is observably identical.
-var flippedCmp = map[string]string{
-	"=": "=", "!=": "!=", "<>": "<>",
-	"<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
 
 func normalizeCore(core *sqlast.SelectCore) {

@@ -160,8 +160,8 @@ func (v Value) SQLLiteral() string {
 }
 
 // AppendSQLLiteral appends SQLLiteral's exact rendering to dst without
-// materializing intermediate strings; it is the literal path of the
-// one-pass sqlnorm.CacheKey renderer.
+// materializing intermediate strings; it is the literal path of sqlast's
+// renderer, in both its verbatim and its canonical form.
 func (v Value) AppendSQLLiteral(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
