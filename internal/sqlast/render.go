@@ -7,13 +7,10 @@ import (
 	"sync"
 )
 
-// This file is the dialect's one SQL renderer. It writes two forms. The
-// verbatim form (SQL, AppendSQL, AppendExpr) spells the AST back as
-// parsed. The canonical form (AppendCanonicalSQL) is what plan-cache
-// keys are built from, and differs from it by three rules only:
-// identifiers are lower-cased, literal-first comparisons in WHERE,
-// HAVING and ON are written column-first, and each WHERE's top-level AND
-// conjuncts are byte-sorted.
+// This file is the dialect's one SQL renderer. It writes the verbatim
+// form (SQL, AppendSQL, AppendExpr), which spells the AST back as parsed,
+// and the canonical form (AppendCanonicalSQL) plan-cache keys are built
+// from, so how the dialect is spelled lives here alone.
 
 // renderer walks the AST and appends its SQL. The nil renderer writes
 // the verbatim form; a non-nil one writes the canonical form and holds
