@@ -9,3 +9,6 @@ func NewIndexFree(db *storage.Database) *Executor { return &Executor{db: db, mod
 // NewNestedLoop returns the per-row reference executor: nested-loop joins,
 // no pushdown, and every subquery re-run once per outer row.
 func NewNestedLoop(db *storage.Database) *Executor { return &Executor{db: db, mode: nestedLoop} }
+
+// BenchDB is benchDB for the external tests.
+var BenchDB = benchDB
