@@ -79,12 +79,6 @@ type Feedback interface {
 // compiled statements. Use it by pointer and do not copy it after first
 // use.
 type DataGrounded struct {
-	// Polish optionally refines explanation fluency; verification uses the
-	// raw mechanical text either way (the paper polishes only for users).
-	// It is fixed into each explainer at construction: set it before the
-	// first Premise call.
-	Polish explain.Polisher
-
 	// explainers is bounded because test-suite distillation can sweep many
 	// short-lived database clones through one feedback.
 	explainers boundedCache[*storage.Database, *explain.Explainer]
@@ -98,14 +92,7 @@ func NewDataGrounded() *DataGrounded { return &DataGrounded{} }
 func (*DataGrounded) Name() string { return "cyclesql" }
 
 func (d *DataGrounded) explainer(db *storage.Database) *explain.Explainer {
-	return d.explainers.getOrCreate(db, func() *explain.Explainer {
-		e := explain.New(db)
-		// Reassigning Polish on every call would be a write-on-read of
-		// the shared cached explainer, racing as soon as two goroutines
-		// share the feedback.
-		e.Polish = d.Polish
-		return e
-	})
+	return d.explainers.getOrCreate(db, func() *explain.Explainer { return explain.New(db) })
 }
 
 // Premise implements Feedback. It is safe for concurrent use: the cached

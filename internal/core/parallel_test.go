@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cyclesql/internal/datasets"
-	"cyclesql/internal/explain"
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
 	"cyclesql/internal/resilience"
@@ -213,20 +212,13 @@ func TestTranslateRecordsCandidateErrors(t *testing.T) {
 	}
 }
 
-// TestDataGroundedPolishSetOnce pins the fix for the write-on-read race:
-// the cached explainer gets its polisher at construction and repeated
-// lookups return the same explainer without reassigning it.
-func TestDataGroundedPolishSetOnce(t *testing.T) {
+// TestDataGroundedExplainerPerDatabase pins that repeated lookups return
+// the one explainer cached for a database.
+func TestDataGroundedExplainerPerDatabase(t *testing.T) {
 	bench := datasets.Spider()
 	db := bench.DB(bench.Dev[0].DBName)
 	d := NewDataGrounded()
-	d.Polish = explain.RulePolisher{}
-	e1 := d.explainer(db)
-	e2 := d.explainer(db)
-	if e1 != e2 {
+	if d.explainer(db) != d.explainer(db) {
 		t.Fatal("cached explainer must be shared per database")
-	}
-	if e1.Polish == nil {
-		t.Fatal("polisher must be set on the cached explainer at construction")
 	}
 }

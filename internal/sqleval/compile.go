@@ -202,50 +202,45 @@ type streamPlan struct {
 	desc bool
 }
 
+// rows produces the scan's rows and reports whether the caller owns the
+// slice (and may filter it in place): a derived table's result, the rows
+// a point or range probe gathers, or the base table's own rows.
 func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.Row, bool, error) {
-	if ts.sub != nil {
+	var rows []sqltypes.Row
+	owned := true
+	switch {
+	case ts.sub != nil:
 		rel, err := ex.runProgram(e.nested(), ts.sub, outer)
 		if err != nil {
 			return nil, false, err
 		}
-		if ex.trace != nil {
-			ex.trace.addRows(ts.id, int64(len(rel.Rows)))
-		}
-		return rel.Rows, true, nil
-	}
-	if ts.probe != nil {
-		ids := ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key)
-		matched := make([]sqltypes.Row, len(ids))
-		for i, ri := range ids {
-			matched[i] = ts.rel.Rows[ri]
-		}
-		if ex.trace != nil {
-			ex.trace.addRows(ts.id, int64(len(matched)))
-		}
-		return matched, true, nil
-	}
-	if ts.rprobe != nil {
+		rows = rel.Rows
+	case ts.probe != nil:
+		rows = gather(ts.rel.Rows, ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key))
+	case ts.rprobe != nil:
 		rp := ts.rprobe
-		span := ex.db.Sorted(ts.table, rp.col).Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl)
 		// The span is in value order; the filter path this probe replaces
 		// keeps rows in scan order, so re-sort the positions before
-		// materializing (the span slice is shared — copy first).
-		ids := make([]int32, len(span))
-		copy(ids, span)
+		// gathering (the span slice is shared — copy first).
+		ids := slices.Clone(ex.db.Sorted(ts.table, rp.col).Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl))
 		slices.Sort(ids)
-		matched := make([]sqltypes.Row, len(ids))
-		for i, ri := range ids {
-			matched[i] = ts.rel.Rows[ri]
-		}
-		if ex.trace != nil {
-			ex.trace.addRows(ts.id, int64(len(matched)))
-		}
-		return matched, true, nil
+		rows = gather(ts.rel.Rows, ids)
+	default:
+		rows, owned = ts.rel.Rows, false
 	}
-	if ex.trace != nil {
-		ex.trace.addRows(ts.id, int64(len(ts.rel.Rows)))
+	if e.trace != nil {
+		e.trace.addRows(ts.id, int64(len(rows)))
 	}
-	return ts.rel.Rows, false, nil
+	return rows, owned, nil
+}
+
+// gather returns the rows at the given positions.
+func gather(rows []sqltypes.Row, ids []int32) []sqltypes.Row {
+	out := make([]sqltypes.Row, len(ids))
+	for i, ri := range ids {
+		out[i] = rows[ri]
+	}
+	return out
 }
 
 // joinPlan describes how one table joins into the frame. eqAcc/eqNew are
@@ -520,9 +515,9 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 // index: a single base-table scan, no grouping/aggregation/DISTINCT, and a
 // single ORDER BY key that is a plain column of that table. The streamed
 // walk visits rows in (value, scan-position) order — exactly the order the
-// stable sort in finalize leaves them — so the paths are bit-identical;
-// under LIMIT the walk additionally stops early instead of materializing
-// and sorting every row. A same-column range probe composes (the walk
+// stable sort in finalize leaves them — so the core drops its sort keys
+// and the paths stay bit-identical; under LIMIT the walk additionally
+// stops early instead of materializing and sorting every row. A same-column range probe composes (the walk
 // starts inside the probed span); any other probe keeps the regular path,
 // which is already pre-filtered by the index.
 func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *scope) {
@@ -562,6 +557,7 @@ func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *sc
 		return
 	}
 	cc.stream = &streamPlan{col: col, desc: core.OrderBy[0].Desc}
+	cc.orderKeys = nil // the walk delivers the order
 }
 
 func (c *compiler) compileScan(ref sqlast.TableRef, parent *scope) (*tableScan, []string, error) {

@@ -11,23 +11,26 @@
 // point probes and comparison/BETWEEN conjuncts into sorted-index range
 // probes, recognizes ORDER BY col [LIMIT k] orderings that can stream off
 // a sorted index, pushes the remaining filters below inner joins, and
-// lowers every expression into a closure. The execute phase reads point
-// lookups and range spans straight off lazily built storage indexes,
-// streams ordered output (stream.go) in index order with early cutoff
-// under LIMIT, streams rows through hash equi-joins (build sides reuse the
-// table's hash index over the key-column tuple instead of rebuilding a
-// hash table per execution;
-// otherwise the build side is chosen by cardinality, with a nested-loop
-// fallback for non-equi conditions), evaluates the pre-bound closures
-// directly against flat rows — no per-row environment allocation, no name
-// lookups — and uses compact binary row keys (sqltypes.AppendKey) for
-// every dedup, grouping, and join-matching structure. Every other core
-// runs one push path: the base scan, or the core's last join, hands each
-// frame row as a scratch view to the core's sink (project.go), which
-// applies the post-join WHERE and then projects the row or folds it into
-// its group's aggregate accumulators, so no joined row is copied except
-// each group's first; intermediate joins of a multi-join core still
-// materialize, because the next join reads its input whole. The compile phase
+// lowers every expression into a closure. The execute phase runs every
+// core through one push path: the base scan, or the core's last join,
+// hands each frame row as a scratch view to the core's sink (project.go),
+// which applies the post-join WHERE and then projects the row or folds it
+// into its group's aggregate accumulators, so no joined row is copied
+// except each group's first. Base scans read point lookups and range spans
+// straight off lazily built storage indexes; the scan of a core whose
+// ordering was lowered to a sorted-index walk (stream.go) delivers rows in
+// index order, so the core needs no sort, and stops early under LIMIT.
+// Equi-joins probe a bucket per left row: a whole base table's hash index
+// over the key-column tuple, reused across executions, or else a hash
+// table built over the right side per execution; a join without equi keys
+// runs a nested loop. Intermediate joins of a multi-join core materialize,
+// because the next join reads its input whole. The pre-bound closures
+// evaluate directly against flat rows — no per-row environment
+// allocation, no name lookups — and every dedup and grouping structure
+// keys rows by compact binary bag keys (sqltypes.Row.AppendKey), every
+// join and probe by Compare-consistent ones (AppendCompareKeyCols). EXPLAIN
+// (explainplan.go) runs one execution of the plan the executor runs, with
+// a trace that counts actual rows per plan node. The compile phase
 // also classifies every subquery expression: an uncorrelated one (no
 // column reference reaches an enclosing query) runs at most once per
 // execution, on first use, and later rows read its memoised result — IN
@@ -39,11 +42,11 @@
 // Statements must not be mutated between executions through the same
 // executor.
 //
-// An Executor is safe for concurrent ExecContext calls: execution state
-// (the subquery-depth guard, the subquery memo, row contexts, scratch
-// buffers) belongs to the call, never to the executor or a cached plan;
-// the plan cache is guarded by a read-mostly lock, and the storage layer
-// guards its lazy index builds. The database contents must not be mutated
+// An Executor is safe for concurrent ExecContext and PlanTree calls:
+// execution state (the subquery-depth guard, the subquery memo, the
+// EXPLAIN trace, row contexts, scratch buffers) belongs to the call, never
+// to the executor or a cached plan; the plan cache is guarded by a
+// read-mostly lock, and the storage layer guards its lazy index builds. The database contents must not be mutated
 // while executions are in flight (the store itself documents the same
 // reader/writer contract).
 //
@@ -95,12 +98,6 @@ type Executor struct {
 	// mode restricts the access paths the compiler may lower to; it is
 	// fixed at construction, so every cached plan was compiled under it.
 	mode planMode
-
-	// trace, when non-nil, receives actual row counts keyed by plan-node id
-	// during execution. It is only ever set on the throwaway executor
-	// PlanTree builds for itself, so normal executions — including
-	// concurrent ones — pay a single nil check per recording site.
-	trace *execTrace
 }
 
 // New returns an executor over db.
@@ -180,12 +177,15 @@ func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*
 
 // execution is the state one execution of a statement threads, by value,
 // through every program, core and row context it runs: the caller's
-// context, the subquery memo, and the subquery nesting depth of the
-// program being run (1 for the statement itself).
+// context, the subquery memo, the subquery nesting depth of the program
+// being run (1 for the statement itself), and the trace that receives
+// actual row counts keyed by plan-node id. Only PlanTree's execution
+// carries a trace; every other one pays a nil check per recording site.
 type execution struct {
 	qctx  context.Context
 	memo  []subMemo
 	depth int
+	trace *execTrace
 }
 
 // newExecution starts one execution of a top-level program. The memo has
@@ -303,33 +303,19 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 				}
 			}
 		}
-	case sqlast.Intersect:
+	case sqlast.Intersect, sqlast.Except:
+		// Keep the distinct left rows found (INTERSECT) or not found
+		// (EXCEPT) on the right.
 		inR := make(map[string]struct{}, len(r.Rows))
 		for _, row := range r.Rows {
 			buf = row.AppendKey(buf[:0])
 			inR[string(buf)] = struct{}{}
 		}
+		keep := op == sqlast.Intersect
 		seen := make(map[string]struct{})
 		for _, row := range l.Rows {
 			buf = row.AppendKey(buf[:0])
-			if _, hit := inR[string(buf)]; !hit {
-				continue
-			}
-			if _, dup := seen[string(buf)]; !dup {
-				seen[string(buf)] = struct{}{}
-				out.Append(row)
-			}
-		}
-	case sqlast.Except:
-		inR := make(map[string]struct{}, len(r.Rows))
-		for _, row := range r.Rows {
-			buf = row.AppendKey(buf[:0])
-			inR[string(buf)] = struct{}{}
-		}
-		seen := make(map[string]struct{})
-		for _, row := range l.Rows {
-			buf = row.AppendKey(buf[:0])
-			if _, hit := inR[string(buf)]; hit {
+			if _, hit := inR[string(buf)]; hit != keep {
 				continue
 			}
 			if _, dup := seen[string(buf)]; !dup {
@@ -343,24 +329,19 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	return out, nil
 }
 
-// runCore executes one SELECT core: a sorted-index walk (runStream) when
-// its ordering was lowered to one, otherwise the push path, where the
-// frame rows flow from the base scan or the last join straight into the
-// core's sink.
+// runCore executes one SELECT core through the push path: the frame rows
+// flow from the base scan or the last join straight into the core's sink.
 func (ex *Executor) runCore(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
-	if cc.stream != nil {
-		return ex.runStream(e, cc, outer)
-	}
 	s := &coreSink{cc: cc, rc: rowCtx{parent: outer, execution: e}}
 	if err := ex.pushFrom(e, cc, outer, s); err != nil {
 		return nil, err
 	}
 	result, err := s.finish()
-	if err == nil && ex.trace != nil {
+	if err == nil && e.trace != nil {
 		if len(cc.filters) > 0 {
-			ex.trace.addRows(cc.filterID, s.kept)
+			e.trace.addRows(cc.filterID, s.kept)
 		}
-		ex.trace.addRows(cc.id, int64(len(result.Rows)))
+		e.trace.addRows(cc.id, int64(len(result.Rows)))
 	}
 	return result, err
 }
@@ -382,14 +363,18 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 }
 
 // pushFrom produces the frame rows and hands each to the core's sink: the
-// base scan (filtered by any pushed-down conjuncts) joined with each
-// subsequent table. Every join but the last materializes its output, since
-// the next join takes it as one slice of left rows; the last pushes its
-// scratch row directly.
+// sorted-index walk of a streamed core (pushSorted), or the base scan
+// (filtered by any pushed-down conjuncts) joined with each subsequent
+// table. Every join but the last materializes its output, since the next
+// join takes it as one slice of left rows; the last pushes its scratch row
+// directly.
 func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) error {
-	if len(cc.scans) == 0 {
+	switch {
+	case len(cc.scans) == 0:
 		// SELECT without FROM evaluates items once over an empty row.
 		return s.push(sqltypes.Row{})
+	case cc.stream != nil:
+		return ex.pushSorted(e, cc, s)
 	}
 	rows, owned, err := cc.scans[0].rows(ex, e, outer)
 	if err != nil {
@@ -498,15 +483,15 @@ func (a *rowArena) alloc(n int) sqltypes.Row {
 }
 
 // execJoin combines the accumulated frame rows with one table, pushing
-// each joined row into sink as a scratch view. With equi keys against a
-// whole base table it probes the table's hash index over the key-column
-// tuple — the prebuilt equivalent of the hash table the generic path
-// rebuilds per execution. With equi keys otherwise it runs a hash join
-// that builds on the right side and probes with each left row in order;
-// without keys it falls back to a nested loop. A NULL in any key column
-// never equi-matches: AppendCompareKeyCols reports it, and its
-// Compare-consistent encoding (shared with the secondary indexes)
-// matches the = operator exactly, keeping the hash and index paths
+// each joined row into sink as a scratch view. With equi keys it probes,
+// with each left row in order, a bucket of right-row positions: from the
+// table's hash index over the key-column tuple when the right side is a
+// whole base table (built at most once per database instead of hashing
+// the table on every execution), otherwise from a hash table built over
+// the right side here. Without keys it falls back to a nested loop. A NULL
+// in any key column never equi-matches: AppendCompareKeyCols reports it,
+// and its Compare-consistent encoding (shared with the secondary indexes)
+// matches the = operator exactly, keeping both bucket sources
 // bit-identical to the nested loop. All paths emit rows in identical order
 // (left-major, right rows in scan order) and null-extend unmatched left
 // rows inline for LEFT JOIN, matching rows by index — never by value — so
@@ -520,11 +505,11 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 	// loop observes cancellation within cancelCheckInterval pair visits.
 	cancel := cancelCheck{ctx: e.qctx}
 	var pairs, emitted int64
-	if ex.trace != nil {
+	if e.trace != nil {
 		defer func() {
 			if err == nil {
-				ex.trace.addRows(jp.id, emitted)
-				ex.trace.addPairs(jp.id, pairs)
+				e.trace.addRows(jp.id, emitted)
+				e.trace.addPairs(jp.id, pairs)
 			}
 		}()
 	}
@@ -580,50 +565,26 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 		return nil
 	}
 
+	// Only the bucket lookup differs between a reused index and a hash
+	// table built here.
 	var buf []byte
+	var ix *storage.HashIndex
+	var ht map[string][]int32
 	if jp.reuse {
-		// The build side is a whole base table: reuse (or lazily build, once
-		// per database) its hash index over the exact key-column sequence
-		// instead of hashing the table again on every execution. Index
-		// buckets hold row positions in scan order, so output order matches
-		// the generic paths, and buckets and probe keys share the
-		// Compare-consistent AppendCompareKeyCols encoding the generic paths
-		// use, so the matched pairs are bit-identical too.
-		ix := ex.db.Index(next.table, jp.eqNew...)
-		for _, lrow := range acc {
+		ix = ex.db.Index(next.table, jp.eqNew...)
+	} else {
+		ht = make(map[string][]int32, len(right))
+		for ri, rrow := range right {
 			if err := cancel.poll(); err != nil {
 				return err
 			}
-			copy(scratch, lrow)
-			matched := false
-			if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
-				buf = key
-				for _, ri := range ix.Lookup(key) {
-					hit, err := tryPair(right[ri])
-					if err != nil {
-						return err
-					}
-					matched = matched || hit
-				}
+			key, ok := rrow.AppendCompareKeyCols(buf[:0], jp.eqNew)
+			if !ok {
+				continue
 			}
-			if err := nullExtend(matched); err != nil {
-				return err
-			}
+			buf = key
+			ht[string(key)] = append(ht[string(key)], int32(ri))
 		}
-		return nil
-	}
-	// Build on the right side; probe with left rows in order.
-	ht := make(map[string][]int32, len(right))
-	for ri, rrow := range right {
-		if err := cancel.poll(); err != nil {
-			return err
-		}
-		key, ok := rrow.AppendCompareKeyCols(buf[:0], jp.eqNew)
-		if !ok {
-			continue
-		}
-		buf = key
-		ht[string(key)] = append(ht[string(key)], int32(ri))
 	}
 	for _, lrow := range acc {
 		if err := cancel.poll(); err != nil {
@@ -633,7 +594,13 @@ func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *ta
 		matched := false
 		if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
 			buf = key
-			for _, ri := range ht[string(key)] {
+			var bucket []int32
+			if ix != nil {
+				bucket = ix.Lookup(key)
+			} else {
+				bucket = ht[string(key)]
+			}
+			for _, ri := range bucket {
 				hit, err := tryPair(right[ri])
 				if err != nil {
 					return err

@@ -9,13 +9,13 @@ import (
 	"cyclesql/internal/sqlast"
 )
 
-// This file surfaces the planner's decisions: PlanTree compiles and runs a
-// statement on a throwaway executor whose trace records per-node actual
-// row counts, then folds the compiled structure and the trace into a
-// plan.Tree. ExplainPlan is the rendered form. The throwaway executor
-// copies this executor's mode, so the plan shown is the plan this
-// executor would run — while normal executions keep a nil trace and pay
-// nothing.
+// This file surfaces the planner's decisions: PlanTree takes the plan the
+// executor runs (its cached plan, or a fresh compile it caches), runs one
+// execution whose trace records per-node actual row counts, then folds the
+// compiled structure and the trace into a plan.Tree. ExplainPlan is the
+// rendered form. The trace belongs to that one execution, so the counts
+// are those of the plan that actually ran, concurrent executions never
+// see it, and untraced executions pay a nil check per recording site.
 
 // execTrace accumulates actual row counts per plan node. Counts start at
 // -1 ("never executed") and accumulate across executions, so a correlated
@@ -67,22 +67,19 @@ func (t *execTrace) pairsAt(id int) int64 {
 	return t.pairs[id]
 }
 
-// PlanTree compiles stmt, executes it once, and returns the plan tree with
-// estimated and actual row counts per node. The execution happens on a
-// throwaway executor sharing this executor's database and mode —
-// never on this executor itself, so concurrent executions are undisturbed
-// and cached plans never carry trace state.
+// PlanTree executes stmt once through the plan ExecContext runs for it and
+// returns the plan tree with estimated and actual row counts per node.
 func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*plan.Tree, error) {
-	child := &Executor{db: ex.db, mode: ex.mode}
-	prog, err := child.compiled(stmt)
+	prog, err := ex.compiled(stmt)
 	if err != nil {
 		return nil, err
 	}
-	child.trace = newExecTrace(prog.nodes)
-	if _, err := child.runProgram(newExecution(ctx, prog), prog, nil); err != nil {
+	e := newExecution(ctx, prog)
+	e.trace = newExecTrace(prog.nodes)
+	if _, err := ex.runProgram(e, prog, nil); err != nil {
 		return nil, err
 	}
-	return &plan.Tree{Root: programNode(prog, child.trace)}, nil
+	return &plan.Tree{Root: programNode(prog, e.trace)}, nil
 }
 
 // ExplainPlan is PlanTree rendered to the deterministic textual form the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 )
 
@@ -330,18 +331,7 @@ func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, err
 			return false
 		})
 	}
-	start, end := 0, len(records)
-	if core.Offset != nil {
-		start = int(*core.Offset)
-		if start > end {
-			start = end
-		}
-	}
-	if core.Limit != nil {
-		if lim := start + int(*core.Limit); lim < end {
-			end = lim
-		}
-	}
+	start, end := window(core, len(records))
 	out := sqltypes.NewRelation(cc.labels()...)
 	out.Rows = records[start:end:end]
 	if out.Rows == nil {
@@ -353,4 +343,17 @@ func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, err
 		}
 	}
 	return out, nil
+}
+
+// window returns the span [start, end) of n ordered records that OFFSET
+// and LIMIT keep, each bound clamped to the records.
+func window(core *sqlast.SelectCore, n int) (start, end int) {
+	if core.Offset != nil {
+		start = int(min(max(*core.Offset, 0), int64(n)))
+	}
+	end = n
+	if core.Limit != nil {
+		end = start + int(min(max(*core.Limit, 0), int64(n-start)))
+	}
+	return start, end
 }

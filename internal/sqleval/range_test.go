@@ -92,6 +92,17 @@ func TestOrderByStreamParity(t *testing.T) {
 	} {
 		runBoth(t, db, sql)
 	}
+	// OFFSET+LIMIT past the largest integer keeps every row after the
+	// offset, streamed or sorted.
+	n := runBoth(t, db, "SELECT flno FROM Flight").NumRows()
+	for _, sql := range []string{
+		"SELECT flno FROM Flight ORDER BY flno DESC LIMIT 9223372036854775807 OFFSET 2",
+		"SELECT flno FROM Flight ORDER BY flno + 0 LIMIT 9223372036854775807 OFFSET 2",
+	} {
+		if got := runBoth(t, db, sql).NumRows(); got != n-2 {
+			t.Errorf("%q returned %d rows, want %d", sql, got, n-2)
+		}
+	}
 }
 
 // TestCompositeJoinParity covers multi-key equi-joins — the shape whose

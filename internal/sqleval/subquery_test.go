@@ -13,9 +13,9 @@ import (
 	"cyclesql/internal/storage"
 )
 
-// tracedExec compiles stmt on a fresh executor with a trace, as PlanTree
-// does, and executes it runs times; the trace accumulates actual rows per
-// plan node across the runs.
+// tracedExec compiles stmt on a fresh executor and executes it runs times
+// with one trace, as PlanTree does once; the trace accumulates actual rows
+// per plan node across the runs.
 func tracedExec(t *testing.T, db *storage.Database, stmt *sqlast.SelectStmt, perRow bool, runs int) (*program, *execTrace, *sqltypes.Relation) {
 	t.Helper()
 	ex := New(db)
@@ -26,14 +26,16 @@ func tracedExec(t *testing.T, db *storage.Database, stmt *sqlast.SelectStmt, per
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.trace = newExecTrace(prog.nodes)
+	tr := newExecTrace(prog.nodes)
 	var rel *sqltypes.Relation
 	for i := 0; i < runs; i++ {
-		if rel, err = ex.runProgram(newExecution(context.Background(), prog), prog, nil); err != nil {
+		e := newExecution(context.Background(), prog)
+		e.trace = tr
+		if rel, err = ex.runProgram(e, prog, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return prog, ex.trace, rel
+	return prog, tr, rel
 }
 
 // firstBaseScan is the first base-table scan of a program, looking

@@ -15,20 +15,9 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Key returns a canonical string for the whole tuple, used for bag
-// semantics and DISTINCT.
-func (r Row) Key() string {
-	var b strings.Builder
-	for _, v := range r {
-		b.WriteString(v.Key())
-		b.WriteByte('\x01')
-	}
-	return b.String()
-}
-
-// AppendKey appends the binary encoding of every value in the row to dst.
-// It is the allocation-free counterpart of Key(): reuse one scratch buffer
-// across rows and probe maps with string(buf).
+// AppendKey appends the bag key (Value.AppendKey) of every value in the
+// row to dst: reuse one scratch buffer across rows and probe maps with
+// string(buf).
 func (r Row) AppendKey(dst []byte) []byte {
 	for _, v := range r {
 		dst = v.AppendKey(dst)

@@ -186,34 +186,15 @@ func (v Value) AppendSQLLiteral(dst []byte) []byte {
 	}
 }
 
-// Key returns a canonical string usable as a map key for bag semantics.
-// Integral REAL values collapse onto their INTEGER spelling so that
-// count(*) = 2 and 2.0 compare equal, matching the Spider evaluation script.
-func (v Value) Key() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00N"
-	case KindInt:
-		return "\x00i" + strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e15 {
-			return "\x00i" + strconv.FormatInt(int64(v.f), 10)
-		}
-		return "\x00f" + strconv.FormatFloat(v.f, 'g', -1, 64)
-	case KindText:
-		return "\x00t" + v.s
-	default:
-		return "\x00?"
-	}
-}
-
-// AppendKey appends a compact binary encoding of v to dst and returns the
-// extended slice. Two values encode identically exactly when Key() would
-// return equal strings: integral REAL values collapse onto their INTEGER
-// encoding so 2 and 2.0 agree, and text is length-prefixed so multi-value
-// keys cannot collide across value boundaries. It is the allocation-free
-// replacement for Key() on hot paths: callers reuse one scratch buffer and
-// probe maps with string(buf), which Go compiles without a copy.
+// AppendKey appends v's bag key — the encoding DISTINCT, GROUP BY, set
+// operations and bag comparison group values by — to dst and returns the
+// extended slice. Two values share a key when they have the same kind and
+// value, and integral REAL values (below 1e15 in magnitude) encode as
+// their INTEGER, so count(*) = 2 and 2.0 share a key, matching the Spider
+// evaluation script; numeric 2 and text '2' do not. Text is
+// length-prefixed, so multi-value keys cannot collide across value
+// boundaries. Callers reuse one scratch buffer and probe maps with
+// string(buf), which Go compiles without a copy.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
