@@ -18,9 +18,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"cyclesql/internal/nn"
 	"cyclesql/internal/textproc"
@@ -72,9 +70,13 @@ func (f Featurizer) Dim() int { return numEngineered + f.SharedBuckets + f.HOnly
 
 const numEngineered = 20
 
-// aggregate-word classes that must align between question and explanation.
-var aggClasses = []string{"count", "sum", "avg", "max", "min"}
-var cmpClasses = []string{"greater", "less", "equal", "between", "not", "distinct"}
+// classWords are the aggregate-word classes, then the comparison
+// classes, that must align between question and explanation. analyze
+// interns them first, so the ID of classWords[i] is i.
+var classWords = [...]string{"count", "sum", "avg", "max", "min", "greater", "less", "equal", "between", "not", "distinct"}
+
+// numAgg is the number of aggregate classes: their IDs are below it.
+const numAgg = 5
 
 // Features computes the feature vector, which is its only allocation.
 func (f Featurizer) Features(hypothesis string, premise Premise) []float64 {
@@ -97,25 +99,18 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 	if len(a.hNumSet) == 0 {
 		out[5] = 1 // no numeric constraints to align
 	}
-	// Aggregate-class agreement.
+	// Aggregate-class, then comparison-class agreement.
 	idx := 6
-	for _, class := range aggClasses {
-		inH, inP := contains(a.hSet, class), contains(a.pSet, class)
-		switch {
-		case inH && inP:
-			out[idx] += 1
-		case inH != inP:
-			out[idx+1] += 1 // mismatch count across agg classes
+	for id := range uint32(len(classWords)) {
+		if id == numAgg {
+			idx += 2
 		}
-	}
-	idx += 2
-	for _, class := range cmpClasses {
-		inH, inP := contains(a.hSet, class), contains(a.pSet, class)
+		inH, inP := contains(a.hSet, id), contains(a.pSet, id)
 		switch {
 		case inH && inP:
 			out[idx] += 1
 		case inH != inP:
-			out[idx+1] += 1
+			out[idx+1] += 1 // mismatch count across the classes of a kind
 		}
 	}
 	idx += 2
@@ -153,9 +148,11 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 		panic(fmt.Sprintf("nli: engineered feature count drifted: %d", idx))
 	}
 	// Hashed bags: shared stems support entailment, hypothesis-only stems
-	// are evidence the explanation misses part of the question.
-	for _, tok := range a.hSet {
-		if contains(a.pSet, tok) {
+	// are evidence the explanation misses part of the question. Each bag
+	// sums multiples of 0.5, exactly in any order.
+	for _, id := range a.hSet {
+		tok := a.names[id]
+		if contains(a.pSet, id) {
 			out[numEngineered+bucket(tok, f.SharedBuckets)] += 0.5
 		} else {
 			out[numEngineered+f.SharedBuckets+bucket(tok, f.HOnlyBuckets)] += 0.5
@@ -168,48 +165,70 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 // stems of the hypothesis, the whole premise, its explanation, its SQL
 // literals and its SELECT clause, the sets of numbers in the hypothesis,
 // the explanation and the SQL, and the stem counts of the hypothesis and
-// the premise. Sets are sorted and duplicate-free. Everything lives in
-// pooled scratch memory, valid until release.
+// the premise. Stems and number forms are interned to IDs, numbered in
+// first-seen order, so that ID equality is string equality within one
+// analysis; names maps an ID back to its string. Sets are sorted,
+// duplicate-free ID slices. Everything lives in pooled scratch memory,
+// valid until release.
 type analysis struct {
 	ts                                      textproc.Scratch
-	raw, phrased                            []string
+	raw, forms                              []string
+	ids                                     map[string]uint32
+	names                                   []string
 	nH, nP                                  int
-	hSet, pSet, pExplSet, sqlValSet, selSet []string
-	hNumSet, pNumSet, sqlNumSet, union      []string
+	hSet, pSet, pExplSet, sqlValSet, selSet []uint32
+	hNumSet, pNumSet, sqlNumSet, union      []uint32
 	x                                       []float64
 	ws                                      nn.Workspace
 }
 
-var analyses = sync.Pool{New: func() any { return new(analysis) }}
+var analyses = sync.Pool{New: func() any { return &analysis{ids: make(map[string]uint32)} }}
 
-// analyze tokenizes each text once. The premise's three parts are
-// tokenized separately and concatenated: the " | " separators of
-// Premise.Text are token boundaries, so the concatenation is the token
-// stream of Text, and the phrase idioms are matched across it, exactly as
-// over Text.
+// analyze canonicalizes each token of the hypothesis and the premise once.
+// The premise's three parts are tokenized separately and concatenated:
+// the " | " separators of Premise.Text are token boundaries, so the
+// concatenation is the token stream of Text, and the phrase idioms are
+// matched across it, exactly as over Text. The explanation-only stems
+// come from the same walk. The SQL's literals and SELECT clause are
+// tokenized again, each on its own.
 func analyze(hypothesis string, premise Premise) *analysis {
 	a := analyses.Get().(*analysis)
 	ts := &a.ts
 	ts.Reset()
+	// The map's keys are views of the arena just reset.
+	clear(a.ids)
+	a.names = a.names[:0]
+	for _, w := range classWords {
+		a.intern(w)
+	}
 
-	a.raw = ts.AppendTokens(a.raw[:0], hypothesis)
-	a.hSet = a.canonical(a.hSet[:0], a.raw)
+	a.hSet = a.canonicalText(a.hSet[:0], hypothesis)
 	a.nH = len(a.hSet)
 	a.hSet = textproc.SortedSet(a.hSet)
-	a.hNumSet = textproc.SortedSet(ts.AppendNumbers(a.hNumSet[:0], a.raw))
+	a.hNumSet = textproc.SortedSet(a.numbers(a.hNumSet[:0], a.raw))
 
 	a.raw = ts.AppendTokens(a.raw[:0], premise.Explanation)
 	nExpl := len(a.raw)
 	a.raw = ts.AppendTokens(a.raw, premise.SQL)
 	nSQL := len(a.raw)
 	a.raw = ts.AppendTokens(a.raw, premise.Result)
-	a.pSet = a.canonical(a.pSet[:0], a.raw)
+	// Up to the explanation's last token, the walk over the whole premise
+	// reads what a walk over the explanation alone reads. That last token,
+	// unless an idiom already took it, stands on its own in the
+	// explanation, even where the premise pairs it with the SQL's first
+	// token ("more|than").
+	var i int
+	a.pSet, i = a.canonical(a.pSet[:0], a.raw, 0, nExpl-1)
+	a.pExplSet = append(a.pExplSet[:0], a.pSet...)
+	if i < nExpl {
+		a.pExplSet, _ = a.canonical(a.pExplSet, a.raw[:nExpl], i, nExpl)
+	}
+	a.pSet, _ = a.canonical(a.pSet, a.raw, i, len(a.raw))
 	a.nP = len(a.pSet)
 	a.pSet = textproc.SortedSet(a.pSet)
-	// The explanation's stems alone, its phrases matched within it.
-	a.pExplSet = textproc.SortedSet(a.canonical(a.pExplSet[:0], a.raw[:nExpl]))
-	a.pNumSet = textproc.SortedSet(ts.AppendNumbers(a.pNumSet[:0], a.raw[:nExpl]))
-	a.sqlNumSet = textproc.SortedSet(ts.AppendNumbers(a.sqlNumSet[:0], a.raw[nExpl:nSQL]))
+	a.pExplSet = textproc.SortedSet(a.pExplSet)
+	a.pNumSet = textproc.SortedSet(a.numbers(a.pNumSet[:0], a.raw[:nExpl]))
+	a.sqlNumSet = textproc.SortedSet(a.numbers(a.sqlNumSet[:0], a.raw[nExpl:nSQL]))
 
 	a.sqlValSet = textproc.SortedSet(a.sqlLiteralStems(a.sqlValSet[:0], premise.SQL))
 	a.selSet = textproc.SortedSet(a.canonicalText(a.selSet[:0], selectClause(premise.SQL)))
@@ -218,72 +237,104 @@ func analyze(hypothesis string, premise Premise) *analysis {
 
 func (a *analysis) release() { analyses.Put(a) }
 
-// canonicalText appends the canonical stems of text to dst, tokenizing
-// into a.raw, so it runs after analyze has read the premise's tokens.
-func (a *analysis) canonicalText(dst []string, text string) []string {
-	a.raw = a.ts.AppendTokens(a.raw[:0], text)
-	return a.canonical(dst, a.raw)
+// intern returns the ID of s, giving a string not seen before in this
+// analysis the next ID.
+func (a *analysis) intern(s string) uint32 {
+	id, ok := a.ids[s]
+	if !ok {
+		id = uint32(len(a.names))
+		a.ids[s] = id
+		a.names = append(a.names, s)
+	}
+	return id
 }
 
-// canonical appends the canonical stems of raw tokens to dst: phrase
-// idioms first ("at least" -> greater), then stopwords, stems and synonym
-// classes.
-func (a *analysis) canonical(dst, toks []string) []string {
-	a.phrased = textproc.AppendPhrases(a.phrased[:0], toks)
-	for _, t := range a.phrased {
+// canonicalText appends the IDs of the canonical stems of text to dst,
+// leaving text's tokens in a.raw.
+func (a *analysis) canonicalText(dst []uint32, text string) []uint32 {
+	a.raw = a.ts.AppendTokens(a.raw[:0], text)
+	dst, _ = a.canonical(dst, a.raw, 0, len(a.raw))
+	return dst
+}
+
+// canonical walks toks from i, appending to dst the ID of the canonical
+// stem of each token: phrase idioms first ("at least" -> greater), then
+// stopwords, stems and synonym classes. It stops before the first token
+// at or past end, and returns dst and that token's index; an idiom that
+// starts before end may take toks[end] with it.
+func (a *analysis) canonical(dst []uint32, toks []string, i, end int) ([]uint32, int) {
+	for i < end {
+		t, w := textproc.PhraseAt(toks, i)
+		i += w
 		if !textproc.IsStopword(t) {
-			dst = append(dst, textproc.Canonical(a.ts.Stem(t)))
+			dst = append(dst, a.intern(textproc.Canonical(a.ts.Stem(t))))
 		}
+	}
+	return dst, i
+}
+
+// numbers appends the IDs of the number forms of toks to dst.
+func (a *analysis) numbers(dst []uint32, toks []string) []uint32 {
+	a.forms = a.ts.AppendNumbers(a.forms[:0], toks)
+	for _, f := range a.forms {
+		dst = append(dst, a.intern(f))
 	}
 	return dst
 }
 
-// sqlLiteralStems appends the canonical stems of the quoted string
-// literals in a SQL text to dst, each literal taken on its own.
-func (a *analysis) sqlLiteralStems(dst []string, sql string) []string {
+// sqlLiteralStems appends the IDs of the canonical stems of the quoted
+// string literals in a SQL text to dst, each literal taken on its own. A
+// doubled quote inside a literal stands for one quote, so the literal of
+// O'Brien reads as the question spells it.
+func (a *analysis) sqlLiteralStems(dst []uint32, sql string) []uint32 {
 	for i := 0; i < len(sql); i++ {
 		if sql[i] != '\'' {
 			continue
 		}
-		j := i + 1
-		for j < len(sql) && sql[j] != '\'' {
-			j++
+		j, escaped := i+1, false
+		for ; j < len(sql); j++ {
+			if sql[j] != '\'' {
+				continue
+			}
+			if j+1 < len(sql) && sql[j+1] == '\'' {
+				j++
+				escaped = true
+				continue
+			}
+			break
 		}
 		if j >= len(sql) {
 			break
 		}
-		dst = a.canonicalText(dst, sql[i+1:j])
+		lit := sql[i+1 : j]
+		if escaped {
+			lit = a.ts.Unescape(lit, '\'')
+		}
+		dst = a.canonicalText(dst, lit)
 		i = j
 	}
 	return dst
 }
 
 // selectClause returns the SQL text between SELECT and FROM — the
-// projection surface — matching both keywords case-insensitively.
+// projection surface — matching both keywords case-insensitively in
+// ASCII. A non-ASCII byte never matches a keyword's, so the offsets found
+// are offsets into sql itself.
 func selectClause(sql string) string {
-	upper := sql
-	for i := 0; i < len(sql); i++ {
-		if sql[i] >= utf8.RuneSelf {
-			// Upper-casing may change byte lengths; keep the offsets
-			// into the upper-cased text that this clause always used.
-			upper = strings.ToUpper(sql)
-			break
-		}
-	}
-	start := indexUpper(upper, "SELECT")
+	start := indexUpper(sql, "SELECT")
 	if start < 0 {
 		return ""
 	}
 	start += len("SELECT")
-	end := indexUpper(upper[start:], " FROM ")
+	end := indexUpper(sql[start:], " FROM ")
 	if end < 0 {
-		end = len(upper) - start
+		return sql[start:]
 	}
 	return sql[start : start+end]
 }
 
-// indexUpper is strings.Index(strings.ToUpper(s), pat) for an upper-case
-// ASCII pattern, without building the upper-cased copy of s's ASCII.
+// indexUpper is strings.Index(s, pat) with s's ASCII letters upper-cased,
+// for an upper-case ASCII pattern, without building the upper-cased copy.
 func indexUpper(s, pat string) int {
 	for i := 0; i+len(pat) <= len(s); i++ {
 		j := 0
@@ -304,14 +355,14 @@ func upperASCII(c byte) byte {
 	return c
 }
 
-func contains(set []string, tok string) bool {
-	_, ok := slices.BinarySearch(set, tok)
+func contains(set []uint32, id uint32) bool {
+	_, ok := slices.BinarySearch(set, id)
 	return ok
 }
 
-func hasAggregate(set []string) bool {
-	return contains(set, "count") || contains(set, "sum") || contains(set, "avg") || contains(set, "min") || contains(set, "max")
-}
+// hasAggregate reports whether a set holds an aggregate class, whose IDs
+// sort first.
+func hasAggregate(set []uint32) bool { return len(set) > 0 && set[0] < numAgg }
 
 // bucket hashes tok with 32-bit FNV-1a into [0, n).
 func bucket(tok string, n int) int { return int(fnv1a(fnvOffset, tok) % uint32(n)) }

@@ -48,19 +48,46 @@ func TestFeaturizerAlignmentOrdering(t *testing.T) {
 	}
 }
 
+// words is the test's string view of an ID set: the names of its IDs,
+// sorted.
+func (a *analysis) words(set []uint32) []string {
+	out := make([]string, len(set))
+	for i, id := range set {
+		out[i] = a.names[id]
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestSQLLiteralTokens(t *testing.T) {
-	a := analyze("q", Premise{SQL: "SELECT a FROM t WHERE x = 'Airbus A340-300' AND y = 'red'"})
-	defer a.release()
-	if want := []string{"300", "a340", "airbus", "red"}; !slices.Equal(a.sqlValSet, want) {
-		t.Fatalf("SQL literal stems = %v want %v", a.sqlValSet, want)
+	for sql, want := range map[string][]string{
+		"SELECT a FROM t WHERE x = 'Airbus A340-300' AND y = 'red'": {"300", "a340", "airbus", "red"},
+		// A doubled quote is one quote: the name stays whole, as the
+		// question "Which flights did O'Brien book?" tokenizes it.
+		"SELECT a FROM t WHERE pilot = 'O''Brien'":                  {"obrien"},
+		"SELECT a FROM t WHERE x = '' AND y = 'Rock''n''Roll' OR z": {"rocknroll"},
+	} {
+		a := analyze("q", Premise{SQL: sql})
+		if got := a.words(a.sqlValSet); !slices.Equal(got, want) {
+			t.Errorf("SQL literal stems of %q = %v want %v", sql, got, want)
+		}
+		a.release()
 	}
 }
 
 func TestSelectClauseTokens(t *testing.T) {
-	a := analyze("q", Premise{SQL: "SELECT count(*), name FROM t WHERE x = 1"})
-	defer a.release()
-	if want := []string{"count", "name"}; !slices.Equal(a.selSet, want) {
-		t.Fatalf("SELECT-clause stems = %v want %v", a.selSet, want)
+	for sql, want := range map[string][]string{
+		"SELECT count(*), name FROM t WHERE x = 1": {"count", "name"},
+		// Upper-casing ɐ (2 bytes) gives Ɐ (3 bytes): the clause is cut
+		// at offsets into the SQL itself, never into an upper-cased copy.
+		"SELECT 'ɐɐɐɐɐɐɐɐɐɐ' FROM t": {"ɐɐɐɐɐɐɐɐɐɐ"},
+		"SELECT 'ɐɐ', name FROM t":   {"name", "ɐɐ"},
+	} {
+		a := analyze("q", Premise{SQL: sql})
+		if got := a.words(a.selSet); !slices.Equal(got, want) {
+			t.Errorf("SELECT-clause stems of %q = %v want %v", sql, got, want)
+		}
+		a.release()
 	}
 }
 
@@ -159,14 +186,9 @@ func BenchmarkFeaturize(b *testing.B) {
 
 var _ nn.Loss = nn.PaperFocal // the verifier's loss satisfies the contract
 
-// TestFeaturizeAllocGate holds the featurizer to its scratch discipline:
-// a warm Featurizer.Features allocates only its result, and a warm
-// Trained.Score (featurizer plus sparse forward pass) at most 4 times.
-// testing.AllocsPerRun is deterministic, so the gate cannot flake.
-func TestFeaturizeAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
-	}
+// allocGatePair is the question and premise the allocation gate and
+// BenchmarkScore run on, with a small verifier trained for them.
+func allocGatePair() (*Trained, string, Premise) {
 	var pairs []Pair
 	for i := 0; i < 20; i++ {
 		pairs = append(pairs,
@@ -181,12 +203,32 @@ func TestFeaturizeAllocGate(t *testing.T) {
 		SQL:         "SELECT count(*), T1.origin FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300' AND T1.hours >= 2.5",
 		Result:      "2 rows ; 2 | Chicago ; 2 | Los Angeles",
 	}
+	return v, q, p
+}
+
+// TestFeaturizeAllocGate holds the featurizer to its scratch discipline:
+// a warm Featurizer.Features allocates only its result, and a warm
+// Trained.Score (featurizer plus sparse forward pass) at most 4 times.
+// testing.AllocsPerRun is deterministic, so the gate cannot flake.
+func TestFeaturizeAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
+	}
+	v, q, p := allocGatePair()
 	f := DefaultFeaturizer
 	if n := testing.AllocsPerRun(100, func() { f.Features(q, p) }); n != 1 {
 		t.Errorf("Featurizer.Features allocates %v times per call, want exactly 1 (its result)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { v.Score(q, p) }); n > 4 {
 		t.Errorf("warm Trained.Score allocates %v times per call, want at most 4", n)
+	}
+}
+
+func BenchmarkScore(b *testing.B) {
+	v, q, p := allocGatePair()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.Score(q, p)
 	}
 }
 

@@ -5,6 +5,7 @@
 package textproc
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"strings"
@@ -235,6 +236,20 @@ func (s *Scratch) Stem(tok string) string {
 	return s.view(start)
 }
 
+// Unescape writes text into s with each doubled quote byte read as one,
+// as in the body of a SQL string literal, where O'Brien is written with
+// its quote doubled, and returns the copy.
+func (s *Scratch) Unescape(text string, quote byte) string {
+	start := len(s.arena)
+	for i := 0; i < len(text); i++ {
+		s.arena = append(s.arena, text[i])
+		if text[i] == quote && i+1 < len(text) && text[i+1] == quote {
+			i++
+		}
+	}
+	return s.view(start)
+}
+
 // stemCut returns the length of tok's prefix that its stem keeps, and
 // whether the stem appends a "y" to it.
 func stemCut(tok string) (keep int, y bool) {
@@ -305,20 +320,28 @@ var phrasePairs = map[[2]string]string{
 	{"up", "to"}:        "less",
 }
 
-// AppendPhrases appends toks to dst with two-token idioms rewritten: each
-// matched pair collapses onto its class token.
-func AppendPhrases(dst, toks []string) []string {
-	for i := 0; i < len(toks); i++ {
-		if i+1 < len(toks) {
-			if repl, ok := phrasePairs[[2]string{toks[i], toks[i+1]}]; ok {
-				dst = append(dst, repl)
-				i++
-				continue
-			}
+// PhraseAt returns toks[i] with a two-token idiom that starts there
+// collapsed onto its class token, and the number of tokens it covers (2
+// for an idiom, else 1). Walking a token stream with it matches idioms
+// greedily from the left.
+func PhraseAt(toks []string, i int) (string, int) {
+	if i+1 < len(toks) && phraseHead(toks[i]) {
+		if repl, ok := phrasePairs[[2]string{toks[i], toks[i+1]}]; ok {
+			return repl, 2
 		}
-		dst = append(dst, toks[i])
 	}
-	return dst
+	return toks[i], 1
+}
+
+// phraseHead reports whether tok is the first token of some phrasePairs
+// key, so that most tokens skip hashing the pair.
+func phraseHead(tok string) bool {
+	switch tok {
+	case "at", "more", "greater", "larger", "bigger", "less", "fewer",
+		"smaller", "lower", "how", "equal", "or", "up":
+		return true
+	}
+	return false
 }
 
 // Numbers extracts the numeric tokens of a text as canonical strings
@@ -363,8 +386,9 @@ func Bigrams(toks []string) []string {
 }
 
 // SortedSet sorts toks in place and drops repeats, returning the set in
-// the form JaccardSorted and RecallSorted take.
-func SortedSet(toks []string) []string {
+// the form JaccardSorted and RecallSorted take. Tokens may be strings or
+// interned integer IDs: the set operations only count shared elements.
+func SortedSet[T cmp.Ordered](toks []T) []T {
 	slices.Sort(toks)
 	return slices.Compact(toks)
 }
@@ -375,7 +399,7 @@ func Jaccard(a, b []string) float64 {
 }
 
 // JaccardSorted is Jaccard over two sets in SortedSet form.
-func JaccardSorted(a, b []string) float64 {
+func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
 	inter := intersection(a, b)
 	union := len(a) + len(b) - inter
 	if union == 0 {
@@ -390,15 +414,15 @@ func Recall(a, b []string) float64 {
 }
 
 // RecallSorted is Recall over two sets in SortedSet form.
-func RecallSorted(a, b []string) float64 {
+func RecallSorted[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 {
 		return 0
 	}
 	return float64(intersection(a, b)) / float64(len(a))
 }
 
-// intersection counts the tokens two sorted sets share.
-func intersection(a, b []string) int {
+// intersection counts the elements two sorted sets share.
+func intersection[T cmp.Ordered](a, b []T) int {
 	n := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {

@@ -56,15 +56,61 @@ func TestCanonicalClasses(t *testing.T) {
 	}
 }
 
+// phrased walks toks with PhraseAt, one idiom or token at a time.
+func phrased(toks []string) []string {
+	var out []string
+	for i := 0; i < len(toks); {
+		t, w := PhraseAt(toks, i)
+		out = append(out, t)
+		i += w
+	}
+	return out
+}
+
 func TestApplyPhrases(t *testing.T) {
-	got := AppendPhrases(nil, []string{"visits", "at", "least", "14"})
+	got := phrased([]string{"visits", "at", "least", "14"})
 	want := []string{"visits", "greater", "14"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("AppendPhrases = %v", got)
+		t.Fatalf("PhraseAt walk = %v", got)
 	}
-	got = AppendPhrases(nil, []string{"how", "many", "pets"})
+	got = phrased([]string{"how", "many", "pets"})
 	if got[0] != "count" {
 		t.Fatalf("how many -> %v", got)
+	}
+	// Matching is greedy from the left: "or more than" pairs "or more".
+	if got := phrased([]string{"or", "more", "than"}); !reflect.DeepEqual(got, []string{"greater", "than"}) {
+		t.Fatalf("or more than -> %v", got)
+	}
+}
+
+// TestPhraseHeadsMatchPairs requires the head switch that guards the pair
+// lookup to accept exactly the first tokens of phrasePairs.
+func TestPhraseHeadsMatchPairs(t *testing.T) {
+	heads := map[string]bool{}
+	for pair := range phrasePairs {
+		heads[pair[0]] = true
+		if !phraseHead(pair[0]) {
+			t.Errorf("phraseHead(%q) = false, but it starts %v", pair[0], pair)
+		}
+	}
+	for _, tok := range []string{"at", "more", "greater", "larger", "bigger", "less", "fewer", "smaller", "lower", "how", "equal", "or", "up"} {
+		if !heads[tok] {
+			t.Errorf("phraseHead accepts %q, which starts no pair", tok)
+		}
+	}
+	if len(heads) != 13 {
+		t.Errorf("phrasePairs has %d heads; phraseHead lists 13", len(heads))
+	}
+}
+
+func TestUnescape(t *testing.T) {
+	var s Scratch
+	for in, want := range map[string]string{
+		"O''Brien": "O'Brien", "''''": "''", "'": "'", "plain": "plain", "": "",
+	} {
+		if got := s.Unescape(in, '\''); got != want {
+			t.Errorf("Unescape(%q) = %q want %q", in, got, want)
+		}
 	}
 }
 
