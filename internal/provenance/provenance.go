@@ -14,6 +14,11 @@
 //     HAVING, ORDER BY and LIMIT are removed so collapsed input rows
 //     become traceable again.
 //
+// After Rule 3 the rewrite gets LIMIT RowLimit, so the executor stops
+// once it has the provenance table's first RowLimit rows. The rewrite has
+// no ORDER BY, DISTINCT or GROUP BY, so those are exactly the rows a run
+// without the cap would list first.
+//
 // Queries with empty results carry no provenance; Track marks them Empty
 // and the explanation generator falls back to operation-level semantics.
 package provenance
@@ -51,7 +56,7 @@ type Provenance struct {
 
 // RowLimit caps the provenance table size so pathological rewrites cannot
 // blow up the explanation stage; the paper's explanations cite at most a
-// handful of representative tuples.
+// handful of representative tuples. Every rewrite carries it as its LIMIT.
 const RowLimit = 64
 
 // Tracker computes provenance against one database. It keeps one executor
@@ -128,9 +133,6 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 			p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw})
 			continue
 		}
-		if rel.NumRows() > RowLimit {
-			rel.Rows = rel.Rows[:RowLimit]
-		}
 		p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw, Table: rel})
 	}
 	return p, nil
@@ -181,12 +183,14 @@ func RewriteCore(db *storage.Database, core *sqlast.SelectCore, result sqltypes.
 	}
 
 	// Rule 3: deconstruct aggregation so collapsed rows are visible again.
+	// The cap then replaces the core's own LIMIT.
 	rw.GroupBy = nil
 	rw.Having = nil
 	rw.OrderBy = nil
-	rw.Limit = nil
 	rw.Offset = nil
 	rw.Distinct = false
+	limit := int64(RowLimit)
+	rw.Limit = &limit
 
 	// Rule 2: project every referenced column plus the primary keys of the
 	// referenced tables.

@@ -170,12 +170,36 @@ func TestTrackRowOutOfRange(t *testing.T) {
 	}
 }
 
+// TestTrackRowLimit pins the provenance cap: the rewrite carries LIMIT
+// RowLimit, and over countrylanguage's 73 rows the executor returns
+// exactly the first RowLimit rows of the rewrite run without it.
 func TestTrackRowLimit(t *testing.T) {
 	db := datasets.WorldDB()
-	// A selective-enough pinless query: star projection keeps Rule 1 off.
+	// A pinless query: star projection keeps Rule 1 off.
 	p := track(t, db, "SELECT * FROM countrylanguage", 0)
-	if p.Parts[0].Table.NumRows() > RowLimit {
-		t.Fatalf("provenance exceeds RowLimit: %d", p.Parts[0].Table.NumRows())
+	part := p.Parts[0]
+	if rw := part.Rewritten.SQL(); !strings.HasSuffix(rw, " LIMIT 64") {
+		t.Fatalf("rewrite must carry LIMIT %d: %s", RowLimit, rw)
+	}
+	uncapped := part.Rewritten.Clone()
+	uncapped.Cores[0].Limit = nil
+	all, err := sqleval.New(db).ExecContext(context.Background(), uncapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.NumRows() <= RowLimit {
+		t.Fatalf("test setup: the uncapped rewrite returns %d rows, want more than %d", all.NumRows(), RowLimit)
+	}
+	got := part.Table
+	if got.NumRows() != RowLimit {
+		t.Fatalf("provenance has %d rows, want RowLimit = %d", got.NumRows(), RowLimit)
+	}
+	for i, row := range got.Rows {
+		for c, v := range row {
+			if w := all.Rows[i][c]; v.Kind() != w.Kind() || sqltypes.Compare(v, w) != 0 {
+				t.Fatalf("provenance row %d = %v, want the uncapped rewrite's %v", i, row, all.Rows[i])
+			}
+		}
 	}
 }
 
@@ -213,5 +237,26 @@ func TestRewriteDoesNotMutateOriginal(t *testing.T) {
 	RewriteCore(db, stmt.Core(), sqltypes.Row{sqltypes.NewInt(2)})
 	if stmt.SQL() != before {
 		t.Fatal("RewriteCore must not mutate its input")
+	}
+}
+
+// BenchmarkTrack measures tracking a three-table join whose provenance
+// rewrite returns more than RowLimit rows, so the executor stops at the
+// cap. The rewrite memo is warm after the first call, as in the CycleSQL
+// loop, so the loop measures executing the rewrite.
+func BenchmarkTrack(b *testing.B) {
+	db := datasets.WorldDB()
+	stmt := sqlparse.MustParse("SELECT count(*) FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode JOIN city AS T3 ON T3.countrycode = T1.code")
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := NewTracker(db)
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := tr.TrackContext(context.Background(), stmt, rel, 0)
+		if err != nil || p.Parts[0].Table.NumRows() != RowLimit {
+			b.Fatalf("track: %v", err)
+		}
 	}
 }

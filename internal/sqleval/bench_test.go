@@ -332,14 +332,16 @@ func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 	t.Logf("NOT IN subquery allocs/op: 100 outer rows=%.0f 1000 outer rows=%.0f", small, large)
 }
 
-// TestStreamedCoreAllocGate pins the push path's scaling: a core's last
-// join hands each joined row straight to WHERE and then to projection or
-// its group, so no joined row is copied, and 10x the joined rows with the
-// same output must cost under 2x the allocations (copying every joined
-// row costs about 10x). One case is a LEFT JOIN whose WHERE on the right
-// side cannot be pushed below the join, the other a grouped join with a
-// DISTINCT aggregate. Counted on one P (AllocsPerRun) with the collector
-// off, so the counts are deterministic.
+// TestStreamedCoreAllocGate pins the push path's scaling: every join
+// streams its rows through the shared frame straight to WHERE and then to
+// projection or its group, so no joined row is copied, and under LIMIT
+// the scan stops once the output is complete. 10x the joined rows with
+// the same output must cost under 2x the allocations (copying every
+// joined row costs about 10x). The cases are a LEFT JOIN whose WHERE on
+// the right side cannot be pushed below the join, a grouped join with a
+// DISTINCT aggregate, a three-table join whose intermediate join grows
+// with the rows, and a LIMIT 3 scan. Counted on one P (AllocsPerRun) with
+// the collector off, so the counts are deterministic.
 func TestStreamedCoreAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -348,6 +350,8 @@ func TestStreamedCoreAllocGate(t *testing.T) {
 	for _, tc := range []struct{ name, sql string }{
 		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7"},
 		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name"},
+		{"three-table join", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid LEFT JOIN aircraft AS T3 ON T3.aid = T2.aid WHERE T2.flno = 7"},
+		{"LIMIT 3 scan", "SELECT flno, origin FROM flight LIMIT 3"},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {
@@ -395,4 +399,10 @@ func BenchmarkExecLeftJoin(b *testing.B) {
 // BenchmarkExecGroupBy measures grouped aggregation over a join.
 func BenchmarkExecGroupBy(b *testing.B) {
 	benchExec(b, "SELECT T2.name, count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name ORDER BY count(*) DESC", 50, 400)
+}
+
+// BenchmarkExecJoin3 measures a three-table equi-join whose intermediate
+// join streams through the shared frame into the last one.
+func BenchmarkExecJoin3(b *testing.B) {
+	benchExec(b, "SELECT T1.flno, T2.name, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid WHERE T3.flno < 40", 50, 400)
 }

@@ -90,19 +90,24 @@ type groupView struct {
 type compiledExpr func(ctx *rowCtx) (sqltypes.Value, error)
 
 // program is a fully compiled statement: one compiled core per SELECT core
-// plus the set operations combining them. The remaining fields are set on
-// the top-level program only. nodes counts the plan-node ids the compiler
-// assigned across the whole statement (joins, scans, filters, outputs —
-// including subqueries), sizing the trace arrays ExplainPlan records
-// actual row counts into. subs lists the statement's subquery expressions
+// plus the set operations combining them. A compound's ORDER BY and
+// LIMIT/OFFSET, which the parser attaches to its last core, apply to the
+// combined result: order holds each ORDER BY term resolved to an output
+// column (projIdx), and limit and offset the window. The remaining fields
+// are set on the top-level program only. nodes counts the plan-node ids
+// the compiler assigned across the whole statement (joins, scans,
+// filters, outputs — including subqueries), sizing the trace arrays
+// ExplainPlan records actual row counts into. subs lists the statement's subquery expressions
 // in compile order, and slots counts the uncorrelated ones, sizing the
 // memo each execution allocates.
 type program struct {
-	cores []*compiledCore
-	ops   []sqlast.CompoundOp
-	nodes int
-	subs  []subquery
-	slots int
+	cores         []*compiledCore
+	ops           []sqlast.CompoundOp
+	order         []orderKey
+	limit, offset *int64
+	nodes         int
+	subs          []subquery
+	slots         int
 }
 
 // subquery is one compiled IN, EXISTS or scalar subquery expression. slot
@@ -139,7 +144,9 @@ type compiledCore struct {
 	// stream, when non-nil, lowers ORDER BY (and LIMIT/OFFSET) into a walk
 	// of the base table's sorted index instead of materialize-and-sort.
 	stream *streamPlan
-	width  int
+	// stop is the record count at which the push path stops (stopAt).
+	stop  int
+	width int
 	// id is the core's output plan node, filterID the post-join filter
 	// stage's (-1 when the core has no post-join filters); est is the
 	// cost-based estimate of the core's output rows (-1 outside cost mode).
@@ -202,17 +209,16 @@ type streamPlan struct {
 	desc bool
 }
 
-// rows produces the scan's rows and reports whether the caller owns the
-// slice (and may filter it in place): a derived table's result, the rows
-// a point or range probe gathers, or the base table's own rows.
-func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.Row, bool, error) {
+// rows produces the scan's rows: a derived table's result, the rows a
+// point or range probe gathers, or the base table's own rows. The caller
+// records the scan's EXPLAIN count.
+func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.Row, error) {
 	var rows []sqltypes.Row
-	owned := true
 	switch {
 	case ts.sub != nil:
 		rel, err := ex.runProgram(e.nested(), ts.sub, outer)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rows = rel.Rows
 	case ts.probe != nil:
@@ -226,12 +232,9 @@ func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.
 		slices.Sort(ids)
 		rows = gather(ts.rel.Rows, ids)
 	default:
-		rows, owned = ts.rel.Rows, false
+		rows = ts.rel.Rows
 	}
-	if e.trace != nil {
-		e.trace.addRows(ts.id, int64(len(rows)))
-	}
-	return rows, owned, nil
+	return rows, nil
 }
 
 // gather returns the rows at the given positions.
@@ -313,14 +316,77 @@ func (c *compiler) compileStmt(stmt *sqlast.SelectStmt, parent *scope) (*program
 		return nil, fmt.Errorf("sqleval: subquery nesting exceeds %d", maxSubqueryDepth)
 	}
 	p := &program{ops: stmt.Ops}
-	for _, core := range stmt.Cores {
+	last := len(stmt.Cores) - 1
+	for i, core := range stmt.Cores {
+		if i > 0 && i == last {
+			// The compound's ORDER BY and LIMIT move off its last core, which
+			// compiles from a shallow copy: the statement is never mutated.
+			cp := *core
+			p.limit, p.offset = cp.Limit, cp.Offset
+			cp.OrderBy, cp.Limit, cp.Offset = nil, nil, nil
+			core = &cp
+		}
 		cc, err := c.compileCore(core, parent)
 		if err != nil {
 			return nil, err
 		}
 		p.cores = append(p.cores, cc)
 	}
+	if last > 0 {
+		for _, o := range stmt.Cores[last].OrderBy {
+			idx, err := compoundOrderColumn(o, p.cores)
+			if err != nil {
+				return nil, err
+			}
+			p.order = append(p.order, orderKey{projIdx: idx, desc: o.Desc})
+		}
+	}
 	return p, nil
+}
+
+// compoundOrderColumn resolves an ORDER BY term of a compound statement to
+// an output column, as SQLite does: an integer is a 1-based column
+// position; any other term names the first column, searching the cores
+// left to right, whose alias or (unqualified) column name it spells, or
+// whose expression it repeats.
+func compoundOrderColumn(o sqlast.OrderItem, cores []*compiledCore) (int, error) {
+	n := len(cores[0].items)
+	if lit, ok := o.Expr.(*sqlast.Literal); ok && lit.Value.Kind() == sqltypes.KindInt {
+		if k := lit.Value.Int(); k >= 1 && k <= int64(n) {
+			return int(k - 1), nil
+		}
+		return 0, fmt.Errorf("sqleval: ORDER BY term out of range - should be between 1 and %d", n)
+	}
+	term := sqlast.ExprSQL(o.Expr)
+	name := ""
+	if cr, ok := o.Expr.(*sqlast.ColumnRef); ok && cr.Table == "" {
+		name = cr.Column
+	}
+	for _, cc := range cores {
+		for i, it := range cc.items {
+			if strings.EqualFold(it.sql, term) ||
+				name != "" && (strings.EqualFold(it.label, name) || strings.EqualFold(bareColumn(it.sql), name)) {
+				return i, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("sqleval: ORDER BY term %s does not match any column in the result set", term)
+}
+
+// bareColumn returns the column name of a rendered column reference
+// ("T1.origin" or "origin"), or "" for any other expression.
+func bareColumn(sql string) string {
+	dot := -1
+	for i := 0; i < len(sql); i++ {
+		switch c := sql[i]; {
+		case c == '.' && dot < 0:
+			dot = i
+		case c == '_' || '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'z':
+		default:
+			return ""
+		}
+	}
+	return sql[dot+1:]
 }
 
 // compileSubquery compiles the statement of an IN, EXISTS or scalar
@@ -492,6 +558,7 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		cc.orderKeys = append(cc.orderKeys, ok)
 	}
 	c.lowerStream(cc, core, sc)
+	cc.stop = stopAt(cc)
 	if len(cc.filters) > 0 {
 		cc.filterID = c.nextNode()
 		if cc.est >= 0 {

@@ -12,19 +12,25 @@
 // probes, recognizes ORDER BY col [LIMIT k] orderings that can stream off
 // a sorted index, pushes the remaining filters below inner joins, and
 // lowers every expression into a closure. The execute phase runs every
-// core through one push path: the base scan, or the core's last join,
-// hands each frame row as a scratch view to the core's sink (project.go),
-// which applies the post-join WHERE and then projects the row or folds it
-// into its group's aggregate accumulators, so no joined row is copied
-// except each group's first. Base scans read point lookups and range spans
-// straight off lazily built storage indexes; the scan of a core whose
-// ordering was lowered to a sorted-index walk (stream.go) delivers rows in
-// index order, so the core needs no sort, and stops early under LIMIT.
-// Equi-joins probe a bucket per left row: a whole base table's hash index
+// core through one push path: the base scan, directly or through the
+// core's join pipeline, hands each frame row as a scratch view to the
+// core's sink (project.go), which applies the post-join WHERE and then
+// projects the row or folds it into its group's aggregate accumulators, so
+// no joined row is copied except each group's first. Base scans read point
+// lookups and range spans straight off lazily built storage indexes; the
+// scan of a core whose ordering was lowered to a sorted-index walk
+// (stream.go) delivers rows in index order, so the core needs no sort.
+// The pipeline fetches every join's right side and builds its bucket
+// source first, then streams each base row through one stage per join:
+// equi-joins probe a bucket per left row — a whole base table's hash index
 // over the key-column tuple, reused across executions, or else a hash
-// table built over the right side per execution; a join without equi keys
-// runs a nested loop. Intermediate joins of a multi-join core materialize,
-// because the next join reads its input whole. The pre-bound closures
+// table built over the right side per execution — and a join without equi
+// keys runs a nested loop. All stages share one frame row, each writing
+// only its own table's columns, so no intermediate join result is ever
+// materialized. Under LIMIT, an ungrouped core without DISTINCT or sort
+// keys stops the push path once its sink holds OFFSET+LIMIT records, so
+// rows past the limit are never evaluated. A compound's ORDER BY and
+// LIMIT apply to the combined result. The pre-bound closures
 // evaluate directly against flat rows — no per-row environment
 // allocation, no name lookups — and every dedup and grouping structure
 // keys rows by compact binary bag keys (sqltypes.Row.AppendKey), every
@@ -64,6 +70,7 @@ package sqleval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"unsafe"
@@ -280,7 +287,20 @@ func (ex *Executor) runProgram(e execution, p *program, outer *rowCtx) (*sqltype
 			return nil, err
 		}
 	}
+	if len(p.ops) > 0 {
+		orderCompound(result, p)
+	}
 	return result, nil
+}
+
+// orderCompound applies a compound's ORDER BY and LIMIT/OFFSET to its
+// combined result, in place: a stable sort on the resolved output
+// columns, then the window.
+func orderCompound(rel *sqltypes.Relation, p *program) {
+	rows := rel.Rows
+	sortRecords(rows, p.order, 0)
+	start, end := window(p.offset, p.limit, len(rows))
+	rel.Rows = rows[start:end:end]
 }
 
 func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation, error) {
@@ -329,12 +349,20 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	return out, nil
 }
 
+// errLimit is what a core's sink returns once it holds the OFFSET+LIMIT
+// records its window keeps (compiledCore.stop): it unwinds the push path
+// without visiting another row, and runCore reads it as success.
+var errLimit = errors.New("sqleval: limit reached")
+
 // runCore executes one SELECT core through the push path: the frame rows
-// flow from the base scan or the last join straight into the core's sink.
+// flow from the base scan, through the join pipeline, straight into the
+// core's sink. A core whose LIMIT keeps no record runs nothing.
 func (ex *Executor) runCore(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
 	s := &coreSink{cc: cc, rc: rowCtx{parent: outer, execution: e}}
-	if err := ex.pushFrom(e, cc, outer, s); err != nil {
-		return nil, err
+	if cc.stop != 0 {
+		if err := ex.pushFrom(e, cc, outer, s); err != nil && err != errLimit {
+			return nil, err
+		}
 	}
 	result, err := s.finish()
 	if err == nil && e.trace != nil {
@@ -363,11 +391,9 @@ func truthyAll(filters []compiledExpr, ctx *rowCtx) (bool, error) {
 }
 
 // pushFrom produces the frame rows and hands each to the core's sink: the
-// sorted-index walk of a streamed core (pushSorted), or the base scan
-// (filtered by any pushed-down conjuncts) joined with each subsequent
-// table. Every join but the last materializes its output, since the next
-// join takes it as one slice of left rows; the last pushes its scratch row
-// directly.
+// sorted-index walk of a streamed core (pushSorted), the base scan of a
+// single-table core, or the base scan streamed through the core's join
+// pipeline.
 func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) error {
 	switch {
 	case len(cc.scans) == 0:
@@ -376,78 +402,207 @@ func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *co
 	case cc.stream != nil:
 		return ex.pushSorted(e, cc, s)
 	}
-	rows, owned, err := cc.scans[0].rows(ex, e, outer)
+	rows, err := cc.scans[0].rows(ex, e, outer)
 	if err != nil {
 		return err
 	}
-	cancel := cancelCheck{ctx: e.qctx}
-	if len(cc.baseFilters) > 0 {
-		kept := rows[:0]
-		if !owned {
-			kept = rows[:0:0]
-		}
-		// The sink's context is idle until the first push, so the base
-		// filters borrow it.
-		rc := &s.rc
+	// visited counts the base rows the push path reached, which is fewer
+	// than the scan's rows when LIMIT stops it.
+	visited := 0
+	if len(cc.joins) == 0 {
+		cancel := cancelCheck{ctx: e.qctx}
 		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return err
+			visited++
+			if err = cancel.poll(); err != nil {
+				break
 			}
-			rc.row = row
-			ok, err := truthyAll(cc.baseFilters, rc)
+			if err = s.push(row); err != nil {
+				break
+			}
+		}
+	} else {
+		p, perr := ex.newPipeline(e, cc, outer, s)
+		if perr != nil {
+			return perr
+		}
+		visited, err = p.run(rows)
+		if e.trace != nil {
+			for i := range p.stages {
+				st := &p.stages[i]
+				e.trace.addRows(st.jp.id, st.emitted)
+				e.trace.addPairs(st.jp.id, st.pairs)
+			}
+		}
+	}
+	if e.trace != nil {
+		e.trace.addRows(cc.scans[0].id, int64(visited))
+	}
+	return err
+}
+
+// pipeline streams a multi-table core's base rows through its joins into
+// the sink. Every stage writes into one shared frame row: stage i fills
+// only columns [accW, outW) with its right row (or NULLs), so a left row
+// is never copied and the row the sink sees is the frame itself. Output
+// order is left-major with right rows in scan order, as the joins would
+// produce it one at a time. The frame and the stages are the pipeline's
+// only per-execution allocations besides the build-side hash tables.
+type pipeline struct {
+	stages []joinStage
+	frame  sqltypes.Row
+	// base filters run on the frame once the base row is in it; every
+	// conjunct and residual evaluates in the sink's row context, which
+	// reads the same frame.
+	base   []compiledExpr
+	rc     *rowCtx
+	sink   *coreSink
+	cancel cancelCheck
+	key    []byte
+}
+
+// joinStage is one join of a pipeline. With equi keys it probes, with each
+// left prefix of the frame, a bucket of right-row positions: from the
+// right table's hash index over the key-column tuple when the right side
+// is a whole base table (built at most once per database instead of
+// hashing the table on every execution), otherwise from a hash table
+// built over the right side per execution. Without keys it visits every
+// right row (a nested loop). A NULL in any key column never equi-matches:
+// AppendCompareKeyCols reports it, and its Compare-consistent encoding
+// (shared with the secondary indexes) matches the = operator exactly,
+// keeping both bucket sources bit-identical to the nested loop. A LEFT
+// JOIN null-extends an unmatched left row inline, matching rows by index —
+// never by value — so duplicate-valued rows cannot collide. pairs and
+// emitted are the stage's EXPLAIN counts.
+type joinStage struct {
+	jp             *joinPlan
+	right          []sqltypes.Row
+	accW, outW     int
+	ix             *storage.HashIndex
+	ht             map[string][]int32
+	pairs, emitted int64
+}
+
+// newPipeline fetches each join's right side in join order and builds its
+// hash table, or looks up the reused index, before any base row streams.
+// One amortized cancellation counter covers every build-side row, base
+// row and candidate pair, so even an n×m nested loop observes
+// cancellation within cancelCheckInterval visits.
+func (ex *Executor) newPipeline(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) (pipeline, error) {
+	p := pipeline{stages: make([]joinStage, len(cc.joins)), frame: make(sqltypes.Row, cc.width),
+		base: cc.baseFilters, rc: &s.rc, sink: s, cancel: cancelCheck{ctx: e.qctx}}
+	p.rc.row = p.frame
+	accW := cc.scans[0].width
+	for i, jp := range cc.joins {
+		next := cc.scans[i+1]
+		right, err := next.rows(ex, e, outer)
+		if err != nil {
+			return pipeline{}, err
+		}
+		if e.trace != nil {
+			e.trace.addRows(next.id, int64(len(right)))
+		}
+		st := &p.stages[i]
+		*st = joinStage{jp: jp, right: right, accW: accW, outW: accW + next.width}
+		accW = st.outW
+		switch {
+		case len(jp.eqAcc) == 0:
+		case jp.reuse:
+			st.ix = ex.db.Index(next.table, jp.eqNew...)
+		default:
+			st.ht = make(map[string][]int32, len(right))
+			for ri, rrow := range right {
+				if err := p.cancel.poll(); err != nil {
+					return pipeline{}, err
+				}
+				key, ok := rrow.AppendCompareKeyCols(p.key[:0], jp.eqNew)
+				p.key = key
+				if ok {
+					st.ht[string(key)] = append(st.ht[string(key)], int32(ri))
+				}
+			}
+		}
+	}
+	return p, nil
+}
+
+// run streams the base rows through the stages, passing each that the
+// pushed-down base filters keep, and returns how many it visited.
+func (p *pipeline) run(rows []sqltypes.Row) (int, error) {
+	w := p.stages[0].accW
+	for i, row := range rows {
+		if err := p.cancel.poll(); err != nil {
+			return i + 1, err
+		}
+		copy(p.frame[:w], row)
+		ok, err := truthyAll(p.base, p.rc)
+		if err == nil && ok {
+			err = p.join(0)
+		}
+		if err != nil {
+			return i + 1, err
+		}
+	}
+	return len(rows), nil
+}
+
+// join extends the frame, whose columns before stage i's accW hold the
+// current left row, with each matching right row of stage i and hands
+// every extension to the next stage; past the last stage, to the sink.
+func (p *pipeline) join(i int) error {
+	if i == len(p.stages) {
+		return p.sink.push(p.frame)
+	}
+	st := &p.stages[i]
+	matched := false
+	if len(st.jp.eqAcc) == 0 {
+		for _, rrow := range st.right {
+			ok, err := p.pair(i, rrow)
 			if err != nil {
 				return err
 			}
-			if ok {
-				kept = append(kept, row)
-			}
+			matched = matched || ok
 		}
-		rows = kept
+	} else if key, ok := p.frame.AppendCompareKeyCols(p.key[:0], st.jp.eqAcc); ok {
+		// The bucket outlives the key: later stages reuse the buffer.
+		p.key = key
+		var bucket []int32
+		if st.ix != nil {
+			bucket = st.ix.Lookup(key)
+		} else {
+			bucket = st.ht[string(key)]
+		}
+		for _, ri := range bucket {
+			ok, err := p.pair(i, st.right[ri])
+			if err != nil {
+				return err
+			}
+			matched = matched || ok
+		}
 	}
-	if len(cc.joins) == 0 {
-		for _, row := range rows {
-			if err := cancel.poll(); err != nil {
-				return err
-			}
-			if err := s.push(row); err != nil {
-				return err
-			}
-		}
+	if matched || !st.jp.left {
 		return nil
 	}
-	accW := cc.scans[0].width
-	last := len(cc.joins) - 1
-	for i, jp := range cc.joins {
-		next := cc.scans[i+1]
-		right, _, err := next.rows(ex, e, outer)
-		if err != nil {
-			return err
-		}
-		if i == last {
-			return ex.execJoin(e, rows, accW, next, right, jp, outer, s)
-		}
-		buf := &rowBuffer{}
-		if err := ex.execJoin(e, rows, accW, next, right, jp, outer, buf); err != nil {
-			return err
-		}
-		rows = buf.rows
-		accW += next.width
+	for c := st.accW; c < st.outW; c++ {
+		p.frame[c] = sqltypes.Null()
 	}
-	return nil
+	st.emitted++
+	return p.join(i + 1)
 }
 
-// rowBuffer materializes an intermediate join's output into rows carved
-// from an arena.
-type rowBuffer struct {
-	rows  []sqltypes.Row
-	arena rowArena
-}
-
-func (b *rowBuffer) push(row sqltypes.Row) error {
-	r := b.arena.alloc(len(row))
-	copy(r, row)
-	b.rows = append(b.rows, r)
-	return nil
+// pair places one candidate right row of stage i in the frame, evaluates
+// the stage's residual conjuncts and, when they hold, passes the frame on.
+func (p *pipeline) pair(i int, rrow sqltypes.Row) (bool, error) {
+	st := &p.stages[i]
+	st.pairs++
+	if err := p.cancel.poll(); err != nil {
+		return false, err
+	}
+	copy(p.frame[st.accW:st.outW], rrow)
+	if ok, err := truthyAll(st.jp.residual, p.rc); err != nil || !ok {
+		return false, err
+	}
+	st.emitted++
+	return true, p.join(i + 1)
 }
 
 // arenaChunkBytes caps an arena chunk below the runtime's large-object
@@ -480,137 +635,4 @@ func (a *rowArena) alloc(n int) sqltypes.Row {
 	lo := len(a.chunk)
 	a.chunk = a.chunk[:lo+n]
 	return a.chunk[lo : lo+n : lo+n]
-}
-
-// execJoin combines the accumulated frame rows with one table, pushing
-// each joined row into sink as a scratch view. With equi keys it probes,
-// with each left row in order, a bucket of right-row positions: from the
-// table's hash index over the key-column tuple when the right side is a
-// whole base table (built at most once per database instead of hashing
-// the table on every execution), otherwise from a hash table built over
-// the right side here. Without keys it falls back to a nested loop. A NULL
-// in any key column never equi-matches: AppendCompareKeyCols reports it,
-// and its Compare-consistent encoding (shared with the secondary indexes)
-// matches the = operator exactly, keeping both bucket sources
-// bit-identical to the nested loop. All paths emit rows in identical order
-// (left-major, right rows in scan order) and null-extend unmatched left
-// rows inline for LEFT JOIN, matching rows by index — never by value — so
-// duplicate-valued rows cannot collide.
-func (ex *Executor) execJoin(e execution, acc []sqltypes.Row, accW int, next *tableScan, right []sqltypes.Row, jp *joinPlan, outer *rowCtx, sink rowSink) (err error) {
-	outW := accW + next.width
-	scratch := make(sqltypes.Row, outW)
-	rc := &rowCtx{parent: outer, row: scratch, execution: e}
-	// One amortized cancellation counter covers every candidate pair
-	// (through tryPair) and every build-side row, so even an n×m nested
-	// loop observes cancellation within cancelCheckInterval pair visits.
-	cancel := cancelCheck{ctx: e.qctx}
-	var pairs, emitted int64
-	if e.trace != nil {
-		defer func() {
-			if err == nil {
-				e.trace.addRows(jp.id, emitted)
-				e.trace.addPairs(jp.id, pairs)
-			}
-		}()
-	}
-
-	// tryPair evaluates the residual over scratch (left part already
-	// filled) and emits on success.
-	tryPair := func(rrow sqltypes.Row) (bool, error) {
-		pairs++
-		if err := cancel.poll(); err != nil {
-			return false, err
-		}
-		copy(scratch[accW:], rrow)
-		if len(jp.residual) > 0 {
-			ok, err := truthyAll(jp.residual, rc)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		emitted++
-		return true, sink.push(scratch)
-	}
-	// nullExtend emits a LEFT JOIN's left row that matched nothing.
-	nullExtend := func(matched bool) error {
-		if !jp.left || matched {
-			return nil
-		}
-		for i := accW; i < outW; i++ {
-			scratch[i] = sqltypes.Null()
-		}
-		emitted++
-		return sink.push(scratch)
-	}
-
-	if len(jp.eqAcc) == 0 {
-		// Nested loop: cross join, or arbitrary non-equi ON condition.
-		for _, lrow := range acc {
-			if err := cancel.poll(); err != nil {
-				return err
-			}
-			copy(scratch, lrow)
-			matched := false
-			for _, rrow := range right {
-				ok, err := tryPair(rrow)
-				if err != nil {
-					return err
-				}
-				matched = matched || ok
-			}
-			if err := nullExtend(matched); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Only the bucket lookup differs between a reused index and a hash
-	// table built here.
-	var buf []byte
-	var ix *storage.HashIndex
-	var ht map[string][]int32
-	if jp.reuse {
-		ix = ex.db.Index(next.table, jp.eqNew...)
-	} else {
-		ht = make(map[string][]int32, len(right))
-		for ri, rrow := range right {
-			if err := cancel.poll(); err != nil {
-				return err
-			}
-			key, ok := rrow.AppendCompareKeyCols(buf[:0], jp.eqNew)
-			if !ok {
-				continue
-			}
-			buf = key
-			ht[string(key)] = append(ht[string(key)], int32(ri))
-		}
-	}
-	for _, lrow := range acc {
-		if err := cancel.poll(); err != nil {
-			return err
-		}
-		copy(scratch, lrow)
-		matched := false
-		if key, ok := lrow.AppendCompareKeyCols(buf[:0], jp.eqAcc); ok {
-			buf = key
-			var bucket []int32
-			if ix != nil {
-				bucket = ix.Lookup(key)
-			} else {
-				bucket = ht[string(key)]
-			}
-			for _, ri := range bucket {
-				hit, err := tryPair(right[ri])
-				if err != nil {
-					return err
-				}
-				matched = matched || hit
-			}
-		}
-		if err := nullExtend(matched); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cyclesql/internal/datasets"
+	"cyclesql/internal/plan"
 	"cyclesql/internal/sqleval"
 	"cyclesql/internal/sqlparse"
 	"cyclesql/internal/sqltypes"
@@ -60,6 +61,48 @@ func TestExplainCountsStreamedFilter(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "stream ") || !strings.Contains(got, "filter 1 conjuncts (est=? act=3)") {
 		t.Errorf("EXPLAIN must count the streamed core's filter, got:\n%s", got)
+	}
+}
+
+// TestExplainCountsLimitStop requires EXPLAIN of a join stopped by LIMIT
+// to report the pairs it actually visited: a three-table join under
+// LIMIT 2 stops after its second output row, so its joins visit fewer
+// pairs than the same join run to completion.
+func TestExplainCountsLimitStop(t *testing.T) {
+	db := sqleval.BenchDB(t, 50, 400)
+	const join3 = "SELECT T1.flno, T2.name, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid"
+	pairs := func(sql string) (int64, string) {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := sqleval.New(db).PlanTree(context.Background(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		var visit func(*plan.Node)
+		visit = func(nd *plan.Node) {
+			if nd.Kind == "join" {
+				if nd.ActPairs < 0 {
+					t.Fatalf("%s: join without a pair count:\n%s", sql, tree.Render())
+				}
+				n += nd.ActPairs
+			}
+			for _, c := range nd.Children {
+				visit(c)
+			}
+		}
+		visit(tree.Root)
+		return n, tree.Render()
+	}
+	full, fullPlan := pairs(join3)
+	limited, limitedPlan := pairs(join3 + " LIMIT 2")
+	if limited <= 0 || limited >= full {
+		t.Errorf("LIMIT 2 must visit fewer join pairs than the full join (%d), got %d:\n%s\nfull:\n%s", full, limited, limitedPlan, fullPlan)
+	}
+	if !strings.HasPrefix(limitedPlan, "project (est=") || !strings.Contains(limitedPlan, "act=2)") {
+		t.Errorf("LIMIT 2 plan must report 2 output rows:\n%s", limitedPlan)
 	}
 }
 

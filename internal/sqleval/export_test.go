@@ -12,3 +12,6 @@ func NewNestedLoop(db *storage.Database) *Executor { return &Executor{db: db, mo
 
 // BenchDB is benchDB for the external tests.
 var BenchDB = benchDB
+
+// LimitParity is limitParity for the external tests.
+var LimitParity = limitParity

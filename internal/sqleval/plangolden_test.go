@@ -57,6 +57,23 @@ func TestPlanParity(t *testing.T) {
 	}
 }
 
+// TestLimitParityDev applies LimitParity to every Spider dev gold query
+// without ORDER BY, DISTINCT or grouping: with LIMIT 0, 1 and 3, every
+// plan leg must return the first rows of the unlimited run.
+func TestLimitParityDev(t *testing.T) {
+	bench := datasets.Spider()
+	checked := 0
+	for _, ex := range bench.Dev {
+		if sqleval.LimitParity(t, bench.DB(ex.DBName), ex.GoldSQL) {
+			checked++
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d dev queries qualified for the LIMIT parity check", checked)
+	}
+	t.Logf("checked %d dev queries", checked)
+}
+
 // TestIndexFreeModesBuildNoIndex runs every Spider dev gold query through
 // the index-free and nested-loop executors, each over a fresh clone of its
 // database, and requires that no column index or sorted index exists

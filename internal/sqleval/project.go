@@ -2,18 +2,20 @@ package sqleval
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 
-	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 )
 
 // This file holds the consuming end of a core's push path. The base scan,
-// or the core's last join, hands every frame row to the core's sink as a
-// view it may only read during the call; the sink applies the post-join
+// or the core's join pipeline, hands every frame row to the core's sink as
+// a view it may only read during the call; the sink applies the post-join
 // WHERE conjuncts and then projects the row or folds it into its group.
 // No frame row is copied except each group's first, which grouped
-// projection evaluates its non-aggregate expressions over.
+// projection evaluates its non-aggregate expressions over. Under LIMIT the
+// sink of an ungrouped, non-DISTINCT, unsorted core stops the push path
+// once it holds every record the window keeps.
 
 // aggKind is one of the five SQL aggregates.
 type aggKind uint8
@@ -101,17 +103,12 @@ func (st *aggState) value(kind aggKind) (sqltypes.Value, error) {
 	return st.best, nil
 }
 
-// rowSink consumes frame rows. The row handed to push is a view the
-// caller reuses after push returns.
-type rowSink interface {
-	push(row sqltypes.Row) error
-}
-
 // coreSink consumes one execution of a core's frame rows. An ungrouped
 // core projects each row that passes the post-join filter into records; a
 // grouped core folds it into its group, found by the binary encoding of
 // its GROUP BY values. Groups keep first-seen order; group g's
-// accumulators are states[g*len(cc.aggs):(g+1)*len(cc.aggs)].
+// accumulators are states[g*len(cc.aggs):(g+1)*len(cc.aggs)]. The row
+// handed to push is a view the caller reuses after push returns.
 type coreSink struct {
 	cc *compiledCore
 	rc rowCtx
@@ -151,6 +148,9 @@ func (s *coreSink) push(row sqltypes.Row) error {
 			return err
 		}
 		s.records = append(s.records, rec)
+		if len(s.records) == cc.stop {
+			return errLimit
+		}
 		return nil
 	}
 	g, err := s.group(row)
@@ -273,7 +273,8 @@ func (s *coreSink) finish() (*sqltypes.Relation, error) {
 // projectRecord evaluates the projection items and then the ORDER BY
 // keys for one row (or group) context into one row from the arena: the
 // record's first len(cc.items) values are the output row, the rest its
-// sort keys.
+// sort keys. A key that reuses a projected column leaves its slot unset;
+// sortRecords reads the column.
 func projectRecord(cc *compiledCore, ctx *rowCtx, arena *rowArena) (sqltypes.Row, error) {
 	n := len(cc.items)
 	rec := arena.alloc(n + len(cc.orderKeys))
@@ -286,7 +287,6 @@ func projectRecord(cc *compiledCore, ctx *rowCtx, arena *rowArena) (sqltypes.Row
 	}
 	for i, ok := range cc.orderKeys {
 		if ok.projIdx >= 0 {
-			rec[n+i] = rec[ok.projIdx]
 			continue
 		}
 		v, err := ok.fn(ctx)
@@ -316,22 +316,8 @@ func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, err
 		}
 		records = kept
 	}
-	if len(cc.orderKeys) > 0 {
-		sort.SliceStable(records, func(i, j int) bool {
-			for k, o := range cc.orderKeys {
-				c := sqltypes.Compare(records[i][n+k], records[j][n+k])
-				if c == 0 {
-					continue
-				}
-				if o.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	start, end := window(core, len(records))
+	sortRecords(records, cc.orderKeys, n)
+	start, end := window(core.Offset, core.Limit, len(records))
 	out := sqltypes.NewRelation(cc.labels()...)
 	out.Rows = records[start:end:end]
 	if out.Rows == nil {
@@ -345,15 +331,57 @@ func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, err
 	return out, nil
 }
 
+// sortRecords stably sorts records by the ORDER BY keys, each ascending
+// or descending under Compare. Key k reads the projected column projIdx,
+// or else the record's sort-key slot n+k (projectRecord).
+func sortRecords(records []sqltypes.Row, keys []orderKey, n int) {
+	if len(keys) == 0 {
+		return
+	}
+	sort.SliceStable(records, func(i, j int) bool {
+		for k, o := range keys {
+			col := n + k
+			if o.projIdx >= 0 {
+				col = o.projIdx
+			}
+			c := sqltypes.Compare(records[i][col], records[j][col])
+			if c == 0 {
+				continue
+			}
+			if o.desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+}
+
 // window returns the span [start, end) of n ordered records that OFFSET
 // and LIMIT keep, each bound clamped to the records.
-func window(core *sqlast.SelectCore, n int) (start, end int) {
-	if core.Offset != nil {
-		start = int(min(max(*core.Offset, 0), int64(n)))
+func window(offset, limit *int64, n int) (start, end int) {
+	if offset != nil {
+		start = int(min(max(*offset, 0), int64(n)))
 	}
 	end = n
-	if core.Limit != nil {
-		end = start + int(min(max(*core.Limit, 0), int64(n-start)))
+	if limit != nil {
+		end = start + int(min(max(*limit, 0), int64(n-start)))
 	}
 	return start, end
+}
+
+// stopAt returns the number of records after which a core's push path
+// stops (compiledCore.stop): OFFSET+LIMIT for an ungrouped, non-DISTINCT
+// core without sort keys, whose first records in push order are the ones
+// its window keeps; -1, never, for every other core.
+func stopAt(cc *compiledCore) int {
+	core := cc.core
+	if core.Limit == nil || cc.grouped || core.Distinct || len(cc.orderKeys) > 0 {
+		return -1
+	}
+	var off int64
+	if core.Offset != nil {
+		off = max(*core.Offset, 0)
+	}
+	return int(min(max(*core.Limit, 0), math.MaxInt64-off) + off)
 }

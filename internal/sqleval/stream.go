@@ -6,12 +6,12 @@ import "cyclesql/internal/sqltypes"
 // sorted-index walk (compiledCore.stream, see lowerStream): it pushes the
 // table's rows into the core's sink in the index's (value, scan-position)
 // order, which is exactly how the stable sort in finalize orders them, so
-// the core keeps no sort keys. Under LIMIT the walk stops as soon as the
-// sink holds OFFSET+LIMIT records, and finalize cuts the window as it does
-// for every core. With a same-column range probe the walk covers only the
-// probed span; NULL rows sit outside every span, matching the range
-// conjunct's NULL rejection, while an unprobed walk includes them (NULL
-// sorts first ascending, last descending, as Compare orders it). A
+// the core keeps no sort keys. Under LIMIT the walk ends when the sink
+// stops it, holding OFFSET+LIMIT records, and finalize cuts the window as
+// it does for every core. With a same-column range probe the walk covers
+// only the probed span; NULL rows sit outside every span, matching the
+// range conjunct's NULL rejection, while an unprobed walk includes them
+// (NULL sorts first ascending, last descending, as Compare orders it). A
 // streamed core has a single scan, so its whole WHERE runs in the sink.
 func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error {
 	ts := cc.scans[0]
@@ -20,42 +20,35 @@ func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error
 	if rp := ts.rprobe; rp != nil {
 		span = ix.Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl)
 	}
-	target := -1 // records after which the walk stops
-	if cc.core.Limit != nil {
+	if cc.stop >= 0 {
 		// LIMIT bounds the output: size it once.
-		_, target = window(cc.core, len(span))
-		s.records = make([]sqltypes.Row, 0, target)
-		s.arena.reserve(target, len(cc.items))
+		n := min(cc.stop, len(span))
+		s.records = make([]sqltypes.Row, 0, n)
+		s.arena.reserve(n, len(cc.items))
 	}
 	var visited int64
-	if target != 0 {
-		cancel := cancelCheck{ctx: e.qctx}
-		err := walkSorted(ts, cc.stream, span, func(ri int32) (bool, error) {
-			visited++
-			if err := cancel.poll(); err != nil {
-				return false, err
-			}
-			err := s.push(ts.rel.Rows[ri])
-			return len(s.records) == target, err
-		})
-		if err != nil {
+	cancel := cancelCheck{ctx: e.qctx}
+	err := walkSorted(ts, cc.stream, span, func(ri int32) error {
+		visited++
+		if err := cancel.poll(); err != nil {
 			return err
 		}
-	}
+		return s.push(ts.rel.Rows[ri])
+	})
 	if e.trace != nil {
 		e.trace.addRows(ts.id, visited)
 	}
-	return nil
+	return err
 }
 
 // walkSorted visits a sorted span in the stream's order until visit
-// reports done: ascending directly, descending by visiting equal-value
+// returns an error: ascending directly, descending by visiting equal-value
 // runs back to front while keeping each run in ascending scan order (what
 // a stable descending sort produces).
-func walkSorted(ts *tableScan, sp *streamPlan, span []int32, visit func(int32) (bool, error)) error {
+func walkSorted(ts *tableScan, sp *streamPlan, span []int32, visit func(int32) error) error {
 	if !sp.desc {
 		for _, ri := range span {
-			if done, err := visit(ri); done || err != nil {
+			if err := visit(ri); err != nil {
 				return err
 			}
 		}
@@ -75,7 +68,7 @@ func walkSorted(ts *tableScan, sp *streamPlan, span []int32, visit func(int32) (
 			j--
 		}
 		for k := j; k <= i; k++ {
-			if done, err := visit(span[k]); done || err != nil {
+			if err := visit(span[k]); err != nil {
 				return err
 			}
 		}

@@ -43,10 +43,12 @@ func (k Kind) String() string {
 }
 
 // Value is a single dynamically typed SQL value. The zero value is NULL.
+// An INTEGER's payload and a REAL's IEEE-754 bits share i, so a Value is
+// 32 bytes. Struct equality therefore compares a REAL's bits: -0.0 and
+// +0.0 differ and NaN equals itself; Compare is the SQL ordering.
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
 }
 
@@ -57,7 +59,7 @@ func Null() Value { return Value{} }
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a REAL value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{kind: KindText, s: v} }
@@ -83,7 +85,7 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) Int() int64 { return v.i }
 
 // Float returns the real payload. It is only meaningful for KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Text returns the text payload. It is only meaningful for KindText.
 func (v Value) Text() string { return v.s }
@@ -96,7 +98,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.i), true
 	case KindFloat:
-		return v.f, true
+		return v.Float(), true
 	case KindText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		return f, err == nil
@@ -111,7 +113,7 @@ func (v Value) Truthy() bool {
 	case KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.Float() != 0
 	case KindText:
 		return v.s != ""
 	default:
@@ -127,7 +129,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	default:
@@ -143,7 +145,7 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindText:
 		return append(dst, v.s...)
 	default:
@@ -169,7 +171,7 @@ func (v Value) AppendSQLLiteral(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindText:
 		dst = append(dst, '\'')
 		for i := 0; i < len(v.s); i++ {
@@ -202,10 +204,10 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindInt:
 		return appendKeyInt(dst, v.i)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e15 {
-			return appendKeyInt(dst, int64(v.f))
+		if f := v.Float(); f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+			return appendKeyInt(dst, int64(f))
 		}
-		bits := math.Float64bits(v.f)
+		bits := uint64(v.i)
 		return append(dst, 0x02,
 			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
 			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))

@@ -1,8 +1,11 @@
 package sqltypes
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func compareKey(t *testing.T, v Value) string {
@@ -213,5 +216,72 @@ func TestKeyConsistentWithCompareProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueSize pins the 32-byte layout: a REAL shares the INTEGER
+// payload word, so every stored row and record is a fifth smaller than
+// with a separate float64 field.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestFloatEdgeValues pins the REAL edge cases through every accessor and
+// encoding. The expected outputs are those of the layout with a separate
+// float64 field, so storing a REAL as its bits changes no answer.
+func TestFloatEdgeValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name   string
+		f      float64
+		bits   uint64
+		truthy bool
+		str    string
+		key    string // AppendKey, hex
+		ckey   string // AppendCompareKey, hex
+		// Compare against 0.0, INTEGER 0, itself and -0.0.
+		cmpZero, cmpInt0, cmpSelf, cmpNegZero int
+	}{
+		{"-0.0", negZero, 0x8000000000000000, false, "-0", "010000000000000000", "010000000000000000", 0, 0, 0, 0},
+		{"+Inf", math.Inf(1), 0x7ff0000000000000, true, "+Inf", "027ff0000000000000", "017ff0000000000000", 1, 1, 0, 1},
+		{"-Inf", math.Inf(-1), 0xfff0000000000000, true, "-Inf", "02fff0000000000000", "01fff0000000000000", -1, -1, 0, -1},
+		{"NaN", math.NaN(), 0x7ff8000000000001, true, "NaN", "027ff8000000000001", "017ff8000000000001", 0, 0, 0, 0},
+		{"smallest subnormal", math.SmallestNonzeroFloat64, 0x1, true, "5e-324", "020000000000000001", "010000000000000001", 1, 1, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := NewFloat(c.f)
+			if v.Kind() != KindFloat {
+				t.Fatalf("kind %v", v.Kind())
+			}
+			if got := math.Float64bits(v.Float()); got != c.bits {
+				t.Errorf("Float bits %#x, want %#x", got, c.bits)
+			}
+			if f, ok := v.AsFloat(); !ok || math.Float64bits(f) != c.bits {
+				t.Errorf("AsFloat = %v,%v, want bits %#x", f, ok, c.bits)
+			}
+			if v.Truthy() != c.truthy {
+				t.Errorf("Truthy = %v, want %v", v.Truthy(), c.truthy)
+			}
+			if v.String() != c.str || string(v.AppendString(nil)) != c.str || v.SQLLiteral() != c.str {
+				t.Errorf("String = %q, AppendString = %q, SQLLiteral = %q, want %q", v.String(), v.AppendString(nil), v.SQLLiteral(), c.str)
+			}
+			if got := fmt.Sprintf("%x", v.AppendKey(nil)); got != c.key {
+				t.Errorf("AppendKey = %s, want %s", got, c.key)
+			}
+			ck, ok := v.AppendCompareKey(nil)
+			if got := fmt.Sprintf("%x", ck); !ok || got != c.ckey {
+				t.Errorf("AppendCompareKey = %s,%v, want %s", got, ok, c.ckey)
+			}
+			for _, cmp := range []struct {
+				other Value
+				want  int
+			}{{NewFloat(0), c.cmpZero}, {NewInt(0), c.cmpInt0}, {v, c.cmpSelf}, {NewFloat(negZero), c.cmpNegZero}, {NewText("a"), -1}, {Null(), 1}} {
+				if got := Compare(v, cmp.other); got != cmp.want {
+					t.Errorf("Compare(%v, %v) = %d, want %d", v, cmp.other, got, cmp.want)
+				}
+			}
+		})
 	}
 }
