@@ -677,9 +677,10 @@ func (c *compiler) compileJoin(j sqlast.Join, sc *scope, ts *tableScan) (*joinPl
 
 // equiKey recognizes conjuncts of the form a.x = b.y where exactly one side
 // binds inside the table being joined and the other binds earlier in the
-// same frame. Matching by encoded key equals the = operator: execJoin
-// keys rows with Row.AppendCompareKeyCols, a Compare-consistent encoding (NULL keys never match, numerics compare
-// as float64 across kinds).
+// same frame. Matching by encoded key equals the = operator: the join
+// pipeline keys rows with Row.AppendCompareKeyCols, a Compare-consistent
+// encoding (NULL keys never match, numerics compare as float64 across
+// kinds).
 func (c *compiler) equiKey(conj sqlast.Expr, sc *scope, ts *tableScan) (accIdx, newIdx int, ok bool) {
 	if c.ex.mode == nestedLoop {
 		return 0, 0, false

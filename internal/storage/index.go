@@ -8,8 +8,8 @@
 // equal; over one column it is Value.AppendCompareKey) to the list of row
 // positions holding that tuple, in scan order. The executor reads it both
 // as a point-lookup structure (WHERE col = literal) and as a prebuilt
-// hash-join build side — the exact buckets execJoin otherwise rebuilds per
-// execution, for single- and multi-key equi-joins alike. Indexes are found
+// hash-join build side — the exact buckets a join stage otherwise rebuilds
+// per execution, for single- and multi-key equi-joins alike. Indexes are found
 // by their exact column sequence: (a, b) and (b, a) are distinct indexes,
 // because the probe side encodes its key columns in the same order.
 //
