@@ -7,7 +7,6 @@ import (
 	"cyclesql/internal/nli"
 	"cyclesql/internal/resilience"
 	"cyclesql/internal/sqleval"
-	"cyclesql/internal/sqltypes"
 	"cyclesql/internal/storage"
 )
 
@@ -113,10 +112,10 @@ type candOutcome struct {
 func (p *Pipeline) examine(ctx context.Context, question string, db *storage.Database, fb Feedback, executor *sqleval.Executor, cand nl2sql.Candidate) (out candOutcome) {
 	out.premise = nli.Premise{SQL: cand.SQL}
 
-	var rel *sqltypes.Relation
+	var res sqleval.Result
 	se, attempts, _ := p.stage(ctx, resilience.StageExecute, cand.SQL, "", func(actx context.Context) error {
 		var err error
-		rel, err = executor.ExecContext(actx, cand.Stmt)
+		res, err = executor.Run(actx, cand.Stmt)
 		return err
 	})
 	out.retries += max(attempts-1, 0)
@@ -126,12 +125,15 @@ func (p *Pipeline) examine(ctx context.Context, question string, db *storage.Dat
 		return out
 	}
 
+	// The premise is all the loop keeps of the result, so its storage goes
+	// back to the executor as soon as the premise exists.
 	var premise nli.Premise
 	se, attempts, _ = p.stage(ctx, resilience.StageExplain, cand.SQL, "", func(actx context.Context) error {
 		var err error
-		premise, err = fb.Premise(actx, db, cand.Stmt, rel)
+		premise, err = fb.Premise(actx, db, cand.Stmt, res.Rel)
 		return err
 	})
+	res.Release()
 	out.retries += max(attempts-1, 0)
 	if !se.IsZero() {
 		out.err = se

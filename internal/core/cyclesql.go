@@ -66,7 +66,9 @@ import (
 // explanation; the SQL2NL ablation (paper Fig 9) plugs in a query-surface
 // back-translation instead. Premise must honor ctx: the loop cancels it
 // to abort speculative feedback generation for candidates that can no
-// longer win.
+// longer win. The loop releases result as soon as Premise returns, so an
+// implementation must not keep result, its rows or its values afterwards:
+// the returned premise has to copy out whatever it needs.
 type Feedback interface {
 	Name() string
 	Premise(ctx context.Context, db *storage.Database, stmt *sqlast.SelectStmt, result *sqltypes.Relation) (nli.Premise, error)
@@ -106,6 +108,8 @@ func (d *DataGrounded) Premise(ctx context.Context, db *storage.Database, stmt *
 	if err != nil {
 		return nli.Premise{}, err
 	}
+	// The text is composed, so the provenance tables are done with.
+	exp.Prov.Release()
 	return nli.Premise{
 		Explanation: exp.Text,
 		SQL:         nli.SQLOneLine(stmt.SQL()),

@@ -89,10 +89,11 @@ func BuildTrainingPairs(ctx context.Context, bench *datasets.Benchmark, cfg Trai
 		}
 		db := bench.DB(ex.DBName)
 		executor := sqleval.New(db)
-		goldRel, err := executor.ExecContext(ctx, ex.Gold)
+		goldRes, err := executor.Run(ctx, ex.Gold)
 		if err != nil {
 			continue
 		}
+		goldRel := goldRes.Rel
 		// Positive sample from the human-curated gold pair.
 		if premise, err := fb.Premise(ctx, db, ex.Gold, goldRel); err == nil {
 			pairs = append(pairs, nli.Pair{Hypothesis: ex.Question, Premise: premise, Label: 1})
@@ -112,11 +113,16 @@ func BuildTrainingPairs(ctx context.Context, bench *datasets.Benchmark, cfg Trai
 				if negs >= 6 {
 					break
 				}
-				rel, err := executor.ExecContext(ctx, cand.Stmt)
-				if err != nil || sqltypes.BagEqual(rel, goldRel) {
+				res, err := executor.Run(ctx, cand.Stmt)
+				if err != nil {
+					continue
+				}
+				if sqltypes.BagEqual(res.Rel, goldRel) {
+					res.Release()
 					continue // correct translations are not contradictions
 				}
-				premise, err := fb.Premise(ctx, db, cand.Stmt, rel)
+				premise, err := fb.Premise(ctx, db, cand.Stmt, res.Rel)
+				res.Release()
 				if err != nil {
 					continue
 				}
@@ -124,6 +130,7 @@ func BuildTrainingPairs(ctx context.Context, bench *datasets.Benchmark, cfg Trai
 				negs++
 			}
 		}
+		goldRes.Release()
 	}
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	return pairs

@@ -42,15 +42,17 @@ func EXContext(ctx context.Context, db *storage.Database, pred, gold *sqlast.Sel
 		return false
 	}
 	ex := sqleval.New(db)
-	goldRel, err := ex.ExecContext(ctx, gold)
+	goldRes, err := ex.Run(ctx, gold)
 	if err != nil {
 		return false
 	}
-	predRel, err := ex.ExecContext(ctx, pred)
+	defer goldRes.Release()
+	predRes, err := ex.Run(ctx, pred)
 	if err != nil {
 		return false
 	}
-	return sqltypes.BagEqual(predRel, goldRel)
+	defer predRes.Release()
+	return sqltypes.BagEqual(predRes.Rel, goldRes.Rel)
 }
 
 // Suite is a distilled test suite: the original database plus perturbed

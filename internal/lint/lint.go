@@ -1,10 +1,10 @@
 // Package lint is the project's static-analysis suite: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the seven project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) plus the eight project-specific
 // analyzers that turn ARCHITECTURE.md's prose invariants — context
-// threading, frozen-snapshot immutability, typed stage errors, lock
-// discipline, bounded caches, no raw sleeps, no deprecated identifiers —
-// into machine-checked rules. cmd/vetcycle packages the suite as a
+// threading, frozen-snapshot immutability, no reads of released results,
+// typed stage errors, lock discipline, bounded caches, no raw sleeps, no
+// deprecated identifiers — into machine-checked rules. cmd/vetcycle packages the suite as a
 // multichecker binary; docs/linting.md specifies each invariant.
 //
 // The framework is stdlib-only by design: the build environment bakes in
@@ -98,6 +98,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		StageErr,
 		SnapFrozen,
+		Released,
 		LockOrder,
 		NoSleep,
 		BoundedCache,

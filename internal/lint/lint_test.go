@@ -36,6 +36,12 @@ func TestSnapFrozen(t *testing.T) {
 	)
 }
 
+func TestReleased(t *testing.T) {
+	linttest.Run(t, fixtures(t), lint.Released,
+		"cyclesql/internal/relfix",
+	)
+}
+
 func TestLockOrder(t *testing.T) {
 	linttest.Run(t, fixtures(t), lint.LockOrder,
 		"cyclesql/internal/storage",

@@ -42,6 +42,9 @@ type Part struct {
 	Core      *sqlast.SelectCore // the original core (not rewritten)
 	Rewritten *sqlast.SelectStmt
 	Table     *sqltypes.Relation
+	// owned is the execution Table came from; Provenance.Release hands it
+	// back.
+	owned sqleval.Result
 }
 
 // Provenance is the data-level evidence for one query result tuple.
@@ -52,6 +55,19 @@ type Provenance struct {
 	ResultSet     *sqltypes.Relation // the full result, for summaries
 	Parts         []Part
 	Empty         bool // query returned no rows: no data-level provenance
+}
+
+// Release hands the storage of every part's provenance table back to the
+// executor that computed it and clears the tables. ResultSet and Result
+// belong to the caller and are left as they are. A Provenance that is
+// never released is simply collected; one that is released must not be
+// explained again.
+func (p *Provenance) Release() {
+	for i := range p.Parts {
+		part := &p.Parts[i]
+		part.owned.Release()
+		part.Table = nil
+	}
 }
 
 // RowLimit caps the provenance table size so pathological rewrites cannot
@@ -106,10 +122,11 @@ func NewTracker(db *storage.Database) *Tracker {
 // output. result must be the relation produced by executing stmt on t's
 // database. For empty results, it returns a Provenance with Empty set and
 // no Parts. The provenance queries the rewriting rules produce execute
-// under ctx, so cancelling it aborts the tracking mid-query. Cancellation is returned as the context's error —
-// never degraded to an operation-level-only Part the way ordinary rewrite
-// execution failures are, since a cancelled rewrite says nothing about
-// the rewrite itself.
+// under ctx, so cancelling it aborts the tracking mid-query. The part
+// tables are owned results; Release hands them back. Cancellation is
+// returned as the context's error — never degraded to an
+// operation-level-only Part the way ordinary rewrite execution failures
+// are, since a cancelled rewrite says nothing about the rewrite itself.
 func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Provenance, error) {
 	p := &Provenance{Original: stmt, ResultSet: result, ResultColumns: result.Columns}
 	if result.NumRows() == 0 {
@@ -120,9 +137,19 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 		return nil, fmt.Errorf("provenance: row %d out of range (%d rows)", rowIdx, result.NumRows())
 	}
 	p.Result = result.Rows[rowIdx]
-	for _, core := range stmt.Cores {
-		rw := t.rewrite(core, p.Result)
-		rel, err := t.ex.ExecContext(ctx, rw)
+	last := len(stmt.Cores) - 1
+	for i, core := range stmt.Cores {
+		src := core
+		if i > 0 && i == last && len(core.OrderBy) > 0 {
+			// The parser attaches a compound's ORDER BY to its last core,
+			// but it orders the whole compound, and a term may name an
+			// alias of the first core: Rule 2 must not project it here.
+			c := *core
+			c.OrderBy = nil
+			src = &c
+		}
+		rw := t.rewrite(src, p.Result)
+		res, err := t.ex.Run(ctx, rw)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
@@ -133,7 +160,7 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 			p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw})
 			continue
 		}
-		p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw, Table: rel})
+		p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw, Table: res.Rel, owned: res})
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,6 +241,55 @@ func TestRewriteDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
+// TestCompoundOrderByNotProjected: a compound's ORDER BY, which the parser
+// attaches to its last core, may name an alias of the first core. The last
+// core's rewrite must not project it, or that part cannot execute and
+// degrades to operation-level provenance.
+func TestCompoundOrderByNotProjected(t *testing.T) {
+	db := datasets.FlightDB()
+	p := track(t, db, "SELECT origin AS city FROM flight UNION SELECT destination FROM flight ORDER BY city LIMIT 2", 0)
+	if len(p.Parts) != 2 {
+		t.Fatalf("parts = %d, want 2", len(p.Parts))
+	}
+	part := p.Parts[1]
+	if part.Table == nil {
+		t.Fatalf("part 2 has no table; rewrite: %s", part.Rewritten.SQL())
+	}
+	if strings.Contains(strings.ToLower(part.Rewritten.SQL()), "city") {
+		t.Fatalf("part 2 rewrite projects the compound's ORDER BY term: %s", part.Rewritten.SQL())
+	}
+	if len(part.Core.OrderBy) != 1 {
+		t.Fatal("the part must keep the original core, ORDER BY included")
+	}
+}
+
+// TestReleaseKeepsResultSet: Release hands back the part tables only. The
+// caller's result relation and the to-explain tuple stay as they were.
+func TestReleaseKeepsResultSet(t *testing.T) {
+	db := datasets.FlightDB()
+	stmt := sqlparse.MustParse("SELECT origin, count(*) FROM flight GROUP BY origin")
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rel.Clone()
+	p, err := NewTracker(db).TrackContext(context.Background(), stmt, rel, 1)
+	if err != nil || len(p.Parts) != 1 || p.Parts[0].Table == nil {
+		t.Fatalf("track: %v", err)
+	}
+	p.Release()
+	p.Release() // a second release is a no-op
+	if p.Parts[0].Table != nil {
+		t.Fatal("a released part still has its table")
+	}
+	if p.ResultSet != rel || rel.String() != want.String() {
+		t.Fatalf("ResultSet changed by Release:\n%s\nwant\n%s", rel, want)
+	}
+	if !slices.Equal(p.Result, want.Rows[1]) {
+		t.Fatalf("Result = %v, want %v", p.Result, want.Rows[1])
+	}
+}
+
 // BenchmarkTrack measures tracking a three-table join whose provenance
 // rewrite returns more than RowLimit rows, so the executor stops at the
 // cap. The rewrite memo is warm after the first call, as in the CycleSQL
@@ -258,5 +308,26 @@ func BenchmarkTrack(b *testing.B) {
 		if err != nil || p.Parts[0].Table.NumRows() != RowLimit {
 			b.Fatalf("track: %v", err)
 		}
+	}
+}
+
+// BenchmarkTrackReleased is BenchmarkTrack with the provenance released
+// after every call, as the loop's feedback does, so the rewrite's result
+// storage is recycled.
+func BenchmarkTrackReleased(b *testing.B) {
+	db := datasets.WorldDB()
+	stmt := sqlparse.MustParse("SELECT count(*) FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode JOIN city AS T3 ON T3.countrycode = T1.code")
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := NewTracker(db)
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := tr.TrackContext(context.Background(), stmt, rel, 0)
+		if err != nil || p.Parts[0].Table.NumRows() != RowLimit {
+			b.Fatalf("track: %v", err)
+		}
+		p.Release()
 	}
 }

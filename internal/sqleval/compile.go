@@ -132,6 +132,7 @@ type compiledCore struct {
 	baseFilters []compiledExpr
 	filters     []compiledExpr
 	items       []compiledItem
+	cols        []string // the items' labels (labels)
 	groupBy     []compiledExpr
 	having      compiledExpr
 	orderKeys   []orderKey
@@ -155,13 +156,9 @@ type compiledCore struct {
 	est      float64
 }
 
-func (cc *compiledCore) labels() []string {
-	out := make([]string, len(cc.items))
-	for i, it := range cc.items {
-		out[i] = it.label
-	}
-	return out
-}
+// labels returns the core's output column labels. Every result of the
+// core shares the slice, so nothing may write to a result's Columns.
+func (cc *compiledCore) labels() []string { return cc.cols }
 
 // tableScan is one FROM entry: a base table (resolved to its live relation
 // at compile time) or a compiled derived table. A base-table scan may carry
@@ -222,24 +219,24 @@ func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.
 		}
 		rows = rel.Rows
 	case ts.probe != nil:
-		rows = gather(ts.rel.Rows, ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key))
+		rows = gather(e.slab, ts.rel.Rows, ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key))
 	case ts.rprobe != nil:
 		rp := ts.rprobe
 		// The span is in value order; the filter path this probe replaces
 		// keeps rows in scan order, so re-sort the positions before
 		// gathering (the span slice is shared — copy first).
-		ids := slices.Clone(ex.db.Sorted(ts.table, rp.col).Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl))
+		ids := e.slab.idsCopy(ex.db.Sorted(ts.table, rp.col).Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl))
 		slices.Sort(ids)
-		rows = gather(ts.rel.Rows, ids)
+		rows = gather(e.slab, ts.rel.Rows, ids)
 	default:
 		rows = ts.rel.Rows
 	}
 	return rows, nil
 }
 
-// gather returns the rows at the given positions.
-func gather(rows []sqltypes.Row, ids []int32) []sqltypes.Row {
-	out := make([]sqltypes.Row, len(ids))
+// gather returns the rows at the given positions, in a scan buffer of sl.
+func gather(sl *slab, rows []sqltypes.Row, ids []int32) []sqltypes.Row {
+	out := sl.scan(len(ids))
 	for i, ri := range ids {
 		out[i] = rows[ri]
 	}
@@ -530,6 +527,10 @@ func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledC
 		return nil, err
 	}
 	cc.items = items
+	cc.cols = make([]string, len(items))
+	for i, it := range items {
+		cc.cols[i] = it.label
+	}
 
 	c.aggs = nil
 	for _, g := range core.GroupBy {

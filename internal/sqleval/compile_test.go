@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cyclesql/internal/schema"
+	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqlparse"
 	"cyclesql/internal/sqltypes"
 	"cyclesql/internal/storage"
@@ -59,7 +60,29 @@ func runBoth(t *testing.T, db *storage.Database, sql string) *sqltypes.Relation 
 	if !relEqual(hash, loop) {
 		t.Fatalf("join paths diverge for %q:\nhash:\n%s\nnested loop:\n%s", sql, hash, loop)
 	}
+	for _, leg := range []struct {
+		ex   *Executor
+		want *sqltypes.Relation
+	}{{New(db), indexed}, {NewIndexFree(db), hash}, {NewNestedLoop(db), loop}} {
+		ownedParity(t, leg.ex, stmt, leg.want)
+	}
 	return hash
+}
+
+// ownedParity requires an owned execution of stmt to return want, the
+// same executor's ExecContext result, and then releases it. The slabs
+// cycle through one pool across the whole suite, so a result built in
+// recycled storage is checked against one built in fresh storage.
+func ownedParity(t *testing.T, ex *Executor, stmt *sqlast.SelectStmt, want *sqltypes.Relation) {
+	t.Helper()
+	res, err := ex.Run(context.Background(), stmt)
+	if err != nil {
+		t.Fatalf("owned run %q: %v", stmt.SQL(), err)
+	}
+	if !relEqual(res.Rel, want) {
+		t.Fatalf("owned and ExecContext results diverge for %q:\nowned:\n%s\nExecContext:\n%s", stmt.SQL(), res.Rel, want)
+	}
+	res.Release()
 }
 
 func TestJoinPathParity(t *testing.T) {

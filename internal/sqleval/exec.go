@@ -169,8 +169,16 @@ func (cc *cancelCheck) poll() error {
 // cancelCheckInterval row visits for one cancelled mid-query. The
 // CycleSQL loop uses this to abandon in-flight speculative candidate
 // executions once an earlier candidate validates, and the batch
-// experiment driver to enforce per-example timeouts.
+// experiment driver to enforce per-example timeouts. The relation is the
+// caller's and is never recycled (Run returns one that is); its Columns
+// slice is shared with the cached plan and must not be written.
 func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*sqltypes.Relation, error) {
+	return ex.exec(ctx, stmt, nil)
+}
+
+// exec runs stmt with its buffers taken from sl, or allocated fresh when
+// sl is nil.
+func (ex *Executor) exec(ctx context.Context, stmt *sqlast.SelectStmt, sl *slab) (*sqltypes.Relation, error) {
 	if ctx == nil {
 		//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers; nothing upstream to thread
 		ctx = context.Background()
@@ -179,30 +187,32 @@ func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*
 	if err != nil {
 		return nil, err
 	}
-	return ex.runProgram(newExecution(ctx, prog), prog, nil)
+	return ex.runProgram(newExecution(ctx, prog, sl), prog, nil)
 }
 
 // execution is the state one execution of a statement threads, by value,
 // through every program, core and row context it runs: the caller's
 // context, the subquery memo, the subquery nesting depth of the program
-// being run (1 for the statement itself), and the trace that receives
-// actual row counts keyed by plan-node id. Only PlanTree's execution
-// carries a trace; every other one pays a nil check per recording site.
+// being run (1 for the statement itself), the trace that receives actual
+// row counts keyed by plan-node id, and the slab its buffers come from
+// (slab.go; nil for ExecContext). Only PlanTree's execution carries a
+// trace; every other one pays a nil check per recording site.
 type execution struct {
 	qctx  context.Context
 	memo  []subMemo
 	depth int
 	trace *execTrace
+	slab  *slab
 }
 
 // newExecution starts one execution of a top-level program. The memo has
 // one slot per uncorrelated subquery and lives for this execution only, so
 // a cached plan never holds results and concurrent executions share
 // nothing; a statement without uncorrelated subqueries allocates none.
-func newExecution(ctx context.Context, p *program) execution {
-	e := execution{qctx: ctx, depth: 1}
+func newExecution(ctx context.Context, p *program, sl *slab) execution {
+	e := execution{qctx: ctx, depth: 1, slab: sl}
 	if p.slots > 0 {
-		e.memo = make([]subMemo, p.slots)
+		e.memo = sl.memoSlots(p.slots)
 	}
 	return e
 }
@@ -282,7 +292,7 @@ func (ex *Executor) runProgram(e execution, p *program, outer *rowCtx) (*sqltype
 		if err != nil {
 			return nil, err
 		}
-		result, err = combine(result, rhs, op)
+		result, err = combine(e.slab, result, rhs, op)
 		if err != nil {
 			return nil, err
 		}
@@ -303,22 +313,25 @@ func orderCompound(rel *sqltypes.Relation, p *program) {
 	rel.Rows = rows[start:end:end]
 }
 
-func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation, error) {
+// combine applies one set operation. The combined rows come from sl and
+// belong to the result; the operands' rows stay where they are.
+func combine(sl *slab, l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation, error) {
 	if l.NumCols() != r.NumCols() {
 		return nil, fmt.Errorf("sqleval: %s operands have %d vs %d columns", op, l.NumCols(), r.NumCols())
 	}
-	out := sqltypes.NewRelation(l.Columns...)
+	out := sl.relation(l.Columns)
+	out.Rows = sl.rows(0)
 	var buf []byte
 	switch op {
 	case sqlast.UnionAll:
 		out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
 	case sqlast.Union:
-		seen := make(map[string]struct{}, len(l.Rows))
+		var local [2]keyIndex
+		seen := &sl.keySets(&local)[0]
 		for _, rows := range [][]sqltypes.Row{l.Rows, r.Rows} {
 			for _, row := range rows {
 				buf = row.AppendKey(buf[:0])
-				if _, dup := seen[string(buf)]; !dup {
-					seen[string(buf)] = struct{}{}
+				if seen.add(buf, 0, len(l.Rows)) {
 					out.Append(row)
 				}
 			}
@@ -326,26 +339,27 @@ func combine(l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes.Relation,
 	case sqlast.Intersect, sqlast.Except:
 		// Keep the distinct left rows found (INTERSECT) or not found
 		// (EXCEPT) on the right.
-		inR := make(map[string]struct{}, len(r.Rows))
+		var local [2]keyIndex
+		sets := sl.keySets(&local)
+		inR, seen := &sets[0], &sets[1]
 		for _, row := range r.Rows {
 			buf = row.AppendKey(buf[:0])
-			inR[string(buf)] = struct{}{}
+			inR.add(buf, 0, len(r.Rows))
 		}
 		keep := op == sqlast.Intersect
-		seen := make(map[string]struct{})
 		for _, row := range l.Rows {
 			buf = row.AppendKey(buf[:0])
-			if _, hit := inR[string(buf)]; hit != keep {
+			if _, hit := inR.get(buf); hit != keep {
 				continue
 			}
-			if _, dup := seen[string(buf)]; !dup {
-				seen[string(buf)] = struct{}{}
+			if seen.add(buf, 0, 0) {
 				out.Append(row)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("sqleval: unknown set operation %q", op)
 	}
+	sl.keep(out.Rows)
 	return out, nil
 }
 
@@ -358,19 +372,24 @@ var errLimit = errors.New("sqleval: limit reached")
 // flow from the base scan, through the join pipeline, straight into the
 // core's sink. A core whose LIMIT keeps no record runs nothing.
 func (ex *Executor) runCore(e execution, cc *compiledCore, outer *rowCtx) (*sqltypes.Relation, error) {
-	s := &coreSink{cc: cc, rc: rowCtx{parent: outer, execution: e}}
+	s := e.slab.sink(e, cc, outer)
+	var err error
 	if cc.stop != 0 {
-		if err := ex.pushFrom(e, cc, outer, s); err != nil && err != errLimit {
-			return nil, err
+		if err = ex.pushFrom(e, cc, outer, s); err == errLimit {
+			err = nil
 		}
 	}
-	result, err := s.finish()
+	var result *sqltypes.Relation
+	if err == nil {
+		result, err = s.finish()
+	}
 	if err == nil && e.trace != nil {
 		if len(cc.filters) > 0 {
 			e.trace.addRows(cc.filterID, s.kept)
 		}
 		e.trace.addRows(cc.id, int64(len(result.Rows)))
 	}
+	e.slab.putSink(s)
 	return result, err
 }
 
@@ -445,8 +464,8 @@ func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *co
 // only columns [accW, outW) with its right row (or NULLs), so a left row
 // is never copied and the row the sink sees is the frame itself. Output
 // order is left-major with right rows in scan order, as the joins would
-// produce it one at a time. The frame and the stages are the pipeline's
-// only per-execution allocations besides the build-side hash tables.
+// produce it one at a time. The frame, the stages and the build-side hash
+// tables are the sink's scratch, reused when the sink comes from a slab.
 type pipeline struct {
 	stages []joinStage
 	frame  sqltypes.Row
@@ -488,7 +507,13 @@ type joinStage struct {
 // row and candidate pair, so even an n×m nested loop observes
 // cancellation within cancelCheckInterval visits.
 func (ex *Executor) newPipeline(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) (pipeline, error) {
-	p := pipeline{stages: make([]joinStage, len(cc.joins)), frame: make(sqltypes.Row, cc.width),
+	if cap(s.stages) < len(cc.joins) {
+		s.stages = make([]joinStage, len(cc.joins))
+	}
+	if cap(s.frame) < cc.width {
+		s.frame = make(sqltypes.Row, cc.width)
+	}
+	p := pipeline{stages: s.stages[:len(cc.joins)], frame: s.frame[:cc.width],
 		base: cc.baseFilters, rc: &s.rc, sink: s, cancel: cancelCheck{ctx: e.qctx}}
 	p.rc.row = p.frame
 	accW := cc.scans[0].width
@@ -502,14 +527,18 @@ func (ex *Executor) newPipeline(e execution, cc *compiledCore, outer *rowCtx, s 
 			e.trace.addRows(next.id, int64(len(right)))
 		}
 		st := &p.stages[i]
-		*st = joinStage{jp: jp, right: right, accW: accW, outW: accW + next.width}
+		*st = joinStage{jp: jp, right: right, accW: accW, outW: accW + next.width, ht: st.ht}
 		accW = st.outW
 		switch {
 		case len(jp.eqAcc) == 0:
 		case jp.reuse:
 			st.ix = ex.db.Index(next.table, jp.eqNew...)
 		default:
-			st.ht = make(map[string][]int32, len(right))
+			if st.ht == nil {
+				st.ht = make(map[string][]int32, len(right))
+			} else {
+				clear(st.ht)
+			}
 			for ri, rrow := range right {
 				if err := p.cancel.poll(); err != nil {
 					return pipeline{}, err
@@ -614,14 +643,16 @@ const arenaChunkBytes = 16 << 10
 // so a short result costs a few allocations and a long one one per
 // chunk, not one per row. Each row is capped at its length, so appending
 // to one copies instead of overwriting its neighbour.
+// Chunks come from the arena's slab, which recycles them.
 type rowArena struct {
 	chunk sqltypes.Row
 	rows  int // rows the current chunk was sized for
+	slab  *slab
 }
 
 // reserve sizes the next chunk for rows rows of length n.
 func (a *rowArena) reserve(rows, n int) {
-	a.chunk, a.rows = make(sqltypes.Row, 0, rows*n), rows
+	a.chunk, a.rows = a.slab.chunk(rows*n), rows
 }
 
 func (a *rowArena) alloc(n int) sqltypes.Row {
@@ -630,7 +661,7 @@ func (a *rowArena) alloc(n int) sqltypes.Row {
 	}
 	if cap(a.chunk)-len(a.chunk) < n {
 		a.rows = max(1, min(2*a.rows, arenaChunkBytes/(n*int(unsafe.Sizeof(sqltypes.Value{})))))
-		a.chunk = make(sqltypes.Row, 0, a.rows*n)
+		a.chunk = a.slab.chunk(a.rows * n)
 	}
 	lo := len(a.chunk)
 	a.chunk = a.chunk[:lo+n]

@@ -74,7 +74,9 @@ func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*pla
 	if err != nil {
 		return nil, err
 	}
-	e := newExecution(ctx, prog)
+	sl := slabs.Get().(*slab)
+	defer sl.release()
+	e := newExecution(ctx, prog, sl)
 	e.trace = newExecTrace(prog.nodes)
 	if _, err := ex.runProgram(e, prog, nil); err != nil {
 		return nil, err

@@ -149,11 +149,12 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			}, nil
 		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
+			var found bool
+			err := ex.runSub(ctx, sub, func(rel *sqltypes.Relation) { found = rel.NumRows() > 0 })
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			return sqltypes.NewBool((rel.NumRows() > 0) != not), nil
+			return sqltypes.NewBool(found != not), nil
 		}, nil
 	case *sqlast.SubqueryExpr:
 		sub, slot, err := c.compileSubquery(x.Sub, sc)
@@ -171,11 +172,12 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			}, nil
 		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
-			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
+			var v sqltypes.Value
+			err := ex.runSub(ctx, sub, func(rel *sqltypes.Relation) { v = scalarOf(rel) })
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			return scalarOf(rel), nil
+			return v, nil
 		}, nil
 	case nil:
 		return nil, fmt.Errorf("sqleval: nil expression")
@@ -393,15 +395,16 @@ func (c *compiler) compileIn(x *sqlast.InExpr, sc *scope) (compiledExpr, error) 
 			if err != nil {
 				return sqltypes.Value{}, err
 			}
-			rel, err := ex.runProgram(ctx.nested(), sub, ctx)
+			var members []sqltypes.Value
+			err = ex.runSub(ctx, sub, func(rel *sqltypes.Relation) {
+				for _, row := range rel.Rows {
+					if len(row) > 0 {
+						members = append(members, row[0])
+					}
+				}
+			})
 			if err != nil {
 				return sqltypes.Value{}, err
-			}
-			var members []sqltypes.Value
-			for _, row := range rel.Rows {
-				if len(row) > 0 {
-					members = append(members, row[0])
-				}
 			}
 			return membership(v, members), nil
 		}, nil

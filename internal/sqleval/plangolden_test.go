@@ -22,7 +22,9 @@ var updatePlans = flag.Bool("update", false, "rewrite the golden plan snapshots"
 // cap) through the cost-based planner, the index-free executor, and the
 // nested-loop executor (which also re-runs every subquery per outer row
 // instead of memoising the uncorrelated ones), and requires bit-identical
-// relations. This is the acceptance bar for cost-based planning: the
+// relations; an owned run (Executor.Run), whose storage is recycled from
+// the queries before it, must return the same relation. This is the
+// acceptance bar for cost-based planning: the
 // planner may only change HOW rows are found, never WHICH rows come back
 // or in what order. The sqlgen half of the bar runs the same three legs
 // through runBoth (TestRandomizedPredicateParity, TestRandomizedJoinParity:
@@ -54,6 +56,16 @@ func TestPlanParity(t *testing.T) {
 			t.Fatalf("cost planner and nested-loop path diverge for %q:\ncost:\n%s\nnested loop:\n%s",
 				ex.GoldSQL, cost, perRow)
 		}
+		// An owned run, in storage recycled from the queries before it,
+		// returns the same relation.
+		owned, err := sqleval.New(db).Run(context.Background(), ex.Gold)
+		if err != nil {
+			t.Fatalf("owned run %q: %v", ex.GoldSQL, err)
+		}
+		if !identical(cost, owned.Rel) {
+			t.Fatalf("owned run diverges for %q:\ncost:\n%s\nowned:\n%s", ex.GoldSQL, cost, owned.Rel)
+		}
+		owned.Release()
 	}
 }
 

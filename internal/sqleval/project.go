@@ -108,7 +108,10 @@ func (st *aggState) value(kind aggKind) (sqltypes.Value, error) {
 // grouped core folds it into its group, found by the binary encoding of
 // its GROUP BY values. Groups keep first-seen order; group g's
 // accumulators are states[g*len(cc.aggs):(g+1)*len(cc.aggs)]. The row
-// handed to push is a view the caller reuses after push returns.
+// handed to push is a view the caller reuses after push returns. Once the
+// core finishes, everything but records and the arena's rows is scratch:
+// a slab keeps the sink, and with it the capacity of its maps and slices,
+// for the next core it runs.
 type coreSink struct {
 	cc *compiledCore
 	rc rowCtx
@@ -117,15 +120,19 @@ type coreSink struct {
 	records []sqltypes.Row
 	arena   rowArena
 
-	index  map[string]int
+	index  keyIndex
 	groups []groupAcc
 	states []aggState
 	firsts sqltypes.Row
 	view   groupView
 	// seen holds the DISTINCT aggregates' folded values, keyed by slot,
-	// group and value; key is the scratch buffer for it and group keys.
-	seen map[string]struct{}
+	// group and value, and then finalize's DISTINCT rows; key is the
+	// scratch buffer for it and group keys.
+	seen keyIndex
 	key  []byte
+	// stages and frame are the join pipeline's (newPipeline).
+	stages []joinStage
+	frame  sqltypes.Row
 }
 
 // groupAcc is one group's row count (COUNT(*)) and the bounds of its
@@ -195,14 +202,11 @@ func (s *coreSink) group(row sqltypes.Row) (int, error) {
 		}
 		s.key = v.AppendKey(s.key)
 	}
-	if g, ok := s.index[string(s.key)]; ok {
-		return g, nil
-	}
-	if s.index == nil {
-		s.index = make(map[string]int)
+	if g, ok := s.index.get(s.key); ok {
+		return int(g), nil
 	}
 	g := len(s.groups)
-	s.index[string(s.key)] = g
+	s.index.add(s.key, int32(g), 0)
 	s.open(row)
 	return g, nil
 }
@@ -220,14 +224,7 @@ func (s *coreSink) dup(slot, g int, v sqltypes.Value) bool {
 	s.key = binary.AppendUvarint(s.key[:0], uint64(slot))
 	s.key = binary.AppendUvarint(s.key, uint64(g))
 	s.key = v.AppendKey(s.key)
-	if _, ok := s.seen[string(s.key)]; ok {
-		return true
-	}
-	if s.seen == nil {
-		s.seen = make(map[string]struct{})
-	}
-	s.seen[string(s.key)] = struct{}{}
-	return false
+	return !s.seen.add(s.key, 0, 0)
 }
 
 // finish projects the groups (a grouped core) and applies DISTINCT, ORDER
@@ -235,7 +232,7 @@ func (s *coreSink) dup(slot, g int, v sqltypes.Value) bool {
 func (s *coreSink) finish() (*sqltypes.Relation, error) {
 	cc := s.cc
 	if !cc.grouped {
-		return finalize(cc, s.records)
+		return s.finalize(s.records)
 	}
 	if len(s.groups) == 0 && len(cc.groupBy) == 0 {
 		// Empty input with aggregates: a single all-NULL pseudo row.
@@ -244,7 +241,7 @@ func (s *coreSink) finish() (*sqltypes.Relation, error) {
 	cancel := cancelCheck{ctx: s.rc.qctx}
 	rc := &s.rc
 	rc.grp = &s.view
-	records := make([]sqltypes.Row, 0, len(s.groups))
+	records := s.rc.slab.rows(len(s.groups))
 	k := len(cc.aggs)
 	for g, acc := range s.groups {
 		if err := cancel.poll(); err != nil {
@@ -267,7 +264,7 @@ func (s *coreSink) finish() (*sqltypes.Relation, error) {
 		}
 		records = append(records, rec)
 	}
-	return finalize(cc, records)
+	return s.finalize(records)
 }
 
 // projectRecord evaluates the projection items and then the ORDER BY
@@ -299,18 +296,20 @@ func projectRecord(cc *compiledCore, ctx *rowCtx, arena *rowArena) (sqltypes.Row
 }
 
 // finalize applies DISTINCT, ORDER BY, LIMIT/OFFSET and turns the records
-// into the output relation, in place.
-func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, error) {
+// into the output relation, in place; the records buffer goes to the slab
+// as part of the result. DISTINCT reuses the sink's key set and buffer,
+// whose aggregate keys are dead by now.
+func (s *coreSink) finalize(records []sqltypes.Row) (*sqltypes.Relation, error) {
+	cc := s.cc
 	core := cc.core
 	n := len(cc.items)
+	s.rc.slab.keep(records)
 	if core.Distinct {
-		seen := make(map[string]struct{}, len(records))
+		s.seen.reset()
 		kept := records[:0]
-		var buf []byte
 		for _, r := range records {
-			buf = r[:n].AppendKey(buf[:0])
-			if _, dup := seen[string(buf)]; !dup {
-				seen[string(buf)] = struct{}{}
+			s.key = r[:n].AppendKey(s.key[:0])
+			if s.seen.add(s.key, 0, len(records)) {
 				kept = append(kept, r)
 			}
 		}
@@ -318,7 +317,7 @@ func finalize(cc *compiledCore, records []sqltypes.Row) (*sqltypes.Relation, err
 	}
 	sortRecords(records, cc.orderKeys, n)
 	start, end := window(core.Offset, core.Limit, len(records))
-	out := sqltypes.NewRelation(cc.labels()...)
+	out := s.rc.slab.relation(cc.labels())
 	out.Rows = records[start:end:end]
 	if out.Rows == nil {
 		out.Rows = []sqltypes.Row{}

@@ -1,0 +1,396 @@
+package sqleval
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"cyclesql/internal/sqlast"
+	"cyclesql/internal/sqltypes"
+)
+
+// This file holds owned results. Run executes a statement exactly as
+// ExecContext does, but every buffer the execution allocates comes from a
+// slab taken from a sync.Pool: the arena chunks its records are carved
+// from, the record slices, the scan buffers, the core sinks with their
+// grouping maps and pipeline frames, and the subquery memo. Release hands
+// the slab back, so the next execution reuses the storage instead of
+// allocating it. ExecContext runs the same code with a nil slab, which
+// allocates every buffer fresh and never recycles it.
+//
+// Within one execution the slab is a stack: a subquery's result is
+// released as soon as the enclosing expression has read it (a memoised
+// one once its slot is filled, a correlated one after each outer row), by
+// rewinding the slab to a mark taken before the subquery ran. That is
+// sound because a subquery runs to completion inside one expression
+// evaluation, so everything the slab handed out after the mark belongs to
+// it.
+//
+// A recycled row that something still reads is a silent wrong answer. So
+// in a test binary every release overwrites the released values and row
+// headers with poison, and a stale read shows up in a golden or a parity
+// suite instead of passing unnoticed.
+
+// Result is the output of one owned execution, together with the storage
+// it was built in. Rel, its rows and their values stay valid until
+// Release; after it they belong to a later execution. A Result is a small
+// value: copies share the storage, and once any copy is released every
+// copy's Release does nothing, because the slab's generation has moved
+// on.
+type Result struct {
+	Rel  *sqltypes.Relation
+	slab *slab
+	gen  uint64
+}
+
+// Run executes stmt like ExecContext and returns its result as an owned
+// Result. The caller must call Release once it no longer reads the
+// result; a Result that is never released is simply collected.
+func (ex *Executor) Run(ctx context.Context, stmt *sqlast.SelectStmt) (Result, error) {
+	sl := slabs.Get().(*slab)
+	rel, err := ex.exec(ctx, stmt, sl)
+	if err != nil {
+		sl.release()
+		return Result{}, err
+	}
+	return Result{Rel: rel, slab: sl, gen: sl.gen}, nil
+}
+
+// Release hands the result's storage back for reuse. Neither the result,
+// nor its relation, rows or values may be read afterwards. Release on the
+// zero Result, or on a copy of a released one, does nothing.
+func (r *Result) Release() {
+	if r.slab != nil && r.slab.gen == r.gen {
+		r.slab.release()
+	}
+	r.slab, r.Rel = nil, nil
+}
+
+var slabs = sync.Pool{New: func() any {
+	sl := new(slab)
+	sl.held, sl.kept, sl.sinks = sl.held0[:0], sl.kept0[:0], sl.sinks0[:0]
+	return sl
+}}
+
+// poisoning is set in test binaries: released storage is overwritten with
+// poison, a TEXT value no query produces.
+var (
+	poisoning = testing.Testing()
+	poison    = sqltypes.NewText("\x00released")
+	poisonRow = sqltypes.Row{poison}
+)
+
+// A slab keeps at most maxSlabChunks idle chunks of at most
+// maxSlabChunkValues values and maxSlabBufs idle row buffers of at most
+// maxSlabBufRows rows across a release, so one huge execution does not pin
+// its storage in the pool.
+const (
+	maxSlabChunks      = 64
+	maxSlabChunkValues = 8 * arenaChunkBytes / int(unsafe.Sizeof(sqltypes.Value{}))
+	maxSlabBufs        = 64
+	maxSlabBufRows     = 1 << 14
+)
+
+// slab is the storage of one owned execution. Chunks and row buffers are
+// either idle (chunks, bufs) or handed out: held chunks and kept buffers
+// (records and scan rows) stay handed out until the slab rewinds past
+// them. sinks are idle core sinks, memo the subquery memo slots, sets and
+// ids the scratch of combine and of range-probe scans. rels are the
+// result relations of the slab's first cores and set operations, nrel how
+// many are handed out. rels and the first entries of held, kept and sinks
+// live in the slab itself, so a slab the pool had to create costs about
+// what an execution with a nil slab costs.
+type slab struct {
+	gen          uint64 // counts releases; see Result
+	chunks, held []sqltypes.Row
+	bufs, kept   [][]sqltypes.Row
+	sinks        []*coreSink
+	memo         []subMemo
+	sets         [2]keyIndex
+	ids          []int32
+	rels         [2]sqltypes.Relation
+	nrel         int
+
+	held0  [8]sqltypes.Row
+	kept0  [8][]sqltypes.Row
+	sinks0 [2]*coreSink
+}
+
+// slabMark is a slab position to rewind to: the held chunks, kept buffers
+// and relations at the time it was taken.
+type slabMark struct{ held, kept, nrel int }
+
+func (sl *slab) mark() slabMark {
+	if sl == nil {
+		return slabMark{}
+	}
+	return slabMark{len(sl.held), len(sl.kept), sl.nrel}
+}
+
+// relation returns an empty result relation with the given columns.
+func (sl *slab) relation(cols []string) *sqltypes.Relation {
+	if sl == nil || sl.nrel == len(sl.rels) {
+		return sqltypes.NewRelation(cols...)
+	}
+	r := &sl.rels[sl.nrel]
+	sl.nrel++
+	*r = sqltypes.Relation{Columns: cols}
+	return r
+}
+
+// rewind releases every chunk, record buffer and relation handed out
+// since m.
+func (sl *slab) rewind(m slabMark) {
+	if sl == nil {
+		return
+	}
+	sl.nrel = m.nrel
+	for i, c := range sl.held[m.held:] {
+		if poisoning {
+			c = c[:cap(c)]
+			for j := range c {
+				c[j] = poison
+			}
+		}
+		sl.chunks = append(sl.chunks, c[:0])
+		sl.held[m.held+i] = nil
+	}
+	sl.held = sl.held[:m.held]
+	sl.bufs = recycle(sl.bufs, sl.kept[m.kept:])
+	sl.kept = sl.kept[:m.kept]
+}
+
+// recycle moves row buffers onto the idle list, poisoned in a test binary,
+// and clears their old slots.
+func recycle(idle, bufs [][]sqltypes.Row) [][]sqltypes.Row {
+	for i, b := range bufs {
+		if poisoning {
+			b = b[:cap(b)]
+			for j := range b {
+				b[j] = poisonRow
+			}
+		}
+		idle = append(idle, b[:0])
+		bufs[i] = nil
+	}
+	return idle
+}
+
+// release rewinds the whole slab, trims what it keeps idle and returns it
+// to the pool.
+func (sl *slab) release() {
+	sl.gen++
+	sl.rewind(slabMark{})
+	sl.chunks = trim(sl.chunks, maxSlabChunks, maxSlabChunkValues)
+	sl.bufs = trim(sl.bufs, maxSlabBufs, maxSlabBufRows)
+	slabs.Put(sl)
+}
+
+// trim keeps at most n idle buffers of capacity at most c, clearing the
+// dropped slots so the collector can take them.
+func trim[B ~[]E, E any](idle []B, n, c int) []B {
+	kept := idle[:0]
+	for _, b := range idle {
+		if cap(b) <= c && len(kept) < n {
+			kept = append(kept, b)
+		}
+	}
+	clear(idle[len(kept):])
+	return kept
+}
+
+// chunk hands out an arena chunk with room for at least n values: an idle
+// one when some is large enough, else a new one of exactly n, the size a
+// nil slab allocates. The arena fills whatever capacity it gets.
+func (sl *slab) chunk(n int) sqltypes.Row {
+	if sl == nil {
+		return make(sqltypes.Row, 0, n)
+	}
+	var c sqltypes.Row
+	if i := fit(sl.chunks, n); i >= 0 {
+		c = sl.chunks[i]
+		sl.chunks = remove(sl.chunks, i)
+	} else {
+		c = make(sqltypes.Row, 0, n)
+	}
+	sl.held = append(sl.held, c)
+	return c
+}
+
+// rows hands out an empty row buffer with capacity for at least n rows
+// (any idle one when n is 0). A nil slab allocates n, or nothing for 0.
+func (sl *slab) rows(n int) []sqltypes.Row {
+	if sl != nil {
+		if i := fit(sl.bufs, n); i >= 0 {
+			b := sl.bufs[i]
+			sl.bufs = remove(sl.bufs, i)
+			return b
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return make([]sqltypes.Row, 0, n)
+}
+
+// reserve returns buf, or a row buffer with capacity for n rows in its
+// place when buf has less, recycling buf.
+func (sl *slab) reserve(buf []sqltypes.Row, n int) []sqltypes.Row {
+	if cap(buf) >= n {
+		return buf
+	}
+	if sl != nil && cap(buf) > 0 {
+		sl.bufs = append(sl.bufs, buf[:0])
+	}
+	return sl.rows(n)
+}
+
+// keep registers a finished record buffer, whose rows belong to a result,
+// so the slab recycles it when it rewinds past it.
+func (sl *slab) keep(records []sqltypes.Row) {
+	if sl != nil && cap(records) > 0 {
+		sl.kept = append(sl.kept, records)
+	}
+}
+
+// scan hands out a row buffer of length n for a scan's rows. It is kept
+// like a record buffer, so it is recycled with the rows of the core that
+// read it.
+func (sl *slab) scan(n int) []sqltypes.Row {
+	if sl == nil {
+		return make([]sqltypes.Row, n)
+	}
+	b := sl.rows(n)[:n]
+	sl.kept = append(sl.kept, b)
+	return b
+}
+
+// fit returns the index of the last buffer with capacity for n elements,
+// or -1.
+func fit[B ~[]E, E any](bufs []B, n int) int {
+	for i := len(bufs) - 1; i >= 0; i-- {
+		if cap(bufs[i]) >= n {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove deletes element i by moving the last one into its place.
+func remove[T any](s []T, i int) []T {
+	last := len(s) - 1
+	s[i] = s[last]
+	var zero T
+	s[last] = zero
+	return s[:last]
+}
+
+// sink returns a core sink for one execution of cc: a fresh one, or an
+// idle one that keeps its maps and slices from earlier executions.
+func (sl *slab) sink(e execution, cc *compiledCore, outer *rowCtx) *coreSink {
+	var s *coreSink
+	if sl != nil && len(sl.sinks) > 0 {
+		s = sl.sinks[len(sl.sinks)-1]
+		sl.sinks = sl.sinks[:len(sl.sinks)-1]
+	} else {
+		s = new(coreSink)
+	}
+	s.cc, s.rc = cc, rowCtx{parent: outer, execution: e}
+	s.arena = rowArena{slab: sl}
+	if !cc.grouped {
+		s.records = sl.rows(0)
+	}
+	return s
+}
+
+// putSink makes a finished sink idle. Its records and arena chunk belong
+// to the core's result, so it drops them; its grouping state is scratch
+// and is cleared for the next core.
+func (sl *slab) putSink(s *coreSink) {
+	if sl == nil {
+		return
+	}
+	s.cc, s.rc, s.kept, s.records, s.arena, s.view = nil, rowCtx{}, 0, nil, rowArena{}, groupView{}
+	s.index.reset()
+	s.seen.reset()
+	s.groups, s.states, s.firsts, s.key = s.groups[:0], s.states[:0], s.firsts[:0], s.key[:0]
+	sl.sinks = append(sl.sinks, s)
+}
+
+// memoSlots returns n zeroed subquery memo slots; a slab's slots keep
+// their member maps and key buffers, emptied.
+func (sl *slab) memoSlots(n int) []subMemo {
+	if sl == nil {
+		return make([]subMemo, n)
+	}
+	if cap(sl.memo) < n {
+		sl.memo = append(sl.memo[:cap(sl.memo)], make([]subMemo, n-cap(sl.memo))...)
+	}
+	memo := sl.memo[:n]
+	for i := range memo {
+		ms := &memo[i].members
+		ms.keys.reset()
+		memo[i] = subMemo{members: memberSet{keys: ms.keys, buf: ms.buf[:0]}}
+	}
+	return memo
+}
+
+// keySets returns combine's two key sets, empty: the slab's, or local
+// for a nil slab.
+func (sl *slab) keySets(local *[2]keyIndex) *[2]keyIndex {
+	if sl == nil {
+		return local
+	}
+	sl.sets[0].reset()
+	sl.sets[1].reset()
+	return &sl.sets
+}
+
+// idsCopy returns a copy of ids the caller may reorder.
+func (sl *slab) idsCopy(ids []int32) []int32 {
+	if sl == nil {
+		return slices.Clone(ids)
+	}
+	sl.ids = append(sl.ids[:0], ids...)
+	return sl.ids
+}
+
+// keyIndex maps byte keys to int32 values. The keys' bytes live in one
+// buffer the index owns, so adding a key costs no string allocation, and
+// reset keeps both the map and the buffer for the next use. Bytes a key
+// occupies are never written again while the map holds the key: the
+// buffer only grows until reset, and a grown buffer leaves the old one to
+// the keys that view it.
+type keyIndex struct {
+	m  map[string]int32
+	kb []byte
+}
+
+// get returns key's value.
+func (x *keyIndex) get(key []byte) (int32, bool) {
+	v, ok := x.m[string(key)]
+	return v, ok
+}
+
+// add maps key to v unless key is present, and reports whether it was
+// absent. A new map is sized for hint keys.
+func (x *keyIndex) add(key []byte, v int32, hint int) bool {
+	if _, ok := x.m[string(key)]; ok {
+		return false
+	}
+	if x.m == nil {
+		x.m = make(map[string]int32, hint)
+	}
+	lo := len(x.kb)
+	x.kb = append(x.kb, key...)
+	x.m[unsafe.String(unsafe.SliceData(x.kb[lo:]), len(key))] = v
+	return true
+}
+
+// reset empties the index.
+func (x *keyIndex) reset() {
+	clear(x.m)
+	x.kb = x.kb[:0]
+}

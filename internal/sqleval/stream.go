@@ -23,7 +23,7 @@ func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error
 	if cc.stop >= 0 {
 		// LIMIT bounds the output: size it once.
 		n := min(cc.stop, len(span))
-		s.records = make([]sqltypes.Row, 0, n)
+		s.records = e.slab.reserve(s.records, n)
 		s.arena.reserve(n, len(cc.items))
 	}
 	var visited int64

@@ -37,13 +37,27 @@ func (ex *Executor) memoized(ctx *rowCtx, sub *program, slot int, fill func(*sub
 		}
 		return m, nil
 	}
-	rel, err := ex.runProgram(ctx.nested(), sub, ctx)
+	err := ex.runSub(ctx, sub, func(rel *sqltypes.Relation) { fill(m, rel) })
 	if err != nil {
 		return nil, err
 	}
-	fill(m, rel)
 	m.done = true
 	return m, nil
+}
+
+// runSub runs a subquery for the row context ctx and hands its result to
+// read, after which the result is released: its rows are the last the
+// execution's slab handed out, so the slab rewinds past them. read must
+// copy out whatever it keeps.
+func (ex *Executor) runSub(ctx *rowCtx, sub *program, read func(*sqltypes.Relation)) error {
+	mark := ctx.slab.mark()
+	rel, err := ex.runProgram(ctx.nested(), sub, ctx)
+	if err != nil {
+		return err
+	}
+	read(rel)
+	ctx.slab.rewind(mark)
+	return nil
 }
 
 func fillExists(m *subMemo, rel *sqltypes.Relation) { m.val = sqltypes.NewBool(rel.NumRows() > 0) }
@@ -52,7 +66,6 @@ func fillScalar(m *subMemo, rel *sqltypes.Relation) { m.val = scalarOf(rel) }
 
 func fillMembers(m *subMemo, rel *sqltypes.Relation) {
 	s := &m.members
-	s.keys = make(map[string]struct{}, len(rel.Rows))
 	for _, row := range rel.Rows {
 		if len(row) == 0 {
 			continue
@@ -64,7 +77,7 @@ func fillMembers(m *subMemo, rel *sqltypes.Relation) {
 			continue
 		}
 		s.buf = key
-		s.keys[string(key)] = struct{}{}
+		s.keys.add(key, 0, len(rel.Rows))
 		if v.IsNumeric() {
 			s.numeric = true
 			s.nan = s.nan || isNaN(v)
@@ -89,7 +102,7 @@ func scalarOf(rel *sqltypes.Relation) sqltypes.Value {
 // sawNull records a NULL member, which turns a miss into NULL. buf is the
 // key scratch buffer, private to the execution that owns the memo.
 type memberSet struct {
-	keys    map[string]struct{}
+	keys    keyIndex
 	sawNull bool
 	numeric bool
 	nan     bool
@@ -103,7 +116,7 @@ func (s *memberSet) contains(v sqltypes.Value) bool {
 	}
 	key, _ := v.AppendCompareKey(s.buf[:0])
 	s.buf = key
-	_, ok := s.keys[string(key)]
+	_, ok := s.keys.get(key)
 	return ok
 }
 
