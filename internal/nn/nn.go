@@ -4,6 +4,15 @@
 // for its imbalanced entailment data (§IV-D, Eq. 1), including the class
 // re-weighting the paper layers on top. Backpropagation is exact and
 // covered by finite-difference gradient checks in the tests.
+//
+// Training is bit-for-bit reproducible, and the kernels are fast only in
+// ways that keep every bit: each floating-point expression keeps its
+// operand order (m = β1·m + (1-β1)·g, v = β2·v + ((1-β2)·g)·g,
+// p -= (LR·m̂)/(√(v/c2)+ε)); the forward pass interleaves work only
+// across hidden units, never reordering the sum of one unit (its bias,
+// then its weighted inputs in ascending index order); and a division is
+// dropped only where its divisor is exactly 1, since x/1 == x. There are
+// no goroutines: a parallel reduction would reorder the sums.
 package nn
 
 import (
@@ -89,24 +98,45 @@ func nonZero(dst []int, x []float64) []int {
 // zero, which can change only the sign of a zero pre-activation, and the
 // ReLU maps both signs to +0. (That holds for finite weights; a NaN or
 // infinite weight times 0 is NaN in a dense pass.)
+//
+// Hidden units are summed four at a time in independent accumulators, so
+// the four dependent add chains overlap; each unit's own sum is unchanged.
 func (m *MLP) forward(x []float64, nz []int, hidden []float64) float64 {
-	for h := 0; h < m.Hidden; h++ {
+	n, h := len(x), 0
+	for ; h+4 <= m.Hidden; h += 4 {
+		// Rows cut to len(x): one bounds check on i then covers all four.
+		r0, r1, r2, r3 := m.W1[h][:n], m.W1[h+1][:n], m.W1[h+2][:n], m.W1[h+3][:n]
+		s0, s1, s2, s3 := m.B1[h], m.B1[h+1], m.B1[h+2], m.B1[h+3]
+		for _, i := range nz {
+			xi := x[i]
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		hidden[h], hidden[h+1], hidden[h+2], hidden[h+3] = relu(s0), relu(s1), relu(s2), relu(s3)
+	}
+	for ; h < m.Hidden; h++ {
 		s := m.B1[h]
 		row := m.W1[h]
 		for _, i := range nz {
 			s += row[i] * x[i]
 		}
-		if s > 0 {
-			hidden[h] = s
-		} else {
-			hidden[h] = 0
-		}
+		hidden[h] = relu(s)
 	}
 	logit := m.B2
 	for h, a := range hidden {
 		logit += m.W2[h] * a
 	}
 	return logit
+}
+
+// relu is max(s, 0), with a NaN and either signed zero mapped to +0.
+func relu(s float64) float64 {
+	if s > 0 {
+		return s
+	}
+	return 0
 }
 
 // Predict returns P(label = positive).
@@ -202,15 +232,6 @@ func newGrads(m *MLP) *grads {
 	return g
 }
 
-func (g *grads) zero() {
-	for _, row := range g.w1 {
-		clear(row)
-	}
-	clear(g.b1)
-	clear(g.w2)
-	g.b2 = 0
-}
-
 // backward accumulates gradients for one example into g; nz and hidden
 // are the example's forward-pass indices and activations.
 func (m *MLP) backward(x []float64, nz []int, dLdZ float64, hidden []float64, g *grads) {
@@ -264,26 +285,56 @@ func zeros2(r, c int) [][]float64 {
 }
 
 // Step applies one Adam update with gradients g (already averaged over the
-// batch by the caller).
+// batch by the caller), and zeroes g as it reads it, ready for the next
+// batch. Every parameter is updated on every step.
 func (a *Adam) Step(m *MLP, g *grads) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	upd := func(p, grad *float64, mm, vv *float64) {
-		*mm = a.Beta1**mm + (1-a.Beta1)**grad
-		*vv = a.Beta2**vv + (1-a.Beta2)**grad**grad
-		mHat := *mm / c1
-		vHat := *vv / c2
-		*p -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+	k := adamStep{
+		beta1: a.Beta1, beta2: a.Beta2, oneMinusBeta1: 1 - a.Beta1, oneMinusBeta2: 1 - a.Beta2,
+		lr: a.LR, eps: a.Eps,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.Beta2, float64(a.t)),
 	}
 	for h := range m.W1 {
-		for i := range m.W1[h] {
-			upd(&m.W1[h][i], &g.w1[h][i], &a.mW1[h][i], &a.vW1[h][i])
-		}
-		upd(&m.B1[h], &g.b1[h], &a.mB1[h], &a.vB1[h])
-		upd(&m.W2[h], &g.w2[h], &a.mW2[h], &a.vW2[h])
+		k.update(m.W1[h], g.w1[h], a.mW1[h], a.vW1[h])
 	}
-	upd(&m.B2, &g.b2, &a.mB2, &a.vB2)
+	k.update(m.B1, g.b1, a.mB1, a.vB1)
+	k.update(m.W2, g.w2, a.mW2, a.vW2)
+	p, gb, mb, vb := []float64{m.B2}, []float64{g.b2}, []float64{a.mB2}, []float64{a.vB2}
+	k.update(p, gb, mb, vb)
+	m.B2, g.b2, a.mB2, a.vB2 = p[0], gb[0], mb[0], vb[0]
+}
+
+// adamStep holds one step's constants: the hyperparameters and the bias
+// corrections c1 = 1-β1^t and c2 = 1-β2^t.
+type adamStep struct {
+	beta1, beta2, oneMinusBeta1, oneMinusBeta2, lr, eps, c1, c2 float64
+}
+
+// update applies the step to one row of parameters p with gradients g and
+// moment estimates m and v, all of one length, and zeroes g. Once c1 has
+// rounded to exactly 1 (from t = 356 at β1 = 0.9) the m/c1 division is
+// skipped, since x/1 == x. The two cases are separate loops: a test on c1
+// inside one loop costs a third of the step.
+func (k adamStep) update(p, g, m, v []float64) {
+	beta1, beta2, ob1, ob2 := k.beta1, k.beta2, k.oneMinusBeta1, k.oneMinusBeta2
+	lr, eps, c1, c2 := k.lr, k.eps, k.c1, k.c2
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	if c1 == 1 {
+		for i, gi := range g {
+			mi := beta1*m[i] + ob1*gi
+			vi := beta2*v[i] + ob2*gi*gi
+			m[i], v[i], g[i] = mi, vi, 0
+			p[i] -= lr * mi / (math.Sqrt(vi/c2) + eps)
+		}
+		return
+	}
+	for i, gi := range g {
+		mi := beta1*m[i] + ob1*gi
+		vi := beta2*v[i] + ob2*gi*gi
+		m[i], v[i], g[i] = mi, vi, 0
+		p[i] -= lr * (mi / c1) / (math.Sqrt(vi/c2) + eps)
+	}
 }
 
 // Sample is one training example.
@@ -337,7 +388,6 @@ func Train(m *MLP, data []Sample, cfg TrainConfig) []float64 {
 			if end > len(order) {
 				end = len(order)
 			}
-			g.zero()
 			for _, idx := range order[start:end] {
 				s := data[idx]
 				logit := m.forward(s.X, nz[idx], hidden)

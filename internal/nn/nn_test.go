@@ -81,8 +81,11 @@ func denseBackward(m *MLP, x []float64, dLdZ float64, hidden []float64, g *grads
 // bit-identical logits, activations and accumulated gradients.
 func TestSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 24; trial++ {
 		in, hid := 1+rng.Intn(80), 1+rng.Intn(12)
+		if trial >= 20 {
+			hid = 48 // the verifier's width
+		}
 		m := NewMLP(in, hid, rng.Int63())
 		m.B1[0] = -100 // one unit that is always gated off
 		sparse, dense := newGrads(m), newGrads(m)
@@ -128,6 +131,112 @@ func TestSparseMatchesDense(t *testing.T) {
 				t.Fatalf("trial %d: w1[%d] gradients diverge", trial, h)
 			}
 		}
+	}
+}
+
+// referenceStep is the Adam step as first written, one closure call per
+// parameter through four pointers: the oracle Adam.Step must match bit
+// for bit. It leaves g as it is.
+func referenceStep(a *Adam, m *MLP, g *grads) {
+	a.t++
+	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	upd := func(p, grad *float64, mm, vv *float64) {
+		*mm = a.Beta1**mm + (1-a.Beta1)**grad
+		*vv = a.Beta2**vv + (1-a.Beta2)**grad**grad
+		mHat := *mm / c1
+		vHat := *vv / c2
+		*p -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+	}
+	for h := range m.W1 {
+		for i := range m.W1[h] {
+			upd(&m.W1[h][i], &g.w1[h][i], &a.mW1[h][i], &a.vW1[h][i])
+		}
+		upd(&m.B1[h], &g.b1[h], &a.mB1[h], &a.vB1[h])
+		upd(&m.W2[h], &g.w2[h], &a.mW2[h], &a.vW2[h])
+	}
+	upd(&m.B2, &g.b2, &a.mB2, &a.vB2)
+}
+
+// asModel views parameter-shaped state (moments, gradients) as a model
+// shaped like m, so sameBits compares it.
+func asModel(m *MLP, w1 [][]float64, b1, w2 []float64, b2 float64) *MLP {
+	return &MLP{In: m.In, Hidden: m.Hidden, W1: w1, B1: b1, W2: w2, B2: b2}
+}
+
+// TestAdamStepMatchesReference runs Adam.Step and referenceStep side by
+// side for 420 steps, across t = 356 where c1 = 1-β1^t first rounds to
+// exactly 1 and the flat step stops dividing by it, on gradients mixing
+// zeros, -0, subnormal, tiny and large values. Parameters and both
+// moment estimates must stay bit-identical after every step, and the flat
+// step must leave the gradient +0.
+func TestAdamStepMatchesReference(t *testing.T) {
+	if c := 1 - math.Pow(0.9, 355); c == 1 {
+		t.Fatal("c1 is already 1 at t = 355")
+	}
+	if c := 1 - math.Pow(0.9, 356); c != 1 {
+		t.Fatalf("c1 = %v at t = 356, want exactly 1", c)
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -2e-310, 1e-20, -3e-9, 1e150, -1e150, 7.5}
+	rng := rand.New(rand.NewSource(23))
+	grad := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * 0.01
+	}
+	for _, hid := range []int{1, 3, 4, 5, 7, 48} {
+		flat, ref := NewMLP(9, hid, int64(hid)), NewMLP(9, hid, int64(hid))
+		fa, ra := NewAdam(flat, 0.008), NewAdam(ref, 0.008)
+		g, rg, zero := newGrads(flat), newGrads(ref), newGrads(flat)
+		fill := func(dst, mirror []float64) {
+			for i := range dst {
+				dst[i] = grad()
+				mirror[i] = dst[i]
+			}
+		}
+		for step := 1; step <= 420; step++ {
+			for h := range g.w1 {
+				fill(g.w1[h], rg.w1[h])
+			}
+			fill(g.b1, rg.b1)
+			fill(g.w2, rg.w2)
+			g.b2 = grad()
+			rg.b2 = g.b2
+
+			fa.Step(flat, g)
+			referenceStep(ra, ref, rg)
+
+			if !sameBits(flat, ref) ||
+				!sameBits(asModel(flat, fa.mW1, fa.mB1, fa.mW2, fa.mB2), asModel(ref, ra.mW1, ra.mB1, ra.mW2, ra.mB2)) ||
+				!sameBits(asModel(flat, fa.vW1, fa.vB1, fa.vW2, fa.vB2), asModel(ref, ra.vW1, ra.vB1, ra.vW2, ra.vB2)) {
+				t.Fatalf("hidden %d: step %d diverges from the reference", hid, step)
+			}
+			if !sameBits(asModel(flat, g.w1, g.b1, g.w2, g.b2), asModel(flat, zero.w1, zero.b1, zero.w2, zero.b2)) {
+				t.Fatalf("hidden %d: step %d leaves a gradient that is not +0", hid, step)
+			}
+		}
+	}
+}
+
+// TestWarmAllocGate: a warm Adam step and a warm forward pass through a
+// Workspace allocate nothing.
+func TestWarmAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute alloc gates are skipped under -race")
+	}
+	m := NewMLP(212, 48, 3)
+	a := NewAdam(m, 0.008)
+	g := newGrads(m)
+	a.Step(m, g)
+	if n := testing.AllocsPerRun(100, func() { a.Step(m, g) }); n != 0 {
+		t.Errorf("warm Adam.Step allocates %v times per call, want 0", n)
+	}
+	x := sparseInput(rand.New(rand.NewSource(1)), 212)
+	var w Workspace
+	w.Logit(m, x)
+	if n := testing.AllocsPerRun(100, func() { w.Logit(m, x) }); n != 0 {
+		t.Errorf("warm Workspace.Logit allocates %v times per call, want 0", n)
 	}
 }
 
@@ -304,22 +413,86 @@ func TestSigmoidStability(t *testing.T) {
 	}
 }
 
+// sparseInput returns an input of width n that is about 8% non-zero, as
+// the featurizer's are.
+func sparseInput(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for j := range x {
+		if rng.Float64() < 0.083 {
+			x[j] = rng.Float64()
+		}
+	}
+	return x
+}
+
 // BenchmarkTrainSparse trains the verifier's shape (212 inputs, 48 hidden
-// units, batch 32) for one epoch over 3,478 samples whose inputs are
-// about 8% non-zero, as the featurizer's are.
+// units, batch 32) for one epoch over 3,478 samples. One epoch is 109
+// steps, all before c1 reaches 1; BenchmarkAdamStep times the later steps.
 func BenchmarkTrainSparse(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]Sample, 3478)
 	for i := range data {
-		x := make([]float64, 212)
-		for j := range x {
-			if rng.Float64() < 0.083 {
-				x[j] = rng.Float64()
-			}
-		}
-		data[i] = Sample{X: x, Y: rng.Intn(2)}
+		data[i] = Sample{X: sparseInput(rng, 212), Y: rng.Intn(2)}
 	}
 	for b.Loop() {
 		Train(NewMLP(212, 48, 3), data, TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.008, Seed: 2})
+	}
+}
+
+// BenchmarkAdamStep times one Adam step at the verifier's shape (212
+// inputs, 48 hidden units), refilling the gradient before each step as a
+// batch's backward pass would. early keeps t below 356, where c1 =
+// 1-β1^t is still below 1; late runs past t = 400, the regime of 95% of
+// the steps of the verifier's training run.
+func BenchmarkAdamStep(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		from, end int
+	}{{"early", 0, 300}, {"late", 400, 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMLP(212, 48, 3)
+			a := NewAdam(m, 0.008)
+			rng := rand.New(rand.NewSource(4))
+			src, g := newGrads(m), newGrads(m)
+			for h := range src.w1 {
+				for i := range src.w1[h] {
+					src.w1[h][i] = rng.NormFloat64() * 1e-3
+				}
+				src.b1[h] = rng.NormFloat64() * 1e-3
+				src.w2[h] = rng.NormFloat64() * 1e-3
+			}
+			src.b2 = 1e-3
+			a.t = bc.from
+			for b.Loop() {
+				if a.t == bc.end {
+					a.t = bc.from
+				}
+				for h := range g.w1 {
+					copy(g.w1[h], src.w1[h])
+				}
+				copy(g.b1, src.b1)
+				copy(g.w2, src.w2)
+				g.b2 = src.b2
+				a.Step(m, g)
+			}
+		})
+	}
+}
+
+// BenchmarkLogit times a warm forward pass at the verifier's shape (212
+// inputs, 48 hidden units) through one Workspace, over inputs about 8%
+// non-zero.
+func BenchmarkLogit(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	m := NewMLP(212, 48, 3)
+	xs := make([][]float64, 64)
+	for i := range xs {
+		xs[i] = sparseInput(rng, 212)
+	}
+	var w Workspace
+	i := 0
+	for b.Loop() {
+		w.Logit(m, xs[i%len(xs)])
+		i++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
@@ -72,6 +73,12 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			return nil, err
 		}
 		not := x.Not
+		// A literal pattern is lowered once, here, rather than per row.
+		lit, constant := x.Pattern.(*sqlast.Literal)
+		var lowered string
+		if constant && !lit.Value.IsNull() {
+			lowered = strings.ToLower(lit.Value.String())
+		}
 		return func(ctx *rowCtx) (sqltypes.Value, error) {
 			v, err := xfn(ctx)
 			if err != nil {
@@ -84,7 +91,11 @@ func (c *compiler) compileExpr(e sqlast.Expr, sc *scope) (compiledExpr, error) {
 			if v.IsNull() || p.IsNull() {
 				return sqltypes.Null(), nil
 			}
-			m := likeMatch(strings.ToLower(v.String()), strings.ToLower(p.String()))
+			pattern := lowered
+			if !constant {
+				pattern = strings.ToLower(p.String())
+			}
+			m := likeFold(v.String(), pattern)
 			return sqltypes.NewBool(m != not), nil
 		}, nil
 	case *sqlast.BetweenExpr:
@@ -527,25 +538,50 @@ func (c *compiler) compileAggregate(x *sqlast.FuncCall, sc *scope) (compiledExpr
 	}, nil
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards (case folded by the
-// caller, matching SQLite's ASCII-insensitive default).
+// likeFold reports whether strings.ToLower(s) matches the LIKE pattern
+// lowerPattern, which is already lower-cased. An ASCII s is folded inside
+// the matcher instead of copied; any other s goes through strings.ToLower,
+// whose Unicode folding SQLite's ASCII-only default does not share.
+func likeFold(s, lowerPattern string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return likeMatch(strings.ToLower(s), lowerPattern)
+		}
+	}
+	return likeMatch(s, lowerPattern)
+}
+
+// likeMatch implements SQL LIKE with % and _ wildcards by dynamic
+// programming over bytes, with s's ASCII upper-case letters folded to
+// lower case; pattern carries none. The DP row lives on the stack for
+// values of up to 63 bytes.
 func likeMatch(s, pattern string) bool {
-	// Dynamic-programming match over bytes; patterns are short.
 	m, n := len(s), len(pattern)
-	dp := make([]bool, m+1)
+	var short [64]bool
+	var dp []bool
+	if m < len(short) {
+		dp = short[:m+1]
+	} else {
+		dp = make([]bool, m+1)
+	}
 	dp[0] = true
 	for j := 1; j <= n; j++ {
 		prevDiag := dp[0]
-		dp[0] = dp[0] && pattern[j-1] == '%'
+		pc := pattern[j-1]
+		dp[0] = dp[0] && pc == '%'
 		for i := 1; i <= m; i++ {
 			cur := dp[i]
-			switch pattern[j-1] {
+			switch pc {
 			case '%':
 				dp[i] = dp[i] || dp[i-1]
 			case '_':
 				dp[i] = prevDiag
 			default:
-				dp[i] = prevDiag && s[i-1] == pattern[j-1]
+				c := s[i-1]
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				dp[i] = prevDiag && c == pc
 			}
 			prevDiag = cur
 		}

@@ -67,11 +67,12 @@ func TestReleasePoisons(t *testing.T) {
 
 // TestOwnedResultAllocGate pins recycling: once warm, releasing a result
 // and executing again reuses the released storage, so a scan, a
-// three-table join and an IN (subquery) filter allocate the same small
-// constant at 400 and at 4,000 flights (a result built in fresh storage
-// costs a records slice growth and an arena chunk per 512 values, and an
-// uncorrelated subquery as much again). The scan and the subquery filter
-// allocate nothing. The join still builds the hash table over its 39-row
+// three-table join, an IN (subquery) filter and a LIKE filter allocate the
+// same small constant at 400 and at 4,000 flights (a result built in fresh
+// storage costs a records slice growth and an arena chunk per 512 values,
+// and an uncorrelated subquery as much again). The scan and the two
+// filters allocate nothing: LIKE lowers its literal pattern at compile
+// time and folds ASCII values inside the matcher. The join still builds the hash table over its 39-row
 // build side per execution, a key string and a bucket per key, which
 // TestIndexAllocRegressionGate's scan leg keeps as its baseline. Counted
 // on one P (AllocsPerRun) with the collector off, which also keeps the
@@ -88,6 +89,7 @@ func TestOwnedResultAllocGate(t *testing.T) {
 		{"scan", "SELECT flno, origin, destination FROM flight", 0},
 		{"three-table join", "SELECT T1.flno, T2.name, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid WHERE T3.flno < 40", 1 + 2*39},
 		{"IN (subquery)", "SELECT flno FROM flight WHERE aid IN (SELECT aid FROM flight WHERE flno > 10)", 0},
+		{"LIKE", "SELECT flno FROM flight WHERE origin LIKE 'T%'", 0},
 	} {
 		stmt := sqlparse.MustParse(tc.sql)
 		measure := func(flights int) (float64, int) {

@@ -16,15 +16,27 @@ import (
 
 // JoinFields returns strings.Join(strings.Fields(s), " "): whitespace runs
 // collapse to one space and the ends are trimmed. Text that is already so
-// comes back as it is, without a copy.
+// comes back as it is, without a copy. ASCII bytes are classified by
+// table; only a non-ASCII rune is decoded, since U+0085 and U+00A0 are
+// spaces too.
 func JoinFields(s string) string {
 	space := true
-	for _, r := range s {
-		if !unicode.IsSpace(r) {
+	for i := 0; i < len(s); {
+		c := s[i]
+		var isSpace bool
+		if c < utf8.RuneSelf {
+			isSpace = asciiSpace[c]
+			i++
+		} else {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			isSpace = unicode.IsSpace(r)
+			i += n
+		}
+		if !isSpace {
 			space = false
 			continue
 		}
-		if space || r != ' ' {
+		if space || c != ' ' {
 			return strings.Join(strings.Fields(s), " ")
 		}
 		space = true
@@ -34,6 +46,9 @@ func JoinFields(s string) string {
 	}
 	return s
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Tokenize lower-cases and splits text into word and number tokens,
 // treating punctuation as boundaries but keeping decimal numbers intact.

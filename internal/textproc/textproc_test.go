@@ -339,3 +339,23 @@ func TestJoinFields(t *testing.T) {
 		}
 	}
 }
+
+// FuzzJoinFields checks JoinFields against strings.Join(strings.Fields(s),
+// " ") and that text needing no change comes back without a copy.
+func FuzzJoinFields(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "a b", "a\tb", "a\nb\n", "\va\fb\r", "x\u00a0y", "x\u0085y", " \u00a0 ",
+		"Côte d'Ivoire", "\xff \xfe", "a \xc2", "SELECT  name\r\nFROM t",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := JoinFields(s), strings.Join(strings.Fields(s), " ")
+		if got != want {
+			t.Fatalf("JoinFields(%q) = %q want %q", s, got, want)
+		}
+		if got == s && s != "" && unsafe.StringData(got) != unsafe.StringData(s) {
+			t.Fatalf("JoinFields(%q) copied text that needed no change", s)
+		}
+	})
+}
