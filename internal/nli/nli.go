@@ -17,8 +17,10 @@ package nli
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"cyclesql/internal/nn"
 	"cyclesql/internal/textproc"
@@ -71,8 +73,8 @@ func (f Featurizer) Dim() int { return numEngineered + f.SharedBuckets + f.HOnly
 const numEngineered = 20
 
 // classWords are the aggregate-word classes, then the comparison
-// classes, that must align between question and explanation. analyze
-// interns them first, so the ID of classWords[i] is i.
+// classes, that must align between question and explanation. A lexicon
+// reset interns them first, so the ID of classWords[i] is i.
 var classWords = [...]string{"count", "sum", "avg", "max", "min", "greater", "less", "equal", "between", "not", "distinct"}
 
 // numAgg is the number of aggregate classes: their IDs are below it.
@@ -90,26 +92,25 @@ func (f Featurizer) Features(hypothesis string, premise Premise) []float64 {
 // fill writes the features of an analyzed pair into out, which must be
 // zeroed and f.Dim() long.
 func (f Featurizer) fill(out []float64, a *analysis) {
-	out[0] = textproc.JaccardSorted(a.hSet, a.pSet)
-	out[1] = textproc.RecallSorted(a.hSet, a.pSet)
-	out[2] = textproc.RecallSorted(a.pExplSet, a.hSet)
+	out[0] = a.jaccard(inH, inP)
+	out[1] = a.recall(inH, inP)
+	out[2] = a.recall(inPExpl, inH)
 	// Number alignment in both directions.
-	out[3] = textproc.RecallSorted(a.hNumSet, a.pNumSet)
-	out[4] = textproc.RecallSorted(a.pNumSet, a.hNumSet)
-	if len(a.hNumSet) == 0 {
+	out[3] = a.recall(inHNum, inPNum)
+	out[4] = a.recall(inPNum, inHNum)
+	if len(a.set(inHNum)) == 0 {
 		out[5] = 1 // no numeric constraints to align
 	}
 	// Aggregate-class, then comparison-class agreement.
 	idx := 6
-	for id := range uint32(len(classWords)) {
+	for id, m := range a.marks[:len(classWords)] {
 		if id == numAgg {
 			idx += 2
 		}
-		inH, inP := contains(a.hSet, id), contains(a.pSet, id)
-		switch {
-		case inH && inP:
+		switch m & (inH | inP) {
+		case inH | inP:
 			out[idx] += 1
-		case inH != inP:
+		case inH, inP:
 			out[idx+1] += 1 // mismatch count across the classes of a kind
 		}
 	}
@@ -121,19 +122,17 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 	// SQL-constant alignment: literal values in the SQL must appear in the
 	// question (wrong-value and wrong-column corruptions break this), and
 	// the question's value words must be reachable in the SQL+explanation.
-	out[idx] = textproc.RecallSorted(a.sqlValSet, a.hSet)
-	a.union = textproc.SortedSet(append(append(a.union[:0], a.pSet...), a.sqlValSet...))
-	out[idx+1] = textproc.RecallSorted(a.hSet, a.union)
-	out[idx+2] = textproc.RecallSorted(a.sqlNumSet, a.hNumSet)
-	a.union = textproc.SortedSet(append(append(a.union[:0], a.sqlNumSet...), a.pNumSet...))
-	out[idx+3] = textproc.RecallSorted(a.hNumSet, a.union)
+	out[idx] = a.recall(inSQLVal, inH)
+	out[idx+1] = a.recall(inH, inP|inSQLVal)
+	out[idx+2] = a.recall(inSQLNum, inHNum)
+	out[idx+3] = a.recall(inHNum, inSQLNum|inPNum)
 	idx += 4
 	// Projection agreement: what the SQL SELECTs must be what the question
 	// asks for. Wrong-projection corruptions (name -> color) and spurious
 	// aggregates (the paper's Fig 2 count-vs-list error) break this.
-	out[idx] = textproc.RecallSorted(a.selSet, a.hSet)
-	selCount := hasAggregate(a.selSet)
-	hCount := hasAggregate(a.hSet)
+	out[idx] = a.recall(inSel, inH)
+	selCount := a.hasAggregate(inSel)
+	hCount := a.hasAggregate(inH)
 	if selCount == hCount {
 		out[idx+1] = 1
 	}
@@ -150,9 +149,9 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 	// Hashed bags: shared stems support entailment, hypothesis-only stems
 	// are evidence the explanation misses part of the question. Each bag
 	// sums multiples of 0.5, exactly in any order.
-	for _, id := range a.hSet {
+	for _, id := range a.set(inH) {
 		tok := a.names[id]
-		if contains(a.pSet, id) {
+		if a.marks[id]&inP != 0 {
 			out[numEngineered+bucket(tok, f.SharedBuckets)] += 0.5
 		} else {
 			out[numEngineered+f.SharedBuckets+bucket(tok, f.HOnlyBuckets)] += 0.5
@@ -160,133 +159,270 @@ func (f Featurizer) fill(out []float64, a *analysis) {
 	}
 }
 
+// The eight sets of an analysis, each one bit of analysis.marks.
+const (
+	inH      uint8 = 1 << iota // stems of the hypothesis
+	inP                        // stems of the whole premise
+	inPExpl                    // stems of the explanation
+	inSQLVal                   // stems of the SQL's string literals
+	inSel                      // stems of the SQL's SELECT clause
+	inHNum                     // numbers of the hypothesis
+	inPNum                     // numbers of the explanation
+	inSQLNum                   // numbers of the SQL
+	numSets  = iota
+)
+
+// stopword is the lexicon entry of a stopword, which has no stem ID.
+const stopword = ^uint32(0)
+
+// lexiconMax bounds an analysis's lexicon: once it holds more tokens
+// than this, or its arena more than 16 bytes for each (256 KiB), the
+// next analyze starts it afresh.
+const lexiconMax = 1 << 14
+
 // analysis is the token-level view of one (hypothesis, premise) pair that
 // the featurizer and the few-shot strawman score: the sets of canonical
 // stems of the hypothesis, the whole premise, its explanation, its SQL
 // literals and its SELECT clause, the sets of numbers in the hypothesis,
 // the explanation and the SQL, and the stem counts of the hypothesis and
-// the premise. Stems and number forms are interned to IDs, numbered in
-// first-seen order, so that ID equality is string equality within one
-// analysis; names maps an ID back to its string. Sets are sorted,
-// duplicate-free ID slices. Everything lives in pooled scratch memory,
-// valid until release.
+// the premise.
+//
+// Stems and number forms are interned to dense IDs by a lexicon that the
+// pooled analysis keeps across calls: tokens maps a raw token to the ID
+// of its canonical stem (or to stopword), ids maps a stem or number form
+// to its ID, and names maps an ID back. Which ID a string gets depends on
+// what the lexicon met first, but ID equality is string equality, a reset
+// interns classWords first so that the ID of classWords[i] is i, and the
+// features read nothing else of an ID; so what a lexicon has seen never
+// changes a result. The lexicon's strings are views of arena, which only
+// a reset rewrites.
+//
+// Each set is the list of its distinct IDs in insertion order, plus one
+// bit per ID in marks; analyze clears the bits its previous call set.
+// Everything but the lexicon is valid until release.
 type analysis struct {
-	ts                                      textproc.Scratch
-	raw, forms                              []string
-	ids                                     map[string]uint32
-	names                                   []string
-	nH, nP                                  int
-	hSet, pSet, pExplSet, sqlValSet, selSet []uint32
-	hNumSet, pNumSet, sqlNumSet, union      []uint32
-	x                                       []float64
-	ws                                      nn.Workspace
+	ts         textproc.Scratch
+	raw, forms []string
+	nH, nP     int
+	sets       [numSets][]uint32
+	marks      []uint8 // by ID: the sets holding it
+
+	arena  []byte
+	tokens map[string]uint32
+	ids    map[string]uint32
+	names  []string
+
+	x  []float64
+	ws nn.Workspace
 }
 
-var analyses = sync.Pool{New: func() any { return &analysis{ids: make(map[string]uint32)} }}
+var analyses = sync.Pool{New: func() any { return new(analysis) }}
 
-// analyze canonicalizes each token of the hypothesis and the premise once.
-// The premise's three parts are tokenized separately and concatenated:
-// the " | " separators of Premise.Text are token boundaries, so the
-// concatenation is the token stream of Text, and the phrase idioms are
-// matched across it, exactly as over Text. The explanation-only stems
-// come from the same walk. The SQL's literals and SELECT clause are
-// tokenized again, each on its own.
+// analyze canonicalizes each token of the hypothesis and the premise once,
+// into a pooled analysis.
 func analyze(hypothesis string, premise Premise) *analysis {
 	a := analyses.Get().(*analysis)
-	ts := &a.ts
-	ts.Reset()
-	// The map's keys are views of the arena just reset.
-	clear(a.ids)
-	a.names = a.names[:0]
-	for _, w := range classWords {
-		a.intern(w)
+	a.analyze(hypothesis, premise)
+	return a
+}
+
+// analyze fills a with the pair. The premise's three parts are tokenized
+// separately and concatenated: the " | " separators of Premise.Text are
+// token boundaries, so the concatenation is the token stream of Text,
+// and the phrase idioms are matched across it, exactly as over Text. The
+// explanation-only stems come from the same walk. The SQL's literals and
+// SELECT clause are tokenized again, each on its own.
+func (a *analysis) analyze(hypothesis string, premise Premise) {
+	a.ts.Reset()
+	for s := range a.sets {
+		for _, id := range a.sets[s] {
+			a.marks[id] = 0
+		}
+		a.sets[s] = a.sets[s][:0]
+	}
+	if a.tokens == nil || len(a.tokens) > lexiconMax || len(a.arena) > 16*lexiconMax {
+		a.resetLexicon()
 	}
 
-	a.hSet = a.canonicalText(a.hSet[:0], hypothesis)
-	a.nH = len(a.hSet)
-	a.hSet = textproc.SortedSet(a.hSet)
-	a.hNumSet = textproc.SortedSet(a.numbers(a.hNumSet[:0], a.raw))
+	a.nH = a.canonicalText(inH, hypothesis)
+	a.numbers(inHNum, a.raw)
 
-	a.raw = ts.AppendTokens(a.raw[:0], premise.Explanation)
+	a.raw = a.ts.AppendTokens(a.raw[:0], premise.Explanation)
 	nExpl := len(a.raw)
-	a.raw = ts.AppendTokens(a.raw, premise.SQL)
+	a.raw = a.ts.AppendTokens(a.raw, premise.SQL)
 	nSQL := len(a.raw)
-	a.raw = ts.AppendTokens(a.raw, premise.Result)
+	a.raw = a.ts.AppendTokens(a.raw, premise.Result)
 	// Up to the explanation's last token, the walk over the whole premise
 	// reads what a walk over the explanation alone reads. That last token,
 	// unless an idiom already took it, stands on its own in the
 	// explanation, even where the premise pairs it with the SQL's first
 	// token ("more|than").
-	var i int
-	a.pSet, i = a.canonical(a.pSet[:0], a.raw, 0, nExpl-1)
-	a.pExplSet = append(a.pExplSet[:0], a.pSet...)
+	n, i := a.canonical(inP|inPExpl, a.raw, 0, nExpl-1)
 	if i < nExpl {
-		a.pExplSet, _ = a.canonical(a.pExplSet, a.raw[:nExpl], i, nExpl)
+		a.canonical(inPExpl, a.raw[:nExpl], i, nExpl)
 	}
-	a.pSet, _ = a.canonical(a.pSet, a.raw, i, len(a.raw))
-	a.nP = len(a.pSet)
-	a.pSet = textproc.SortedSet(a.pSet)
-	a.pExplSet = textproc.SortedSet(a.pExplSet)
-	a.pNumSet = textproc.SortedSet(a.numbers(a.pNumSet[:0], a.raw[:nExpl]))
-	a.sqlNumSet = textproc.SortedSet(a.numbers(a.sqlNumSet[:0], a.raw[nExpl:nSQL]))
+	m, _ := a.canonical(inP, a.raw, i, len(a.raw))
+	a.nP = n + m
+	a.numbers(inPNum, a.raw[:nExpl])
+	a.numbers(inSQLNum, a.raw[nExpl:nSQL])
 
-	a.sqlValSet = textproc.SortedSet(a.sqlLiteralStems(a.sqlValSet[:0], premise.SQL))
-	a.selSet = textproc.SortedSet(a.canonicalText(a.selSet[:0], selectClause(premise.SQL)))
-	return a
+	a.sqlLiteralStems(premise.SQL)
+	a.canonicalText(inSel, selectClause(premise.SQL))
 }
 
 func (a *analysis) release() { analyses.Put(a) }
 
-// intern returns the ID of s, giving a string not seen before in this
-// analysis the next ID.
+// resetLexicon empties the lexicon and interns classWords.
+func (a *analysis) resetLexicon() {
+	if a.tokens == nil {
+		a.tokens = make(map[string]uint32)
+		a.ids = make(map[string]uint32)
+	}
+	clear(a.tokens)
+	clear(a.ids)
+	a.arena = a.arena[:0]
+	a.names = a.names[:0]
+	a.marks = a.marks[:0]
+	for _, w := range classWords {
+		a.intern(w)
+	}
+}
+
+// keep copies s into the lexicon's arena and returns the copy.
+func (a *analysis) keep(s string) string {
+	a.arena = append(a.arena, s...)
+	b := a.arena[len(a.arena)-len(s):]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// intern returns the ID of s, giving a string not seen before the next ID.
 func (a *analysis) intern(s string) uint32 {
 	id, ok := a.ids[s]
 	if !ok {
 		id = uint32(len(a.names))
+		s = a.keep(s)
 		a.ids[s] = id
 		a.names = append(a.names, s)
+		a.marks = append(a.marks, 0)
 	}
 	return id
 }
 
-// canonicalText appends the IDs of the canonical stems of text to dst,
-// leaving text's tokens in a.raw.
-func (a *analysis) canonicalText(dst []uint32, text string) []uint32 {
-	a.raw = a.ts.AppendTokens(a.raw[:0], text)
-	dst, _ = a.canonical(dst, a.raw, 0, len(a.raw))
-	return dst
+// learn computes the lexicon entry of a token not seen before and
+// inserts it: stopword, or the ID of the token's canonical stem.
+func (a *analysis) learn(t string) uint32 {
+	id := stopword
+	if !textproc.IsStopword(t) {
+		id = a.intern(textproc.Canonical(a.ts.Stem(t)))
+		if a.names[id] == t { // a token that is its own stem shares its bytes
+			a.tokens[a.names[id]] = id
+			return id
+		}
+	}
+	a.tokens[a.keep(t)] = id
+	return id
 }
 
-// canonical walks toks from i, appending to dst the ID of the canonical
+// add puts id into every set of in.
+func (a *analysis) add(id uint32, in uint8) {
+	m := a.marks[id]
+	for b := in &^ m; b != 0; b &= b - 1 {
+		s := bits.TrailingZeros8(b)
+		a.sets[s] = append(a.sets[s], id)
+	}
+	a.marks[id] = m | in
+}
+
+// set returns the IDs of the set with bit in.
+func (a *analysis) set(in uint8) []uint32 { return a.sets[bits.TrailingZeros8(in)] }
+
+// shared counts the IDs of the set with bit in that some set of other
+// holds too.
+func (a *analysis) shared(in, other uint8) int {
+	n := 0
+	for _, id := range a.set(in) {
+		if a.marks[id]&other != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// jaccard is the Jaccard overlap of the sets with bits in and other.
+func (a *analysis) jaccard(in, other uint8) float64 {
+	inter := a.shared(in, other)
+	union := len(a.set(in)) + len(a.set(other)) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// recall is the share of the set with bit in that the union of the sets
+// of other covers.
+func (a *analysis) recall(in, other uint8) float64 {
+	n := len(a.set(in))
+	if n == 0 {
+		return 0
+	}
+	return float64(a.shared(in, other)) / float64(n)
+}
+
+// hasAggregate reports whether the set with bit in holds an aggregate
+// class.
+func (a *analysis) hasAggregate(in uint8) bool {
+	for _, m := range a.marks[:numAgg] {
+		if m&in != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// canonicalText adds the canonical stems of text to the sets of in,
+// leaving text's tokens in a.raw, and returns their count.
+func (a *analysis) canonicalText(in uint8, text string) int {
+	a.raw = a.ts.AppendTokens(a.raw[:0], text)
+	n, _ := a.canonical(in, a.raw, 0, len(a.raw))
+	return n
+}
+
+// canonical walks toks from i, adding to the sets of in the canonical
 // stem of each token: phrase idioms first ("at least" -> greater), then
-// stopwords, stems and synonym classes. It stops before the first token
-// at or past end, and returns dst and that token's index; an idiom that
-// starts before end may take toks[end] with it.
-func (a *analysis) canonical(dst []uint32, toks []string, i, end int) ([]uint32, int) {
+// stopwords, stems and synonym classes, each token looked up once in the
+// lexicon. It stops before the first token at or past end, and returns
+// the count of stems added, repeats included, and that token's index; an
+// idiom that starts before end may take toks[end] with it.
+func (a *analysis) canonical(in uint8, toks []string, i, end int) (int, int) {
+	n := 0
 	for i < end {
 		t, w := textproc.PhraseAt(toks, i)
 		i += w
-		if !textproc.IsStopword(t) {
-			dst = append(dst, a.intern(textproc.Canonical(a.ts.Stem(t))))
+		id, ok := a.tokens[t]
+		if !ok {
+			id = a.learn(t)
+		}
+		if id != stopword {
+			a.add(id, in)
+			n++
 		}
 	}
-	return dst, i
+	return n, i
 }
 
-// numbers appends the IDs of the number forms of toks to dst.
-func (a *analysis) numbers(dst []uint32, toks []string) []uint32 {
+// numbers adds the number forms of toks to the sets of in.
+func (a *analysis) numbers(in uint8, toks []string) {
 	a.forms = a.ts.AppendNumbers(a.forms[:0], toks)
 	for _, f := range a.forms {
-		dst = append(dst, a.intern(f))
+		a.add(a.intern(f), in)
 	}
-	return dst
 }
 
-// sqlLiteralStems appends the IDs of the canonical stems of the quoted
-// string literals in a SQL text to dst, each literal taken on its own. A
+// sqlLiteralStems adds the canonical stems of the quoted string literals
+// in a SQL text to the SQL-literal set, each literal taken on its own. A
 // doubled quote inside a literal stands for one quote, so the literal of
 // O'Brien reads as the question spells it.
-func (a *analysis) sqlLiteralStems(dst []uint32, sql string) []uint32 {
+func (a *analysis) sqlLiteralStems(sql string) {
 	for i := 0; i < len(sql); i++ {
 		if sql[i] != '\'' {
 			continue
@@ -310,10 +446,9 @@ func (a *analysis) sqlLiteralStems(dst []uint32, sql string) []uint32 {
 		if escaped {
 			lit = a.ts.Unescape(lit, '\'')
 		}
-		dst = a.canonicalText(dst, lit)
+		a.canonicalText(inSQLVal, lit)
 		i = j
 	}
-	return dst
 }
 
 // selectClause returns the SQL text between SELECT and FROM — the
@@ -354,15 +489,6 @@ func upperASCII(c byte) byte {
 	}
 	return c
 }
-
-func contains(set []uint32, id uint32) bool {
-	_, ok := slices.BinarySearch(set, id)
-	return ok
-}
-
-// hasAggregate reports whether a set holds an aggregate class, whose IDs
-// sort first.
-func hasAggregate(set []uint32) bool { return len(set) > 0 && set[0] < numAgg }
 
 // bucket hashes tok with 32-bit FNV-1a into [0, n).
 func bucket(tok string, n int) int { return int(fnv1a(fnvOffset, tok) % uint32(n)) }
@@ -536,9 +662,9 @@ func (FewShotLLM) Name() string { return "llm-verifier" }
 // Score implements Verifier.
 func (FewShotLLM) Score(hypothesis string, premise Premise) float64 {
 	a := analyze(hypothesis, premise)
-	score := 0.55*textproc.RecallSorted(a.hSet, a.pSet) + 0.25*textproc.JaccardSorted(a.hSet, a.pSet)
-	if len(a.hNumSet) > 0 {
-		score += 0.2 * textproc.RecallSorted(a.hNumSet, a.pNumSet)
+	score := 0.55*a.recall(inH, inP) + 0.25*a.jaccard(inH, inP)
+	if len(a.set(inHNum)) > 0 {
+		score += 0.2 * a.recall(inHNum, inPNum)
 	} else {
 		score += 0.1
 	}

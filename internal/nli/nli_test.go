@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,9 +49,10 @@ func TestFeaturizerAlignmentOrdering(t *testing.T) {
 	}
 }
 
-// words is the test's string view of an ID set: the names of its IDs,
-// sorted.
-func (a *analysis) words(set []uint32) []string {
+// words is the test's string view of the set with bit in: the names of
+// its IDs, sorted.
+func (a *analysis) words(in uint8) []string {
+	set := a.set(in)
 	out := make([]string, len(set))
 	for i, id := range set {
 		out[i] = a.names[id]
@@ -68,7 +70,7 @@ func TestSQLLiteralTokens(t *testing.T) {
 		"SELECT a FROM t WHERE x = '' AND y = 'Rock''n''Roll' OR z": {"rocknroll"},
 	} {
 		a := analyze("q", Premise{SQL: sql})
-		if got := a.words(a.sqlValSet); !slices.Equal(got, want) {
+		if got := a.words(inSQLVal); !slices.Equal(got, want) {
 			t.Errorf("SQL literal stems of %q = %v want %v", sql, got, want)
 		}
 		a.release()
@@ -84,7 +86,7 @@ func TestSelectClauseTokens(t *testing.T) {
 		"SELECT 'ɐɐ', name FROM t":   {"name", "ɐɐ"},
 	} {
 		a := analyze("q", Premise{SQL: sql})
-		if got := a.words(a.selSet); !slices.Equal(got, want) {
+		if got := a.words(inSel); !slices.Equal(got, want) {
 			t.Errorf("SELECT-clause stems of %q = %v want %v", sql, got, want)
 		}
 		a.release()
@@ -229,6 +231,109 @@ func BenchmarkScore(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.Score(q, p)
+	}
+}
+
+// TestScoreAllocGate: a warm Trained.Score allocates nothing, since the
+// pooled analysis keeps its lexicon, sets and forward-pass scratch.
+func TestScoreAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
+	}
+	v, q, p := allocGatePair()
+	if n := testing.AllocsPerRun(100, func() { v.Score(q, p) }); n != 0 {
+		t.Errorf("warm Trained.Score allocates %v times per call, want 0", n)
+	}
+}
+
+// distinctWords returns n distinct tokens, none a stopword, an idiom or
+// a number, joined by spaces.
+func distinctWords(prefix string, n int) string {
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, "%s%d ", prefix, i)
+	}
+	return b.String()
+}
+
+// TestLexiconGrowthAllocGate: a fresh analysis that learns 1,000 distinct
+// tokens allocates only as its arenas, slices and maps double, not once
+// per token: the lexicon copies each key into its own arena instead of
+// allocating a string.
+func TestLexiconGrowthAllocGate(t *testing.T) {
+	const want = 110 // measured with Go 1.24
+	h := distinctWords("w", 1000)
+	n := testing.AllocsPerRun(10, func() {
+		a := new(analysis)
+		a.analyze(h, Premise{})
+	})
+	if n > want {
+		t.Errorf("a fresh analysis of 1,000 distinct tokens allocates %v times, want at most %d", n, want)
+	}
+}
+
+// TestLexiconReset feeds a lexicon more distinct tokens than its bound
+// between two analyses of the same pairs: the reset must leave every
+// feature bit-identical and classWords at IDs 0..10.
+func TestLexiconReset(t *testing.T) {
+	pairs := variedPairs(8)
+	a := new(analysis)
+	before := make([][]float64, len(pairs))
+	for i, p := range pairs {
+		a.analyze(p.Hypothesis, p.Premise)
+		before[i] = features(a)
+	}
+	a.analyze(distinctWords("x", lexiconMax+1), Premise{})
+	if len(a.tokens) <= lexiconMax {
+		t.Fatalf("lexicon holds %d tokens, want more than %d", len(a.tokens), lexiconMax)
+	}
+	for i, p := range pairs {
+		a.analyze(p.Hypothesis, p.Premise)
+		if i == 0 && len(a.tokens) > lexiconMax {
+			t.Fatalf("lexicon of %d tokens was not reset", len(a.tokens))
+		}
+		if got := features(a); !bitEqual(got, before[i]) {
+			t.Errorf("features of pair %d after the reset:\n%v\nbefore:\n%v", i, got, before[i])
+		}
+	}
+	for i, w := range classWords {
+		if a.names[i] != w || a.ids[w] != uint32(i) {
+			t.Errorf("after the reset ID %d names %q and %q has ID %d", i, a.names[i], w, a.ids[w])
+		}
+	}
+}
+
+// variedPairs returns n distinct synthetic pairs that share vocabulary
+// the way a dev split's questions and explanations do.
+func variedPairs(n int) []Pair {
+	things := []string{"flights", "aircraft", "singers", "concerts", "stadiums", "students", "pets", "cities"}
+	attrs := []string{"distance", "price", "age", "capacity", "weight", "salary", "population", "rating"}
+	places := []string{"Chicago", "Los Angeles", "Boston", "Denver", "Paris", "Tokyo", "İstanbul", "Lima"}
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		thing, attr, place := things[i%8], attrs[i/8%8], places[(i*3)%8]
+		pairs[i] = Pair{
+			Hypothesis: fmt.Sprintf("How many %s have a %s of at least %d in %s?", thing, attr, 10*i, place),
+			Premise: Premise{
+				Explanation: fmt.Sprintf("Filtered by %s greater than %d and city equal to %s, there are %d %s in total", attr, 10*i, place, i%5, thing),
+				SQL:         fmt.Sprintf("SELECT count(*) FROM %s WHERE %s >= %d AND city = '%s'", thing, attr, 10*i, place),
+				Result:      fmt.Sprintf("1 rows ; %d", i%5),
+			},
+			Label: i % 2,
+		}
+	}
+	return pairs
+}
+
+// BenchmarkScoreVaried scores 64 distinct pairs in turn, so the lexicon
+// sees a realistic mix of tokens rather than one pair's.
+func BenchmarkScoreVaried(b *testing.B) {
+	v, _, _ := allocGatePair()
+	pairs := variedPairs(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := &pairs[i%len(pairs)]
+		v.Score(p.Hypothesis, p.Premise)
 	}
 }
 

@@ -5,7 +5,6 @@
 package textproc
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 	"strings"
@@ -400,21 +399,9 @@ func Bigrams(toks []string) []string {
 	return out
 }
 
-// SortedSet sorts toks in place and drops repeats, returning the set in
-// the form JaccardSorted and RecallSorted take. Tokens may be strings or
-// interned integer IDs: the set operations only count shared elements.
-func SortedSet[T cmp.Ordered](toks []T) []T {
-	slices.Sort(toks)
-	return slices.Compact(toks)
-}
-
 // Jaccard computes set overlap of two token lists.
 func Jaccard(a, b []string) float64 {
-	return JaccardSorted(SortedSet(slices.Clone(a)), SortedSet(slices.Clone(b)))
-}
-
-// JaccardSorted is Jaccard over two sets in SortedSet form.
-func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
+	a, b = sortedSet(a), sortedSet(b)
 	inter := intersection(a, b)
 	union := len(a) + len(b) - inter
 	if union == 0 {
@@ -425,19 +412,22 @@ func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
 
 // Recall computes |a ∩ b| / |a|: how much of a is covered by b.
 func Recall(a, b []string) float64 {
-	return RecallSorted(SortedSet(slices.Clone(a)), SortedSet(slices.Clone(b)))
-}
-
-// RecallSorted is Recall over two sets in SortedSet form.
-func RecallSorted[T cmp.Ordered](a, b []T) float64 {
+	a, b = sortedSet(a), sortedSet(b)
 	if len(a) == 0 {
 		return 0
 	}
 	return float64(intersection(a, b)) / float64(len(a))
 }
 
+// sortedSet returns a sorted, duplicate-free copy of toks.
+func sortedSet(toks []string) []string {
+	toks = slices.Clone(toks)
+	slices.Sort(toks)
+	return slices.Compact(toks)
+}
+
 // intersection counts the elements two sorted sets share.
-func intersection[T cmp.Ordered](a, b []T) int {
+func intersection(a, b []string) int {
 	n := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
