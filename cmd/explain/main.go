@@ -84,10 +84,12 @@ func main() {
 		fmt.Println("Plan:")
 		fmt.Print(tree)
 	}
-	rel, err := exec.ExecContext(ctx, stmt)
+	res, err := exec.Run(ctx, stmt)
 	if err != nil {
 		fail(ctx, err)
 	}
+	defer res.Release()
+	rel := res.Rel
 	fmt.Println("Result:")
 	fmt.Println(rel.String())
 
@@ -95,6 +97,7 @@ func main() {
 	if err != nil {
 		fail(ctx, err)
 	}
+	defer prov.Release()
 	if prov.Empty {
 		fmt.Println("Provenance: none (empty result; operation-level semantics only)")
 	}

@@ -36,10 +36,11 @@ func main() {
 	fmt.Println("Question:", question)
 	fmt.Println()
 	for _, c := range cases {
-		rel, err := sqleval.New(db).ExecContext(context.Background(), c.stmt)
+		res, err := sqleval.New(db).Run(context.Background(), c.stmt)
 		if err != nil {
 			panic(err)
 		}
+		rel := res.Rel
 		fmt.Printf("== %s ==\nSQL: %s\n", c.label, c.stmt.SQL())
 		fmt.Println("Result:")
 		fmt.Println(rel.String())
@@ -51,6 +52,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		exp.Prov.Release()
+		res.Release()
 		fmt.Println("CycleSQL data-grounded explanation:")
 		fmt.Println(" ", exp.Text)
 		fmt.Println()

@@ -27,10 +27,11 @@ func main() {
 			continue
 		}
 		count++
-		rel, err := sqleval.New(db).ExecContext(context.Background(), ex.Gold)
+		res, err := sqleval.New(db).Run(context.Background(), ex.Gold)
 		if err != nil {
 			panic(err)
 		}
+		rel := res.Rel
 		fmt.Printf("Q%d: %s\nSQL: %s\n", count, ex.Question, ex.GoldSQL)
 		if rel.NumRows() > 0 {
 			fmt.Print("To-explain result: ")
@@ -55,6 +56,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		prov.Release()
+		res.Release()
 		fmt.Println("Explanation:", exp.Text)
 		fmt.Println()
 	}

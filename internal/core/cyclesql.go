@@ -32,7 +32,7 @@
 //
 // Cancellation: Translate takes a context.Context that threads through
 // every candidate's execute → explain chain down to the SQL executor's
-// inner loops (sqleval.Executor.ExecContext), so cancelling it — the
+// inner loops (sqleval.Executor.Run), so cancelling it — the
 // batch experiment driver's per-example timeout, or a caller shutting
 // down — aborts the loop mid-query and Translate returns the context's
 // error. Above Parallelism 1 the loop derives a per-call context that it
@@ -235,7 +235,7 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	// One executor serves every candidate and persists across Translate
 	// calls, so textually recurring candidates reuse compiled plans (the
 	// cache is keyed by canonical SQL, not AST identity). The executor is
-	// safe for concurrent ExecContext, so speculative workers share it.
+	// safe for concurrent Run, so speculative workers share it.
 	executor := p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
 	p.run(ctx, res, ex.Question, db, fb, executor, candidates)
 	if err := ctx.Err(); err != nil {

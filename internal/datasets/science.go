@@ -84,6 +84,7 @@ func buildScience() *Benchmark {
 
 // checkExecutes verifies a gold statement runs against its database.
 func checkExecutes(db *storage.Database, stmt *sqlast.SelectStmt) error {
-	_, err := sqleval.New(db).ExecContext(context.Background(), stmt)
+	res, err := sqleval.New(db).Run(context.Background(), stmt)
+	res.Release()
 	return err
 }

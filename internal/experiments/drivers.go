@@ -342,32 +342,18 @@ const caseStudyCount = 5
 // Table4 reproduces Table IV: case-study explanations for the five
 // world_1 queries, polished for readability as in the paper.
 func Table4(ctx context.Context, _ Limits) (*Table, error) {
-	bench := datasets.Spider()
-	db := bench.DB("world_1")
 	t := &Table{
 		Title:   "Table IV: NL explanations produced by CycleSQL (world_1)",
 		Headers: []string{"question / explanation"},
 	}
-	e := explain.New(db)
-	e.Polish = explain.RulePolisher{}
-	count := 0
-	for _, ex := range bench.Dev {
-		if ex.DBName != "world_1" || count >= caseStudyCount {
-			continue
-		}
-		count++
-		rel, err := sqleval.New(db).ExecContext(ctx, ex.Gold)
-		if err != nil {
-			return nil, err
-		}
-		exp, err := e.ExplainContext(ctx, ex.Gold, rel, 0)
-		if err != nil {
-			return nil, err
-		}
+	err := caseStudies(ctx, func(n int, ex datasets.Example, text, _ string) {
 		t.Rows = append(t.Rows,
-			Row{Label: fmt.Sprintf("Q%d", count), Values: []string{ex.Question}},
-			Row{Label: "", Values: []string{exp.Text}},
+			Row{Label: fmt.Sprintf("Q%d", n), Values: []string{ex.Question}},
+			Row{Label: "", Values: []string{text}},
 		)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -376,50 +362,68 @@ func Table4(ctx context.Context, _ Limits) (*Table, error) {
 // queries, CycleSQL explanations vs the simpler GPT-3.5-style (SQL2NL)
 // explanations, on the paper's two dimensions plus overall ratings.
 func Fig10(ctx context.Context, _ Limits) (*Table, error) {
-	bench := datasets.Spider()
-	db := bench.DB("world_1")
-	e := explain.New(db)
-	e.Polish = explain.RulePolisher{}
+	schema := datasets.Spider().DB("world_1").Schema
 	t := &Table{
 		Title:   "Fig 10: simulated user study (mean 1-10 ratings, 20 raters)",
 		Headers: []string{"dimension", "gpt-3.5 style", "cyclesql", "prefer cyclesql"},
 	}
-	count := 0
-	for _, ex := range bench.Dev {
-		if ex.DBName != "world_1" || count >= caseStudyCount {
-			continue
-		}
-		count++
-		rel, err := sqleval.New(db).ExecContext(ctx, ex.Gold)
-		if err != nil {
-			return nil, err
-		}
-		exp, err := e.ExplainContext(ctx, ex.Gold, rel, 0)
-		if err != nil {
-			return nil, err
-		}
-		resultText := ""
-		if rel.NumRows() > 0 {
-			for _, v := range rel.Rows[0] {
-				resultText += v.String() + " "
-			}
-		}
-		cycleItem := userstudy.Item{Question: ex.Question, Result: resultText, Explanation: exp.Text}
-		simpleItem := userstudy.Item{Question: ex.Question, Result: resultText, Explanation: sql2nl.Describe(db.Schema, ex.Gold)}
-		seed := int64(1000 + count)
+	err := caseStudies(ctx, func(n int, ex datasets.Example, text, resultText string) {
+		cycleItem := userstudy.Item{Question: ex.Question, Result: resultText, Explanation: text}
+		simpleItem := userstudy.Item{Question: ex.Question, Result: resultText, Explanation: sql2nl.Describe(schema, ex.Gold)}
+		seed := int64(1000 + n)
 		for _, dim := range []userstudy.Dimension{userstudy.Interpretability, userstudy.Entailment, userstudy.Overall} {
 			rc := userstudy.Score(cycleItem, dim, seed)
 			rs := userstudy.Score(simpleItem, dim, seed)
 			prefer := userstudy.Compare(cycleItem, simpleItem, seed)
 			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("Q%d", count),
+				Label: fmt.Sprintf("Q%d", n),
 				Values: []string{string(dim), fmt.Sprintf("%.1f (%s)", rs.Mean, rs.Verdict()),
 					fmt.Sprintf("%.1f (%s)", rc.Mean, rc.Verdict()),
 					fmt.Sprintf("%d/20", prefer)},
 			})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// caseStudies executes the five Table IV queries, the first world_1 dev
+// examples, and explains each one's first result row with the rule
+// polisher. It hands visit the case number (from 1), the example, the
+// explanation text and the first row's values, each followed by a space.
+func caseStudies(ctx context.Context, visit func(n int, ex datasets.Example, text, row string)) error {
+	bench := datasets.Spider()
+	db := bench.DB("world_1")
+	e := explain.New(db)
+	e.Polish = explain.RulePolisher{}
+	n := 0
+	for _, ex := range bench.Dev {
+		if ex.DBName != "world_1" || n >= caseStudyCount {
+			continue
+		}
+		n++
+		res, err := sqleval.New(db).Run(ctx, ex.Gold)
+		if err != nil {
+			return err
+		}
+		exp, err := e.ExplainContext(ctx, ex.Gold, res.Rel, 0)
+		if err != nil {
+			res.Release()
+			return err
+		}
+		exp.Prov.Release()
+		row := ""
+		if res.Rel.NumRows() > 0 {
+			for _, v := range res.Rel.Rows[0] {
+				row += v.String() + " "
+			}
+		}
+		res.Release()
+		visit(n, ex, exp.Text, row)
+	}
+	return nil
 }
 
 // Registry maps experiment IDs to drivers. Every driver takes the context

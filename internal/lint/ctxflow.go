@@ -9,8 +9,8 @@ import (
 // subpackages) in which inventing a context is banned: the execution
 // stack threads real contexts end to end (PR 4), so a context.TODO() or
 // context.Background() here means a call site dodged the plumbing. The
-// remaining nil-ctx guard (Executor.ExecContext) carries a
-// //vetcycle:allow directive.
+// remaining nil-ctx guard (Executor.exec, behind Run and ExecContext)
+// carries a //vetcycle:allow directive.
 var ctxflowScope = []string{
 	"cyclesql/internal/core",
 	"cyclesql/internal/sqleval",

@@ -35,9 +35,11 @@ func (c *corruptor) corrupt(gold *sqlast.SelectStmt) *sqlast.SelectStmt {
 		if sqlnorm.Canonical(mut) == goldKey {
 			continue
 		}
-		if _, err := sqleval.New(c.db).ExecContext(context.Background(), mut); err != nil {
+		res, err := sqleval.New(c.db).Run(context.Background(), mut)
+		if err != nil {
 			continue
 		}
+		res.Release()
 		return mut
 	}
 	return c.fallback(gold)

@@ -88,13 +88,15 @@ func eqToIn(stmt *sqlast.SelectStmt) bool {
 // sameExecution checks bag equality of the two statements' results.
 func sameExecution(db *storage.Database, a, b *sqlast.SelectStmt) bool {
 	ex := sqleval.New(db)
-	ra, err := ex.ExecContext(context.Background(), a)
+	ra, err := ex.Run(context.Background(), a)
 	if err != nil {
 		return false
 	}
-	rb, err := ex.ExecContext(context.Background(), b)
+	defer ra.Release()
+	rb, err := ex.Run(context.Background(), b)
 	if err != nil {
 		return false
 	}
-	return sqltypes.BagEqual(ra, rb)
+	defer rb.Release()
+	return sqltypes.BagEqual(ra.Rel, rb.Rel)
 }

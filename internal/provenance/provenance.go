@@ -126,7 +126,8 @@ func NewTracker(db *storage.Database) *Tracker {
 // tables are owned results; Release hands them back. Cancellation is
 // returned as the context's error — never degraded to an
 // operation-level-only Part the way ordinary rewrite execution failures
-// are, since a cancelled rewrite says nothing about the rewrite itself.
+// are, since a cancelled rewrite says nothing about the rewrite itself —
+// after the tables of the parts already executed are released.
 func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, result *sqltypes.Relation, rowIdx int) (*Provenance, error) {
 	p := &Provenance{Original: stmt, ResultSet: result, ResultColumns: result.Columns}
 	if result.NumRows() == 0 {
@@ -152,6 +153,7 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 		res, err := t.ex.Run(ctx, rw)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
+				p.Release()
 				return nil, ctxErr
 			}
 			// A rewrite that fails to execute (for example a Rule 1

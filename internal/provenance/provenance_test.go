@@ -2,6 +2,8 @@ package provenance
 
 import (
 	"context"
+	"errors"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -288,6 +290,61 @@ func TestReleaseKeepsResultSet(t *testing.T) {
 	if !slices.Equal(p.Result, want.Rows[1]) {
 		t.Fatalf("Result = %v, want %v", p.Result, want.Rows[1])
 	}
+}
+
+// cancelAfter is a context whose Err reports Canceled from call ok+1 on,
+// so a tracking can be cancelled between two of its rewrites.
+type cancelAfter struct {
+	context.Context
+	calls, ok int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.ok {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledTrackReleasesParts: a tracking cancelled after its first
+// rewrite executed hands that part's storage back, so with the rewrites
+// memoised and the pool warm it allocates no more than a tracking that
+// completes. Dropping the executed part instead leaves the next tracking
+// to build its storage afresh. Counted on one P (AllocsPerRun) with the
+// collector off, which also keeps the pool from being emptied.
+func TestCancelledTrackReleasesParts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	db := datasets.WorldDB()
+	stmt := sqlparse.MustParse("SELECT name FROM country WHERE continent = 'Europe' UNION SELECT name FROM city WHERE countrycode = 'NLD'")
+	rel, err := sqleval.New(db).ExecContext(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracker(db)
+	completed := testing.AllocsPerRun(20, func() {
+		p, err := tr.TrackContext(context.Background(), stmt, rel, 0)
+		if err != nil || len(p.Parts) != 2 || p.Parts[1].Table == nil {
+			t.Fatalf("track: %v", err)
+		}
+		p.Release()
+	})
+	ctx := &cancelAfter{Context: context.Background(), ok: 1}
+	cancelled := testing.AllocsPerRun(20, func() {
+		ctx.calls = 0
+		if _, err := tr.TrackContext(ctx, stmt, rel, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("track under a context cancelled after the first rewrite: %v", err)
+		}
+		if ctx.calls < 2 {
+			t.Fatalf("the second rewrite never consulted the context (%d Err calls)", ctx.calls)
+		}
+	})
+	if cancelled > completed {
+		t.Errorf("a cancelled tracking allocates %.0f/op vs %.0f/op for a completed one — its executed part is not released", cancelled, completed)
+	}
+	t.Logf("tracking allocs/op: completed=%.0f cancelled=%.0f", completed, cancelled)
 }
 
 // BenchmarkTrack measures tracking a three-table join whose provenance

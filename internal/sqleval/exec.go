@@ -48,18 +48,19 @@
 // Statements must not be mutated between executions through the same
 // executor.
 //
-// An Executor is safe for concurrent ExecContext and PlanTree calls:
+// An Executor is safe for concurrent Run, ExecContext and PlanTree calls:
 // execution state (the subquery-depth guard, the subquery memo, the
-// EXPLAIN trace, row contexts, scratch buffers) belongs to the call, never
-// to the executor or a cached plan; the plan cache is guarded by a
-// read-mostly lock, and the storage layer guards its lazy index builds. The database contents must not be mutated
-// while executions are in flight (the store itself documents the same
+// EXPLAIN trace, row contexts, the slab and its scratch buffers) belongs
+// to the call, never to the executor or a cached plan; the plan cache is
+// guarded by a read-mostly lock, and the storage layer guards its lazy
+// index builds. The database contents must not be mutated while
+// executions are in flight (the store itself documents the same
 // reader/writer contract).
 //
-// Cancellation: ExecContext aborts a running query when its context is
-// cancelled. The context is checked on entry to every program (so a
-// statement — or a correlated subquery evaluated per outer row — never
-// starts against a dead context) and then polled every
+// Cancellation: Run and ExecContext abort a running query when its
+// context is cancelled. The context is checked on entry to every program
+// (so a statement — or a correlated subquery evaluated per outer row —
+// never starts against a dead context) and then polled every
 // cancelCheckInterval rows inside the scan-filter, join, and projection
 // inner loops, so even a single pathological cross join returns within a
 // bounded number of row visits of the cancellation. A memoised subquery
@@ -167,17 +168,16 @@ func (cc *cancelCheck) poll() error {
 // as soon as a cancellation check observes ctx done —
 // immediately for a context cancelled before the call, within
 // cancelCheckInterval row visits for one cancelled mid-query. The
-// CycleSQL loop uses this to abandon in-flight speculative candidate
-// executions once an earlier candidate validates, and the batch
-// experiment driver to enforce per-example timeouts. The relation is the
-// caller's and is never recycled (Run returns one that is); its Columns
-// slice is shared with the cached plan and must not be written.
+// CycleSQL loop, through Run, abandons in-flight speculative candidates
+// this way. The execution runs on a fresh slab that never enters the
+// pool, so the relation is the caller's and is never recycled (a caller
+// that drops its result uses Run and Release instead); its Columns slice
+// is shared with the cached plan and must not be written.
 func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*sqltypes.Relation, error) {
-	return ex.exec(ctx, stmt, nil)
+	return ex.exec(ctx, stmt, newSlab())
 }
 
-// exec runs stmt with its buffers taken from sl, or allocated fresh when
-// sl is nil.
+// exec runs stmt with its buffers taken from sl.
 func (ex *Executor) exec(ctx context.Context, stmt *sqlast.SelectStmt, sl *slab) (*sqltypes.Relation, error) {
 	if ctx == nil {
 		//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers; nothing upstream to thread
@@ -195,8 +195,8 @@ func (ex *Executor) exec(ctx context.Context, stmt *sqlast.SelectStmt, sl *slab)
 // context, the subquery memo, the subquery nesting depth of the program
 // being run (1 for the statement itself), the trace that receives actual
 // row counts keyed by plan-node id, and the slab its buffers come from
-// (slab.go; nil for ExecContext). Only PlanTree's execution carries a
-// trace; every other one pays a nil check per recording site.
+// (slab.go). Only PlanTree's execution carries a trace; every other one
+// pays a nil check per recording site.
 type execution struct {
 	qctx  context.Context
 	memo  []subMemo
@@ -326,8 +326,7 @@ func combine(sl *slab, l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes
 	case sqlast.UnionAll:
 		out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
 	case sqlast.Union:
-		var local [2]keyIndex
-		seen := &sl.keySets(&local)[0]
+		seen := &sl.keySets()[0]
 		for _, rows := range [][]sqltypes.Row{l.Rows, r.Rows} {
 			for _, row := range rows {
 				buf = row.AppendKey(buf[:0])
@@ -339,8 +338,7 @@ func combine(sl *slab, l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes
 	case sqlast.Intersect, sqlast.Except:
 		// Keep the distinct left rows found (INTERSECT) or not found
 		// (EXCEPT) on the right.
-		var local [2]keyIndex
-		sets := sl.keySets(&local)
+		sets := sl.keySets()
 		inR, seen := &sets[0], &sets[1]
 		for _, row := range r.Rows {
 			buf = row.AppendKey(buf[:0])
@@ -465,7 +463,7 @@ func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *co
 // is never copied and the row the sink sees is the frame itself. Output
 // order is left-major with right rows in scan order, as the joins would
 // produce it one at a time. The frame, the stages and the build-side hash
-// tables are the sink's scratch, reused when the sink comes from a slab.
+// tables are the sink's scratch, reused by the next core its slab runs.
 type pipeline struct {
 	stages []joinStage
 	frame  sqltypes.Row

@@ -67,7 +67,7 @@ func (t *execTrace) pairsAt(id int) int64 {
 	return t.pairs[id]
 }
 
-// PlanTree executes stmt once through the plan ExecContext runs for it and
+// PlanTree executes stmt once through the plan Run executes it with and
 // returns the plan tree with estimated and actual row counts per node.
 func (ex *Executor) PlanTree(ctx context.Context, stmt *sqlast.SelectStmt) (*plan.Tree, error) {
 	prog, err := ex.compiled(stmt)

@@ -2,6 +2,7 @@ package sqleval
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -115,6 +116,44 @@ func TestOwnedResultAllocGate(t *testing.T) {
 			t.Errorf("%s: a warm owned execution allocates %.0f/op at 4000 flights vs %.0f/op at 400 — want the same, at most %.0f", tc.name, large, small, tc.max)
 		}
 		t.Logf("%s owned allocs/op: 400 flights=%.0f 4000 flights=%.0f", tc.name, small, large)
+	}
+}
+
+// TestExecContextLeavesPool pins that ExecContext runs on a slab of its
+// own: interleaved with warm Run/Release cycles of
+// TestOwnedResultAllocGate's scan, it takes no warm slab from the pool, so
+// each Run still allocates nothing. An ExecContext that took a pooled slab
+// and never released it would leave the next Run to build one afresh.
+// Each Run is counted alone, on one P with the collector off, since
+// AllocsPerRun's warm-up run would refill the pool.
+func TestExecContextLeavesPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	ex := New(benchDB(t, 50, 400))
+	stmt := sqlparse.MustParse("SELECT flno, origin, destination FROM flight")
+	run := func() {
+		res, err := ex.Run(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	run()
+	var before, after runtime.MemStats
+	for i := 0; i < 20; i++ {
+		if _, err := ex.ExecContext(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("round %d: a warm Run after ExecContext allocates %d times, want 0", i, n)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sqleval
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -11,14 +10,14 @@ import (
 	"cyclesql/internal/sqltypes"
 )
 
-// This file holds owned results. Run executes a statement exactly as
-// ExecContext does, but every buffer the execution allocates comes from a
-// slab taken from a sync.Pool: the arena chunks its records are carved
-// from, the record slices, the scan buffers, the core sinks with their
-// grouping maps and pipeline frames, and the subquery memo. Release hands
-// the slab back, so the next execution reuses the storage instead of
-// allocating it. ExecContext runs the same code with a nil slab, which
-// allocates every buffer fresh and never recycles it.
+// This file holds owned results. Every execution takes the buffers it
+// allocates from a slab: the arena chunks its records are carved from,
+// the record slices, the scan buffers, the core sinks with their grouping
+// maps and pipeline frames, and the subquery memo. Run takes the slab
+// from a sync.Pool and Release hands it back, so the next execution
+// reuses the storage instead of allocating it. ExecContext runs on a
+// fresh slab that never enters the pool, so its relation stays the
+// caller's.
 //
 // Within one execution the slab is a stack: a subquery's result is
 // released as soon as the enclosing expression has read it (a memoised
@@ -68,11 +67,14 @@ func (r *Result) Release() {
 	r.slab, r.Rel = nil, nil
 }
 
-var slabs = sync.Pool{New: func() any {
+var slabs = sync.Pool{New: func() any { return newSlab() }}
+
+// newSlab returns an empty slab.
+func newSlab() *slab {
 	sl := new(slab)
 	sl.held, sl.kept, sl.sinks = sl.held0[:0], sl.kept0[:0], sl.sinks0[:0]
 	return sl
-}}
+}
 
 // poisoning is set in test binaries: released storage is overwritten with
 // poison, a TEXT value no query produces.
@@ -100,8 +102,7 @@ const (
 // ids the scratch of combine and of range-probe scans. rels are the
 // result relations of the slab's first cores and set operations, nrel how
 // many are handed out. rels and the first entries of held, kept and sinks
-// live in the slab itself, so a slab the pool had to create costs about
-// what an execution with a nil slab costs.
+// live in the slab itself, so a fresh slab costs one allocation.
 type slab struct {
 	gen          uint64 // counts releases; see Result
 	chunks, held []sqltypes.Row
@@ -123,15 +124,12 @@ type slab struct {
 type slabMark struct{ held, kept, nrel int }
 
 func (sl *slab) mark() slabMark {
-	if sl == nil {
-		return slabMark{}
-	}
 	return slabMark{len(sl.held), len(sl.kept), sl.nrel}
 }
 
 // relation returns an empty result relation with the given columns.
 func (sl *slab) relation(cols []string) *sqltypes.Relation {
-	if sl == nil || sl.nrel == len(sl.rels) {
+	if sl.nrel == len(sl.rels) {
 		return sqltypes.NewRelation(cols...)
 	}
 	r := &sl.rels[sl.nrel]
@@ -143,9 +141,6 @@ func (sl *slab) relation(cols []string) *sqltypes.Relation {
 // rewind releases every chunk, record buffer and relation handed out
 // since m.
 func (sl *slab) rewind(m slabMark) {
-	if sl == nil {
-		return
-	}
 	sl.nrel = m.nrel
 	for i, c := range sl.held[m.held:] {
 		if poisoning {
@@ -202,12 +197,9 @@ func trim[B ~[]E, E any](idle []B, n, c int) []B {
 }
 
 // chunk hands out an arena chunk with room for at least n values: an idle
-// one when some is large enough, else a new one of exactly n, the size a
-// nil slab allocates. The arena fills whatever capacity it gets.
+// one when some is large enough, else a new one of exactly n. The arena
+// fills whatever capacity it gets.
 func (sl *slab) chunk(n int) sqltypes.Row {
-	if sl == nil {
-		return make(sqltypes.Row, 0, n)
-	}
 	var c sqltypes.Row
 	if i := fit(sl.chunks, n); i >= 0 {
 		c = sl.chunks[i]
@@ -219,15 +211,13 @@ func (sl *slab) chunk(n int) sqltypes.Row {
 	return c
 }
 
-// rows hands out an empty row buffer with capacity for at least n rows
-// (any idle one when n is 0). A nil slab allocates n, or nothing for 0.
+// rows hands out an empty row buffer with capacity for at least n rows:
+// an idle one that fits (any for 0), else a new one, or nil for 0.
 func (sl *slab) rows(n int) []sqltypes.Row {
-	if sl != nil {
-		if i := fit(sl.bufs, n); i >= 0 {
-			b := sl.bufs[i]
-			sl.bufs = remove(sl.bufs, i)
-			return b
-		}
+	if i := fit(sl.bufs, n); i >= 0 {
+		b := sl.bufs[i]
+		sl.bufs = remove(sl.bufs, i)
+		return b
 	}
 	if n == 0 {
 		return nil
@@ -241,7 +231,7 @@ func (sl *slab) reserve(buf []sqltypes.Row, n int) []sqltypes.Row {
 	if cap(buf) >= n {
 		return buf
 	}
-	if sl != nil && cap(buf) > 0 {
+	if cap(buf) > 0 {
 		sl.bufs = append(sl.bufs, buf[:0])
 	}
 	return sl.rows(n)
@@ -250,7 +240,7 @@ func (sl *slab) reserve(buf []sqltypes.Row, n int) []sqltypes.Row {
 // keep registers a finished record buffer, whose rows belong to a result,
 // so the slab recycles it when it rewinds past it.
 func (sl *slab) keep(records []sqltypes.Row) {
-	if sl != nil && cap(records) > 0 {
+	if cap(records) > 0 {
 		sl.kept = append(sl.kept, records)
 	}
 }
@@ -259,9 +249,6 @@ func (sl *slab) keep(records []sqltypes.Row) {
 // like a record buffer, so it is recycled with the rows of the core that
 // read it.
 func (sl *slab) scan(n int) []sqltypes.Row {
-	if sl == nil {
-		return make([]sqltypes.Row, n)
-	}
 	b := sl.rows(n)[:n]
 	sl.kept = append(sl.kept, b)
 	return b
@@ -291,7 +278,7 @@ func remove[T any](s []T, i int) []T {
 // idle one that keeps its maps and slices from earlier executions.
 func (sl *slab) sink(e execution, cc *compiledCore, outer *rowCtx) *coreSink {
 	var s *coreSink
-	if sl != nil && len(sl.sinks) > 0 {
+	if len(sl.sinks) > 0 {
 		s = sl.sinks[len(sl.sinks)-1]
 		sl.sinks = sl.sinks[:len(sl.sinks)-1]
 	} else {
@@ -309,9 +296,6 @@ func (sl *slab) sink(e execution, cc *compiledCore, outer *rowCtx) *coreSink {
 // to the core's result, so it drops them; its grouping state is scratch
 // and is cleared for the next core.
 func (sl *slab) putSink(s *coreSink) {
-	if sl == nil {
-		return
-	}
 	s.cc, s.rc, s.kept, s.records, s.arena, s.view = nil, rowCtx{}, 0, nil, rowArena{}, groupView{}
 	s.index.reset()
 	s.seen.reset()
@@ -319,12 +303,9 @@ func (sl *slab) putSink(s *coreSink) {
 	sl.sinks = append(sl.sinks, s)
 }
 
-// memoSlots returns n zeroed subquery memo slots; a slab's slots keep
-// their member maps and key buffers, emptied.
+// memoSlots returns n zeroed subquery memo slots; slots the slab had
+// before keep their member maps and key buffers, emptied.
 func (sl *slab) memoSlots(n int) []subMemo {
-	if sl == nil {
-		return make([]subMemo, n)
-	}
 	if cap(sl.memo) < n {
 		sl.memo = append(sl.memo[:cap(sl.memo)], make([]subMemo, n-cap(sl.memo))...)
 	}
@@ -337,12 +318,8 @@ func (sl *slab) memoSlots(n int) []subMemo {
 	return memo
 }
 
-// keySets returns combine's two key sets, empty: the slab's, or local
-// for a nil slab.
-func (sl *slab) keySets(local *[2]keyIndex) *[2]keyIndex {
-	if sl == nil {
-		return local
-	}
+// keySets returns combine's two key sets, empty.
+func (sl *slab) keySets() *[2]keyIndex {
 	sl.sets[0].reset()
 	sl.sets[1].reset()
 	return &sl.sets
@@ -350,9 +327,6 @@ func (sl *slab) keySets(local *[2]keyIndex) *[2]keyIndex {
 
 // idsCopy returns a copy of ids the caller may reorder.
 func (sl *slab) idsCopy(ids []int32) []int32 {
-	if sl == nil {
-		return slices.Clone(ids)
-	}
 	sl.ids = append(sl.ids[:0], ids...)
 	return sl.ids
 }

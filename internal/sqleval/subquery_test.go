@@ -29,7 +29,7 @@ func tracedExec(t *testing.T, db *storage.Database, stmt *sqlast.SelectStmt, per
 	tr := newExecTrace(prog.nodes)
 	var rel *sqltypes.Relation
 	for i := 0; i < runs; i++ {
-		e := newExecution(context.Background(), prog, nil)
+		e := newExecution(context.Background(), prog, newSlab())
 		e.trace = tr
 		if rel, err = ex.runProgram(e, prog, nil); err != nil {
 			t.Fatal(err)
