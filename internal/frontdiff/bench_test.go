@@ -96,8 +96,8 @@ func BenchmarkParseNewPooled(b *testing.B) {
 }
 
 // BenchmarkParseNewDetached is what package-level Parse gives every
-// caller: the arena detaches so the AST lives arbitrarily long (the
-// sqleval plan cache keys on its pointer identity).
+// caller: the arena detaches so the AST lives arbitrarily long (a plan
+// in sqleval's cache keeps the AST it was compiled from).
 func BenchmarkParseNewDetached(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -77,24 +77,33 @@ const RowLimit = 64
 
 // Tracker computes provenance against one database. It keeps one executor
 // alive across Track calls — so every provenance query benefits from the
-// executor's compiled-plan cache — and memoizes the rewritten statement per
-// (core SQL, to-explain tuple), so re-tracking the same result (the
-// CycleSQL loop explains candidates repeatedly during training and
-// experiments), including through a textually identical core arriving as a
-// distinct AST from another beam, reuses the compiled statement instead of
-// rebuilding and recompiling it. A Tracker is safe for concurrent Track
-// calls: the memo is guarded by a mutex and the executor is safe for
-// concurrent Exec, so parallel beam candidates can share one tracker.
+// executor's compiled-plan cache — and memoizes the rewritten statement
+// and its compiled plan per (core SQL, to-explain tuple), so re-tracking
+// the same result (the CycleSQL loop explains candidates repeatedly during
+// training and experiments), including through a textually identical core
+// arriving as a distinct AST from another beam, runs the held plan
+// instead of rebuilding the rewrite and looking its plan up again. A
+// Tracker is safe for concurrent Track calls: the memo is guarded by a
+// mutex and held plans are immutable, so parallel beam candidates can
+// share one tracker.
 type Tracker struct {
 	db *storage.Database
 	ex *sqleval.Executor
-	// mu guards the memo and its key scratch; rewrites themselves are
-	// immutable once published (the executor never mutates statements),
-	// so concurrent Track calls share them freely.
+	// mu guards the memo and its key scratch; memoized rewrites and plans
+	// are immutable once published, so concurrent Track calls share them
+	// freely.
 	mu       sync.Mutex
-	rewrites map[string]*sqlast.SelectStmt
+	rewrites map[string]rewrite
 	// key is the reused buffer each lookup renders its memo key into.
 	key []byte
+}
+
+// rewrite is one memoized provenance rewrite: the statement, its plan,
+// and the error compiling it returned, if any.
+type rewrite struct {
+	stmt *sqlast.SelectStmt
+	plan sqleval.Plan
+	err  error
 }
 
 // appendRewriteKey appends the memo key of a provenance rewrite: the
@@ -150,40 +159,50 @@ func (t *Tracker) TrackContext(ctx context.Context, stmt *sqlast.SelectStmt, res
 			src = &c
 		}
 		rw := t.rewrite(src, p.Result)
-		res, err := t.ex.Run(ctx, rw)
+		err := rw.err
+		var res sqleval.Result
+		if err == nil {
+			res, err = rw.plan.Run(ctx)
+		}
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				p.Release()
 				return nil, ctxErr
 			}
-			// A rewrite that fails to execute (for example a Rule 1
-			// condition against a column dropped by the core) degrades to
-			// operation-level-only provenance for this part.
-			p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw})
+			// A rewrite that fails to compile or execute (for example a
+			// Rule 1 condition against a column dropped by the core)
+			// degrades to operation-level-only provenance for this part.
+			p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw.stmt})
 			continue
 		}
-		p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw, Table: res.Rel, owned: res})
+		p.Parts = append(p.Parts, Part{Core: core, Rewritten: rw.stmt, Table: res.Rel, owned: res})
 	}
 	return p, nil
 }
 
-func (t *Tracker) rewrite(core *sqlast.SelectCore, result sqltypes.Row) *sqlast.SelectStmt {
-	// The whole memo round-trip runs under the lock; RewriteCore is a
-	// cheap AST clone next to executing the provenance query, so a finer
-	// lock would buy nothing.
+// rewrite returns the memoized rewrite of core for result, deriving and
+// compiling it on a miss. Both run outside the lock, so parallel
+// candidates do not queue behind a compile; concurrent misses on one key
+// build interchangeable rewrites, and the last store wins.
+func (t *Tracker) rewrite(core *sqlast.SelectCore, result sqltypes.Row) rewrite {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.key = appendRewriteKey(t.key[:0], core, result)
 	if rw, ok := t.rewrites[string(t.key)]; ok {
+		t.mu.Unlock()
 		return rw
 	}
-	rw := RewriteCore(t.db, core, result)
+	key := string(t.key)
+	t.mu.Unlock()
+	rw := rewrite{stmt: RewriteCore(t.db, core, result)}
+	rw.plan, rw.err = t.ex.Prepare(rw.stmt)
+	t.mu.Lock()
 	if t.rewrites == nil {
-		t.rewrites = make(map[string]*sqlast.SelectStmt)
+		t.rewrites = make(map[string]rewrite)
 	} else if len(t.rewrites) >= maxCachedRewrites {
 		clear(t.rewrites)
 	}
-	t.rewrites[string(t.key)] = rw
+	t.rewrites[key] = rw
+	t.mu.Unlock()
 	return rw
 }
 
@@ -242,7 +261,9 @@ func nonStarItems(core *sqlast.SelectCore) []sqlast.SelectItem {
 
 // rule2Items builds the enhanced projection list: referenced columns in
 // query order (SELECT, WHERE, ON, GROUP BY, HAVING, ORDER BY), then the
-// primary keys of every referenced base table.
+// primary keys of every referenced base table. An ORDER BY term that
+// names an output alias is no column: the executor sorts it by the
+// projected value, and Rule 3 drops ORDER BY, so it is skipped.
 func rule2Items(db *storage.Database, core *sqlast.SelectCore) []sqlast.SelectItem {
 	var items []sqlast.SelectItem
 	seen := map[string]bool{}
@@ -259,7 +280,9 @@ func rule2Items(db *storage.Database, core *sqlast.SelectCore) []sqlast.SelectIt
 		items = append(items, sqlast.SelectItem{Expr: &cp})
 	}
 	for _, cr := range core.ColumnRefs() {
-		add(cr)
+		if !orderByAlias(core, cr) {
+			add(cr)
+		}
 	}
 	// Primary keys of referenced tables, qualified by the effective name
 	// so aliased self-joins stay unambiguous.
@@ -281,6 +304,26 @@ func rule2Items(db *storage.Database, core *sqlast.SelectCore) []sqlast.SelectIt
 		items = append(items, sqlast.SelectItem{Star: true})
 	}
 	return items
+}
+
+// orderByAlias reports whether cr is an ORDER BY term of core that names
+// one of its item aliases, the reference the executor resolves to the
+// projected item.
+func orderByAlias(core *sqlast.SelectCore, cr *sqlast.ColumnRef) bool {
+	if cr.Table != "" {
+		return false
+	}
+	for _, o := range core.OrderBy {
+		if o.Expr != sqlast.Expr(cr) {
+			continue
+		}
+		for _, it := range core.Items {
+			if it.Alias != "" && strings.EqualFold(it.Alias, cr.Column) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FilterValues extracts, for presentation, the (column, op, value) triples

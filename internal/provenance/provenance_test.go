@@ -265,6 +265,30 @@ func TestCompoundOrderByNotProjected(t *testing.T) {
 	}
 }
 
+// TestOrderByAliasNotProjected: an ORDER BY term that names an output
+// alias sorts by the projected value and is no column of the table, so
+// Rule 2 must not project it, or the rewrite cannot execute and the part
+// degrades to operation-level provenance.
+func TestOrderByAliasNotProjected(t *testing.T) {
+	db := datasets.FlightDB()
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT origin, count(*) AS n FROM flight GROUP BY origin ORDER BY n DESC LIMIT 1",
+			"SELECT origin, flight.flno FROM flight WHERE origin = 'Los Angeles' LIMIT 64"},
+		{"SELECT origin AS city FROM flight ORDER BY city",
+			"SELECT origin, flight.flno FROM flight WHERE origin = 'Chicago' LIMIT 64"},
+	} {
+		p := track(t, db, tc.sql, 0)
+		part := p.Parts[0]
+		if got := part.Rewritten.SQL(); got != tc.want {
+			t.Errorf("%s:\nrewrite %s\nwant    %s", tc.sql, got, tc.want)
+		}
+		if part.Table == nil || part.Table.NumRows() == 0 {
+			t.Errorf("%s: the rewrite retrieved no provenance table", tc.sql)
+		}
+		p.Release()
+	}
+}
+
 // TestReleaseKeepsResultSet: Release hands back the part tables only. The
 // caller's result relation and the to-explain tuple stay as they were.
 func TestReleaseKeepsResultSet(t *testing.T) {

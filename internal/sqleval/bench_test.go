@@ -194,8 +194,10 @@ func BenchmarkScanCompositeJoin(b *testing.B) {
 // build-side joins (single-key and composite), and the sorted-index
 // range/top-k paths must allocate at least 5x less per execution than the
 // scan paths. AllocsPerRun is deterministic here (steady-state executions
-// of cached plans), so the gate cannot flake; BENCH_PR2.json and
-// BENCH_PR5.json record the full timed numbers.
+// of cached plans, each on a fresh slab, with no plan cache lookup whose
+// canonical key borrows a pooled buffer that the race detector may drop),
+// so the gate cannot flake; BENCH_PR2.json and BENCH_PR5.json record the
+// full timed numbers.
 func TestIndexAllocRegressionGate(t *testing.T) {
 	for _, tc := range []struct {
 		name, sql           string
@@ -217,11 +219,12 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 			if scanOnly {
 				ex = NewIndexFree(db)
 			}
-			if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+			pl, err := ex.Prepare(stmt)
+			if err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(10, func() {
-				if _, err := ex.ExecContext(context.Background(), stmt); err != nil {
+				if _, err := ex.exec(context.Background(), pl.prog, newSlab()); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -230,6 +233,7 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 		if indexed*5 > scan {
 			t.Errorf("%s: indexed path allocates %.0f/op vs scan %.0f/op — less than the required 5x win", tc.name, indexed, scan)
 		}
+		t.Logf("%s allocs/op: indexed=%.0f scan=%.0f", tc.name, indexed, scan)
 	}
 }
 

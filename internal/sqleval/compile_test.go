@@ -2,7 +2,9 @@ package sqleval
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"weak"
 
 	"cyclesql/internal/schema"
 	"cyclesql/internal/sqlast"
@@ -282,4 +284,32 @@ func TestCompiledPlanCacheReuse(t *testing.T) {
 	if rel.Rows[0][0].Int() != 3 {
 		t.Fatalf("cached plan must see inserted rows: %v", rel.Rows)
 	}
+}
+
+// TestPlanCacheDoesNotPinASTs: the plan cache keeps one program per
+// canonical statement, so once a second parse of a cached statement has
+// run and its result is released, nothing the executor holds reaches
+// that AST and the collector frees it.
+func TestPlanCacheDoesNotPinASTs(t *testing.T) {
+	const sql = "SELECT flno FROM Flight WHERE origin = 'Chicago'"
+	ctx := context.Background()
+	ex := New(flightDB(t))
+	if _, err := ex.ExecContext(ctx, sqlparse.MustParse(sql)); err != nil {
+		t.Fatal(err)
+	}
+	again := func() weak.Pointer[sqlast.SelectStmt] {
+		stmt := sqlparse.MustParse(sql)
+		res, err := ex.Run(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		return weak.Make(stmt)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if again.Value() != nil {
+		t.Fatal("the executor still reaches an executed AST whose plan was already cached")
+	}
+	runtime.KeepAlive(ex)
 }

@@ -41,12 +41,13 @@
 // column reference reaches an enclosing query) runs at most once per
 // execution, on first use, and later rows read its memoised result — IN
 // members from a hash set (subquery.go); a correlated one re-runs once per
-// outer row. Compiled plans are cached per executor, first by
-// statement identity and then by canonical SQL (sqlnorm.CacheKey), so
-// re-executing a statement — or a textually identical candidate arriving
-// as a distinct AST from another beam — skips straight to execution.
-// Statements must not be mutated between executions through the same
-// executor.
+// outer row. Compiled plans are cached per executor by canonical SQL
+// (sqlnorm.CacheKey), so re-executing a statement — or a textually
+// identical candidate arriving as a distinct AST from another beam —
+// skips straight to execution. A caller that re-runs one statement holds
+// the Plan that Prepare returns and skips the cache lookup too. A cached
+// program keeps the AST it was compiled from, so statements must not be
+// mutated once executed.
 //
 // An Executor is safe for concurrent Run, ExecContext and PlanTree calls:
 // execution state (the subquery-depth guard, the subquery memo, the
@@ -85,23 +86,21 @@ import (
 // Executor evaluates SELECT statements against one database.
 type Executor struct {
 	db *storage.Database
-	// mu guards the two plan maps; compiled plans themselves are immutable
+	// mu guards the plan map; compiled plans themselves are immutable
 	// after compilation, so concurrent executions share them freely.
 	mu sync.RWMutex
-	// plans caches compiled programs by statement identity (the fast path
-	// for re-executing the same AST), plansByKey by canonical SQL, so
-	// textually identical statements arriving as distinct ASTs share one
-	// compiled plan. Both maps hold the same programs. Sharing stays sound
-	// under cost-based planning because sqlnorm.CacheKey canonicalizes the
-	// statement WITH its literals: two statements can only share a key by
-	// having identical literals, hence identical estimated selectivities —
-	// a plan chosen for one is the plan that would be chosen for the other.
+	// plans caches compiled programs by canonical SQL, so textually
+	// identical statements arriving as distinct ASTs share one compiled
+	// plan. Sharing stays sound under cost-based planning because
+	// sqlnorm.CacheKey canonicalizes the statement WITH its literals:
+	// two statements can only share a key by having identical literals,
+	// hence identical estimated selectivities — a plan chosen for one is
+	// the plan that would be chosen for the other.
 	// Plans are costed against the statistics visible at first compile and
 	// deliberately not re-costed as the database grows; callers that want
 	// fresh plans after bulk loads use a fresh executor (the serving layer
 	// already creates one per snapshot).
-	plans      map[*sqlast.SelectStmt]*program
-	plansByKey map[string]*program
+	plans map[string]*program
 
 	// mode restricts the access paths the compiler may lower to; it is
 	// fixed at construction, so every cached plan was compiled under it.
@@ -133,9 +132,8 @@ const (
 // maxSubqueryDepth bounds nesting; benchmark queries nest at most 3 deep.
 const maxSubqueryDepth = 16
 
-// maxCachedPlans bounds each of the per-executor plan maps; long-lived
-// executors (the CycleSQL pipeline keeps one per database) reset a map on
-// overflow.
+// maxCachedPlans bounds the per-executor plan map; long-lived executors
+// (the CycleSQL pipeline keeps one per database) reset it on overflow.
 const maxCachedPlans = 512
 
 // cancelCheckInterval is how many rows an inner loop visits between
@@ -174,18 +172,18 @@ func (cc *cancelCheck) poll() error {
 // that drops its result uses Run and Release instead); its Columns slice
 // is shared with the cached plan and must not be written.
 func (ex *Executor) ExecContext(ctx context.Context, stmt *sqlast.SelectStmt) (*sqltypes.Relation, error) {
-	return ex.exec(ctx, stmt, newSlab())
-}
-
-// exec runs stmt with its buffers taken from sl.
-func (ex *Executor) exec(ctx context.Context, stmt *sqlast.SelectStmt, sl *slab) (*sqltypes.Relation, error) {
-	if ctx == nil {
-		//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers; nothing upstream to thread
-		ctx = context.Background()
-	}
 	prog, err := ex.compiled(stmt)
 	if err != nil {
 		return nil, err
+	}
+	return ex.exec(ctx, prog, newSlab())
+}
+
+// exec runs prog with its buffers taken from sl.
+func (ex *Executor) exec(ctx context.Context, prog *program, sl *slab) (*sqltypes.Relation, error) {
+	if ctx == nil {
+		//vetcycle:allow ctxflow -- nil-ctx guard for legacy callers; nothing upstream to thread
+		ctx = context.Background()
 	}
 	return ex.runProgram(newExecution(ctx, prog, sl), prog, nil)
 }
@@ -223,17 +221,14 @@ func (e execution) nested() execution {
 	return e
 }
 
+// compiled returns stmt's program from the plan cache, compiling and
+// storing it on a miss.
 func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
-	ex.mu.RLock()
-	if p, ok := ex.plans[stmt]; ok {
-		ex.mu.RUnlock()
-		return p, nil
-	}
 	key := sqlnorm.CacheKey(stmt)
-	p, ok := ex.plansByKey[key]
+	ex.mu.RLock()
+	p, ok := ex.plans[key]
 	ex.mu.RUnlock()
 	if ok {
-		ex.storePlan(stmt, key, p)
 		return p, nil
 	}
 	// Compile outside the lock; concurrent compilations of the same
@@ -245,29 +240,15 @@ func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
 		return nil, err
 	}
 	p.nodes, p.subs, p.slots = c.nodes, c.subs, c.slots
-	ex.storePlan(stmt, key, p)
-	return p, nil
-}
-
-func (ex *Executor) storePlan(stmt *sqlast.SelectStmt, key string, p *program) {
 	ex.mu.Lock()
-	defer ex.mu.Unlock()
 	if ex.plans == nil {
-		ex.plans = make(map[*sqlast.SelectStmt]*program)
-		ex.plansByKey = make(map[string]*program)
-	}
-	// Each map is bounded on its own: the identity map gains an entry for
-	// every fresh AST, so it overflows long before the canonical map, and
-	// resetting it must not drop the compiled plans the canonical map
-	// still shares.
-	if len(ex.plans) >= maxCachedPlans {
+		ex.plans = make(map[string]*program)
+	} else if len(ex.plans) >= maxCachedPlans {
 		clear(ex.plans)
 	}
-	if _, ok := ex.plansByKey[key]; !ok && len(ex.plansByKey) >= maxCachedPlans {
-		clear(ex.plansByKey)
-	}
-	ex.plans[stmt] = p
-	ex.plansByKey[key] = p
+	ex.plans[key] = p
+	ex.mu.Unlock()
+	return p, nil
 }
 
 // runProgram executes a compiled program. The execution threads through

@@ -154,8 +154,8 @@ func TestPlanCacheSharedAcrossIdenticalASTs(t *testing.T) {
 
 // TestPlanCacheSurvivesIdentityChurn feeds one executor a fresh AST on
 // every execution, cycling over 40 statements for more than three times
-// the identity map's bound. The identity map resets on overflow; the
-// canonical map must not reset with it, so every statement keeps the one
+// the plan cache's bound. A fresh AST of a known statement adds no cache
+// entry, so the cache never resets and every statement keeps the one
 // program compiled for it first.
 func TestPlanCacheSurvivesIdentityChurn(t *testing.T) {
 	db := flightDB(t)

@@ -48,8 +48,37 @@ type Result struct {
 // Result. The caller must call Release once it no longer reads the
 // result; a Result that is never released is simply collected.
 func (ex *Executor) Run(ctx context.Context, stmt *sqlast.SelectStmt) (Result, error) {
+	pl, err := ex.Prepare(stmt)
+	if err != nil {
+		return Result{}, err
+	}
+	return pl.Run(ctx)
+}
+
+// Plan is a statement compiled for one executor. A caller that runs the
+// same statement again holds its Plan, so each run skips the canonical
+// key and the plan cache lookup. A Plan is a small value; copies share
+// the compiled program, which is immutable. The zero Plan must not be
+// run.
+type Plan struct {
+	ex   *Executor
+	prog *program
+}
+
+// Prepare compiles stmt, or takes its plan from the executor's cache.
+func (ex *Executor) Prepare(stmt *sqlast.SelectStmt) (Plan, error) {
+	prog, err := ex.compiled(stmt)
+	if err != nil {
+		return Plan{}, err
+	}
+	return Plan{ex: ex, prog: prog}, nil
+}
+
+// Run executes the plan like Executor.Run and returns its result as an
+// owned Result, which the caller releases.
+func (p Plan) Run(ctx context.Context) (Result, error) {
 	sl := slabs.Get().(*slab)
-	rel, err := ex.exec(ctx, stmt, sl)
+	rel, err := p.ex.exec(ctx, p.prog, sl)
 	if err != nil {
 		sl.release()
 		return Result{}, err

@@ -8,9 +8,10 @@ import (
 
 // TestDetachedASTSurvivesPoolReuse is the safety property behind the
 // package-level Parse: once detached, an AST must be immune to any
-// amount of later parsing through the pool. sqleval caches plans by
-// *SelectStmt pointer identity, so a recycled node would not just be
-// corrupt — it would silently alias another statement's cached plan.
+// amount of later parsing through the pool. A plan in sqleval's cache
+// keeps the AST it was compiled from, so a recycled node would not just
+// be corrupt — it would silently change the cached plan of every
+// statement that shares it.
 func TestDetachedASTSurvivesPoolReuse(t *testing.T) {
 	const q = "SELECT t.name, count(*) AS n FROM people AS t WHERE t.age >= 21 AND t.city = 'Oslo' GROUP BY t.name HAVING count(*) > 2 ORDER BY n DESC LIMIT 5"
 	stmt := MustParse(q)

@@ -10,10 +10,10 @@
 //
 //   - Parse / MustParse: borrow a pooled parser, parse, then DETACH the
 //     arena so the returned AST owns its memory. The AST is an ordinary
-//     garbage-collected value, safe to cache, share across goroutines,
-//     and use as a map key by pointer identity (sqleval's plan cache
-//     keys on *sqlast.SelectStmt pointers, so recycled node memory
-//     would silently alias cache entries — detaching makes that
+//     garbage-collected value, safe to cache and share across
+//     goroutines (a plan in sqleval's cache keeps the AST it was
+//     compiled from and reads it on every execution, so recycled node
+//     memory would silently change a cached plan — detaching makes that
 //     impossible). Cost: one allocation per arena chunk — single-digit
 //     allocations per statement instead of one per node.
 //   - AcquireParser / Parser.Parse / ReleaseParser: arena-REUSE mode.
