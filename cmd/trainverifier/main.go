@@ -1,6 +1,7 @@
 // Command trainverifier trains the dedicated NLI verifier on the Spider
 // training split following the paper's §IV-D protocol, reports held-out
-// pair accuracy, and optionally saves the model as JSON.
+// pair accuracy, and optionally saves the model and its calibrated
+// threshold as JSON (nli.UnmarshalTrained reads it back).
 //
 // Usage:
 //

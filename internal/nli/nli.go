@@ -9,13 +9,14 @@
 // repository substitutes a featurized MLP trained with the same protocol —
 // Adam, focal loss (γ=2.0, α=0.75) with class re-weighting, positives from
 // gold pairs, negatives from model errors on the training split — over
-// lexical-alignment features (see DESIGN.md "Substitutions"). The package
+// lexical-alignment features (see ARCHITECTURE.md "Substitutions"). The package
 // also ships the paper's two "strawman" verifiers (a simulated few-shot
 // LLM and a simulated off-the-shelf NLI model) used by Table III.
 package nli
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -727,20 +728,38 @@ func (f Func) VerifyContext(_ context.Context, hypothesis string, premise Premis
 	return f.Fn(hypothesis, premise), nil
 }
 
-// MarshalTrained serializes a trained verifier's model (the featurizer is
-// static configuration).
-func MarshalTrained(t *Trained) ([]byte, error) { return t.Model.Marshal() }
+// MarshalTrained serializes a trained verifier: its model and the decision
+// threshold calibrated for that model (the featurizer is static
+// configuration). JSON keeps every float64 bit for bit.
+func MarshalTrained(t *Trained) ([]byte, error) {
+	return json.Marshal(struct {
+		Threshold float64 `json:"threshold"`
+		Model     *nn.MLP `json:"model"`
+	}{t.Threshold, t.Model})
+}
 
-// UnmarshalTrained restores a trained verifier.
+// UnmarshalTrained restores a trained verifier that MarshalTrained wrote.
+// It rejects data without a threshold: a default one would make the
+// restored verifier decide differently from the one that was written.
 func UnmarshalTrained(data []byte) (*Trained, error) {
-	m, err := nn.UnmarshalMLP(data)
+	var s struct {
+		Threshold *float64        `json:"threshold"`
+		Model     json.RawMessage `json:"model"`
+	}
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
+	if s.Threshold == nil || s.Model == nil {
+		return nil, fmt.Errorf("nli: serialized verifier needs a threshold and a model")
+	}
+	m, err := nn.UnmarshalMLP(s.Model)
 	if err != nil {
 		return nil, err
 	}
 	if m.In != DefaultFeaturizer.Dim() {
 		return nil, fmt.Errorf("nli: model width %d does not match featurizer %d", m.In, DefaultFeaturizer.Dim())
 	}
-	return &Trained{Feat: DefaultFeaturizer, Model: m, Threshold: 0.5}, nil
+	return &Trained{Feat: DefaultFeaturizer, Model: m, Threshold: *s.Threshold}, nil
 }
 
 // SQLOneLine flattens SQL text for premise rendering. Rendered SQL is

@@ -147,14 +147,25 @@ func TestFuncVerifier(t *testing.T) {
 }
 
 func TestMarshalTrainedRoundTrip(t *testing.T) {
+	explanations := []string{
+		"there are 2 flights in total",
+		"the name is Boeing",
+		"filtered by name equal to Airbus A340-300, there are 2 flights in total",
+		"the name is Airbus A340-300, with distance 8430",
+		"there are 5 aircraft in total",
+		"the flight number is 99",
+	}
 	var pairs []Pair
 	for i := 0; i < 30; i++ {
 		pairs = append(pairs,
-			Pair{Hypothesis: "count flights", Premise: premiseFor("there are 2 flights in total"), Label: 1},
-			Pair{Hypothesis: "count flights", Premise: premiseFor("the name is Boeing"), Label: 0},
+			Pair{Hypothesis: "count flights", Premise: premiseFor(explanations[0]), Label: 1},
+			Pair{Hypothesis: "count flights", Premise: premiseFor(explanations[1]), Label: 0},
 		)
 	}
 	v := Train(pairs, TrainConfig{Seed: 1, Epochs: 4})
+	if v.Threshold == 0.5 {
+		t.Fatal("the trained threshold must differ from 0.5 for the round trip to show it")
+	}
 	data, err := MarshalTrained(v)
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +174,32 @@ func TestMarshalTrainedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := premiseFor("there are 2 flights in total")
-	if v.Score("count flights", p) != v2.Score("count flights", p) {
-		t.Fatal("round-tripped verifier diverges")
+	if math.Float64bits(v.Threshold) != math.Float64bits(v2.Threshold) {
+		t.Fatalf("threshold %v came back as %v", v.Threshold, v2.Threshold)
 	}
-	if _, err := UnmarshalTrained([]byte(`{"in":3,"hidden":1,"w1":[[1,1,1]],"b1":[0],"w2":[1],"b2":0}`)); err == nil {
+	ctx := context.Background()
+	for _, q := range []string{"count flights", "How many flights use aircraft Airbus A340-300?", "Which aircraft is Boeing?"} {
+		for _, expl := range explanations {
+			p := premiseFor(expl)
+			if s1, s2 := v.Score(q, p), v2.Score(q, p); math.Float64bits(s1) != math.Float64bits(s2) {
+				t.Fatalf("score of %q / %q: %v came back as %v", q, expl, s1, s2)
+			}
+			ok1, err1 := v.VerifyContext(ctx, q, p)
+			ok2, err2 := v2.VerifyContext(ctx, q, p)
+			if ok1 != ok2 || err1 != nil || err2 != nil {
+				t.Fatalf("verdict on %q / %q: %v (%v) came back as %v (%v)", q, expl, ok1, err1, ok2, err2)
+			}
+		}
+	}
+	if _, err := UnmarshalTrained([]byte(`{"threshold":0.5,"model":{"in":3,"hidden":1,"w1":[[1,1,1]],"b1":[0],"w2":[1],"b2":0}}`)); err == nil {
 		t.Fatal("width mismatch must be rejected")
+	}
+	model, err := v.Model.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalTrained(model); err == nil {
+		t.Fatal("a model without its threshold must be rejected")
 	}
 }
 
