@@ -197,17 +197,19 @@ func BenchmarkScanCompositeJoin(b *testing.B) {
 // of cached plans, each on a fresh slab, with no plan cache lookup whose
 // canonical key borrows a pooled buffer that the race detector may drop),
 // so the gate cannot flake; BENCH_PR2.json and BENCH_PR5.json record the
-// full timed numbers.
+// full timed numbers. The pooled leg bounds each indexed path's warm
+// pooled execution, the one the loop runs, at its own per-case maximum.
 func TestIndexAllocRegressionGate(t *testing.T) {
 	for _, tc := range []struct {
 		name, sql           string
 		nAircraft, nFlights int
+		pooledMax           float64
 	}{
-		{"point lookup", pointLookupSQL, 2000, 400},
-		{"join reuse", joinReuseSQL, 2000, 400},
-		{"range top-k", rangeTopKSQL, 50, 2000},
-		{"order-by top-k", topKSQL, 50, 2000},
-		{"composite join", compositeJoinSQL, 2000, 400},
+		{"point lookup", pointLookupSQL, 2000, 400, 3},
+		{"join reuse", joinReuseSQL, 2000, 400, 1},
+		{"range top-k", rangeTopKSQL, 50, 2000, 0},
+		{"order-by top-k", topKSQL, 50, 2000, 0},
+		{"composite join", compositeJoinSQL, 2000, 400, 3},
 	} {
 		db := benchDB(t, tc.nAircraft, tc.nFlights)
 		stmt, err := sqlparse.Parse(tc.sql)
@@ -233,8 +235,36 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 		if indexed*5 > scan {
 			t.Errorf("%s: indexed path allocates %.0f/op vs scan %.0f/op — less than the required 5x win", tc.name, indexed, scan)
 		}
-		t.Logf("%s allocs/op: indexed=%.0f scan=%.0f", tc.name, indexed, scan)
+		ex := New(db)
+		pl, err := ex.Prepare(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := pooledAllocs(t, pl, 10)
+		if pooled > tc.pooledMax {
+			t.Errorf("%s: a warm pooled indexed execution allocates %.0f/op, want at most %.0f", tc.name, pooled, tc.pooledMax)
+		}
+		t.Logf("%s allocs/op: indexed=%.0f scan=%.0f pooled indexed=%.0f", tc.name, indexed, scan, pooled)
 	}
+}
+
+// pooledAllocs counts the allocations of one warm pooled execution of pl,
+// the path the loop runs: Plan.Run takes a slab from the pool and
+// Result.Release hands it back. The count holds one slab across the runs
+// instead of passing it through the sync.Pool, which under -race drops a
+// quarter of what it is handed, so the count is the same with and without
+// the race detector.
+func pooledAllocs(t *testing.T, pl Plan, runs int) float64 {
+	t.Helper()
+	sl := newSlab()
+	run := func() {
+		if _, err := pl.ex.exec(context.Background(), pl.prog, sl); err != nil {
+			t.Fatal(err)
+		}
+		sl.release()
+	}
+	run()
+	return testing.AllocsPerRun(runs, run)
 }
 
 // TestStatsInsertAllocGate bounds what statistics cost the Insert hot
@@ -311,7 +341,8 @@ func BenchmarkExecNotInSubquery(b *testing.B) {
 // and for the kept outer rows' slice growth, not per outer row, so 10x the
 // outer rows must cost under 2x the allocations (re-running the subquery
 // per outer row costs about 10x). Counted on one P (AllocsPerRun) with
-// the collector off, so the count is deterministic.
+// the collector off, so the count is deterministic. The pooled leg
+// requires a warm pooled execution to allocate nothing at either size.
 func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	stmt, err := sqlparse.Parse(notInSQL)
@@ -333,7 +364,20 @@ func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 	if large >= 2*small {
 		t.Errorf("NOT IN subquery allocates %.0f/op at 1000 outer rows vs %.0f/op at 100 — want under 2x", large, small)
 	}
-	t.Logf("NOT IN subquery allocs/op: 100 outer rows=%.0f 1000 outer rows=%.0f", small, large)
+	// A warm pooled execution reuses the slab's memo slot, member set and
+	// records, so it allocates nothing at either size.
+	pooled := func(outer int) float64 {
+		pl, err := New(benchDB(t, outer, 50)).Prepare(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pooledAllocs(t, pl, 20)
+	}
+	pooledSmall, pooledLarge := pooled(100), pooled(1000)
+	if pooledSmall > 0 || pooledLarge > 0 {
+		t.Errorf("a warm pooled NOT IN execution allocates %.0f/op at 100 outer rows and %.0f/op at 1000 — want 0", pooledSmall, pooledLarge)
+	}
+	t.Logf("NOT IN subquery allocs/op: 100 outer rows=%.0f 1000 outer rows=%.0f pooled=%.0f/%.0f", small, large, pooledSmall, pooledLarge)
 }
 
 // TestStreamedCoreAllocGate pins the push path's scaling: every join
@@ -345,17 +389,20 @@ func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 // the right side cannot be pushed below the join, a grouped join with a
 // DISTINCT aggregate, a three-table join whose intermediate join grows
 // with the rows, and a LIMIT 3 scan. Counted on one P (AllocsPerRun) with
-// the collector off, so the counts are deterministic.
+// the collector off, so the counts are deterministic; the fresh-slab leg
+// is skipped under -race. The pooled leg bounds each case's warm pooled
+// execution at both sizes, with and without -race.
 func TestStreamedCoreAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, tc := range []struct{ name, sql string }{
-		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7"},
-		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name"},
-		{"three-table join", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid LEFT JOIN aircraft AS T3 ON T3.aid = T2.aid WHERE T2.flno = 7"},
-		{"LIMIT 3 scan", "SELECT flno, origin FROM flight LIMIT 3"},
+	for _, tc := range []struct {
+		name, sql                string
+		pooledMax, racePooledMax float64
+	}{
+		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7", 1, 1},
+		// The race build allocates once more per group (50 aircraft).
+		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name", 1, 51},
+		{"three-table join", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid LEFT JOIN aircraft AS T3 ON T3.aid = T2.aid WHERE T2.flno = 7", 1, 1},
+		{"LIMIT 3 scan", "SELECT flno, origin FROM flight LIMIT 3", 0, 0},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {
@@ -373,15 +420,33 @@ func TestStreamedCoreAllocGate(t *testing.T) {
 				}
 			}), rel
 		}
-		small, want := measure(400)
-		large, got := measure(4000)
-		if got.String() != want.String() {
-			t.Fatalf("%s: output differs between 400 and 4000 joined rows:\n%s\nvs\n%s", tc.name, want, got)
+		if !raceEnabled {
+			small, want := measure(400)
+			large, got := measure(4000)
+			if got.String() != want.String() {
+				t.Fatalf("%s: output differs between 400 and 4000 joined rows:\n%s\nvs\n%s", tc.name, want, got)
+			}
+			if large >= 2*small {
+				t.Errorf("%s: allocates %.0f/op at 4000 joined rows vs %.0f/op at 400 — want under 2x", tc.name, large, small)
+			}
+			t.Logf("%s allocs/op: 400 joined rows=%.0f 4000 joined rows=%.0f", tc.name, small, large)
 		}
-		if large >= 2*small {
-			t.Errorf("%s: allocates %.0f/op at 4000 joined rows vs %.0f/op at 400 — want under 2x", tc.name, large, small)
+		pooled := func(flights int) float64 {
+			pl, err := New(benchDB(t, 50, flights)).Prepare(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pooledAllocs(t, pl, 20)
 		}
-		t.Logf("%s allocs/op: 400 joined rows=%.0f 4000 joined rows=%.0f", tc.name, small, large)
+		limit := tc.pooledMax
+		if raceEnabled {
+			limit = tc.racePooledMax
+		}
+		pooledSmall, pooledLarge := pooled(400), pooled(4000)
+		if pooledSmall > limit || pooledLarge > limit {
+			t.Errorf("%s: a warm pooled execution allocates %.0f/op at 400 joined rows and %.0f/op at 4000 — want at most %.0f", tc.name, pooledSmall, pooledLarge, limit)
+		}
+		t.Logf("%s pooled allocs/op: 400 joined rows=%.0f 4000 joined rows=%.0f", tc.name, pooledSmall, pooledLarge)
 	}
 }
 
