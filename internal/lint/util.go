@@ -110,24 +110,3 @@ func exprKey(e ast.Expr) string {
 		return "?"
 	}
 }
-
-// eachFuncBody visits every function and method body in the pass,
-// including function literals, handing the enclosing declaration's type
-// (for ctx-parameter checks) alongside the body.
-func eachFuncBody(pass *Pass, visit func(ft *ast.FuncType, body *ast.BlockStmt)) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					visit(fn.Type, fn.Body)
-				}
-			case *ast.FuncLit:
-				if fn.Body != nil {
-					visit(fn.Type, fn.Body)
-				}
-			}
-			return true
-		})
-	}
-}
