@@ -1,6 +1,6 @@
 // Package cyclesql's root benchmarks regenerate every table and figure of
 // the paper's evaluation (one testing.B benchmark per artifact) plus the
-// ablation benches DESIGN.md calls out. Run with:
+// ablation benches ARCHITECTURE.md "Substitutions" names. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -41,10 +41,14 @@ var benchLimits = experiments.Limits{
 
 func runExperiment(b *testing.B, id string) *experiments.Table {
 	b.Helper()
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		b.Fatalf("no experiment %q", id)
+	}
 	var table *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		table, err = experiments.Registry[id](context.Background(), benchLimits)
+		table, err = e.Run(context.Background(), benchLimits)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +97,7 @@ func BenchmarkTable3Verifiers(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md "Design choices called out") ----
+// ---- Ablation benches (ARCHITECTURE.md "Substitutions") ----
 
 // BenchmarkAblationFocalLoss compares the paper's focal loss against plain
 // weighted cross-entropy on identical verifier training data, reporting

@@ -69,8 +69,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range experiments.IDs {
-			fmt.Println(id)
+		for _, e := range experiments.Registry {
+			fmt.Println(e.ID)
 		}
 		return
 	}
@@ -82,13 +82,14 @@ func main() {
 	lim := built.Limits
 	reliability = built.Limits.Resilience
 
-	ids := experiments.IDs
+	exps := experiments.Registry
 	if *exp != "all" {
-		if _, ok := experiments.Registry[*exp]; !ok {
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
 			os.Exit(2)
 		}
-		ids = []string{*exp}
+		exps = []experiments.Experiment{e}
 	}
 	// SIGINT/SIGTERM cancel the context; the whole stack below — the batch
 	// worker pool, the feedback loop, the SQL executor's inner loops —
@@ -97,9 +98,10 @@ func main() {
 	// the default way (NotifyContext unregisters after the first).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	for _, id := range ids {
+	for _, e := range exps {
+		id := e.ID
 		start := time.Now()
-		table, err := experiments.Registry[id](ctx, lim)
+		table, err := e.Run(ctx, lim)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 				fmt.Fprintf(os.Stderr, "%s: interrupted after %s\n", id, time.Since(start).Round(time.Millisecond))

@@ -7,7 +7,7 @@
 // The real Spider family ships as SQLite databases with human-written
 // questions and is not available offline; this package substitutes a
 // seeded synthetic equivalent that preserves the properties CycleSQL
-// exercises (see DESIGN.md "Substitutions"): executable multi-table
+// exercises (see ARCHITECTURE.md "Substitutions"): executable multi-table
 // databases, NL questions whose surface aligns with gold SQL, the Spider
 // difficulty spectrum, empty-result queries, and variant perturbations.
 package datasets

@@ -12,8 +12,10 @@ import (
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
 	"cyclesql/internal/sql2nl"
+	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqleval"
 	"cyclesql/internal/sqlnorm"
+	"cyclesql/internal/storage"
 	"cyclesql/internal/userstudy"
 )
 
@@ -103,6 +105,9 @@ func Table1(ctx context.Context, lim Limits) (*Table, error) {
 	return t, nil
 }
 
+// exampleEX is one example's base and loop execution accuracy.
+type exampleEX struct{ baseOK, loopOK bool }
+
 // Table2 reproduces Table II: Spider dev EX broken down by difficulty.
 func Table2(ctx context.Context, lim Limits) (*Table, error) {
 	verifier := Verifier(lim)
@@ -113,38 +118,15 @@ func Table2(ctx context.Context, lim Limits) (*Table, error) {
 		Headers: []string{"variant", "easy", "medium", "hard", "extra"},
 	}
 	for _, modelName := range Table1Models {
-		model := nl2sql.MustByName(modelName)
-		p := lim.Pipeline(model, verifier, bench.Name, nil)
-		if isLLM(modelName) {
-			p.BeamSize = 5
-		}
-		type exampleEX struct{ baseOK, loopOK bool }
 		outs := make([]exampleEX, len(dev))
-		errs := lim.batch().Run(ctx, len(dev), func(ctx context.Context, i int) error {
-			ex := dev[i]
-			db := bench.DB(ex.DBName)
-			base, err := p.BaselineContext(ctx, ex, db)
-			if err != nil {
-				return err
-			}
-			res, err := p.Translate(ctx, ex, db)
-			if err != nil {
-				return err
-			}
-			outs[i] = exampleEX{
-				baseOK: eval.EXContext(ctx, db, base, ex.Gold),
-				loopOK: eval.EXContext(ctx, db, res.Final, ex.Gold),
-			}
-			return ctx.Err()
+		_, err := lim.sweep(ctx, bench, dev, modelName, verifier, nil, func(ctx context.Context, i int, db *storage.Database, base *sqlast.SelectStmt, res *core.Result) {
+			outs[i] = exampleEX{eval.EXContext(ctx, db, base, dev[i].Gold), eval.EXContext(ctx, db, res.Final, dev[i].Gold)}
 		})
-		if err := firstError(dev, errs); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		type bucket struct{ baseOK, loopOK, n int }
-		buckets := map[sqlnorm.Difficulty]*bucket{}
-		for _, d := range sqlnorm.Difficulties {
-			buckets[d] = &bucket{}
-		}
+		buckets := map[sqlnorm.Difficulty]bucket{}
 		for i, ex := range dev {
 			bk := buckets[ex.Difficulty]
 			bk.n++
@@ -154,6 +136,7 @@ func Table2(ctx context.Context, lim Limits) (*Table, error) {
 			if outs[i].loopOK {
 				bk.loopOK++
 			}
+			buckets[ex.Difficulty] = bk
 		}
 		baseRow := Row{Label: modelName, Values: []string{"base"}}
 		loopRow := Row{Label: modelName, Values: []string{"+cyclesql"}}
@@ -186,7 +169,7 @@ func Fig8a(ctx context.Context, lim Limits) (*Table, error) {
 		Headers: []string{"avg iterations"},
 	}
 	for _, modelName := range Fig8aModels {
-		ps, err := EvaluateModel(ctx, bench, modelName, verifier, lim)
+		ps, err := lim.sweep(ctx, bench, devSlice(bench, lim), modelName, verifier, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +194,7 @@ func Fig8b(ctx context.Context, lim Limits) (*Table, error) {
 		Headers: []string{"base (ms)", "+cyclesql (ms)", "overhead (ms)"},
 	}
 	for _, modelName := range Fig8bModels {
-		ps, err := EvaluateModel(ctx, bench, modelName, verifier, lim)
+		ps, err := lim.sweep(ctx, bench, devSlice(bench, lim), modelName, verifier, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -232,12 +215,13 @@ var Fig9Benchmarks = []string{"spider", "spider-realistic", "spider-syn", "spide
 // feedback, on RESDSQL-Large and GPT-3.5-turbo. The SQL2NL arm trains its
 // own verifier on SQL2NL premises under identical settings (paper §V-A4).
 func Fig9(ctx context.Context, lim Limits) (*Table, error) {
-	spider := datasets.Spider()
-	cycleVerifier := Verifier(lim)
-	sql2nlVerifier := core.TrainVerifier(ctx, spider,
-		core.TrainDataConfig{Models: lim.TrainModels, MaxExamples: lim.MaxTrain, Seed: 1, Feedback: core.SQL2NLFeedback{}},
-		nli.TrainConfig{Seed: 2},
-	)
+	arms := []struct {
+		verifier nli.Verifier
+		feedback core.Feedback
+	}{
+		{Verifier(lim), nil},
+		{trainedVerifier(lim, core.SQL2NLFeedback{}), core.SQL2NLFeedback{}},
+	}
 	t := &Table{
 		Title:   "Fig 9: feedback-quality ablation, EX (%)",
 		Headers: []string{"benchmark", "base", "+cyclesql", "+sql2nl"},
@@ -248,57 +232,36 @@ func Fig9(ctx context.Context, lim Limits) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			model := nl2sql.MustByName(modelName)
 			dev := devSlice(bench, lim)
-			pc := lim.Pipeline(model, cycleVerifier, bench.Name, nil)
-			psq := lim.Pipeline(model, sql2nlVerifier, bench.Name, core.SQL2NLFeedback{})
-			if isLLM(modelName) {
-				pc.BeamSize, psq.BeamSize = 5, 5
-			}
-			type exampleEX struct{ baseOK, cycleOK, sqlOK bool }
-			outs := make([]exampleEX, len(dev))
-			errs := lim.batch().Run(ctx, len(dev), func(ctx context.Context, i int) error {
-				ex := dev[i]
-				db := bench.DB(ex.DBName)
-				base, err := pc.BaselineContext(ctx, ex, db)
+			// hits counts base EX from the first arm's sweep, then each
+			// arm's loop EX.
+			var hits [3]int
+			for a, arm := range arms {
+				outs := make([]exampleEX, len(dev))
+				_, err := lim.sweep(ctx, bench, dev, modelName, arm.verifier, arm.feedback, func(ctx context.Context, i int, db *storage.Database, base *sqlast.SelectStmt, res *core.Result) {
+					outs[i].loopOK = eval.EXContext(ctx, db, res.Final, dev[i].Gold)
+					if a == 0 {
+						outs[i].baseOK = eval.EXContext(ctx, db, base, dev[i].Gold)
+					}
+				})
 				if err != nil {
-					return err
+					return nil, err
 				}
-				rc, err := pc.Translate(ctx, ex, db)
-				if err != nil {
-					return err
-				}
-				rs, err := psq.Translate(ctx, ex, db)
-				if err != nil {
-					return err
-				}
-				outs[i] = exampleEX{
-					baseOK:  eval.EXContext(ctx, db, base, ex.Gold),
-					cycleOK: eval.EXContext(ctx, db, rc.Final, ex.Gold),
-					sqlOK:   eval.EXContext(ctx, db, rs.Final, ex.Gold),
-				}
-				return ctx.Err()
-			})
-			if err := firstError(dev, errs); err != nil {
-				return nil, err
-			}
-			var baseOK, cycleOK, sqlOK int
-			for _, o := range outs {
-				if o.baseOK {
-					baseOK++
-				}
-				if o.cycleOK {
-					cycleOK++
-				}
-				if o.sqlOK {
-					sqlOK++
+				for _, o := range outs {
+					if o.baseOK {
+						hits[0]++
+					}
+					if o.loopOK {
+						hits[a+1]++
+					}
 				}
 			}
 			n := float64(len(dev))
-			t.Rows = append(t.Rows, Row{Label: modelName, Values: []string{
-				benchName, pct(100 * float64(baseOK) / n),
-				pct(100 * float64(cycleOK) / n), pct(100 * float64(sqlOK) / n),
-			}})
+			row := Row{Label: modelName, Values: []string{benchName}}
+			for _, h := range hits {
+				row.Values = append(row.Values, pct(100*float64(h)/n))
+			}
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t, nil
@@ -318,17 +281,16 @@ func Table3(ctx context.Context, lim Limits) (*Table, error) {
 		Title:   "Table III: translation results of different verifier selections (Spider dev, RESDSQL-3B)",
 		Headers: []string{"EM", "EX", "TS"},
 	}
-	base, err := EvaluateModel(ctx, bench, "resdsql-3b", verifiers[0], lim)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, Row{Label: "base model", Values: []string{
-		pct(base.Base.EM), pct(base.Base.EX), pct(base.Base.TS)}})
 	labels := []string{"+cyclesql", "+cyclesql (llm verifier)", "+cyclesql (prebuilt nli)", "+cyclesql (oracle verifier)"}
 	for i, v := range verifiers {
 		ps, err := EvaluateModel(ctx, bench, "resdsql-3b", v, lim)
 		if err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			// The base row scores the model alone, whatever the verifier.
+			t.Rows = append(t.Rows, Row{Label: "base model", Values: []string{
+				pct(ps.Base.EM), pct(ps.Base.EX), pct(ps.Base.TS)}})
 		}
 		t.Rows = append(t.Rows, Row{Label: labels[i], Values: []string{
 			delta(ps.Loop.EM, ps.Base.EM), delta(ps.Loop.EX, ps.Base.EX), delta(ps.Loop.TS, ps.Base.TS)}})
@@ -426,20 +388,34 @@ func caseStudies(ctx context.Context, visit func(n int, ex datasets.Example, tex
 	return nil
 }
 
-// Registry maps experiment IDs to drivers. Every driver takes the context
-// its sweeps run under — cancelling it aborts the in-flight example
-// executions and the driver returns the context's error.
-var Registry = map[string]func(context.Context, Limits) (*Table, error){
-	"fig1":   Fig1,
-	"table1": Table1,
-	"table2": Table2,
-	"fig8a":  Fig8a,
-	"fig8b":  Fig8b,
-	"fig9":   Fig9,
-	"table3": Table3,
-	"table4": Table4,
-	"fig10":  Fig10,
+// Experiment is one paper artifact and the driver that regenerates it.
+// Every driver takes the context its sweeps run under — cancelling it
+// aborts the in-flight example executions and the driver returns the
+// context's error.
+type Experiment struct {
+	ID  string
+	Run func(context.Context, Limits) (*Table, error)
 }
 
-// IDs lists experiment identifiers in presentation order.
-var IDs = []string{"fig1", "table1", "table2", "fig8a", "fig8b", "fig9", "table3", "table4", "fig10"}
+// Registry lists every paper artifact in presentation order.
+var Registry = []Experiment{
+	{"fig1", Fig1},
+	{"table1", Table1},
+	{"table2", Table2},
+	{"fig8a", Fig8a},
+	{"fig8b", Fig8b},
+	{"fig9", Fig9},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"fig10", Fig10},
+}
+
+// Lookup returns the registered experiment with the given ID.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Registry {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}

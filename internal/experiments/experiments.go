@@ -4,7 +4,7 @@
 // testing.B benchmark per artifact and cmd/benchmark drives them from the
 // command line.
 //
-// Experiment index (mirrors DESIGN.md):
+// Experiment index (the order of Registry):
 //
 //	fig1    accuracy vs beam size (Fig 1)
 //	table1  overall EM/EX/TS, base vs +CycleSQL, five benchmarks (Table I)
@@ -13,26 +13,27 @@
 //	fig8b   inference latency with/without CycleSQL (Fig 8b)
 //	fig9    feedback-quality ablation, CycleSQL vs SQL2NL (Fig 9)
 //	table3  verifier-selection ablation (Table III)
-//	fig10   simulated user study (Fig 10)
 //	table4  case-study explanations on world_1 (Table IV)
+//	fig10   simulated user study (Fig 10)
 //
-// Concurrency: the drivers sweep dev examples through the Batch worker
-// pool (batch.go), writing per-example outcomes into index slots and
-// folding them in example order, so every accuracy and iteration column
-// is bit-identical at every Limits.Workers count (measured-wall-clock
-// columns — Fig 8b's overhead — vary run to run regardless of workers);
-// the candidate-level Parallelism knob composes underneath it. The package-level caches here (trained verifiers,
-// distilled test suites) are mutex-guarded and shared freely across
-// workers; datasets.Benchmark values are immutable after construction and
-// safe to read from any goroutine. Each driver builds its pipelines
-// before the sweep and shares them across workers — core.Pipeline is safe
-// for concurrent Translate calls.
+// Tables I–III and Figs 8–9 are folds over one sweep (Limits.sweep),
+// which runs a model's base translation and feedback loop over a dev
+// split on the Batch worker pool (batch.go). Each example's outcome lands
+// in its index slot and the slots fold in example order, so every
+// accuracy and iteration column is bit-identical at every Limits.Workers
+// count (measured-wall-clock columns — Fig 8b's overhead — vary run to
+// run regardless of workers); the candidate-level Parallelism knob
+// composes underneath it. Fig 1 sweeps the bare model's beams, with no
+// loop. The package-level caches here (trained verifiers, distilled test
+// suites) are mutex-guarded and shared freely across workers;
+// datasets.Benchmark values are immutable after construction and safe to
+// read from any goroutine, and core.Pipeline is safe for concurrent
+// Translate calls.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -44,6 +45,8 @@ import (
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
 	"cyclesql/internal/resilience"
+	"cyclesql/internal/sqlast"
+	"cyclesql/internal/storage"
 )
 
 // Limits keeps experiment runtime tractable; 0 means the full split.
@@ -128,19 +131,26 @@ var (
 
 // Verifier returns the frozen verifier trained on the Spider train split
 // (the paper trains once and freezes it for all robustness benchmarks).
-func Verifier(lim Limits) *nli.Trained {
-	key := fmt.Sprintf("%d-%s", lim.MaxTrain, strings.Join(lim.TrainModels, ","))
+func Verifier(lim Limits) *nli.Trained { return trainedVerifier(lim, nil) }
+
+// trainedVerifier trains a verifier on the premises fb generates (nil
+// means data-grounded), once per training config and feedback, and
+// caches it for every later caller.
+func trainedVerifier(lim Limits, fb core.Feedback) *nli.Trained {
+	if fb == nil {
+		fb = core.NewDataGrounded()
+	}
+	key := fmt.Sprintf("%d-%s-%s", lim.MaxTrain, strings.Join(lim.TrainModels, ","), fb.Name())
 	verifierMu.Lock()
 	defer verifierMu.Unlock()
 	if v, ok := verifierCache[key]; ok {
 		return v
 	}
-	bench := datasets.Spider()
-	// Trained once and cached for every later caller, so collection runs
-	// under a background context on purpose: cancelling one experiment's
-	// context must not poison the shared verifier for the rest.
-	v := core.TrainVerifier(context.Background(), bench,
-		core.TrainDataConfig{Models: lim.TrainModels, MaxExamples: lim.MaxTrain, Seed: 1},
+	// Collection runs under a background context on purpose: cancelling
+	// one experiment's context must not cache a partly trained verifier
+	// for the rest.
+	v := core.TrainVerifier(context.Background(), datasets.Spider(),
+		core.TrainDataConfig{Models: lim.TrainModels, MaxExamples: lim.MaxTrain, Seed: 1, Feedback: fb},
 		nli.TrainConfig{Seed: 2},
 	)
 	verifierCache[key] = v
@@ -183,7 +193,7 @@ func suiteFor(b *datasets.Benchmark, dbName string) *eval.Suite {
 	return e.suite
 }
 
-// RunPair evaluates one model on one benchmark, base vs +CycleSQL.
+// PairScores is one model on one benchmark, base vs +CycleSQL.
 type PairScores struct {
 	Model      string
 	Benchmark  string
@@ -199,33 +209,33 @@ type PairScores struct {
 	Degraded int
 }
 
-// exampleScores is one example's contribution to PairScores, captured in
-// its index slot by a batch worker and folded in dev order afterwards.
-type exampleScores struct {
-	baseEM, baseEX, baseTS bool
-	loopEM, loopEX, loopTS bool
-	iterations             int
-	overheadMS             float64
-	retries                int
-	degraded               bool
-}
-
-// EvaluateModel runs the base model and the CycleSQL pipeline over the
-// benchmark's dev split and scores both with EM/EX/TS. The sweep runs on
-// the Limits' batch pool: per-example outcomes land in index slots and
-// fold in dev order, so the scores are identical at every worker count.
-func EvaluateModel(ctx context.Context, b *datasets.Benchmark, modelName string, verifier nli.Verifier, lim Limits) (PairScores, error) {
-	model := nl2sql.MustByName(modelName)
-	p := lim.Pipeline(model, verifier, b.Name, nil)
+// sweep is the one sweep behind Tables I–III and Figs 8–9. It runs
+// modelName's loop over dev, the examples of b that the driver scores,
+// through a pipeline built by Limits.Pipeline with feedback fb (nil means
+// data-grounded). The LLMs propose five candidates, as the paper's
+// chat-completion n, and the other models the pipeline's default. Each
+// example's base (the top-1 translation) and loop Result are computed in
+// one Batch slot, so ExampleTimeout budgets the whole example, and handed
+// to score (nil scores nothing) in that slot, which writes only the
+// example's index slot for the driver to fold in dev order. The returned
+// PairScores carries the loop's averages and resilience counts, folded
+// the same way; Base and Loop are left to the driver.
+func (l Limits) sweep(ctx context.Context, b *datasets.Benchmark, dev []datasets.Example, modelName string, verifier nli.Verifier, fb core.Feedback,
+	score func(ctx context.Context, i int, db *storage.Database, base *sqlast.SelectStmt, res *core.Result)) (PairScores, error) {
+	p := l.Pipeline(nl2sql.MustByName(modelName), verifier, b.Name, fb)
 	if isLLM(modelName) {
-		p.BeamSize = 5 // the paper's chat-completion n parameter
+		p.BeamSize = 5
 	}
-	dev := devSlice(b, lim)
-	outs := make([]exampleScores, len(dev))
-	errs := lim.batch().Run(ctx, len(dev), func(ctx context.Context, i int) error {
+	type loopCost struct {
+		iterations int
+		overheadMS float64
+		retries    int
+		degraded   bool
+	}
+	costs := make([]loopCost, len(dev))
+	errs := l.batch().Run(ctx, len(dev), func(ctx context.Context, i int) error {
 		ex := dev[i]
 		db := b.DB(ex.DBName)
-		suite := suiteFor(b, ex.DBName)
 		base, err := p.BaselineContext(ctx, ex, db)
 		if err != nil {
 			return err
@@ -234,13 +244,9 @@ func EvaluateModel(ctx context.Context, b *datasets.Benchmark, modelName string,
 		if err != nil {
 			return err
 		}
-		outs[i] = exampleScores{
-			baseEM: eval.EM(base, ex.Gold), baseEX: eval.EXContext(ctx, db, base, ex.Gold), baseTS: eval.TSContext(ctx, suite, base, ex.Gold),
-			loopEM: eval.EM(res.Final, ex.Gold), loopEX: eval.EXContext(ctx, db, res.Final, ex.Gold), loopTS: eval.TSContext(ctx, suite, res.Final, ex.Gold),
-			iterations: res.Iterations,
-			overheadMS: float64(res.Overhead.Microseconds()) / 1000.0,
-			retries:    res.Retries,
-			degraded:   res.Degraded,
+		costs[i] = loopCost{res.Iterations, float64(res.Overhead.Microseconds()) / 1000.0, res.Retries, res.Degraded}
+		if score != nil {
+			score(ctx, i, db, base, res)
 		}
 		// Scoring under a fired deadline silently fails EX/TS; surface the
 		// deadline as this example's error instead of recording bogus scores.
@@ -249,30 +255,44 @@ func EvaluateModel(ctx context.Context, b *datasets.Benchmark, modelName string,
 	if err := firstError(dev, errs); err != nil {
 		return PairScores{}, err
 	}
-	var baseC, loopC eval.Counter
+	ps := PairScores{Model: modelName, Benchmark: b.Name}
 	iterSum, overheadSum := 0.0, 0.0
-	retries, degraded := 0, 0
-	for _, o := range outs {
-		baseC.Add(o.baseEM, o.baseEX, o.baseTS)
-		loopC.Add(o.loopEM, o.loopEX, o.loopTS)
-		iterSum += float64(o.iterations)
-		overheadSum += o.overheadMS
-		retries += o.retries
-		if o.degraded {
-			degraded++
+	for _, c := range costs {
+		iterSum += float64(c.iterations)
+		overheadSum += c.overheadMS
+		ps.Retries += c.retries
+		if c.degraded {
+			ps.Degraded++
 		}
 	}
 	n := float64(len(dev))
-	return PairScores{
-		Model:         modelName,
-		Benchmark:     b.Name,
-		Base:          baseC.Scores(),
-		Loop:          loopC.Scores(),
-		AvgIterations: iterSum / n,
-		AvgOverheadMS: overheadSum / n,
-		Retries:       retries,
-		Degraded:      degraded,
-	}, nil
+	ps.AvgIterations, ps.AvgOverheadMS = iterSum/n, overheadSum/n
+	return ps, nil
+}
+
+// EvaluateModel runs the base model and the CycleSQL pipeline over the
+// benchmark's dev split and scores both with EM/EX/TS.
+func EvaluateModel(ctx context.Context, b *datasets.Benchmark, modelName string, verifier nli.Verifier, lim Limits) (PairScores, error) {
+	dev := devSlice(b, lim)
+	type exampleScores struct{ baseEM, baseEX, baseTS, loopEM, loopEX, loopTS bool }
+	outs := make([]exampleScores, len(dev))
+	ps, err := lim.sweep(ctx, b, dev, modelName, verifier, nil, func(ctx context.Context, i int, db *storage.Database, base *sqlast.SelectStmt, res *core.Result) {
+		gold, suite := dev[i].Gold, suiteFor(b, dev[i].DBName)
+		outs[i] = exampleScores{
+			baseEM: eval.EM(base, gold), baseEX: eval.EXContext(ctx, db, base, gold), baseTS: eval.TSContext(ctx, suite, base, gold),
+			loopEM: eval.EM(res.Final, gold), loopEX: eval.EXContext(ctx, db, res.Final, gold), loopTS: eval.TSContext(ctx, suite, res.Final, gold),
+		}
+	})
+	if err != nil {
+		return PairScores{}, err
+	}
+	var baseC, loopC eval.Counter
+	for _, o := range outs {
+		baseC.Add(o.baseEM, o.baseEX, o.baseTS)
+		loopC.Add(o.loopEM, o.loopEX, o.loopTS)
+	}
+	ps.Base, ps.Loop = baseC.Scores(), loopC.Scores()
+	return ps, nil
 }
 
 // firstError surfaces the first (dev-order) per-example failure from a
@@ -286,6 +306,7 @@ func firstError(dev []datasets.Example, errs []error) error {
 	return nil
 }
 
+// isLLM reports whether a model is a chat-completion LLM.
 func isLLM(model string) bool {
 	switch model {
 	case "gpt-3.5-turbo", "gpt-4", "chess", "dail-sql":
@@ -368,14 +389,4 @@ func delta(loop, base float64) string {
 	default:
 		return fmt.Sprintf("%.1f", loop)
 	}
-}
-
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -16,13 +16,19 @@ var tinyLimits = Limits{
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig1", "table1", "table2", "fig8a", "fig8b", "fig9", "table3", "table4", "fig10"}
-	for _, id := range want {
-		if _, ok := Registry[id]; !ok {
-			t.Fatalf("experiment %s missing from registry", id)
+	if len(Registry) != len(want) {
+		t.Fatalf("registry lists %d experiments, want %d", len(Registry), len(want))
+	}
+	for i, id := range want {
+		if Registry[i].ID != id || Registry[i].Run == nil {
+			t.Fatalf("registry entry %d is %q, want %s in presentation order", i, Registry[i].ID, id)
+		}
+		if e, ok := Lookup(id); !ok || e.ID != id {
+			t.Fatalf("Lookup(%q) = %q, %v", id, e.ID, ok)
 		}
 	}
-	if len(IDs) != len(want) {
-		t.Fatalf("IDs list drifted: %v", IDs)
+	if _, ok := Lookup("table5"); ok {
+		t.Fatal("Lookup must reject an unknown ID")
 	}
 }
 

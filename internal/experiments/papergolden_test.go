@@ -30,12 +30,12 @@ var wallClockColumns = map[string][]string{
 func paperTables(t *testing.T, lim experiments.Limits) string {
 	t.Helper()
 	var b strings.Builder
-	for _, id := range experiments.IDs {
-		table, err := experiments.Registry[id](context.Background(), lim)
+	for _, e := range experiments.Registry {
+		table, err := e.Run(context.Background(), lim)
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		for _, header := range wallClockColumns[id] {
+		for _, header := range wallClockColumns[e.ID] {
 			col := -1
 			for i, h := range table.Headers {
 				if h == header {
@@ -43,13 +43,13 @@ func paperTables(t *testing.T, lim experiments.Limits) string {
 				}
 			}
 			if col < 0 {
-				t.Fatalf("%s: no column %q to mask in %v", id, header, table.Headers)
+				t.Fatalf("%s: no column %q to mask in %v", e.ID, header, table.Headers)
 			}
 			for r := range table.Rows {
 				table.Rows[r].Values[col] = "(wall-clock)"
 			}
 		}
-		fmt.Fprintf(&b, "== %s ==\n%s\n", id, table)
+		fmt.Fprintf(&b, "== %s ==\n%s\n", e.ID, table)
 	}
 	return b.String()
 }

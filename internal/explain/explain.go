@@ -11,7 +11,7 @@
 //
 // The generated text is intentionally mechanical; a Polisher can refine it
 // for readability (the paper uses a few-shot prompted LLM; this repo ships
-// a rule-based polisher, see DESIGN.md "Substitutions").
+// a rule-based polisher, see ARCHITECTURE.md "Substitutions").
 //
 // Every stage appends into one pooled buffer, in the order the composed
 // text reads, so an explanation costs a handful of allocations: its

@@ -6,8 +6,8 @@ import (
 
 // RulePolisher is the offline stand-in for the paper's few-shot LLM
 // "polishing model": it improves surface fluency without touching content.
-// Substitution documented in DESIGN.md; polishing only affects the user
-// study, never verification.
+// The substitution is documented in ARCHITECTURE.md "Substitutions";
+// polishing only affects the user study, never verification.
 type RulePolisher struct{}
 
 // Polish normalizes whitespace, repairs duplicated connectives, fixes

@@ -3,7 +3,7 @@
 // remote LLM APIs, neither of which is available offline; CycleSQL treats
 // them as black boxes that emit a ranked list of top-k candidate SQL
 // queries, and the simulators reproduce exactly that interface with the
-// statistical structure that drives the paper's results (see DESIGN.md):
+// statistical structure that drives the paper's results (see ARCHITECTURE.md "Substitutions"):
 //
 //   - per-difficulty top-1 accuracy calibrated to the paper's base rows
 //     (Tables I and II);

@@ -11,7 +11,7 @@
 // noise. The comparative finding — data-grounded CycleSQL explanations
 // are preferred over query-surface GPT-3.5-style explanations — emerges
 // from the rubric, not from hard-coded scores; absolute values are
-// synthetic (see DESIGN.md "Substitutions").
+// synthetic (see ARCHITECTURE.md "Substitutions").
 package userstudy
 
 import (
