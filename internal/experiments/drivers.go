@@ -388,10 +388,9 @@ func caseStudies(ctx context.Context, visit func(n int, ex datasets.Example, tex
 	return nil
 }
 
-// Experiment is one paper artifact and the driver that regenerates it.
-// Every driver takes the context its sweeps run under — cancelling it
-// aborts the in-flight example executions and the driver returns the
-// context's error.
+// Experiment is one paper artifact and the function that regenerates it.
+// Run takes the context its sweeps run under — cancelling it aborts the
+// in-flight example executions and Run returns the context's error.
 type Experiment struct {
 	ID  string
 	Run func(context.Context, Limits) (*Table, error)

@@ -210,16 +210,16 @@ type PairScores struct {
 }
 
 // sweep is the one sweep behind Tables I–III and Figs 8–9. It runs
-// modelName's loop over dev, the examples of b that the driver scores,
+// modelName's loop over dev, the examples of b that the caller scores,
 // through a pipeline built by Limits.Pipeline with feedback fb (nil means
 // data-grounded). The LLMs propose five candidates, as the paper's
 // chat-completion n, and the other models the pipeline's default. Each
 // example's base (the top-1 translation) and loop Result are computed in
 // one Batch slot, so ExampleTimeout budgets the whole example, and handed
 // to score (nil scores nothing) in that slot, which writes only the
-// example's index slot for the driver to fold in dev order. The returned
+// example's index slot for the caller to fold in dev order. The returned
 // PairScores carries the loop's averages and resilience counts, folded
-// the same way; Base and Loop are left to the driver.
+// the same way; Base and Loop are left to the caller.
 func (l Limits) sweep(ctx context.Context, b *datasets.Benchmark, dev []datasets.Example, modelName string, verifier nli.Verifier, fb core.Feedback,
 	score func(ctx context.Context, i int, db *storage.Database, base *sqlast.SelectStmt, res *core.Result)) (PairScores, error) {
 	p := l.Pipeline(nl2sql.MustByName(modelName), verifier, b.Name, fb)
