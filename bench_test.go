@@ -288,7 +288,7 @@ func mustParse(b *testing.B, sql string) *sqlast.SelectStmt {
 func loopBench(b *testing.B, parallelism int, verifyLatency time.Duration) {
 	bench := datasets.Spider()
 	dev := bench.Dev[:16]
-	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	if verifyLatency > 0 {
 		// nli.Latency is context-aware, so a candidate the loop cancels
 		// abandons its simulated inference mid-wait, as in deployment.
@@ -342,7 +342,7 @@ func BenchmarkTranslateLoopSimVerifyParallel8(b *testing.B)  { loopBench(b, 8, 2
 func sweepBench(b *testing.B, workers int, verifyLatency time.Duration) {
 	bench := datasets.Spider()
 	dev := bench.Dev[:24]
-	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	if verifyLatency > 0 {
 		reject = nli.Latency{V: reject, D: verifyLatency}
 	}
@@ -394,7 +394,7 @@ func BenchmarkSweepSimVerifyWorkers8(b *testing.B) { sweepBench(b, 8, 2*time.Mil
 func resilientLoopBench(b *testing.B, parallelism int, faults faultinject.Config) {
 	bench := datasets.Spider()
 	dev := bench.Dev[:16]
-	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	var reject nli.Verifier = nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	inj := faultinject.New(faults)
 	p := &core.Pipeline{
 		Model:       inj.WrapModel(nl2sql.MustByName("resdsql-3b")),

@@ -25,7 +25,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"cyclesql/internal/lint"
@@ -138,7 +137,6 @@ func runStandalone(patterns []string, analyzers []*lint.Analyzer) int {
 // consumes; the file is handed to the tool as its sole argument.
 type unitConfig struct {
 	ID                        string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
 	ImportMap                 map[string]string
@@ -195,7 +193,6 @@ func runUnit(cfgPath string, analyzers []*lint.Analyzer) int {
 		}
 		fatal(err)
 	}
-	pkg.SrcDir = srcDirFromConfig(cfg.Dir, cfg.ImportPath)
 	diags, err := lint.Run(pkg, analyzers)
 	if err != nil {
 		fatal(err)
@@ -207,21 +204,4 @@ func runUnit(cfgPath string, analyzers []*lint.Analyzer) int {
 		return 2
 	}
 	return 0
-}
-
-// srcDirFromConfig recovers the module layout from one package's (Dir,
-// ImportPath) pair by peeling matching trailing path components — e.g.
-// (/repo/internal/core, cyclesql/internal/core) yields a resolver rooted
-// at (/repo, cyclesql) — so nodeprecated can read dependency sources.
-func srcDirFromConfig(dir, importPath string) func(string) string {
-	d, p := filepath.ToSlash(dir), importPath
-	for {
-		di := strings.LastIndexByte(d, '/')
-		pi := strings.LastIndexByte(p, '/')
-		if di < 0 || pi < 0 || d[di+1:] != p[pi+1:] {
-			break
-		}
-		d, p = d[:di], p[:pi]
-	}
-	return lint.ModuleSrcDir(p, filepath.FromSlash(d))
 }

@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("Question:   ", ex.Question)
 	fmt.Println("Translation:", res.FinalSQL)
 	fmt.Println("Verified:   ", res.Verified, "after", res.Iterations, "iteration(s)")
-	fmt.Println("Correct:    ", eval.EX(db, res.Final, ex.Gold))
+	fmt.Println("Correct:    ", eval.EXContext(context.Background(), db, res.Final, ex.Gold))
 	if len(res.Premises) > 0 && res.Premises[res.Iterations-1].Explanation != "" {
 		fmt.Println("Explanation:", res.Premises[res.Iterations-1].Explanation)
 	}

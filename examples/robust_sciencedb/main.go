@@ -44,14 +44,14 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			if eval.EX(db, base, ex.Gold) {
+			if eval.EXContext(context.Background(), db, base, ex.Gold) {
 				baseOK++
 			}
 			res, err := pipeline.Translate(context.Background(), ex, db)
 			if err != nil {
 				panic(err)
 			}
-			if eval.EX(db, res.Final, ex.Gold) {
+			if eval.EXContext(context.Background(), db, res.Final, ex.Gold) {
 				loopOK++
 			}
 			iters += res.Iterations

@@ -22,7 +22,7 @@ func TestTranslatePreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		examined := 0
-		v := nli.Func{Label: "count", Fn: func(string, nli.Premise) bool { examined++; return false }}
+		v := nli.Func{Label: "count", Fn: func(context.Context, string, nli.Premise) bool { examined++; return false }}
 		p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: v, Benchmark: bench.Name}
 		p.Parallelism = workers
 		res, err := p.Translate(ctx, ex, db)
@@ -47,7 +47,7 @@ func TestTranslateDeadlineMidLoop(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	for _, workers := range []int{1, 2} {
-		slowReject := nli.Func{Label: "slow-reject", Fn: func(string, nli.Premise) bool {
+		slowReject := nli.Func{Label: "slow-reject", Fn: func(context.Context, string, nli.Premise) bool {
 			time.Sleep(30 * time.Millisecond)
 			return false
 		}}

@@ -63,7 +63,7 @@ func (panicModel) Translate(string, datasets.Example, *storage.Database, int) []
 func TestBeamPanicFailsTranslation(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
-	accept := nli.Func{Label: "accept", Fn: func(string, nli.Premise) bool { return true }}
+	accept := nli.Func{Label: "accept", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 	for _, pol := range []*resilience.Policy{nil, retryPolicy()} {
 		p := &Pipeline{Model: panicModel{}, Verifier: accept, Benchmark: bench.Name, Resilience: pol}
 		res, err := p.Translate(context.Background(), ex, bench.DB(ex.DBName))

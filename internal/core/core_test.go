@@ -83,14 +83,14 @@ func TestCycleSQLImprovesExecutionAccuracy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eval.EX(db, base, ex.Gold) {
+			if eval.EXContext(context.Background(), db, base, ex.Gold) {
 				baseOK++
 			}
 			res, err := p.Translate(context.Background(), ex, db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eval.EX(db, res.Final, ex.Gold) {
+			if eval.EXContext(context.Background(), db, res.Final, ex.Gold) {
 				loopOK++
 			}
 		}
@@ -115,7 +115,7 @@ func TestOracleVerifierBoundsTrained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eval.EX(db, rt.Final, ex.Gold) {
+		if eval.EXContext(context.Background(), db, rt.Final, ex.Gold) {
 			trainedOK++
 		}
 		po := &Pipeline{Model: model, Verifier: oracle, Benchmark: bench.Name}
@@ -123,7 +123,7 @@ func TestOracleVerifierBoundsTrained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eval.EX(db, ro.Final, ex.Gold) {
+		if eval.EXContext(context.Background(), db, ro.Final, ex.Gold) {
 			oracleOK++
 		}
 	}
@@ -137,7 +137,7 @@ func TestTranslateFallsBackToTop1(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
-	reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	reject := nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: reject, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestTranslateAcceptsFirstVerified(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
-	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
+	accept := nli.Func{Label: "accept-all", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 	p := &Pipeline{Model: nl2sql.MustByName("resdsql-3b"), Verifier: accept, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {

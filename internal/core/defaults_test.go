@@ -47,7 +47,7 @@ func TestNewDefaultsMatchPaperSettings(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	model := &beamRecorder{Model: nl2sql.MustByName("resdsql-3b")}
-	reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	reject := nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	p := &Pipeline{Model: model, Verifier: reject, Benchmark: bench.Name}
 
 	var execs [2]*sqleval.Executor
@@ -97,7 +97,7 @@ func TestOptionsApply(t *testing.T) {
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
 	model := &beamRecorder{Model: nl2sql.MustByName("resdsql-3b")}
-	reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+	reject := nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 	pol := &resilience.Policy{Retry: resilience.Retry{MaxAttempts: 3}, Collector: &resilience.Collector{}}
 	fb := &countingFeedback{}
 	p := &Pipeline{

@@ -181,7 +181,7 @@ func TestTranslateRecordsCandidateErrors(t *testing.T) {
 	})
 	model := stubModel{cands: []nl2sql.Candidate{candidateOf(bad), candidateOf(ex.Gold)}}
 	for _, workers := range []int{1, 4} {
-		reject := nli.Func{Label: "reject-all", Fn: func(string, nli.Premise) bool { return false }}
+		reject := nli.Func{Label: "reject-all", Fn: func(context.Context, string, nli.Premise) bool { return false }}
 		p := &Pipeline{Model: model, Verifier: reject, Benchmark: bench.Name}
 		p.Parallelism = workers
 		res, err := p.Translate(context.Background(), ex, db)

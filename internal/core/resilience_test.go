@@ -138,7 +138,7 @@ func TestExaminePanicRecovery(t *testing.T) {
 		t.Fatal("candidates must render distinct SQL")
 	}
 	model := stubModel{cands: []nl2sql.Candidate{candidateOf(poison), candidateOf(ex.Gold)}}
-	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
+	accept := nli.Func{Label: "accept-all", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 	for _, workers := range []int{1, 4} {
 		for _, policy := range []*resilience.Policy{nil, retryPolicy()} {
 			p := &Pipeline{Model: model, Verifier: accept, Benchmark: bench.Name}
@@ -275,7 +275,7 @@ func TestDegradationParityWithPreTrippedBreaker(t *testing.T) {
 	lim := int64(1)
 	second.Cores[len(second.Cores)-1].Limit = &lim
 	model := stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold), candidateOf(second)}}
-	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
+	accept := nli.Func{Label: "accept-all", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 	for _, workers := range []int{1, 2} {
 		policy := &resilience.Policy{
 			Breaker:   resilience.BreakerConfig{Threshold: 1, Cooldown: time.Hour},

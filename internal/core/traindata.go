@@ -146,11 +146,12 @@ func TrainVerifier(ctx context.Context, bench *datasets.Benchmark, dataCfg Train
 
 // OracleVerifier builds the perfect verifier of paper Table III: it labels
 // a premise "entailment" exactly when the underlying SQL executes to the
-// gold result. It inspects the SQL carried inside the premise.
+// gold result. It inspects the SQL carried inside the premise, and both
+// executions stop when the verdict's context is done.
 func OracleVerifier(bench *datasets.Benchmark, examplesByQuestion map[string]datasets.Example) nli.Verifier {
 	return nli.Func{
 		Label: "oracle",
-		Fn: func(hypothesis string, premise nli.Premise) bool {
+		Fn: func(ctx context.Context, hypothesis string, premise nli.Premise) bool {
 			ex, ok := examplesByQuestion[hypothesis]
 			if !ok {
 				return false
@@ -159,7 +160,7 @@ func OracleVerifier(bench *datasets.Benchmark, examplesByQuestion map[string]dat
 			if err != nil {
 				return false
 			}
-			return eval.EX(bench.DB(ex.DBName), pred, ex.Gold)
+			return eval.EXContext(ctx, bench.DB(ex.DBName), pred, ex.Gold)
 		},
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"cyclesql/internal/datasets"
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
+	"cyclesql/internal/schema"
+	"cyclesql/internal/sqlparse"
+	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/storage"
 )
 
 // gatedVerifier validates exactly one candidate (by its premise SQL)
@@ -88,7 +92,7 @@ func TestSequentialVerifyContextParity(t *testing.T) {
 	bench := datasets.Spider()
 	ex := bench.Dev[0]
 	db := bench.DB(ex.DBName)
-	accept := nli.Func{Label: "accept-all", Fn: func(string, nli.Premise) bool { return true }}
+	accept := nli.Func{Label: "accept-all", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 	p := &Pipeline{Model: stubModel{cands: []nl2sql.Candidate{candidateOf(ex.Gold)}}, Verifier: accept, Benchmark: bench.Name}
 	res, err := p.Translate(context.Background(), ex, db)
 	if err != nil {
@@ -100,3 +104,38 @@ func TestSequentialVerifyContextParity(t *testing.T) {
 }
 
 var _ nli.Verifier = (*gatedVerifier)(nil)
+
+// TestOracleVerifierHonoursDeadline runs the Table III oracle verifier on
+// a premise whose SQL, like its gold, counts a three-way self cross join
+// of a 300-row table: 27M row combinations folded into one count, so
+// memory stays flat while the executions outlast the deadline. The
+// verdict must stop at its deadline rather than run both executions to
+// completion, and what it returns must not read as a verified premise.
+func TestOracleVerifierHonoursDeadline(t *testing.T) {
+	s := &schema.Schema{
+		Name:   "cross",
+		Tables: []*schema.Table{{Name: "t", Columns: []schema.Column{{Name: "a", Type: sqltypes.KindInt, PrimaryKey: true}}}},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase(s)
+	for i := 0; i < 300; i++ {
+		db.MustInsert("t", sqltypes.NewInt(int64(i)))
+	}
+	const sql = "SELECT COUNT(*) FROM t AS x, t AS y, t AS z"
+	ex := datasets.Example{DBName: s.Name, Question: "How many triples of rows are there?", GoldSQL: sql, Gold: sqlparse.MustParse(sql)}
+	bench := &datasets.Benchmark{Name: s.Name, Databases: map[string]*storage.Database{s.Name: db}}
+	v := OracleVerifier(bench, IndexByQuestion([]datasets.Example{ex}))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	verdict, err := nli.VerifyContext(ctx, v, ex.Question, nli.Premise{SQL: sql})
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("oracle verdict took %s under a 20ms deadline", elapsed)
+	}
+	if verdict && err == nil {
+		t.Fatal("a verdict cut off by its deadline must not verify the premise")
+	}
+}

@@ -26,17 +26,13 @@ func EM(pred, gold *sqlast.SelectStmt) bool {
 	return sqlnorm.EMEqual(pred, gold)
 }
 
-// EX reports execution equivalence on one database. Predictions that fail
-// to execute are wrong; gold queries are trusted to execute.
-func EX(db *storage.Database, pred, gold *sqlast.SelectStmt) bool {
-	return EXContext(context.Background(), db, pred, gold)
-}
-
-// EXContext is EX under a context: both executions abort when ctx is
-// cancelled, and the aborted prediction scores false like any other
-// failed execution. Callers enforcing deadlines (the batched experiment
-// drivers) must check ctx.Err() after scoring and discard the outcome as
-// an error — a false produced by cancellation is not a measurement.
+// EXContext reports execution equivalence on one database. Predictions
+// that fail to execute are wrong; gold queries are trusted to execute.
+// Both executions abort when ctx is cancelled, and the aborted prediction
+// scores false like any other failed execution. Callers enforcing
+// deadlines (the batched experiment drivers) must check ctx.Err() after
+// scoring and discard the outcome as an error — a false produced by
+// cancellation is not a measurement.
 func EXContext(ctx context.Context, db *storage.Database, pred, gold *sqlast.SelectStmt) bool {
 	if pred == nil {
 		return false

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"hash/fnv"
 	"maps"
 	"slices"
@@ -15,13 +16,13 @@ func TestEXDetectsEquivalenceAndDifference(t *testing.T) {
 	gold := sqlparse.MustParse("SELECT count(*) FROM flight WHERE origin = 'Chicago'")
 	same := sqlparse.MustParse("SELECT count(flno) FROM flight WHERE origin = 'Chicago'")
 	diff := sqlparse.MustParse("SELECT count(*) FROM flight WHERE origin = 'Los Angeles'")
-	if !EX(db, same, gold) {
+	if !EXContext(context.Background(), db, same, gold) {
 		t.Fatal("count(flno) and count(*) must be EX-equal here")
 	}
-	if EX(db, diff, gold) {
+	if EXContext(context.Background(), db, diff, gold) {
 		t.Fatal("different filters must not be EX-equal")
 	}
-	if EX(db, nil, gold) {
+	if EXContext(context.Background(), db, nil, gold) {
 		t.Fatal("nil prediction is wrong")
 	}
 }
@@ -30,7 +31,7 @@ func TestEXFailingPredictionIsWrong(t *testing.T) {
 	db := datasets.FlightDB()
 	gold := sqlparse.MustParse("SELECT count(*) FROM flight")
 	bad := sqlparse.MustParse("SELECT ghost FROM flight")
-	if EX(db, bad, gold) {
+	if EXContext(context.Background(), db, bad, gold) {
 		t.Fatal("non-executing prediction must be wrong")
 	}
 }
@@ -54,7 +55,7 @@ func TestTSCatchesCoincidentalMatches(t *testing.T) {
 	gold := sqlparse.MustParse("SELECT count(*) FROM flight WHERE origin = 'Chicago'")
 	// On the original data both counts are 2: coincidental EX match.
 	coincidence := sqlparse.MustParse("SELECT count(*) FROM flight WHERE destination = 'Honolulu'")
-	if !EX(db, coincidence, gold) {
+	if !EXContext(context.Background(), db, coincidence, gold) {
 		t.Skip("fixture drifted; coincidence premise no longer holds")
 	}
 	if TSContext(t.Context(), suite, coincidence, gold) {

@@ -5,7 +5,6 @@ import (
 
 	"cyclesql/internal/sqllex"
 	"cyclesql/internal/sqlnorm"
-	"cyclesql/internal/sqloracle"
 	"cyclesql/internal/sqlparse"
 )
 
@@ -54,7 +53,7 @@ func TestParseAllocGate(t *testing.T) {
 func BenchmarkLexSeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqloracle.Lex(benchQuery); err != nil {
+		if _, err := seedLex(benchQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +74,7 @@ func BenchmarkLexNew(b *testing.B) {
 func BenchmarkParseSeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sqloracle.Parse(benchQuery); err != nil {
+		if _, err := seedParse(benchQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +111,7 @@ func BenchmarkCacheKeySeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sqloracle.CacheKey(stmt)
+		seedCacheKey(stmt)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package frontdiff is the differential harness that holds the
 // zero-allocation SQL front end (sqllex, sqlparse, sqlnorm.CacheKey)
-// bit-identical to the seed implementation preserved in
-// internal/sqloracle. Every corpus — the 200 Spider dev queries, the
+// bit-identical to the seed implementation preserved in this package's
+// seed*_test.go files. Every corpus — the 200 Spider dev queries, the
 // 480 seeded-random property queries, and every SQL-looking string
 // literal already present in the repo's tests and testdata — must
 // produce identical token streams, deeply-equal ASTs, byte-identical
@@ -18,7 +18,6 @@ import (
 	"cyclesql/internal/sqlgen"
 	"cyclesql/internal/sqllex"
 	"cyclesql/internal/sqlnorm"
-	"cyclesql/internal/sqloracle"
 	"cyclesql/internal/sqlparse"
 )
 
@@ -27,7 +26,7 @@ import (
 // engines accept the input, nil otherwise.
 func assertParity(t *testing.T, sql string) bool {
 	t.Helper()
-	oToks, oLexErr := sqloracle.Lex(sql)
+	oToks, oLexErr := seedLex(sql)
 	nToks, nLexErr := sqllex.Lex(sql)
 	if (oLexErr == nil) != (nLexErr == nil) {
 		t.Errorf("lex verdict divergence on %q: oracle err=%v, new err=%v", sql, oLexErr, nLexErr)
@@ -43,7 +42,7 @@ func assertParity(t *testing.T, sql string) bool {
 		t.Errorf("token count divergence on %q: oracle %d, new %d", sql, len(oToks), len(nToks))
 		return false
 	}
-	oStmt, oErr := sqloracle.Parse(sql)
+	oStmt, oErr := seedParse(sql)
 	nStmt, nErr := sqlparse.Parse(sql)
 	if (oErr == nil) != (nErr == nil) {
 		t.Errorf("parse verdict divergence on %q: oracle err=%v, new err=%v", sql, oErr, nErr)
@@ -56,7 +55,7 @@ func assertParity(t *testing.T, sql string) bool {
 		t.Errorf("AST divergence on %q:\noracle: %s\nnew:    %s", sql, oStmt.SQL(), nStmt.SQL())
 		return false
 	}
-	oKey := sqloracle.CacheKey(oStmt)
+	oKey := seedCacheKey(oStmt)
 	nKey := sqlnorm.CacheKey(nStmt)
 	if oKey != nKey {
 		t.Errorf("CacheKey divergence on %q:\noracle: %q\nnew:    %q", sql, oKey, nKey)

@@ -6,7 +6,6 @@ import (
 
 	"cyclesql/internal/sqllex"
 	"cyclesql/internal/sqlnorm"
-	"cyclesql/internal/sqloracle"
 	"cyclesql/internal/sqlparse"
 )
 
@@ -40,7 +39,7 @@ func FuzzLex(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		oToks, oErr := sqloracle.Lex(sql)
+		oToks, oErr := seedLex(sql)
 		nToks, nErr := sqllex.Lex(sql)
 		if (oErr == nil) != (nErr == nil) {
 			t.Fatalf("lex verdict divergence on %q: oracle err=%v, new err=%v", sql, oErr, nErr)
@@ -58,7 +57,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		oStmt, oErr := sqloracle.Parse(sql)
+		oStmt, oErr := seedParse(sql)
 		nStmt, nErr := sqlparse.Parse(sql)
 		if (oErr == nil) != (nErr == nil) {
 			t.Fatalf("parse verdict divergence on %q: oracle err=%v, new err=%v", sql, oErr, nErr)
@@ -77,7 +76,7 @@ func FuzzCacheKey(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		oStmt, oErr := sqloracle.Parse(sql)
+		oStmt, oErr := seedParse(sql)
 		nStmt, nErr := sqlparse.Parse(sql)
 		if (oErr == nil) != (nErr == nil) {
 			t.Fatalf("parse verdict divergence on %q: oracle err=%v, new err=%v", sql, oErr, nErr)
@@ -88,7 +87,7 @@ func FuzzCacheKey(f *testing.F) {
 			}
 			return
 		}
-		oKey := sqloracle.CacheKey(oStmt)
+		oKey := seedCacheKey(oStmt)
 		nKey := sqlnorm.CacheKey(nStmt)
 		if oKey != nKey {
 			t.Fatalf("CacheKey divergence on %q:\noracle: %q\nnew:    %q", sql, oKey, nKey)

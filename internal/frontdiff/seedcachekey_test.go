@@ -1,4 +1,4 @@
-package sqloracle
+package frontdiff
 
 import (
 	"sort"
@@ -7,18 +7,14 @@ import (
 	"cyclesql/internal/sqlast"
 )
 
-// CacheKey is the seed plan-cache key: deep-clone the statement,
+// seedCacheKey is the seed plan-cache key: deep-clone the statement,
 // mutate the clone into canonical form (identifier case folding,
 // literal-first comparison orientation, conjunct sorting), render it
 // with sqlast's string-concatenating renderer, then append the
 // original-case projection labels. Dozens to hundreds of allocations
 // per call — which is exactly why sqlnorm.CacheKey re-renders the same
 // string in one pass instead.
-//
-// Deprecated: test oracle only — production code uses sqlnorm.CacheKey,
-// which must produce byte-identical output (enforced by the
-// differential suites).
-func CacheKey(stmt *sqlast.SelectStmt) string {
+func seedCacheKey(stmt *sqlast.SelectStmt) string {
 	out := stmt.Clone()
 	for _, core := range out.Cores {
 		cacheNormalizeCore(core)

@@ -1,22 +1,23 @@
-// Package sqloracle preserves the seed SQL front end — the
-// string-splitting lexer and node-allocating recursive-descent parser
-// that shipped with the original reproduction — as a reference oracle
-// for differential testing of the zero-allocation front end that
-// replaced it (internal/sqllex, internal/sqlparse, sqlnorm.CacheKey).
+// The seed SQL front end — the string-splitting lexer and
+// node-allocating recursive-descent parser that shipped with the
+// original reproduction — preserved as a reference oracle for
+// differential testing of the zero-allocation front end that replaced
+// it (internal/sqllex, internal/sqlparse, sqlnorm.CacheKey).
 //
-// Nothing in this package is optimized and nothing in it may be used on
-// a production path: every exported identifier carries a Deprecated
-// marker, so the nodeprecated vetcycle analyzer rejects any non-test
-// caller. The differential suites (internal/frontdiff, the FuzzLex /
-// FuzzParse / FuzzCacheKey targets) compare this package's output
-// bit-for-bit against the rewritten front end: deeply-equal ASTs,
-// identical CacheKey strings, and identical ok/error verdicts.
+// Nothing in these seed*_test.go files is optimized, and nothing in them
+// can reach a production path: Go builds _test.go files only into this
+// package's test binary, and no package can import them. The
+// differential suites (frontdiff_test.go, the FuzzLex / FuzzParse /
+// FuzzCacheKey targets) compare the oracle's output bit-for-bit against
+// the rewritten front end: deeply-equal ASTs, identical CacheKey strings,
+// and identical ok/error verdicts.
 //
 // The code below is the seed implementation verbatim (modulo package
 // plumbing). Do not fix bugs here without teaching the differential
 // tests about the divergence first — the whole point of the oracle is
 // that it does not drift.
-package sqloracle
+
+package frontdiff
 
 import (
 	"fmt"
@@ -41,12 +42,10 @@ var keywords = map[string]bool{
 
 func isKeyword(s string) bool { return keywords[strings.ToUpper(s)] }
 
-// Lex is the seed lexer: per-token string materialization via
+// seedLex is the seed lexer: per-token string materialization via
 // strings.Builder, keyword folding through strings.ToUpper, one token
 // slice grown by append.
-//
-// Deprecated: test oracle only — production code uses sqllex.Lex.
-func Lex(input string) ([]sqllex.Token, error) {
+func seedLex(input string) ([]sqllex.Token, error) {
 	var toks []sqllex.Token
 	i := 0
 	n := len(input)

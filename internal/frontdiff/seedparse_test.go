@@ -1,4 +1,4 @@
-package sqloracle
+package frontdiff
 
 import (
 	"fmt"
@@ -9,12 +9,10 @@ import (
 	"cyclesql/internal/sqltypes"
 )
 
-// Parse is the seed parser: one heap allocation per AST node, the token
+// seedParse is the seed parser: one heap allocation per AST node, the token
 // slice materialized up front by the seed lexer.
-//
-// Deprecated: test oracle only — production code uses sqlparse.Parse.
-func Parse(input string) (*sqlast.SelectStmt, error) {
-	toks, err := Lex(input)
+func seedParse(input string) (*sqlast.SelectStmt, error) {
+	toks, err := seedLex(input)
 	if err != nil {
 		return nil, err
 	}

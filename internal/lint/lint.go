@@ -1,10 +1,10 @@
 // Package lint is the project's static-analysis suite: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the eight project-specific
+// vocabulary (Analyzer, Pass, Diagnostic) plus the seven project-specific
 // analyzers that turn ARCHITECTURE.md's prose invariants — context
 // threading, frozen-snapshot immutability, no reads of released results,
-// typed stage errors, lock discipline, bounded caches, no raw sleeps, no
-// deprecated identifiers — into machine-checked rules. cmd/vetcycle packages the suite as a
+// typed stage errors, lock discipline, bounded caches, no raw sleeps —
+// into machine-checked rules. cmd/vetcycle packages the suite as a
 // multichecker binary; docs/linting.md specifies each invariant.
 //
 // The framework is stdlib-only by design: the build environment bakes in
@@ -16,7 +16,7 @@
 //
 // Analyzers check library code only: files named *_test.go and external
 // test packages are skipped, because the invariants govern what ships —
-// tests deliberately poke at deprecated wrappers, sleeps and raw maps.
+// tests deliberately poke at sleeps and raw maps.
 //
 // A finding that is deliberate is suppressed in source with a directive
 // comment on the offending line or the line above it:
@@ -63,11 +63,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// SrcDir resolves an in-module import path to its source directory,
-	// or "" when unknown. nodeprecated uses it to read Deprecated: marks
-	// from dependency sources (gc export data drops doc comments).
-	SrcDir func(importPath string) string
-
 	diags *[]Diagnostic
 }
 
@@ -87,9 +82,6 @@ type Package struct {
 	ImportPath string
 	Types      *types.Package
 	TypesInfo  *types.Info
-	// SrcDir resolves in-module import paths to source directories for
-	// analyzers that need dependency sources (see Pass.SrcDir).
-	SrcDir func(importPath string) string
 }
 
 // All returns the full vetcycle suite in reporting order.
@@ -102,7 +94,6 @@ func All() []*Analyzer {
 		LockOrder,
 		NoSleep,
 		BoundedCache,
-		NoDeprecated,
 	}
 }
 
@@ -141,7 +132,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			SrcDir:    pkg.SrcDir,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {

@@ -62,12 +62,6 @@ func TestBoundedCache(t *testing.T) {
 	)
 }
 
-func TestNoDeprecated(t *testing.T) {
-	linttest.Run(t, fixtures(t), lint.NoDeprecated,
-		"cyclesql/internal/depfix",
-	)
-}
-
 func TestDirectiveHygiene(t *testing.T) {
 	linttest.Run(t, fixtures(t), lint.NoSleep,
 		"cyclesql/internal/badallow",

@@ -81,11 +81,7 @@ type listedPackage struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Module     *struct {
-		Path string
-		Dir  string
-	}
-	Error *struct{ Err string }
+	Error      *struct{ Err string }
 }
 
 // LoadPackages loads the module packages matching patterns (e.g. "./...")
@@ -95,7 +91,7 @@ type listedPackage struct {
 // themselves are parsed and type-checked from source with comments, which
 // is what the analyzers inspect.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly,Standard,Module,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly,Standard,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errBuf bytes.Buffer
@@ -146,17 +142,12 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		modPath, modDir := "", ""
-		if t.Module != nil {
-			modPath, modDir = t.Module.Path, t.Module.Dir
-		}
 		pkgs = append(pkgs, &Package{
 			Fset:       fset,
 			Files:      files,
 			ImportPath: t.ImportPath,
 			Types:      tpkg,
 			TypesInfo:  info,
-			SrcDir:     moduleSrcDir(modPath, modDir),
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
@@ -179,8 +170,7 @@ func ParseAbsFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
 }
 
 // TypeCheckFiles type-checks one package's parsed files against imp and
-// wraps the result as a Package ready for Run. The caller may fill in
-// SrcDir afterwards (it defaults to unknown).
+// wraps the result as a Package ready for Run.
 func TypeCheckFiles(fset *token.FileSet, importPath string, files []*ast.File, imp types.Importer) (*Package, error) {
 	tpkg, info, err := typeCheck(fset, importPath, files, imp)
 	if err != nil {
@@ -192,31 +182,7 @@ func TypeCheckFiles(fset *token.FileSet, importPath string, files []*ast.File, i
 		ImportPath: importPath,
 		Types:      tpkg,
 		TypesInfo:  info,
-		SrcDir:     func(string) string { return "" },
 	}, nil
-}
-
-// ModuleSrcDir resolves in-module import paths onto the module directory
-// rooted at modDir; out-of-module paths resolve to "".
-func ModuleSrcDir(modPath, modDir string) func(string) string {
-	return moduleSrcDir(modPath, modDir)
-}
-
-// moduleSrcDir resolves in-module import paths onto the module directory.
-func moduleSrcDir(modPath, modDir string) func(string) string {
-	return func(importPath string) string {
-		if modPath == "" || modDir == "" {
-			return ""
-		}
-		if importPath == modPath {
-			return modDir
-		}
-		rel, ok := strings.CutPrefix(importPath, modPath+"/")
-		if !ok {
-			return ""
-		}
-		return filepath.Join(modDir, filepath.FromSlash(rel))
-	}
 }
 
 // sourceImporter resolves imports for GOPATH-style fixture trees: an
@@ -316,11 +282,5 @@ func LoadSource(root, pkgPath string) (*Package, error) {
 		ImportPath: pkgPath,
 		Types:      tpkg,
 		TypesInfo:  info,
-		SrcDir: func(importPath string) string {
-			if si.local(importPath) {
-				return si.dir(importPath)
-			}
-			return ""
-		},
 	}, nil
 }

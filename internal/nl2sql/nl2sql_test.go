@@ -86,7 +86,7 @@ func TestCalibrationOrdering(t *testing.T) {
 		for _, ex := range dev {
 			db := bench.DB(ex.DBName)
 			c := m.Translate(bench.Name, ex, db, 1)
-			if eval.EX(db, c[0].Stmt, ex.Gold) {
+			if eval.EXContext(context.Background(), db, c[0].Stmt, ex.Gold) {
 				ok++
 			}
 		}
@@ -109,11 +109,11 @@ func TestBeamCeilingAboveTop1(t *testing.T) {
 	for _, ex := range dev {
 		db := bench.DB(ex.DBName)
 		cands := m.Translate(bench.Name, ex, db, 5)
-		if eval.EX(db, cands[0].Stmt, ex.Gold) {
+		if eval.EXContext(context.Background(), db, cands[0].Stmt, ex.Gold) {
 			top1++
 		}
 		for _, c := range cands {
-			if eval.EX(db, c.Stmt, ex.Gold) {
+			if eval.EXContext(context.Background(), db, c.Stmt, ex.Gold) {
 				any5++
 				break
 			}
@@ -130,10 +130,10 @@ func TestScienceDegradation(t *testing.T) {
 	resOK, chessOK := 0, 0
 	for _, ex := range dev {
 		db := sci.DB(ex.DBName)
-		if c := MustByName("resdsql-3b").Translate(sci.Name, ex, db, 1); eval.EX(db, c[0].Stmt, ex.Gold) {
+		if c := MustByName("resdsql-3b").Translate(sci.Name, ex, db, 1); eval.EXContext(context.Background(), db, c[0].Stmt, ex.Gold) {
 			resOK++
 		}
-		if c := MustByName("chess").Translate(sci.Name, ex, db, 1); eval.EX(db, c[0].Stmt, ex.Gold) {
+		if c := MustByName("chess").Translate(sci.Name, ex, db, 1); eval.EXContext(context.Background(), db, c[0].Stmt, ex.Gold) {
 			chessOK++
 		}
 	}
@@ -153,7 +153,7 @@ func TestLLMStyleGapEMvsEX(t *testing.T) {
 		if eval.EM(c[0].Stmt, e.Gold) {
 			em++
 		}
-		if eval.EX(db, c[0].Stmt, e.Gold) {
+		if eval.EXContext(context.Background(), db, c[0].Stmt, e.Gold) {
 			ex++
 		}
 	}
@@ -185,7 +185,7 @@ func TestStyleVariantPreservesExecution(t *testing.T) {
 	for _, ex := range bench.Dev[:80] {
 		db := bench.DB(ex.DBName)
 		variant := styleVariant(db, ex.Gold, rng)
-		if !eval.EX(db, variant, ex.Gold) {
+		if !eval.EXContext(context.Background(), db, variant, ex.Gold) {
 			t.Fatalf("style variant changed execution: %s vs %s", variant.SQL(), ex.GoldSQL)
 		}
 		if variant.SQL() != ex.Gold.SQL() {
@@ -209,7 +209,7 @@ func TestDKDegradation(t *testing.T) {
 		ok := 0
 		for _, ex := range dev {
 			db := b.DB(ex.DBName)
-			if c := m.Translate(b.Name, ex, db, 1); eval.EX(db, c[0].Stmt, ex.Gold) {
+			if c := m.Translate(b.Name, ex, db, 1); eval.EXContext(context.Background(), db, c[0].Stmt, ex.Gold) {
 				ok++
 			}
 		}

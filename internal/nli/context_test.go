@@ -7,7 +7,7 @@ import (
 )
 
 func verdictOf(v bool) Func {
-	return Func{Label: "fixed", Fn: func(string, Premise) bool { return v }}
+	return Func{Label: "fixed", Fn: func(context.Context, string, Premise) bool { return v }}
 }
 
 func TestVerifyContextVerdict(t *testing.T) {
@@ -26,7 +26,7 @@ func TestVerifyContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	v := Func{Label: "observer", Fn: func(string, Premise) bool { called = true; return true }}
+	v := Func{Label: "observer", Fn: func(context.Context, string, Premise) bool { called = true; return true }}
 	if _, err := VerifyContext(ctx, v, "q", Premise{}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

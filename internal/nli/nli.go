@@ -706,26 +706,34 @@ func (p PrebuiltNLI) VerifyContext(_ context.Context, hypothesis string, premise
 }
 
 // Func adapts a closure into a Verifier; the oracle verifier of Table III
-// is built this way from gold-equivalence checks.
+// is built this way from gold-equivalence checks. Fn runs under the
+// verdict's context, so a closure that executes SQL stops when it is
+// cancelled.
 type Func struct {
 	Label string
-	Fn    func(hypothesis string, premise Premise) bool
+	Fn    func(ctx context.Context, hypothesis string, premise Premise) bool
 }
 
 // Name implements Verifier.
 func (f Func) Name() string { return f.Label }
 
-// Score implements Verifier.
+// Score implements Verifier. A score has no context, so Fn runs under
+// context.Background().
 func (f Func) Score(hypothesis string, premise Premise) float64 {
-	if f.Fn(hypothesis, premise) {
+	if f.Fn(context.Background(), hypothesis, premise) {
 		return 1
 	}
 	return 0
 }
 
-// VerifyContext implements Verifier.
-func (f Func) VerifyContext(_ context.Context, hypothesis string, premise Premise) (bool, error) {
-	return f.Fn(hypothesis, premise), nil
+// VerifyContext implements Verifier. A false that Fn returns once ctx is
+// done is reported as ctx's error: a false produced by cancellation is
+// not a verdict.
+func (f Func) VerifyContext(ctx context.Context, hypothesis string, premise Premise) (bool, error) {
+	if f.Fn(ctx, hypothesis, premise) {
+		return true, nil
+	}
+	return false, ctx.Err()
 }
 
 // MarshalTrained serializes a trained verifier: its model and the decision

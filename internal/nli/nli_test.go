@@ -140,7 +140,7 @@ func TestStrawmanVerifiers(t *testing.T) {
 }
 
 func TestFuncVerifier(t *testing.T) {
-	v := Func{Label: "always", Fn: func(string, Premise) bool { return true }}
+	v := Func{Label: "always", Fn: func(context.Context, string, Premise) bool { return true }}
 	if ok, err := v.VerifyContext(context.Background(), "q", Premise{}); !ok || err != nil || v.Score("q", Premise{}) != 1 || v.Name() != "always" {
 		t.Fatal("Func adapter broken")
 	}

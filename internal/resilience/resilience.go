@@ -142,12 +142,6 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// IsPanic reports whether err records a recovered panic.
-func IsPanic(err error) bool {
-	var pe *PanicError
-	return errors.As(err, &pe)
-}
-
 // Retry is a capped exponential backoff policy with deterministic jitter.
 // The zero value performs exactly one attempt (no retries), which is the
 // pre-resilience pipeline behavior.

@@ -40,9 +40,6 @@ func TestMarkTransient(t *testing.T) {
 
 func TestPanicError(t *testing.T) {
 	pe := Recovered("kaboom")
-	if !IsPanic(pe) {
-		t.Fatal("Recovered value must satisfy IsPanic")
-	}
 	if got := pe.Error(); got != "panic: kaboom" {
 		t.Fatalf("Error() = %q", got)
 	}
@@ -53,9 +50,6 @@ func TestPanicError(t *testing.T) {
 	tp := Recovered(MarkTransient(errors.New("injected")))
 	if !IsTransient(tp) {
 		t.Fatal("transient error panic value must stay transient through PanicError")
-	}
-	if IsPanic(errors.New("plain")) {
-		t.Fatal("plain error is not a panic")
 	}
 }
 

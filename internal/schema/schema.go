@@ -126,39 +126,6 @@ func (s *Schema) TableNames() []string {
 	return out
 }
 
-// ResolveColumn finds the table owning an unqualified column name. If the
-// column exists in several tables the first declaration wins; callers that
-// need join-aware resolution pass their own candidate table list.
-func (s *Schema) ResolveColumn(column string, among []string) (table string, col *Column) {
-	names := among
-	if len(names) == 0 {
-		names = s.TableNames()
-	}
-	for _, tn := range names {
-		t := s.Table(tn)
-		if t == nil {
-			continue
-		}
-		if c := t.Column(column); c != nil {
-			return t.Name, c
-		}
-	}
-	return "", nil
-}
-
-// ForeignKeyBetween returns the foreign key linking two tables in either
-// direction, or nil.
-func (s *Schema) ForeignKeyBetween(a, b string) *ForeignKey {
-	for i := range s.ForeignKeys {
-		fk := &s.ForeignKeys[i]
-		if (strings.EqualFold(fk.Table, a) && strings.EqualFold(fk.RefTable, b)) ||
-			(strings.EqualFold(fk.Table, b) && strings.EqualFold(fk.RefTable, a)) {
-			return fk
-		}
-	}
-	return nil
-}
-
 // ForeignKeysFrom returns all foreign keys whose source is the given table.
 func (s *Schema) ForeignKeysFrom(table string) []ForeignKey {
 	var out []ForeignKey
@@ -203,27 +170,6 @@ func (s *Schema) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Serialize renders the schema in the compact prompt format used by the
-// paper's few-shot LLM prompt ("Table Player with columns 'pID', ...").
-func (s *Schema) Serialize() string {
-	var b strings.Builder
-	for _, t := range s.Tables {
-		b.WriteString("Table ")
-		b.WriteString(t.Name)
-		b.WriteString(" with columns ")
-		for i, c := range t.Columns {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString("'")
-			b.WriteString(c.Name)
-			b.WriteString("'")
-		}
-		b.WriteString(";\n")
-	}
-	return b.String()
 }
 
 // Naturalize converts a SQL identifier into an NL surface form:

@@ -72,29 +72,8 @@ func TestLookupsCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestResolveColumn(t *testing.T) {
+func TestForeignKeysFrom(t *testing.T) {
 	s := testSchema()
-	tbl, col := s.ResolveColumn("year", nil)
-	if tbl != "Concert" || col == nil {
-		t.Fatalf("ResolveColumn year = %q", tbl)
-	}
-	tbl, _ = s.ResolveColumn("singer_id", []string{"Singer_in_concert"})
-	if tbl != "Singer_in_concert" {
-		t.Fatalf("scoped resolve = %q", tbl)
-	}
-	if tbl, col := s.ResolveColumn("ghost", nil); tbl != "" || col != nil {
-		t.Fatal("missing column must resolve empty")
-	}
-}
-
-func TestForeignKeyBetween(t *testing.T) {
-	s := testSchema()
-	if s.ForeignKeyBetween("Concert", "Singer_in_concert") == nil {
-		t.Fatal("FK lookup must work in both directions")
-	}
-	if s.ForeignKeyBetween("Concert", "Singer") != nil {
-		t.Fatal("no direct FK between Concert and Singer")
-	}
 	if n := len(s.ForeignKeysFrom("Singer_in_concert")); n != 2 {
 		t.Fatalf("ForeignKeysFrom = %d", n)
 	}
@@ -160,15 +139,6 @@ func TestAppendNaturalMatchesNaturalize(t *testing.T) {
 		if got, want := string(AppendNatural([]byte("p:"), in)), "p:"+Naturalize(in); got != want {
 			t.Errorf("AppendNatural(%q) = %q want %q", in, got, want)
 		}
-	}
-}
-
-func TestSerializePromptFormat(t *testing.T) {
-	s := testSchema()
-	out := s.Serialize()
-	want := "Table Concert with columns 'id', 'name', 'year';"
-	if got := out[:len(want)]; got != want {
-		t.Fatalf("Serialize first line = %q", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,7 +29,7 @@ var update = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // accept is the zero-cost verifier the protocol tests use; the parity
 // test uses the real trained verifier instead.
-var accept = nli.Func{Label: "accept", Fn: func(string, nli.Premise) bool { return true }}
+var accept = nli.Func{Label: "accept", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 
 // isolatedBench clones one Spider database into a fresh single-tenant
 // benchmark, so tests that write (or that assert on snapshot epochs)

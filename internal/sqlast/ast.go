@@ -8,11 +8,7 @@
 // normalizer canonicalizes it.
 package sqlast
 
-import (
-	"strings"
-
-	"cyclesql/internal/sqltypes"
-)
+import "cyclesql/internal/sqltypes"
 
 // CompoundOp is a set operation joining two SELECT cores.
 type CompoundOp string
@@ -393,18 +389,8 @@ func (c *SelectCore) ColumnRefs() []*ColumnRef {
 	return refs
 }
 
-// Simple reports whether the statement is a single core without set
-// operations.
-func (s *SelectStmt) Simple() bool { return len(s.Cores) == 1 }
-
 // Core returns the first core; most rewrites operate on simple statements.
 func (s *SelectStmt) Core() *SelectCore { return s.Cores[0] }
 
 // Wrap builds a one-core statement.
 func Wrap(core *SelectCore) *SelectStmt { return &SelectStmt{Cores: []*SelectCore{core}} }
-
-// EqualSQL reports whether two statements render to the same SQL text,
-// ignoring case. It is a syntactic identity check, not an EM judgment.
-func EqualSQL(a, b *SelectStmt) bool {
-	return strings.EqualFold(a.SQL(), b.SQL())
-}

@@ -161,17 +161,6 @@ func TestCompoundSQL(t *testing.T) {
 	if got := stmt.SQL(); got != "SELECT a FROM t INTERSECT SELECT b FROM u" {
 		t.Fatalf("compound SQL = %q", got)
 	}
-	if stmt.Simple() {
-		t.Fatal("two cores are not simple")
-	}
-}
-
-func TestEqualSQL(t *testing.T) {
-	a := Wrap(&SelectCore{Items: []SelectItem{{Expr: Col("A")}}, From: &FromClause{Base: TableRef{Name: "T"}}})
-	b := Wrap(&SelectCore{Items: []SelectItem{{Expr: Col("a")}}, From: &FromClause{Base: TableRef{Name: "t"}}})
-	if !EqualSQL(a, b) {
-		t.Fatal("EqualSQL must ignore case")
-	}
 }
 
 func TestCloneExprNil(t *testing.T) {

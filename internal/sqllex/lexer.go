@@ -28,7 +28,8 @@
 // is always the token's start offset in the original input — even for
 // tokens following escaped string literals, whose Text is shorter than
 // the source span it covers. The seed implementation this replaces
-// lives on as the differential-test oracle in internal/sqloracle.
+// lives on as the differential-test oracle in internal/frontdiff's
+// seed*_test.go files.
 package sqllex
 
 import (

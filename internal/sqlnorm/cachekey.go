@@ -11,8 +11,8 @@ import (
 // form into a pooled buffer, so nothing is cloned, and interns the
 // finished key in a bounded table, so the warm path returns a shared
 // string without allocating. The differential suites in
-// internal/frontdiff hold the key byte-identical to the seed oracle in
-// internal/sqloracle, which clones, rewrites and re-renders instead.
+// internal/frontdiff hold the key byte-identical to the seed oracle
+// preserved there, which clones, rewrites and re-renders instead.
 
 // keyBufs recycles the buffer a key is built in.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}

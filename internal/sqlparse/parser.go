@@ -27,8 +27,8 @@
 //     parse, render the key, discard.
 //
 // The seed front end this replaces survives verbatim in
-// internal/sqloracle; the differential suites in internal/frontdiff
-// hold this parser bit-identical to it.
+// internal/frontdiff's seed*_test.go files; the differential suites
+// there hold this parser bit-identical to it.
 package sqlparse
 
 import (

@@ -1,9 +1,6 @@
 package sqltypes
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Row is a single tuple of values.
 type Row []Value
@@ -89,20 +86,6 @@ func (r *Relation) Clone() *Relation {
 		out.Rows[i] = row.Clone()
 	}
 	return out
-}
-
-// SortRows orders rows by the total value order, column by column. It is
-// used to canonicalize relations for display and diffing, not for ORDER BY.
-func (r *Relation) SortRows() {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if c := Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(a) < len(b)
-	})
 }
 
 // BagEqual reports whether two relations contain the same multiset of rows,

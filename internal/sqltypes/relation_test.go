@@ -90,18 +90,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSortRowsCanonical(t *testing.T) {
-	r := rel([]string{"x", "y"},
-		Row{NewInt(2), NewText("b")},
-		Row{NewInt(1), NewText("z")},
-		Row{NewInt(2), NewText("a")},
-	)
-	r.SortRows()
-	if r.Rows[0][0].Int() != 1 || r.Rows[1][1].Text() != "a" || r.Rows[2][1].Text() != "b" {
-		t.Fatalf("sort order wrong: %v", r.Rows)
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	r := rel([]string{"name", "n"}, Row{NewText("Aruba"), NewInt(4)})
 	s := r.String()

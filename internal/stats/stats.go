@@ -114,19 +114,3 @@ func (c Column) interpolate(lo, hi *sqltypes.Value) (float64, bool) {
 	}
 	return (hiF - loF) / width, true
 }
-
-// Selectivity returns est/Rows clamped to [0, 1] — the fraction of the
-// table an estimated row count represents.
-func (c Column) Selectivity(est float64) float64 {
-	if c.Rows == 0 {
-		return 0
-	}
-	s := est / float64(c.Rows)
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}

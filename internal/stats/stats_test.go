@@ -83,16 +83,3 @@ func TestRangeRowsDegenerateSpan(t *testing.T) {
 		t.Fatalf("unbounded over degenerate span = %v, want 10", got)
 	}
 }
-
-func TestSelectivity(t *testing.T) {
-	c := numCol(200, 200, 10, 0, 9)
-	if got := c.Selectivity(20); got != 0.1 {
-		t.Fatalf("Selectivity = %v, want 0.1", got)
-	}
-	if got := c.Selectivity(1e9); got != 1 {
-		t.Fatalf("Selectivity must clamp to 1, got %v", got)
-	}
-	if got := (Column{}).Selectivity(5); got != 0 {
-		t.Fatalf("Selectivity over zero rows = %v, want 0", got)
-	}
-}

@@ -387,18 +387,6 @@ func (s *Scratch) AppendNumbers(dst, toks []string) []string {
 	return dst
 }
 
-// Bigrams returns adjacent token pairs joined with '_'.
-func Bigrams(toks []string) []string {
-	if len(toks) < 2 {
-		return nil
-	}
-	out := make([]string, 0, len(toks)-1)
-	for i := 0; i+1 < len(toks); i++ {
-		out = append(out, toks[i]+"_"+toks[i+1])
-	}
-	return out
-}
-
 // Jaccard computes set overlap of two token lists.
 func Jaccard(a, b []string) float64 {
 	a, b = sortedSet(a), sortedSet(b)

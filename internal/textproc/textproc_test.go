@@ -122,17 +122,6 @@ func TestNumbers(t *testing.T) {
 	}
 }
 
-func TestBigrams(t *testing.T) {
-	got := Bigrams([]string{"a", "b", "c"})
-	want := []string{"a_b", "b_c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Bigrams = %v", got)
-	}
-	if Bigrams([]string{"x"}) != nil {
-		t.Fatal("single token has no bigrams")
-	}
-}
-
 func TestJaccardAndRecall(t *testing.T) {
 	a := []string{"x", "y"}
 	b := []string{"y", "z"}
