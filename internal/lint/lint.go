@@ -9,14 +9,16 @@
 //
 // The framework is stdlib-only by design: the build environment bakes in
 // no module dependencies, so analyzers run on go/ast + go/types directly.
-// Packages are loaded either from `go list -export` output (the vetcycle
-// binary, over the real module) or from GOPATH-style testdata trees (the
-// linttest fixture harness). The x/tools surface is mirrored closely
-// enough that a future migration to the real framework is mechanical.
+// Packages are loaded either by LoadPackages, from `go list -export`
+// output over the real module (the vetcycle binary), or by LoadSource,
+// from GOPATH-style testdata trees (the linttest fixture harness). The
+// x/tools surface is mirrored closely enough that a future migration to
+// the real framework is mechanical.
 //
-// Analyzers check library code only: files named *_test.go and external
-// test packages are skipped, because the invariants govern what ships —
-// tests deliberately poke at sleeps and raw maps.
+// Analyzers check library code only: both loaders read a package's
+// non-test files alone, so *_test.go files and external test packages
+// never reach Run. The invariants govern what ships — tests deliberately
+// poke at sleeps and raw maps.
 //
 // A finding that is deliberate is suppressed in source with a directive
 // comment on the offending line or the line above it:
@@ -97,33 +99,12 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a subset of the suite by analyzer name.
-func ByName(names ...string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // Run applies the analyzers to pkg and returns the surviving diagnostics
-// in source order: findings in _test.go files are dropped (the suite
-// governs library code), and findings silenced by a well-formed
-// //vetcycle:allow directive are filtered out. Malformed directives
-// (no justification, unknown analyzer) are reported as findings in their
-// own right so a suppression cannot rot silently.
+// in source order: findings silenced by a well-formed //vetcycle:allow
+// directive are filtered out. Malformed directives (no justification,
+// unknown analyzer) are reported as findings in their own right so a
+// suppression cannot rot silently.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	if strings.HasSuffix(pkg.Types.Name(), "_test") {
-		return nil, nil
-	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -142,11 +123,7 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	diags = append(diags, bad...)
 	kept := diags[:0]
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		if strings.HasSuffix(pos.Filename, "_test.go") {
-			continue
-		}
-		if allow.covers(pos, d.Analyzer) {
+		if allow.covers(pkg.Fset.Position(d.Pos), d.Analyzer) {
 			continue
 		}
 		kept = append(kept, d)

@@ -67,16 +67,3 @@ func TestDirectiveHygiene(t *testing.T) {
 		"cyclesql/internal/badallow",
 	)
 }
-
-func TestByName(t *testing.T) {
-	got, err := lint.ByName("ctxflow", "nosleep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "ctxflow" || got[1].Name != "nosleep" {
-		t.Fatalf("ByName returned %v", got)
-	}
-	if _, err := lint.ByName("nope"); err == nil {
-		t.Fatal("ByName(nope) should fail")
-	}
-}

@@ -41,7 +41,7 @@ func typeCheck(fset *token.FileSet, importPath string, files []*ast.File, imp ty
 	return pkg, info, nil
 }
 
-// parseDir parses every listed file in dir into fset, comments included.
+// parseFiles parses every listed file in dir into fset, comments included.
 func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
@@ -89,7 +89,9 @@ type listedPackage struct {
 // `go list -export`, so no package is type-checked from source more than
 // once and no network or module download is involved; the target packages
 // themselves are parsed and type-checked from source with comments, which
-// is what the analyzers inspect.
+// is what the analyzers inspect. Only each package's GoFiles are read, so
+// _test.go files and external test packages are never loaded: that is how
+// the suite exempts tests.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly,Standard,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -152,37 +154,6 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
-}
-
-// ParseAbsFiles parses the given absolute file paths into fset, comments
-// included. cmd/vetcycle uses it in vet-tool mode, where the config lists
-// the package's files by absolute path.
-func ParseAbsFiles(fset *token.FileSet, paths []string) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, p := range paths {
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// TypeCheckFiles type-checks one package's parsed files against imp and
-// wraps the result as a Package ready for Run.
-func TypeCheckFiles(fset *token.FileSet, importPath string, files []*ast.File, imp types.Importer) (*Package, error) {
-	tpkg, info, err := typeCheck(fset, importPath, files, imp)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{
-		Fset:       fset,
-		Files:      files,
-		ImportPath: importPath,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}, nil
 }
 
 // sourceImporter resolves imports for GOPATH-style fixture trees: an

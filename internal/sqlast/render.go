@@ -69,17 +69,6 @@ func AppendCanonicalSQL(dst []byte, s *SelectStmt) []byte {
 	return dst
 }
 
-// SQL renders a single SELECT core. Like SelectStmt.SQL, the rendering is
-// deterministic, so it doubles as a memoization key for per-core caches
-// (the provenance tracker keys its rewrite cache on it).
-func (c *SelectCore) SQL() string {
-	bp := renderBufs.Get().(*[]byte)
-	*bp = c.AppendSQL((*bp)[:0])
-	out := string(*bp)
-	renderBufs.Put(bp)
-	return out
-}
-
 // AppendSQL appends the core's SQL rendering to dst.
 func (c *SelectCore) AppendSQL(dst []byte) []byte { return verbatim.appendCore(dst, c) }
 
@@ -88,9 +77,6 @@ func (it SelectItem) SQL() string { return string(it.AppendSQL(nil)) }
 
 // AppendSQL appends the projection item's SQL rendering to dst.
 func (it SelectItem) AppendSQL(dst []byte) []byte { return verbatim.appendItem(dst, it) }
-
-// SQL renders a table reference.
-func (t TableRef) SQL() string { return string(t.AppendSQL(nil)) }
 
 // AppendSQL appends the table reference's SQL rendering to dst.
 func (t TableRef) AppendSQL(dst []byte) []byte { return verbatim.appendTableRef(dst, t) }

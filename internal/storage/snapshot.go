@@ -67,9 +67,6 @@ func (s *Snapshot) Table(name string) *sqltypes.Relation { return s.db.Table(nam
 // NumRows returns the pinned row count of a table.
 func (s *Snapshot) NumRows(table string) int { return s.db.NumRows(table) }
 
-// TotalRows returns the pinned row count across all tables.
-func (s *Snapshot) TotalRows() int { return s.db.TotalRows() }
-
 // Epoch returns the database's current version: it advances on every
 // snapshot and on every write (Insert, Mutate), so a reader holding a
 // Snapshot knows its view is current exactly when the epochs match.
