@@ -83,9 +83,8 @@ func main() {
 
 	bench := datasets.Spider()
 
-	// Resolve the question (or, for -all, the database) before the
-	// expensive verifier training, so a typo'd -q or -db exits with usage
-	// help immediately instead of after a full training run.
+	// Resolve the question (or, for -all, the database) before loading
+	// the verifier, so a typo'd -q or -db exits with usage help at once.
 	var found *datasets.Example
 	if !*all {
 		// The simulated models translate benchmark examples; find the one

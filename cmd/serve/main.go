@@ -19,8 +19,10 @@
 //
 // The shared cliconf flags (-parallel, -retries, -breaker, -fault-*,
 // -dev, -train, -beam, ...) mean exactly what they mean on cmd/cyclesql
-// and cmd/benchmark. SIGINT or SIGTERM drains in-flight requests and
-// exits 0; a second signal kills the process immediately.
+// and cmd/benchmark. At the default -train the server loads the frozen
+// verifier; any other -train trains one at start. SIGINT or SIGTERM
+// drains in-flight requests and exits 0; a second signal kills the
+// process immediately.
 package main
 
 import (
@@ -66,7 +68,7 @@ func main() {
 	}
 	built := opts.Build()
 
-	fmt.Fprintln(os.Stderr, "training verifier...")
+	fmt.Fprintln(os.Stderr, "preparing verifier...")
 	var verifier nli.Verifier = experiments.Verifier(built.Limits)
 	if *verifierLatency > 0 {
 		verifier = nli.Latency{V: verifier, D: *verifierLatency}

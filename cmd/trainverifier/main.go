@@ -3,6 +3,13 @@
 // pair accuracy, and optionally saves the model and its calibrated
 // threshold as JSON (nli.UnmarshalTrained reads it back).
 //
+// It is a study tool: it holds out the last 15% of the pairs and
+// harvests negatives from every simulated model, so its -out file is not
+// the verifier the other commands serve. That one is
+// internal/experiments/verifier.json, regenerated with
+//
+//	go test ./internal/experiments -run TestFrozenVerifier -update
+//
 // Usage:
 //
 //	trainverifier -train 500 -out verifier.json

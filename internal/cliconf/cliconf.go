@@ -106,7 +106,7 @@ func (o *Options) BindBeam(fs *flag.FlagSet) {
 // cmd/serve; 0 = the full split).
 func (o *Options) BindTraining(fs *flag.FlagSet) {
 	fs.IntVar(&o.Dev, "dev", o.Dev, "max dev examples per benchmark (0 = all)")
-	fs.IntVar(&o.Train, "train", o.Train, "max train examples for verifier training (0 = all)")
+	fs.IntVar(&o.Train, "train", o.Train, "max train examples for verifier training (0 = all; the default loads the frozen verifier)")
 }
 
 // Validate rejects option combinations no binary can run: negative

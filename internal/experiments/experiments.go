@@ -33,6 +33,7 @@ package experiments
 
 import (
 	"context"
+	_ "embed"
 	"fmt"
 	"strings"
 	"sync"
@@ -123,7 +124,17 @@ var DefaultLimits = Limits{
 	},
 }
 
-// verifier training is the expensive shared step; cache per config key.
+// frozenVerifier is the default verifier, trained at DefaultLimits' config
+// on data-grounded premises, as nli.MarshalTrained wrote it.
+// TestFrozenVerifier holds it to a fresh training; regenerate it with
+//
+//	go test ./internal/experiments -run TestFrozenVerifier -update
+//
+//go:embed verifier.json
+var frozenVerifier []byte
+
+// verifierCache holds every verifier a process has loaded or trained,
+// keyed by verifierKey.
 var (
 	verifierMu    sync.Mutex
 	verifierCache = map[string]*nli.Trained{}
@@ -131,30 +142,51 @@ var (
 
 // Verifier returns the frozen verifier trained on the Spider train split
 // (the paper trains once and freezes it for all robustness benchmarks).
+// At DefaultLimits' training config it loads the checked-in model.
 func Verifier(lim Limits) *nli.Trained { return trainedVerifier(lim, nil) }
 
-// trainedVerifier trains a verifier on the premises fb generates (nil
-// means data-grounded), once per training config and feedback, and
-// caches it for every later caller.
+// trainedVerifier returns the verifier trained on the premises fb
+// generates (nil means data-grounded), once per training config and
+// feedback, and caches it for every later caller. The default config
+// with data-grounded premises loads frozenVerifier; every other config
+// trains.
 func trainedVerifier(lim Limits, fb core.Feedback) *nli.Trained {
 	if fb == nil {
 		fb = core.NewDataGrounded()
 	}
-	key := fmt.Sprintf("%d-%s-%s", lim.MaxTrain, strings.Join(lim.TrainModels, ","), fb.Name())
+	key := verifierKey(lim, fb)
 	verifierMu.Lock()
 	defer verifierMu.Unlock()
 	if v, ok := verifierCache[key]; ok {
 		return v
 	}
-	// Collection runs under a background context on purpose: cancelling
-	// one experiment's context must not cache a partly trained verifier
-	// for the rest.
-	v := core.TrainVerifier(context.Background(), datasets.Spider(),
+	var v *nli.Trained
+	if key == verifierKey(DefaultLimits, core.NewDataGrounded()) {
+		var err error
+		if v, err = nli.UnmarshalTrained(frozenVerifier); err != nil {
+			panic("experiments: embedded verifier.json: " + err.Error())
+		}
+	} else {
+		v = trainVerifier(lim, fb)
+	}
+	verifierCache[key] = v
+	return v
+}
+
+// verifierKey names a training config: every field trainVerifier reads.
+func verifierKey(lim Limits, fb core.Feedback) string {
+	return fmt.Sprintf("%d-%s-%s", lim.MaxTrain, strings.Join(lim.TrainModels, ","), fb.Name())
+}
+
+// trainVerifier runs the §IV-D protocol at the limits' training config
+// on the premises fb generates. Collection runs under a background
+// context on purpose: cancelling one experiment's context must not cache
+// a partly trained verifier for the rest.
+func trainVerifier(lim Limits, fb core.Feedback) *nli.Trained {
+	return core.TrainVerifier(context.Background(), datasets.Spider(),
 		core.TrainDataConfig{Models: lim.TrainModels, MaxExamples: lim.MaxTrain, Seed: 1, Feedback: fb},
 		nli.TrainConfig{Seed: 2},
 	)
-	verifierCache[key] = v
-	return v
 }
 
 // devSlice bounds a dev split.

@@ -12,7 +12,7 @@ import (
 	"cyclesql/internal/experiments"
 )
 
-var updatePaper = flag.Bool("update", false, "rewrite the paper golden")
+var updatePaper = flag.Bool("update", false, "rewrite the paper golden and the frozen verifier")
 
 const paperGolden = "testdata/paper.golden"
 

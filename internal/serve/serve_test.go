@@ -28,7 +28,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden fixtures")
 
 // accept is the zero-cost verifier the protocol tests use; the parity
-// test uses the real trained verifier instead.
+// test uses the frozen default verifier instead.
 var accept = nli.Func{Label: "accept", Fn: func(context.Context, string, nli.Premise) bool { return true }}
 
 // isolatedBench clones one Spider database into a fresh single-tenant
@@ -259,13 +259,11 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestHTTPDirectParity drives every dev question (capped at 200) through
-// the HTTP layer and through Pipeline.Translate directly, with the real
-// trained verifier, and requires bit-identical verdicts — the serving
-// layer must add transport, not behavior.
+// the HTTP layer and through Pipeline.Translate directly, with the frozen
+// default verifier, and requires bit-identical verdicts — the serving
+// layer must add transport, not behavior. It loads the verifier rather
+// than training it, so it runs under -short too (0.5 s on two cores).
 func TestHTTPDirectParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains the full verifier")
-	}
 	bench := datasets.Spider()
 	lim := experiments.DefaultLimits
 	verifier := experiments.Verifier(lim)
