@@ -82,8 +82,9 @@ type Feedback interface {
 // use.
 type DataGrounded struct {
 	// explainers is bounded because test-suite distillation can sweep many
-	// short-lived database clones through one feedback.
-	explainers boundedCache[*storage.Database, *explain.Explainer]
+	// short-lived database clones through one feedback, and keeps only the
+	// newest snapshot view of a live store so stale views can be collected.
+	explainers boundedCache[*explain.Explainer]
 }
 
 // NewDataGrounded returns a DataGrounded feedback, the same as
@@ -94,7 +95,7 @@ func NewDataGrounded() *DataGrounded { return &DataGrounded{} }
 func (*DataGrounded) Name() string { return "cyclesql" }
 
 func (d *DataGrounded) explainer(db *storage.Database) *explain.Explainer {
-	return d.explainers.getOrCreate(db, func() *explain.Explainer { return explain.New(db) })
+	return d.explainers.get(db, explain.New)
 }
 
 // Premise implements Feedback. It is safe for concurrent use: the cached
@@ -192,12 +193,13 @@ type Pipeline struct {
 	// means single attempts and no breakers — the pre-resilience loop.
 	Resilience *resilience.Policy
 
-	// execs keeps one executor per database alive across Translate calls.
-	// Beam candidates are fresh ASTs per call, but their SQL text recurs
+	// execs keeps one executor per database alive across Translate calls
+	// (per live store for snapshot views: the newest view's). Beam
+	// candidates are fresh ASTs per call, but their SQL text recurs
 	// across beams, and the executor's plan cache is keyed by canonical
 	// SQL — so a persistent executor skips recompiling them even when the
 	// caller interleaves examples from different databases.
-	execs boundedCache[*storage.Database, *sqleval.Executor]
+	execs boundedCache[*sqleval.Executor]
 	// feedback is the data-grounded feedback a nil Feedback resolves to.
 	feedback DataGrounded
 }
@@ -236,7 +238,7 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 	// calls, so textually recurring candidates reuse compiled plans (the
 	// cache is keyed by canonical SQL, not AST identity). The executor is
 	// safe for concurrent Run, so speculative workers share it.
-	executor := p.execs.getOrCreate(db, func() *sqleval.Executor { return sqleval.New(db) })
+	executor := p.Executor(db)
 	p.run(ctx, res, ex.Question, db, fb, executor, candidates)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -251,6 +253,14 @@ func (p *Pipeline) Translate(ctx context.Context, ex datasets.Example, db *stora
 		p.Resilience.Collect().AddDegraded()
 	}
 	return res, nil
+}
+
+// Executor returns the pipeline's warm executor for db, the one Translate
+// runs candidates on, creating it on first use. For a snapshot view older
+// than the newest one the pipeline has seen, it is a fresh executor that
+// the pipeline does not keep.
+func (p *Pipeline) Executor(db *storage.Database) *sqleval.Executor {
+	return p.execs.get(db, sqleval.New)
 }
 
 // beam produces the candidate list, running the model's inference as the

@@ -59,20 +59,20 @@ func TestNewDefaultsMatchPaperSettings(t *testing.T) {
 		if res.Premises[0].Explanation == "" {
 			t.Fatalf("translate %d: top-1 candidate got no data-grounded premise: %+v", i, res.Errors[0])
 		}
-		if len(p.execs.m) != 1 {
-			t.Fatalf("translate %d: %d cached executors, want 1", i, len(p.execs.m))
+		if n := cachedEntries(&p.execs); n != 1 {
+			t.Fatalf("translate %d: %d cached executors, want 1", i, n)
 		}
-		execs[i] = p.execs.m[db]
+		execs[i] = p.Executor(db)
 	}
 	if execs[0] == nil || execs[0] != execs[1] {
 		t.Fatal("two Translate calls on one database must reuse one executor")
 	}
 
 	fb := &p.feedback
-	if len(fb.explainers.m) != 1 || fb.explainers.m[db] == nil {
-		t.Fatalf("the default feedback cached %d explainers, want one for the database", len(fb.explainers.m))
+	if n := cachedEntries(&fb.explainers); n != 1 {
+		t.Fatalf("the default feedback cached %d explainers, want one for the database", n)
 	}
-	if e := fb.explainer(db); e != fb.explainer(db) || e != fb.explainers.m[db] {
+	if e := fb.explainer(db); e == nil || e != fb.explainer(db) {
 		t.Fatal("the default feedback must hand out one explainer per database")
 	}
 
@@ -119,7 +119,7 @@ func TestOptionsApply(t *testing.T) {
 	if n := fb.calls.Load(); n < int64(len(res.Premises)) || len(res.Premises) == 0 {
 		t.Fatalf("feedback wrote %d premises, the loop examined %d", n, len(res.Premises))
 	}
-	if fb.Name() != "sql2nl" || len(p.feedback.explainers.m) != 0 {
+	if fb.Name() != "sql2nl" || cachedEntries(&p.feedback.explainers) != 0 {
 		t.Fatal("a set Feedback must replace the pipeline's data-grounded feedback")
 	}
 	if pol.Stats().Attempts == 0 {

@@ -108,48 +108,63 @@ func TestConcurrentTranslateStress(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheConcurrent drives getOrCreate from many goroutines
-// across the eviction limit — the race that exists for any caller sharing
-// a Pipeline across goroutines, fixed by the cache's mutex — and checks
-// the bound holds.
+// TestBoundedCacheConcurrent drives get from many goroutines across the
+// eviction limit of both keyspaces — the race that exists for any caller
+// sharing a Pipeline across goroutines, fixed by the cache's mutex — and
+// checks each bound holds.
 func TestBoundedCacheConcurrent(t *testing.T) {
-	var c boundedCache[int, int]
+	src := datasets.Spider().DB(datasets.Spider().Dev[0].DBName)
+	stores := make([]*storage.Database, maxCachedPerDB+4) // cross the eviction limit on purpose
+	views := make([]*storage.Database, len(stores))
+	for i := range stores {
+		stores[i] = storage.NewDatabase(src.Schema)
+		views[i] = stores[i].Snapshot().DB()
+	}
+	var c boundedCache[*storage.Database]
+	self := func(db *storage.Database) *storage.Database { return db }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := (g + i) % (maxCachedPerDB + 4) // cross the eviction limit on purpose
-				if got := c.getOrCreate(k, func() int { return g }); got > 8 {
-					t.Errorf("impossible created value %d", got)
+				k := (g + i) % len(stores)
+				if got := c.get(stores[k], self); got != stores[k] {
+					t.Errorf("store %d: cached value belongs to another database", k)
+				}
+				if got := c.get(views[k], self); got != views[k] {
+					t.Errorf("view %d: cached value belongs to another database", k)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(c.m) > maxCachedPerDB {
-		t.Fatalf("cache holds %d entries, bound is %d", len(c.m), maxCachedPerDB)
+	if len(c.m) > maxCachedPerDB || len(c.views) > maxCachedPerDB {
+		t.Fatalf("cache holds %d stores and %d views, bound is %d each", len(c.m), len(c.views), maxCachedPerDB)
 	}
 }
 
 // TestBoundedCacheGetOrCreateShares asserts the atomicity that matters to
-// the loop: concurrent cold-key callers must all observe one value.
+// the loop: concurrent cold-key callers must all observe one value, for a
+// database and for a snapshot view alike.
 func TestBoundedCacheGetOrCreateShares(t *testing.T) {
-	var c boundedCache[string, *int]
-	var wg sync.WaitGroup
-	results := make([]*int, 16)
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = c.getOrCreate("k", func() *int { return new(int) })
-		}(g)
-	}
-	wg.Wait()
-	for _, r := range results[1:] {
-		if r != results[0] {
-			t.Fatal("getOrCreate handed different values to concurrent callers")
+	live := storage.NewDatabase(datasets.Spider().DB(datasets.Spider().Dev[0].DBName).Schema)
+	for _, db := range []*storage.Database{live, live.Snapshot().DB()} {
+		var c boundedCache[*int]
+		var wg sync.WaitGroup
+		results := make([]*int, 16)
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				results[g] = c.get(db, func(*storage.Database) *int { return new(int) })
+			}(g)
+		}
+		wg.Wait()
+		for _, r := range results[1:] {
+			if r != results[0] {
+				t.Fatal("get handed different values to concurrent callers")
+			}
 		}
 	}
 }

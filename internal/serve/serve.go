@@ -38,7 +38,6 @@ import (
 	"cyclesql/internal/nli"
 	"cyclesql/internal/sqleval"
 	"cyclesql/internal/sqlparse"
-	"cyclesql/internal/storage"
 )
 
 // Config assembles a Server. Bench and Verifier are required; zero
@@ -343,15 +342,17 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		Candidates:     len(res.Candidates),
 		SnapshotEpoch:  snap.Epoch(),
 		OverheadMicros: res.Overhead.Microseconds(),
-		Plan:           s.explainPlan(ctx, req, res.FinalSQL, snap),
+		Plan:           explainPlan(ctx, req, res.FinalSQL, pipeline.Executor(snap.DB())),
 	})
 }
 
-// explainPlan renders the final SQL's plan against the request's pinned
-// snapshot when the request asked for it. Best-effort on purpose: a
+// explainPlan renders the final SQL's plan on exec when the request asked
+// for it. exec is the warm executor the request's pipeline ran the loop
+// on for the pinned snapshot, so the final SQL's plan and the indexes it
+// probes are usually built already. Best-effort on purpose: a
 // translation that verified must not turn into an error because its plan
 // could not be rendered, so any failure here just omits the field.
-func (s *Server) explainPlan(ctx context.Context, req TranslateRequest, finalSQL string, snap *storage.Snapshot) string {
+func explainPlan(ctx context.Context, req TranslateRequest, finalSQL string, exec *sqleval.Executor) string {
 	if !req.Explain || finalSQL == "" {
 		return ""
 	}
@@ -359,7 +360,7 @@ func (s *Server) explainPlan(ctx context.Context, req TranslateRequest, finalSQL
 	if err != nil {
 		return ""
 	}
-	plan, err := sqleval.New(snap.DB()).ExplainPlan(ctx, stmt)
+	plan, err := exec.ExplainPlan(ctx, stmt)
 	if err != nil {
 		return ""
 	}

@@ -22,6 +22,9 @@ import (
 	"cyclesql/internal/experiments"
 	"cyclesql/internal/nl2sql"
 	"cyclesql/internal/nli"
+	"cyclesql/internal/sqleval"
+	"cyclesql/internal/sqlparse"
+	"cyclesql/internal/sqltypes"
 	"cyclesql/internal/storage"
 )
 
@@ -408,6 +411,46 @@ func TestClientDisconnectAbortsWork(t *testing.T) {
 	}
 	t.Fatalf("disconnect not drained: inflight=%d canceled=%d",
 		srv.metrics.inflight.Load(), srv.metrics.canceled.Load())
+}
+
+// TestExplainPlanMatchesFreshExecutor checks that the plan an explain
+// request renders on its pipeline's warm executor is byte-identical to
+// the one a fresh executor renders on the request's snapshot, across
+// repeated questions (the final SQL's plan already cached) and across a
+// write that re-pins the snapshot half-way.
+func TestExplainPlanMatchesFreshExecutor(t *testing.T) {
+	bench := isolatedBench(t, "world_1")
+	srv := New(Config{Bench: bench, Verifier: accept})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	dev := bench.Dev
+	for i, ex := range dev {
+		if i == len(dev)/2 {
+			bench.DB("world_1").Mutate(func(string, sqltypes.Row) {})
+		}
+		for range 2 {
+			status, _, body := post(t, ts, "/v1/world_1/translate",
+				fmt.Sprintf(`{"question": %q, "explain": true}`, ex.Question))
+			if status != 200 {
+				t.Fatalf("status = %d: %s", status, body)
+			}
+			var got TranslateResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			snap := srv.tenants["world_1"].snap.Load()
+			if snap.Epoch() != got.SnapshotEpoch {
+				t.Fatalf("%q answered on epoch %d, the tenant holds %d", ex.Question, got.SnapshotEpoch, snap.Epoch())
+			}
+			want, err := sqleval.New(snap.DB()).ExplainPlan(context.Background(), sqlparse.MustParse(got.SQL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Plan != want {
+				t.Fatalf("%q: warm-executor plan differs from a fresh executor's:\n got %s\nwant %s", ex.Question, got.Plan, want)
+			}
+		}
+	}
 }
 
 // TestTranslateExplain exercises the explain field: a request with

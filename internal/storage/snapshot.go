@@ -57,8 +57,9 @@ func (s *Snapshot) DB() *Database { return s.db }
 
 // Epoch returns the database epoch at which the snapshot was taken. The
 // serving layer compares it against Database.Epoch() to decide whether a
-// cached snapshot (and the warm executor caches keyed by its view) is
-// still current.
+// cached snapshot is still current; the warm executor and explainer
+// caches compare the epochs of two views of one store (Database.Origin)
+// to keep only the newer one's entry.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Table returns the pinned relation for a table name, or nil.
@@ -76,6 +77,12 @@ func (db *Database) Epoch() uint64 {
 	return db.epoch
 }
 
+// Origin returns the live store a snapshot view was pinned from, or nil
+// when db is not a view. Every view of one store shares its origin, and a
+// newer view has a higher Epoch, so a cache keyed by the origin can hold
+// the newest view's entry alone.
+func (db *Database) Origin() *Database { return db.origin }
+
 // Snapshot pins an immutable point-in-time view of the database in
 // O(tables + built indexes) — no row is copied now or later on behalf of
 // this snapshot; the first writer to touch a table pays a one-time
@@ -86,13 +93,13 @@ func (db *Database) Epoch() uint64 {
 func (db *Database) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.frozen {
+	if db.origin != nil {
 		return &Snapshot{db: db, epoch: db.epoch}
 	}
 	db.epoch++
 	view := &Database{
 		Schema: db.Schema,
-		frozen: true,
+		origin: db,
 		epoch:  db.epoch,
 		tables: make(map[string]*sqltypes.Relation, len(db.tables)),
 	}

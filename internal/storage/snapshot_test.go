@@ -192,6 +192,35 @@ func TestSnapshotOfSnapshotIsSameView(t *testing.T) {
 	}
 }
 
+// TestSnapshotOrigin pins the lineage the warm executor and explainer
+// caches key views by: every view of a store names that store as its
+// origin, with epochs rising from view to view, and a database that is
+// not a view (the store itself, a clone of a view) has none.
+func TestSnapshotOrigin(t *testing.T) {
+	db := testDB()
+	seedPets(db, 2)
+	if db.Origin() != nil {
+		t.Fatal("a live store is not a view and has no origin")
+	}
+	s1 := db.Snapshot()
+	db.Mutate(func(string, sqltypes.Row) {})
+	s2 := db.Snapshot()
+	for _, s := range []*Snapshot{s1, s2, s1.DB().Snapshot()} {
+		if s.DB().Origin() != db {
+			t.Fatalf("view at epoch %d does not name its live store as origin", s.Epoch())
+		}
+		if s.DB().Epoch() != s.Epoch() {
+			t.Fatalf("view epoch %d differs from its snapshot's %d", s.DB().Epoch(), s.Epoch())
+		}
+	}
+	if s2.DB().Epoch() <= s1.DB().Epoch() {
+		t.Fatalf("view epochs not monotone: %d then %d", s1.DB().Epoch(), s2.DB().Epoch())
+	}
+	if s1.DB().Clone().Origin() != nil {
+		t.Fatal("a clone of a view is an ordinary database and has no origin")
+	}
+}
+
 func TestSnapshotCloneIsMutable(t *testing.T) {
 	// The test-suite distillation clones a pinned snapshot and perturbs
 	// the clone; neither the snapshot nor the live store may move.

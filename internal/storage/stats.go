@@ -27,7 +27,7 @@ import (
 // that lock; snapshot views are immutable and take lazyIndex's
 // double-checked path.
 func (db *Database) ColStats(table string, col int) (stats.Column, bool) {
-	live := !db.frozen
+	live := db.origin == nil
 	if live {
 		db.mu.Lock()
 		defer db.mu.Unlock()

@@ -59,10 +59,11 @@ type Database struct {
 	// last copy: the next write to a shared table copies it first
 	// (snapshot.go). Guarded by mu.
 	shared map[string]bool
-	// frozen marks snapshot views: immutable by contract, so writers
-	// reject. Set once before the view is published, read without the
-	// lock.
-	frozen bool
+	// origin is the live store a snapshot view was pinned from, nil for a
+	// database that is not a view. A view is immutable by contract, so
+	// writers reject a database with an origin. Set once before the view
+	// is published, read without the lock.
+	origin *Database
 }
 
 // lowerName folds a table name to the map key every index store uses.
@@ -98,7 +99,7 @@ func (db *Database) Insert(table string, row sqltypes.Row) error {
 	if t == nil {
 		return fmt.Errorf("storage: unknown table %q", table)
 	}
-	if db.frozen {
+	if db.origin != nil {
 		return fmt.Errorf("storage: cannot insert into a snapshot view of table %q", table)
 	}
 	if len(row) != len(t.Columns) {
@@ -197,7 +198,7 @@ func (db *Database) Clone() *Database {
 // view). Mutating a snapshot view panics: views are immutable by
 // contract.
 func (db *Database) Mutate(fn func(table string, row sqltypes.Row)) {
-	if db.frozen {
+	if db.origin != nil {
 		panic("storage: cannot mutate a snapshot view")
 	}
 	db.mu.Lock()
