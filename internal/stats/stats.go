@@ -1,7 +1,7 @@
 // Package stats defines the per-column statistics the cost-based planner
 // consumes and the selectivity estimators it applies to them. The package
 // is a pure leaf: it holds no state and knows nothing about storage — the
-// numbers are derived by internal/storage from its secondary indexes
+// numbers are derived by internal/storage from a column's sorted index
 // (Database.ColStats), which is what gives them the index lifecycle for
 // free (maintained on Insert, invalidated with the indexes on Mutate,
 // snapshot/clone-isolated).

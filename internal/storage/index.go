@@ -2,19 +2,27 @@
 // ordered column tuple (this file) and one sorted-index type over a
 // single column (sorted.go), kept per table in one indexSet.
 //
-// A hash index maps the binary key encoding of a column tuple's values
-// (sqltypes.Row.AppendCompareKeyCols — under which two tuples share a
-// bucket exactly when the = operator treats every pair of values as
-// equal; over one column it is Value.AppendCompareKey) to the list of row
-// positions holding that tuple, in scan order. The executor reads it both
-// as a point-lookup structure (WHERE col = literal) and as a prebuilt
+// A hash index groups a table's rows by the binary key encoding of a
+// column tuple's values (sqltypes.Row.AppendCompareKeyCols — under which
+// two tuples share a group exactly when the = operator treats every pair
+// of values as equal; over one column it is Value.AppendCompareKey) and
+// lists each group's row positions in scan order. The executor reads it
+// both as a point-lookup structure (WHERE col = literal) and as a prebuilt
 // hash-join build side — the exact buckets a join stage otherwise rebuilds
 // per execution, for single- and multi-key equi-joins alike. Indexes are found
 // by their exact column sequence: (a, b) and (b, a) are distinct indexes,
 // because the probe side encodes its key columns in the same order.
 //
+// The layout is packed and pointer-free, so the collector never scans an
+// index's contents and a build allocates a few dozen objects whatever
+// the row count: an open-addressing table of group numbers hashed with
+// hash/maphash, the group keys back to back in one byte slice with an
+// offset per group, and the row positions in one compressed-sparse-row
+// pair — group g's positions are pos[at[g]:at[g+1]]. The probe table is
+// sized to the distinct keys, not to the rows.
+//
 // Every index kind shares one lifecycle. Indexes are built lazily on first
-// use and then kept consistent with the table: Insert appends the new row
+// use and then kept consistent with the table: Insert adds the new row
 // to every built index of its table, Mutate drops all indexes (the
 // callback rewrites values in place), and Clone starts the copy with no
 // indexes so the clone's perturbed contents can never read the original's
@@ -33,6 +41,8 @@
 package storage
 
 import (
+	"bytes"
+	"hash/maphash"
 	"slices"
 
 	"cyclesql/internal/sqltypes"
@@ -42,54 +52,163 @@ import (
 // table.
 type HashIndex struct {
 	indexHead
-	nonNull int // indexed rows (a NULL in any key column skips the row)
-	groups  map[string][]int32
+	// slots is an open-addressing table (linear probing) of group numbers
+	// plus one; 0 marks a free slot. Its length is a power of two, at
+	// least twice the number of groups.
+	slots []int32
+	// Group g's key is keys[koff[g]:koff[g+1]], and its row positions are
+	// pos[at[g]:at[g+1]], ascending. Both offset slices end with the total
+	// length, so each holds one entry more than there are groups.
+	keys []byte
+	koff []int32
+	at   []int32
+	pos  []int32
 }
 
+// hashSeed seeds every hash index's probe table.
+var hashSeed = maphash.MakeSeed()
+
 // Lookup returns the positions of rows whose key columns encode to key,
-// in ascending row order. The returned slice is shared; callers must not
-// mutate it. Probing with string(key) keeps the lookup allocation-free.
-func (ix *HashIndex) Lookup(key []byte) []int32 { return ix.groups[string(key)] }
+// in ascending row order. The returned slice is shared and its capacity
+// ends with it, so callers must not mutate it but may append to it. The
+// lookup allocates nothing.
+func (ix *HashIndex) Lookup(key []byte) []int32 {
+	g, _ := ix.find(key)
+	if g < 0 {
+		return nil
+	}
+	lo, hi := ix.at[g], ix.at[g+1]
+	return ix.pos[lo:hi:hi]
+}
 
 // Distinct returns the number of distinct fully-non-NULL key tuples. It
 // returns 0 both for an empty table and when every row holds a NULL in at
-// least one key column — an index over either holds no buckets at all.
+// least one key column — an index over either holds no groups at all.
 // Callers asking "is there an index?" must test the *HashIndex for nil
 // instead (Index never returns a non-nil index for an unknown table or
 // column): a non-nil index with Distinct() == 0 is a real, up-to-date
 // index that proves no probe can match. The cost-based planner
 // (internal/stats) relies on exactly that reading — zero distinct keys
 // means equality selects nothing, not "unknown".
-func (ix *HashIndex) Distinct() int { return len(ix.groups) }
+func (ix *HashIndex) Distinct() int { return len(ix.koff) - 1 }
 
 // NonNull returns how many rows the index covers — rows whose every key
-// column is non-NULL (the sum of all bucket sizes). Together with
-// Distinct it yields the average bucket size NonNull/Distinct, the
+// column is non-NULL (the sum of all group sizes). Together with
+// Distinct it yields the average group size NonNull/Distinct, the
 // planner's equality selectivity estimate.
-func (ix *HashIndex) NonNull() int { return ix.nonNull }
+func (ix *HashIndex) NonNull() int { return len(ix.pos) }
+
+// find returns the group whose key equals key, or -1 and the free slot
+// where the key would go (-1 when the table has no slots yet).
+func (ix *HashIndex) find(key []byte) (group, slot int) {
+	if len(ix.slots) == 0 {
+		return -1, -1
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for i := maphash.Bytes(hashSeed, key) & mask; ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s == 0 {
+			return -1, int(i)
+		}
+		if g := int(s - 1); bytes.Equal(ix.key(g), key) {
+			return g, int(i)
+		}
+	}
+}
+
+// key returns group g's key.
+func (ix *HashIndex) key(g int) []byte { return ix.keys[ix.koff[g]:ix.koff[g+1]] }
+
+// addGroup appends a new group for key, which find reported absent with
+// the given free slot, and returns its number. The probe table doubles
+// whenever the groups would fill more than half of it.
+func (ix *HashIndex) addGroup(key []byte, slot int) int {
+	g := ix.Distinct()
+	ix.keys = append(ix.keys, key...)
+	ix.koff = append(ix.koff, int32(len(ix.keys)))
+	if 2*(g+1) <= len(ix.slots) {
+		ix.slots[slot] = int32(g + 1)
+		return g
+	}
+	ix.slots = make([]int32, max(8, 2*len(ix.slots)))
+	mask := uint64(len(ix.slots) - 1)
+	for h := 0; h <= g; h++ {
+		i := maphash.Bytes(hashSeed, ix.key(h)) & mask
+		for ix.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		ix.slots[i] = int32(h + 1)
+	}
+	return g
+}
 
 func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
 	ix := &HashIndex{
 		indexHead: indexHead{cols: slices.Clone(cols), rows: len(rel.Rows)},
-		groups:    make(map[string][]int32, len(rel.Rows)),
+		koff:      []int32{0},
 	}
+	// First pass: assign every row its group, -1 for a NULL key.
+	group := make([]int32, len(rel.Rows))
 	var buf []byte
 	for ri, row := range rel.Rows {
 		key, ok := hashKey(buf[:0], row, ix.cols)
 		buf = key
-		if ok {
-			ix.groups[string(key)] = append(ix.groups[string(key)], int32(ri))
-			ix.nonNull++
+		if !ok {
+			group[ri] = -1
+			continue
+		}
+		g, slot := ix.find(key)
+		if g < 0 {
+			g = ix.addGroup(key, slot)
+		}
+		group[ri] = int32(g)
+	}
+	// Second pass: count each group's rows into at[g+1], sum the counts
+	// into start offsets, then place the positions in scan order, using
+	// at[g] as group g's cursor. The cursors end at the next group's
+	// start, so shifting at right by one restores the offsets.
+	n := ix.Distinct()
+	ix.at = make([]int32, n+1)
+	for _, g := range group {
+		if g >= 0 {
+			ix.at[g+1]++
 		}
 	}
+	for g := 1; g <= n; g++ {
+		ix.at[g] += ix.at[g-1]
+	}
+	ix.pos = make([]int32, ix.at[n])
+	for ri, g := range group {
+		if g >= 0 {
+			ix.pos[ix.at[g]] = int32(ri)
+			ix.at[g]++
+		}
+	}
+	copy(ix.at[1:], ix.at[:n])
+	ix.at[0] = 0
 	return ix
 }
 
+// add indexes one freshly appended row at position pos. The position is
+// larger than every indexed one, so it goes at the end of its group's
+// run: a new group's run is appended, and a known group's run takes the
+// position in place, shifting the later runs by one.
 func (ix *HashIndex) add(row sqltypes.Row, pos int) {
 	ix.rows++
-	if key, ok := hashKey(nil, row, ix.cols); ok {
-		ix.groups[string(key)] = append(ix.groups[string(key)], int32(pos))
-		ix.nonNull++
+	key, ok := hashKey(nil, row, ix.cols)
+	if !ok {
+		return
+	}
+	g, slot := ix.find(key)
+	if g < 0 {
+		ix.addGroup(key, slot)
+		ix.pos = append(ix.pos, int32(pos))
+		ix.at = append(ix.at, int32(len(ix.pos)))
+		return
+	}
+	ix.pos = slices.Insert(ix.pos, int(ix.at[g+1]), int32(pos))
+	for h := g + 1; h < len(ix.at); h++ {
+		ix.at[h]++
 	}
 }
 
@@ -242,7 +361,10 @@ func validCols(rel *sqltypes.Relation, cols []int) bool {
 // building it on first use; a single column is a 1-tuple. It returns nil
 // for unknown tables, out-of-range columns or an empty tuple. The index
 // stays valid until the next Mutate; Insert maintains it in place. Index
-// is safe to call from concurrent readers (see lazyIndex).
+// is safe to call from concurrent readers (see lazyIndex). Only point
+// probes, join build sides and join-key estimates call it: column
+// statistics come from the sorted index (ColStats), so costing a column
+// builds no hash index.
 func (db *Database) Index(table string, cols ...int) *HashIndex {
 	rel := db.Table(table)
 	if !validCols(rel, cols) {

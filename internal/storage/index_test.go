@@ -278,6 +278,8 @@ func TestIndexRebuiltOnDirectAppend(t *testing.T) {
 // hash index by its column tuple, with the lower-case table name the
 // executor passes, allocates nothing — whether the tuple arrives as
 // variadic arguments (a point probe) or as a slice (a join build side).
+// It also pins the packed build: a 4,000-row unique key costs a few dozen
+// objects (slice growth), not one bucket and one key string per row.
 func TestIndexLookupAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -298,6 +300,16 @@ func TestIndexLookupAllocGate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { tc.probe() }); allocs != 0 {
 			t.Errorf("%s: warm Index allocates %.0f/op, want 0", tc.name, allocs)
 		}
+	}
+
+	const rows = 4000
+	rel := &sqltypes.Relation{Columns: []string{"id"}}
+	for i := range rows {
+		rel.Append(sqltypes.Row{sqltypes.NewInt(int64(i))})
+	}
+	id := []int{0}
+	if allocs := testing.AllocsPerRun(10, func() { buildHashIndex(rel, id) }); allocs >= 100 {
+		t.Errorf("building a %d-row unique-key index allocates %.0f objects, want < 100", rows, allocs)
 	}
 }
 

@@ -14,7 +14,10 @@
 //
 // Sorted indexes share the hash indexes' lifecycle and lazy-publish path
 // (index.go); on Insert, binary-search insertion keeps the position list
-// ordered.
+// ordered. Equal values are adjacent, so the index also counts its
+// distinct non-NULL values — the runs of Compare-equal values — at build
+// time and keeps the count on Insert; Compare equality is the = operator's
+// equality, so the count equals a hash index's Distinct over the column.
 package storage
 
 import (
@@ -31,8 +34,9 @@ type SortedIndex struct {
 	// pos holds every row position, ordered by (Compare(value), position).
 	// NULL values (and rows too short to hold the column) occupy the first
 	// nulls entries — Compare sorts NULL before everything.
-	pos   []int32
-	nulls int
+	pos      []int32
+	nulls    int
+	distinct int // runs of Compare-equal non-NULL values
 }
 
 // value reads the indexed column of one row, treating rows too short to
@@ -53,6 +57,14 @@ func (ix *SortedIndex) Positions() []int32 { return ix.pos }
 // NullCount returns how many leading positions hold NULL (or missing)
 // values.
 func (ix *SortedIndex) NullCount() int { return ix.nulls }
+
+// NonNull returns how many rows hold a non-NULL value in the column.
+func (ix *SortedIndex) NonNull() int { return len(ix.pos) - ix.nulls }
+
+// Distinct returns the number of distinct non-NULL values in the column,
+// 0 for an empty table or an all-NULL column. It equals the Distinct of a
+// hash index over the column.
+func (ix *SortedIndex) Distinct() int { return ix.distinct }
 
 // Min returns the smallest non-NULL value in the index, ok=false when the
 // column holds no non-NULL values (empty table or all NULL).
@@ -124,12 +136,24 @@ func buildSortedIndex(rel *sqltypes.Relation, col int) *SortedIndex {
 	for ix.nulls < len(ix.pos) && ix.value(ix.pos[ix.nulls]).IsNull() {
 		ix.nulls++
 	}
+	for i := ix.nulls; i < len(ix.pos); i++ {
+		if ix.startsRun(i, ix.value(ix.pos[i])) {
+			ix.distinct++
+		}
+	}
 	return ix
+}
+
+// startsRun reports whether non-NULL value v, at ordered position i,
+// differs from the value before it — whether it starts a new run.
+func (ix *SortedIndex) startsRun(i int, v sqltypes.Value) bool {
+	return i == ix.nulls || sqltypes.Compare(ix.value(ix.pos[i-1]), v) != 0
 }
 
 // add inserts one freshly appended row at its ordered position. The new
 // position is larger than every existing one, so inserting at the end of
-// its value run preserves the (value, position) order.
+// its value run preserves the (value, position) order. The value is new
+// to the index exactly when it starts a run at that place.
 func (ix *SortedIndex) add(row sqltypes.Row, pos int) {
 	ix.rows++
 	v := sqltypes.Null()
@@ -144,6 +168,9 @@ func (ix *SortedIndex) add(row sqltypes.Row, pos int) {
 		at += sort.Search(len(span), func(i int) bool {
 			return sqltypes.Compare(ix.value(span[i]), v) > 0
 		})
+		if ix.startsRun(at, v) {
+			ix.distinct++
+		}
 	}
 	ix.pos = append(ix.pos, 0)
 	copy(ix.pos[at+1:], ix.pos[at:])

@@ -107,16 +107,20 @@ func TestColStatsBoundaries(t *testing.T) {
 	}
 }
 
-// TestColStatsMaintainedOnInsert verifies the counters ride the index
-// maintenance path rather than being recomputed.
+// TestColStatsMaintainedOnInsert verifies the counters ride the sorted
+// index's maintenance path rather than being recomputed, and that costing
+// a column builds no hash index.
 func TestColStatsMaintainedOnInsert(t *testing.T) {
 	db := statsDB(t)
 	if c, _ := db.ColStats("Item", 1); c.NonNull != 3 {
 		t.Fatalf("NonNull before insert = %d", c.NonNull)
 	}
+	if db.HasIndex("Item", 1) {
+		t.Fatal("ColStats must not build a hash index")
+	}
 	db.MustInsert("Item", sqltypes.NewInt(5), sqltypes.NewText("c"), sqltypes.NewFloat(1))
-	if !db.HasIndex("Item", 1) || !db.HasSorted("Item", 1) {
-		t.Fatal("insert must maintain the stats-backing indexes in place")
+	if !db.HasSorted("Item", 1) {
+		t.Fatal("insert must maintain the stats-backing index in place")
 	}
 	c, _ := db.ColStats("Item", 1)
 	if c.Rows != 5 || c.NonNull != 4 || c.Distinct != 3 || c.Max.Text() != "c" {
@@ -126,6 +130,9 @@ func TestColStatsMaintainedOnInsert(t *testing.T) {
 	c, _ = db.ColStats("Item", 1)
 	if c.Rows != 6 || c.NonNull != 4 || c.Distinct != 3 {
 		t.Fatalf("stats after NULL insert = %+v", c)
+	}
+	if db.HasIndex("Item", 1) {
+		t.Fatal("ColStats alone must leave the hash index unbuilt")
 	}
 }
 
@@ -222,8 +229,8 @@ func TestStatsInterleavingProperty(t *testing.T) {
 }
 
 // TestStatsConcurrentReaders races ColStats against concurrent inserts on
-// a snapshot-isolated reader: run under -race this gates the lazy builds
-// ColStats performs (hash + sorted) against the writer's maintenance.
+// a snapshot-isolated reader: run under -race this gates the lazy sorted
+// builds ColStats performs against the writer's maintenance.
 func TestStatsConcurrentReaders(t *testing.T) {
 	db := statsDB(t)
 	snap := db.Snapshot()
