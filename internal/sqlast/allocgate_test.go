@@ -17,9 +17,9 @@ const gateQuery = "SELECT T1.Name, count(*) AS n FROM Singer AS T1 JOIN Song AS 
 	"GROUP BY T1.Name HAVING count(*) > 1 ORDER BY n DESC LIMIT 5"
 
 // TestRenderAllocGate is the allocation regression gate for the SQL
-// renderer: warm AppendSQL and AppendExpr into a reused buffer allocate
-// nothing, SQL() allocates only its result string, and a warm CacheKey
-// of an already-interned statement allocates nothing.
+// renderer: warm AppendSQL, AppendExpr and sqlnorm.AppendCacheKey into
+// a reused buffer allocate nothing, and SQL() and sqlnorm.CacheKey
+// allocate only their result strings.
 func TestRenderAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
@@ -36,7 +36,8 @@ func TestRenderAllocGate(t *testing.T) {
 		{"AppendSQL", 0, func() { buf = stmt.AppendSQL(buf[:0]) }},
 		{"AppendExpr", 0, func() { buf = sqlast.AppendExpr(buf[:0], where) }},
 		{"SQL", 1, func() { _ = stmt.SQL() }},
-		{"CacheKey", 0, func() { _ = sqlnorm.CacheKey(stmt) }},
+		{"AppendCacheKey", 0, func() { buf = sqlnorm.AppendCacheKey(buf[:0], stmt) }},
+		{"CacheKey", 1, func() { _ = sqlnorm.CacheKey(stmt) }},
 	} {
 		g.fn()
 		got := testing.AllocsPerRun(200, g.fn)

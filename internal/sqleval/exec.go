@@ -42,7 +42,7 @@
 // execution, on first use, and later rows read its memoised result — IN
 // members from a hash set (subquery.go); a correlated one re-runs once per
 // outer row. Compiled plans are cached per executor by canonical SQL
-// (sqlnorm.CacheKey), so re-executing a statement — or a textually
+// (sqlnorm.AppendCacheKey), so re-executing a statement — or a textually
 // identical candidate arriving as a distinct AST from another beam —
 // skips straight to execution. A caller that re-runs one statement holds
 // the Plan that Prepare returns and skips the cache lookup too. A cached
@@ -89,10 +89,11 @@ type Executor struct {
 	// mu guards the plan map; compiled plans themselves are immutable
 	// after compilation, so concurrent executions share them freely.
 	mu sync.RWMutex
-	// plans caches compiled programs by canonical SQL, so textually
-	// identical statements arriving as distinct ASTs share one compiled
-	// plan. Sharing stays sound under cost-based planning because
-	// sqlnorm.CacheKey canonicalizes the statement WITH its literals:
+	// plans caches compiled programs by canonical SQL
+	// (sqlnorm.AppendCacheKey), so textually identical statements
+	// arriving as distinct ASTs share one compiled plan. Sharing stays
+	// sound under cost-based planning because the key canonicalizes the
+	// statement WITH its literals:
 	// two statements can only share a key by having identical literals,
 	// hence identical estimated selectivities — a plan chosen for one is
 	// the plan that would be chosen for the other.
@@ -221,16 +222,25 @@ func (e execution) nested() execution {
 	return e
 }
 
+// keyBufs recycles the buffer compiled renders a statement's cache key
+// into.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // compiled returns stmt's program from the plan cache, compiling and
-// storing it on a miss.
+// storing it on a miss. A hit looks the key up by its bytes and
+// allocates nothing; only a stored plan pays for its key string.
 func (ex *Executor) compiled(stmt *sqlast.SelectStmt) (*program, error) {
-	key := sqlnorm.CacheKey(stmt)
+	bp := keyBufs.Get().(*[]byte)
+	*bp = sqlnorm.AppendCacheKey((*bp)[:0], stmt)
 	ex.mu.RLock()
-	p, ok := ex.plans[key]
+	p, ok := ex.plans[string(*bp)]
 	ex.mu.RUnlock()
 	if ok {
+		keyBufs.Put(bp)
 		return p, nil
 	}
+	key := string(*bp)
+	keyBufs.Put(bp)
 	// Compile outside the lock; concurrent compilations of the same
 	// statement are idempotent (programs are interchangeable), the last
 	// store wins.

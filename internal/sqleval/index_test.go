@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cyclesql/internal/sqlnorm"
 	"cyclesql/internal/sqlparse"
 	"cyclesql/internal/sqltypes"
 )
@@ -180,5 +181,41 @@ func TestPlanCacheSurvivesIdentityChurn(t *testing.T) {
 		} else if p != first[k] {
 			t.Fatalf("execution %d: statement %d was recompiled", i, k)
 		}
+	}
+}
+
+// TestPlanCacheHitAllocGate: what a plan-cache hit costs does
+// not depend on which statements the process keyed before. After more
+// than 4,096 distinct statements have been keyed, a warm Run + Release
+// of a statement first seen after them allocates exactly what running
+// its held Plan does, which pays no key at all; so it allocates what it
+// would in a fresh process.
+func TestPlanCacheHitAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute alloc gates are meaningless under -race (sync.Pool randomly drops values)")
+	}
+	for i := range 5000 {
+		_ = sqlnorm.CacheKey(sqlparse.MustParse(fmt.Sprintf("SELECT flno FROM Flight WHERE aid = %d", i)))
+	}
+	ctx := context.Background()
+	ex := New(flightDB(t))
+	stmt := sqlparse.MustParse("SELECT flno FROM Flight WHERE aid > 5000")
+	pl, err := ex.Prepare(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(run func() (Result, error)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+		})
+	}
+	held := allocs(func() (Result, error) { return pl.Run(ctx) })
+	keyed := allocs(func() (Result, error) { return ex.Run(ctx, stmt) })
+	if keyed != held {
+		t.Errorf("warm Run + Release allocates %.1f/op, its held Plan %.1f/op: the cache hit allocates", keyed, held)
 	}
 }

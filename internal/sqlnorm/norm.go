@@ -1,5 +1,5 @@
 // Package sqlnorm canonicalizes SQL statements for the Spider exact-match
-// (EM) metric, keys compiled-plan caches (CacheKey, built on sqlast's
+// (EM) metric, keys compiled-plan caches (AppendCacheKey, built on sqlast's
 // canonical rendering: one renderer, canonical form for cache keys) and
 // classifies queries into the Spider difficulty buckets (easy / medium /
 // hard / extra) used by the paper's Table II.

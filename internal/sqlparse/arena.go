@@ -3,24 +3,16 @@ package sqlparse
 // slab is a chunked arena for AST nodes of one concrete type. Nodes are
 // appended into fixed-capacity chunks, so element addresses are stable
 // for the life of the chunk — handing out *T into a chunk is safe even
-// as the slab grows. A slab supports two end-of-parse fates:
+// as the slab grows. A full chunk is simply dropped: the nodes carved
+// from it keep it alive. At the end of every parse the slab detaches
+// the same way, so the nodes live as long as the statement does and the
+// next parse starts on a fresh chunk.
 //
-//   - reset: chunk memory is retained and reused by the next statement.
-//     Everything previously allocated is invalidated (the bytes will be
-//     overwritten), which is why arena-reuse parsing is only exposed
-//     through the explicit Parser API with its documented lifetime rule.
-//   - detach: the slab forgets its chunks. The parsed AST keeps the
-//     backing arrays alive through its own pointers, so the nodes live
-//     as long as the statement does and the next parse starts on fresh
-//     chunks. This is the fate behind the package-level Parse.
-//
-// Compared to one heap allocation per node, a warm reset slab performs
-// zero allocations and a detached slab performs one per chunk (dozens
-// of nodes), which is where the front end's allocation budget goes from
-// O(nodes) to O(1)-ish.
+// Compared to one heap allocation per node, a slab performs one
+// allocation per chunk (up to slabChunkElems nodes), which is where the
+// front end's allocation budget goes from O(nodes) to O(chunks).
 type slab[T any] struct {
-	chunks [][]T // chunks[:live] are in use; chunks[live:] are spares kept by reset
-	live   int
+	chunk []T // the chunk being filled; earlier ones belong to their nodes
 }
 
 // slabChunkElems is the steady-state per-chunk element count. Large
@@ -34,20 +26,14 @@ const slabChunkElems = 32
 // strand ~kilobytes per statement if first chunks were full-sized.
 const slabFirstChunkElems = 4
 
-// slabMaxSpares bounds how many empty chunks reset retains per slab, so
-// one pathological statement doesn't pin its high-water mark forever in
-// a pooled parser.
-const slabMaxSpares = 4
-
 // alloc returns a pointer to a zeroed T with a stable address.
 func (s *slab[T]) alloc() *T {
-	if s.live == 0 || len(s.chunks[s.live-1]) == cap(s.chunks[s.live-1]) {
+	if len(s.chunk) == cap(s.chunk) {
 		s.grow(1)
 	}
-	c := &s.chunks[s.live-1]
 	var zero T
-	*c = append(*c, zero)
-	return &(*c)[len(*c)-1]
+	s.chunk = append(s.chunk, zero)
+	return &s.chunk[len(s.chunk)-1]
 }
 
 // allocSlice copies src into the arena and returns the copy with exact
@@ -58,53 +44,28 @@ func (s *slab[T]) allocSlice(src []T) []T {
 	if len(src) == 0 {
 		return nil
 	}
-	if s.live == 0 || cap(s.chunks[s.live-1])-len(s.chunks[s.live-1]) < len(src) {
+	if cap(s.chunk)-len(s.chunk) < len(src) {
 		s.grow(len(src))
 	}
-	c := &s.chunks[s.live-1]
-	start := len(*c)
-	*c = append(*c, src...)
-	return (*c)[start : start+len(src) : start+len(src)]
+	start := len(s.chunk)
+	s.chunk = append(s.chunk, src...)
+	return s.chunk[start : start+len(src) : start+len(src)]
 }
 
 func (s *slab[T]) grow(minElems int) {
-	if s.live < len(s.chunks) {
-		// A spare chunk from an earlier reset; recycle if it is big enough.
-		if cap(s.chunks[s.live]) >= minElems {
-			s.chunks[s.live] = s.chunks[s.live][:0]
-			s.live++
-			return
-		}
-	}
 	size := slabChunkElems
-	if len(s.chunks) == 0 {
+	if s.chunk == nil {
 		size = slabFirstChunkElems
 	}
 	if minElems > size {
 		size = minElems
 	}
-	s.chunks = append(s.chunks, make([]T, 0, size))
-	// Keep the fresh chunk at position live even when spares exist but
-	// were too small.
-	s.chunks[s.live], s.chunks[len(s.chunks)-1] = s.chunks[len(s.chunks)-1], s.chunks[s.live]
-	s.live++
+	s.chunk = make([]T, 0, size)
 }
 
-// reset invalidates all allocations, retaining at most slabMaxSpares
-// chunks of memory for the next statement.
-func (s *slab[T]) reset() {
-	if len(s.chunks) > slabMaxSpares {
-		s.chunks = s.chunks[:slabMaxSpares]
-	}
-	for i := range s.chunks {
-		s.chunks[i] = s.chunks[i][:0]
-	}
-	s.live = 0
-}
-
-// detach transfers ownership of every chunk to the allocations made so
-// far: the slab forgets them and the AST's own pointers keep them alive.
+// detach transfers ownership of the current chunk to the allocations
+// made from it: the slab forgets it and the AST's own pointers keep it
+// alive.
 func (s *slab[T]) detach() {
-	s.chunks = nil
-	s.live = 0
+	s.chunk = nil
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestDetachedASTSurvivesPoolReuse is the safety property behind the
-// package-level Parse: once detached, an AST must be immune to any
-// amount of later parsing through the pool. A plan in sqleval's cache
-// keeps the AST it was compiled from, so a recycled node would not just
-// be corrupt — it would silently change the cached plan of every
+// TestDetachedASTSurvivesPoolReuse is the safety property behind
+// Parse: once detached, an AST must be immune to any amount of later
+// parsing through the pool, failed parses included. A plan in sqleval's
+// cache keeps the AST it was compiled from, so a recycled node would not
+// just be corrupt — it would silently change the cached plan of every
 // statement that shares it.
 func TestDetachedASTSurvivesPoolReuse(t *testing.T) {
 	const q = "SELECT t.name, count(*) AS n FROM people AS t WHERE t.age >= 21 AND t.city = 'Oslo' GROUP BY t.name HAVING count(*) > 2 ORDER BY n DESC LIMIT 5"
@@ -18,6 +18,9 @@ func TestDetachedASTSurvivesPoolReuse(t *testing.T) {
 	want := stmt.SQL()
 	for i := 0; i < 200; i++ {
 		MustParse(fmt.Sprintf("SELECT c%d FROM t%d WHERE x%d = %d", i, i, i, i))
+		if _, err := Parse(fmt.Sprintf("SELECT c%d, count(*) FROM t%d WHERE x%d = %d GROUP BY", i, i, i, i)); err == nil {
+			t.Fatal("a GROUP BY without keys must not parse")
+		}
 	}
 	if got := stmt.SQL(); got != want {
 		t.Fatalf("detached AST mutated by pool reuse:\n got %q\nwant %q", got, want)
@@ -27,48 +30,27 @@ func TestDetachedASTSurvivesPoolReuse(t *testing.T) {
 	}
 }
 
-// TestParserReuseMode exercises the explicit arena-reuse API: each
-// Parse invalidates the previous statement but the current one must be
-// fully usable, including across deep nesting that spans chunks.
-func TestParserReuseMode(t *testing.T) {
-	p := AcquireParser()
-	defer ReleaseParser(p)
-	queries := []string{
-		"SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE b > 1) AND c = 'x'",
-		"SELECT count(*) FROM t JOIN u ON t.id = u.id WHERE u.v BETWEEN 1 AND 9",
-		"SELECT a, b FROM t UNION SELECT c, d FROM u ORDER BY a LIMIT 3 OFFSET 1",
-	}
-	for _, q := range queries {
-		got, err := p.Parse(q)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", q, err)
-		}
-		if want := MustParse(q); !reflect.DeepEqual(got, want) {
-			t.Errorf("reuse-mode AST for %q differs from detached parse:\n got %s\nwant %s", q, got.SQL(), want.SQL())
-		}
-	}
-}
-
 // TestSlabStablePointers allocates far more nodes than one chunk holds
-// and verifies no address ever moves, across growth, reset and reuse.
+// and verifies no address ever moves or is overwritten, across growth,
+// detach and the allocations made after it.
 func TestSlabStablePointers(t *testing.T) {
 	var s slab[int]
+	var ptrs []*int
 	for round := 0; round < 3; round++ {
-		ptrs := make([]*int, 0, 5*slabChunkElems)
 		for i := 0; i < 5*slabChunkElems; i++ {
 			q := s.alloc()
 			if *q != 0 {
 				t.Fatalf("round %d: alloc %d not zeroed: %d", round, i, *q)
 			}
-			*q = i
+			*q = len(ptrs)
 			ptrs = append(ptrs, q)
 		}
-		for i, q := range ptrs {
-			if *q != i {
-				t.Fatalf("round %d: pointer %d moved or clobbered: got %d", round, i, *q)
-			}
+		s.detach()
+	}
+	for i, q := range ptrs {
+		if *q != i {
+			t.Fatalf("pointer %d moved or clobbered: got %d", i, *q)
 		}
-		s.reset()
 	}
 }
 

@@ -6,25 +6,13 @@
 // The parser is a recursive-descent grammar over sqllex tokens that
 // allocates every AST node from a per-parser arena (see arena.go)
 // instead of the heap, and reuses its token buffer across statements.
-// Two entry points expose two arena lifetimes:
-//
-//   - Parse / MustParse: borrow a pooled parser, parse, then DETACH the
-//     arena so the returned AST owns its memory. The AST is an ordinary
-//     garbage-collected value, safe to cache and share across
-//     goroutines (a plan in sqleval's cache keeps the AST it was
-//     compiled from and reads it on every execution, so recycled node
-//     memory would silently change a cached plan — detaching makes that
-//     impossible). Cost: one allocation per arena chunk — single-digit
-//     allocations per statement instead of one per node.
-//   - AcquireParser / Parser.Parse / ReleaseParser: arena-REUSE mode.
-//     The returned AST lives in the parser's arena and is invalidated
-//     by the next Parse or by Release, in exchange for zero warm
-//     allocations. Callers must uphold the bounded-lifetime rule:
-//     consume the AST and drop every reference to it before the parser
-//     is reused or released — never hand such an AST to a plan cache, a
-//     goroutine, or anything else that outlives the request (see
-//     docs/linting.md). sqlnorm.CacheKeyOf is the archetypal caller:
-//     parse, render the key, discard.
+// Parse borrows a pooled parser and DETACHES its arena, so the returned
+// AST owns its memory: an ordinary garbage-collected value, safe to
+// cache and share across goroutines (a plan in sqleval's cache keeps
+// the AST it was compiled from and reads it on every execution, so
+// recycled node memory would silently change a cached plan — detaching
+// makes that impossible). Cost: one allocation per arena chunk instead
+// of one per node.
 //
 // The seed front end this replaces survives verbatim in
 // internal/frontdiff's seed*_test.go files; the differential suites
@@ -46,17 +34,13 @@ import (
 // the pooled parser that built it detaches its arena, so the statement
 // may be retained, cached, or shared freely.
 func Parse(input string) (*sqlast.SelectStmt, error) {
-	p := AcquireParser()
+	p := parserPool.Get().(*parser)
 	stmt, err := p.parse(input)
-	if err != nil {
-		// Nothing escaped: the partial nodes stay in the arena and the
-		// next borrower overwrites them.
-		ReleaseParser(p)
-		return nil, err
-	}
+	// On an error the partial nodes hold the detached chunks and are
+	// dropped with them.
 	p.detach()
-	ReleaseParser(p)
-	return stmt, nil
+	parserPool.Put(p)
+	return stmt, err
 }
 
 // MustParse panics on error; for tests and static fixtures.
@@ -68,14 +52,9 @@ func MustParse(input string) *sqlast.SelectStmt {
 	return stmt
 }
 
-// Parser is a reusable SQL parser with an arena-backed allocator.
-// Obtain one with AcquireParser. The zero value is also usable.
-//
-// ASTs returned by Parser.Parse live in the parser's arena: each call
-// to Parse invalidates the previous statement, and ReleaseParser
-// invalidates everything. Use the package-level Parse when the
-// statement must outlive the parser.
-type Parser struct {
+// parser is a recursive-descent SQL parser with an arena-backed
+// allocator, pooled by Parse across statements.
+type parser struct {
 	toks  []sqllex.Token
 	pos   int
 	input string
@@ -116,31 +95,9 @@ type Parser struct {
 	scratchOps    []sqlast.CompoundOp
 }
 
-var parserPool = sync.Pool{New: func() any { return new(Parser) }}
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
 
-// AcquireParser returns a parser from the pool. Pair with
-// ReleaseParser; the parser (and every AST its Parse returned) must not
-// be used after release.
-func AcquireParser() *Parser {
-	return parserPool.Get().(*Parser)
-}
-
-// ReleaseParser resets p and returns it to the pool.
-func ReleaseParser(p *Parser) {
-	p.reset()
-	parserPool.Put(p)
-}
-
-// Parse parses input into the parser's arena. The result is valid only
-// until the next call to Parse on this parser or ReleaseParser —
-// arena-reuse mode trades that lifetime bound for zero warm
-// allocations. See the package comment for the rules.
-func (p *Parser) Parse(input string) (*sqlast.SelectStmt, error) {
-	p.resetArenas()
-	return p.parse(input)
-}
-
-func (p *Parser) parse(input string) (*sqlast.SelectStmt, error) {
+func (p *parser) parse(input string) (*sqlast.SelectStmt, error) {
 	toks, err := sqllex.LexInto(input, p.toks[:0])
 	p.toks = toks
 	if err != nil {
@@ -159,50 +116,9 @@ func (p *Parser) parse(input string) (*sqlast.SelectStmt, error) {
 	return stmt, nil
 }
 
-// reset clears everything: arenas, scratch, and the token buffer's
-// contents (its capacity is retained).
-func (p *Parser) reset() {
-	p.resetArenas()
-	p.input = ""
-	p.pos = 0
-	if p.toks != nil {
-		p.toks = p.toks[:0]
-	}
-}
-
-func (p *Parser) resetArenas() {
-	p.stmts.reset()
-	p.cores.reset()
-	p.corePtrs.reset()
-	p.ops.reset()
-	p.items.reset()
-	p.froms.reset()
-	p.joins.reset()
-	p.orders.reset()
-	p.exprs.reset()
-	p.ints.reset()
-	p.colrefs.reset()
-	p.literals.reset()
-	p.unaries.reset()
-	p.binaries.reset()
-	p.funcs.reset()
-	p.inExprs.reset()
-	p.likes.reset()
-	p.betweens.reset()
-	p.isNulls.reset()
-	p.exists.reset()
-	p.subqs.reset()
-	p.scratchItems = p.scratchItems[:0]
-	p.scratchExprs = p.scratchExprs[:0]
-	p.scratchJoins = p.scratchJoins[:0]
-	p.scratchOrders = p.scratchOrders[:0]
-	p.scratchCores = p.scratchCores[:0]
-	p.scratchOps = p.scratchOps[:0]
-}
-
 // detach hands every arena chunk over to the AST parsed so far; the
 // parser starts the next statement on fresh chunks.
-func (p *Parser) detach() {
+func (p *parser) detach() {
 	p.stmts.detach()
 	p.cores.detach()
 	p.corePtrs.detach()
@@ -228,40 +144,40 @@ func (p *Parser) detach() {
 
 // Node constructors over the slabs.
 
-func (p *Parser) newBinary(op string, l, r sqlast.Expr) *sqlast.Binary {
+func (p *parser) newBinary(op string, l, r sqlast.Expr) *sqlast.Binary {
 	b := p.binaries.alloc()
 	b.Op, b.L, b.R = op, l, r
 	return b
 }
 
-func (p *Parser) newUnary(op string, x sqlast.Expr) *sqlast.Unary {
+func (p *parser) newUnary(op string, x sqlast.Expr) *sqlast.Unary {
 	u := p.unaries.alloc()
 	u.Op, u.X = op, x
 	return u
 }
 
-func (p *Parser) newLiteral(v sqltypes.Value) *sqlast.Literal {
+func (p *parser) newLiteral(v sqltypes.Value) *sqlast.Literal {
 	l := p.literals.alloc()
 	l.Value = v
 	return l
 }
 
-func (p *Parser) newColumnRef(table, column string) *sqlast.ColumnRef {
+func (p *parser) newColumnRef(table, column string) *sqlast.ColumnRef {
 	c := p.colrefs.alloc()
 	c.Table, c.Column = table, column
 	return c
 }
 
-func (p *Parser) peek() sqllex.Token { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool        { return p.peek().Kind == sqllex.TokEOF }
-func (p *Parser) save() int          { return p.pos }
-func (p *Parser) restore(mark int)   { p.pos = mark }
+func (p *parser) peek() sqllex.Token { return p.toks[p.pos] }
+func (p *parser) atEOF() bool        { return p.peek().Kind == sqllex.TokEOF }
+func (p *parser) save() int          { return p.pos }
+func (p *parser) restore(mark int)   { p.pos = mark }
 
-func (p *Parser) errorf(format string, args ...any) error {
+func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sqlparse: %s (at offset %d in %q)", fmt.Sprintf(format, args...), p.peek().Pos, p.input)
 }
 
-func (p *Parser) acceptKeyword(kw string) bool {
+func (p *parser) acceptKeyword(kw string) bool {
 	t := p.peek()
 	if t.Kind == sqllex.TokKeyword && t.Text == kw {
 		p.pos++
@@ -270,14 +186,14 @@ func (p *Parser) acceptKeyword(kw string) bool {
 	return false
 }
 
-func (p *Parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
 		return p.errorf("expected %s, found %q", kw, p.peek().Text)
 	}
 	return nil
 }
 
-func (p *Parser) accept(op string) bool {
+func (p *parser) accept(op string) bool {
 	t := p.peek()
 	if t.Kind == sqllex.TokOp && t.Text == op {
 		p.pos++
@@ -286,14 +202,14 @@ func (p *Parser) accept(op string) bool {
 	return false
 }
 
-func (p *Parser) expect(op string) error {
+func (p *parser) expect(op string) error {
 	if !p.accept(op) {
 		return p.errorf("expected %q, found %q", op, p.peek().Text)
 	}
 	return nil
 }
 
-func (p *Parser) parseSelectStmt() (*sqlast.SelectStmt, error) {
+func (p *parser) parseSelectStmt() (*sqlast.SelectStmt, error) {
 	coresMark := len(p.scratchCores)
 	opsMark := len(p.scratchOps)
 	defer func() {
@@ -333,7 +249,7 @@ func (p *Parser) parseSelectStmt() (*sqlast.SelectStmt, error) {
 	}
 }
 
-func (p *Parser) parseSelectCore() (*sqlast.SelectCore, error) {
+func (p *parser) parseSelectCore() (*sqlast.SelectCore, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -444,7 +360,7 @@ func (p *Parser) parseSelectCore() (*sqlast.SelectCore, error) {
 	return core, nil
 }
 
-func (p *Parser) parseInt() (*int64, error) {
+func (p *parser) parseInt() (*int64, error) {
 	t := p.peek()
 	if t.Kind != sqllex.TokNumber {
 		return nil, p.errorf("expected integer, found %q", t.Text)
@@ -459,7 +375,7 @@ func (p *Parser) parseInt() (*int64, error) {
 	return n, nil
 }
 
-func (p *Parser) parseSelectItem() (sqlast.SelectItem, error) {
+func (p *parser) parseSelectItem() (sqlast.SelectItem, error) {
 	if p.accept("*") {
 		return sqlast.SelectItem{Star: true}, nil
 	}
@@ -490,7 +406,7 @@ func (p *Parser) parseSelectItem() (sqlast.SelectItem, error) {
 	return item, nil
 }
 
-func (p *Parser) parseFrom() (*sqlast.FromClause, error) {
+func (p *parser) parseFrom() (*sqlast.FromClause, error) {
 	base, err := p.parseTableRef()
 	if err != nil {
 		return nil, err
@@ -543,7 +459,7 @@ func (p *Parser) parseFrom() (*sqlast.FromClause, error) {
 	}
 }
 
-func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
+func (p *parser) parseTableRef() (sqlast.TableRef, error) {
 	if p.accept("(") {
 		sub, err := p.parseSelectStmt()
 		if err != nil {
@@ -566,7 +482,7 @@ func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
 	return ref, nil
 }
 
-func (p *Parser) parseOptionalAlias() string {
+func (p *parser) parseOptionalAlias() string {
 	if p.acceptKeyword("AS") {
 		t := p.peek()
 		if t.Kind == sqllex.TokIdent {
@@ -582,9 +498,9 @@ func (p *Parser) parseOptionalAlias() string {
 	return ""
 }
 
-func (p *Parser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
 
-func (p *Parser) parseOr() (sqlast.Expr, error) {
+func (p *parser) parseOr() (sqlast.Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -599,7 +515,7 @@ func (p *Parser) parseOr() (sqlast.Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseAnd() (sqlast.Expr, error) {
+func (p *parser) parseAnd() (sqlast.Expr, error) {
 	l, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -614,7 +530,7 @@ func (p *Parser) parseAnd() (sqlast.Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseNot() (sqlast.Expr, error) {
+func (p *parser) parseNot() (sqlast.Expr, error) {
 	if p.acceptKeyword("NOT") {
 		if p.peek().Kind == sqllex.TokKeyword && p.peek().Text == "EXISTS" {
 			e, err := p.parsePredicate()
@@ -639,7 +555,7 @@ func (p *Parser) parseNot() (sqlast.Expr, error) {
 // cmpOps in the seed parser's trial order; "<>" canonicalizes to "!=".
 var cmpOps = [...]string{"=", "!=", "<>", "<=", ">=", "<", ">"}
 
-func (p *Parser) parsePredicate() (sqlast.Expr, error) {
+func (p *parser) parsePredicate() (sqlast.Expr, error) {
 	if p.peek().Kind == sqllex.TokKeyword && p.peek().Text == "EXISTS" {
 		p.pos++
 		if err := p.expect("("); err != nil {
@@ -748,7 +664,7 @@ func (p *Parser) parsePredicate() (sqlast.Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseAdditive() (sqlast.Expr, error) {
+func (p *parser) parseAdditive() (sqlast.Expr, error) {
 	l, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
@@ -771,7 +687,7 @@ func (p *Parser) parseAdditive() (sqlast.Expr, error) {
 	}
 }
 
-func (p *Parser) parseMultiplicative() (sqlast.Expr, error) {
+func (p *parser) parseMultiplicative() (sqlast.Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -796,7 +712,7 @@ func (p *Parser) parseMultiplicative() (sqlast.Expr, error) {
 	}
 }
 
-func (p *Parser) parseUnary() (sqlast.Expr, error) {
+func (p *parser) parseUnary() (sqlast.Expr, error) {
 	if p.accept("-") {
 		x, err := p.parseUnary()
 		if err != nil {
@@ -817,7 +733,7 @@ func (p *Parser) parseUnary() (sqlast.Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() (sqlast.Expr, error) {
+func (p *parser) parsePrimary() (sqlast.Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case sqllex.TokNumber:
@@ -885,13 +801,13 @@ func (p *Parser) parsePrimary() (sqlast.Expr, error) {
 	return nil, p.errorf("unexpected token %q", t.Text)
 }
 
-func (p *Parser) parseFuncCall(name string) (sqlast.Expr, error) {
+func (p *parser) parseFuncCall(name string) (sqlast.Expr, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	fc := p.funcs.alloc()
 	// name is the lexer's canonical keyword spelling, already upper-case;
-	// ToUpper is a no-op kept for zero-value Parser safety.
+	// ToUpper is a no-op kept for zero-value parser safety.
 	fc.Name = strings.ToUpper(name)
 	if p.acceptKeyword("DISTINCT") {
 		fc.Distinct = true
