@@ -269,16 +269,17 @@ func pooledAllocs(t *testing.T, pl Plan, runs int) float64 {
 
 // TestStatsInsertAllocGate bounds what statistics cost the Insert hot
 // path. The planner's statistics are derived from the sorted indexes
-// alone (NonNull and Distinct ride the index's add path as counters,
-// Min/Max read its ends), so:
+// alone (NonNull and Distinct are counted when the index is built,
+// Min/Max read its ends), and Insert drops its table's indexes instead of
+// maintaining them, so:
 //
 //   - reading statistics off warm indexes must be allocation-free, and
 //   - inserting into a table with warm stats-backing indexes may cost at
-//     most the pre-existing inline index maintenance (1 allocation per
-//     sorted column: the position insert's slice growth) plus a 1
-//     alloc/op statistics budget.
+//     most a cold insert plus 1 allocation per sorted column and a 1
+//     alloc/op statistics budget. The first insert drops the indexes
+//     without allocating, and every later one is a cold insert.
 //
-// Amortized slice growth inside the add paths is averaged out by
+// Amortized slice growth of the table's rows is averaged out by
 // AllocsPerRun.
 func TestStatsInsertAllocGate(t *testing.T) {
 	const cols = 3

@@ -160,18 +160,21 @@ type compiledCore struct {
 // core shares the slice, so nothing may write to a result's Columns.
 func (cc *compiledCore) labels() []string { return cc.cols }
 
-// tableScan is one FROM entry: a base table (resolved to its live relation
-// at compile time) or a compiled derived table. A base-table scan may carry
-// a point probe (WHERE col = literal lowered at compile time) or a range
-// probe (comparison/BETWEEN conjuncts on one column); execution then reads
-// the matching rows off the column's secondary (hash or sorted) index
-// instead of scanning Relation.Rows. At most one of probe/rprobe is set.
+// tableScan is one FROM entry: a base table, named and read from the
+// executor's database at run time, or a compiled derived table. A plan
+// holds no relation: a write to a table pinned by a snapshot swaps a copy
+// in under the table's name, and the scan, its probes and their indexes
+// must all read that copy. A base-table scan may carry a point probe
+// (WHERE col = literal lowered at compile time) or a range probe
+// (comparison/BETWEEN conjuncts on one column); execution then reads the
+// matching rows off the column's secondary (hash or sorted) index instead
+// of scanning Relation.Rows. At most one of probe/rprobe is set.
 type tableScan struct {
-	rel    *sqltypes.Relation // base table; nil for derived tables
-	sub    *program           // derived table; nil for base tables
-	table  string             // base-table name for index lookups; "" for derived
-	probe  *scanProbe         // optional point probe on a base table
-	rprobe *rangeProbe        // optional range probe on a base table
+	sub    *program    // derived table; nil for base tables
+	table  string      // lower-cased base-table name; "" for derived
+	cols   []string    // base-table column names, for plan rendering
+	probe  *scanProbe  // optional point probe on a base table
+	rprobe *rangeProbe // optional range probe on a base table
 	offset int
 	width  int
 	id     int     // plan node id
@@ -210,16 +213,17 @@ type streamPlan struct {
 // point or range probe gathers, or the base table's own rows. The caller
 // records the scan's EXPLAIN count.
 func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.Row, error) {
-	var rows []sqltypes.Row
-	switch {
-	case ts.sub != nil:
+	if ts.sub != nil {
 		rel, err := ex.runProgram(e.nested(), ts.sub, outer)
 		if err != nil {
 			return nil, err
 		}
-		rows = rel.Rows
+		return rel.Rows, nil
+	}
+	rows := ex.db.Table(ts.table).Rows
+	switch {
 	case ts.probe != nil:
-		rows = gather(e.slab, ts.rel.Rows, ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key))
+		return gather(e.slab, rows, ex.db.Index(ts.table, ts.probe.col).Lookup(ts.probe.key)), nil
 	case ts.rprobe != nil:
 		rp := ts.rprobe
 		// The span is in value order; the filter path this probe replaces
@@ -227,9 +231,7 @@ func (ts *tableScan) rows(ex *Executor, e execution, outer *rowCtx) ([]sqltypes.
 		// gathering (the span slice is shared — copy first).
 		ids := e.slab.idsCopy(ex.db.Sorted(ts.table, rp.col).Range(rp.lo, rp.hi, rp.loIncl, rp.hiIncl))
 		slices.Sort(ids)
-		rows = gather(e.slab, ts.rel.Rows, ids)
-	default:
-		rows = ts.rel.Rows
+		return gather(e.slab, rows, ids), nil
 	}
 	return rows, nil
 }
@@ -279,7 +281,7 @@ type orderKey struct {
 }
 
 // compiler lowers statements for one executor. The executor binding is
-// what lets base-table scans resolve to live relations at compile time.
+// what lets the compiler resolve table names and read statistics.
 // nodes hands out plan-node ids, unique across the whole statement; reach
 // is the outermost scope level a column resolution reached (see
 // compileSubquery), subs the subquery expressions compiled so far and
@@ -323,7 +325,7 @@ func (c *compiler) compileStmt(stmt *sqlast.SelectStmt, parent *scope) (*program
 			cp.OrderBy, cp.Limit, cp.Offset = nil, nil, nil
 			core = &cp
 		}
-		cc, err := c.compileCore(core, parent)
+		cc, err := c.lowerCore(core, parent)
 		if err != nil {
 			return nil, err
 		}
@@ -412,22 +414,8 @@ func (c *compiler) compileSubquery(stmt *sqlast.SelectStmt, sc *scope) (*program
 	return sub, slot, nil
 }
 
-// compileCore lowers one SELECT core and, in cost mode, considers
-// replacing a top-level all-inner join order with a cheaper one (see
-// reorderCore for the — deliberately narrow — eligibility class).
-func (c *compiler) compileCore(core *sqlast.SelectCore, parent *scope) (*compiledCore, error) {
-	cc, err := c.lowerCore(core, parent)
-	if err != nil {
-		return nil, err
-	}
-	if c.ex.mode == costPlan && c.depth == 1 && parent == nil {
-		if re := c.reorderCore(cc, core); re != nil {
-			return re, nil
-		}
-	}
-	return cc, nil
-}
-
+// lowerCore lowers one SELECT core as written: its scans run in FROM
+// order, and the cost pass only picks each scan's access path.
 func (c *compiler) lowerCore(core *sqlast.SelectCore, parent *scope) (*compiledCore, error) {
 	cc := &compiledCore{core: core, est: -1, filterID: -1,
 		grouped: len(core.GroupBy) > 0 || core.HasAggregate()}
@@ -596,7 +584,7 @@ func (c *compiler) lowerStream(cc *compiledCore, core *sqlast.SelectCore, sc *sc
 		return
 	}
 	ts := cc.scans[0]
-	if ts.rel == nil || ts.table == "" || ts.probe != nil {
+	if ts.table == "" || ts.probe != nil {
 		return
 	}
 	if len(core.OrderBy) != 1 {
@@ -653,7 +641,7 @@ func (c *compiler) compileScan(ref sqlast.TableRef, parent *scope) (*tableScan, 
 	for i, col := range rel.Columns {
 		cols[i] = strings.ToLower(col)
 	}
-	return &tableScan{rel: rel, table: strings.ToLower(ref.Name), width: len(cols)}, cols, nil
+	return &tableScan{table: strings.ToLower(ref.Name), cols: rel.Columns, width: len(cols)}, cols, nil
 }
 
 // compileJoin splits the ON condition into equi-key pairs (one side bound

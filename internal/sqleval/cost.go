@@ -1,9 +1,6 @@
 package sqleval
 
 import (
-	"slices"
-	"strings"
-
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
 	"cyclesql/internal/stats"
@@ -12,14 +9,12 @@ import (
 // Cost-based access-path selection, the lowering every production
 // executor runs. Each choice is an estimate derived from internal/stats:
 // each scan probes its most selective candidate, a probe whose estimated
-// span covers most of the table is skipped, a reused build side is
+// span covers most of the table is skipped, and a reused build side is
 // prefiltered when fewer candidate pairs outweigh the per-execution hash
-// build, and a narrow class of aggregate-only join cores is reordered by
-// estimated frame growth. Every choice is among result-identical lowerings — an
-// unclaimed conjunct simply stays a filter, a prefiltered build side
-// routes through the generic hash join, a reorder is restricted to
-// order-insensitive outputs — so a misestimate costs time, never
-// correctness. TestPlanParity pins exactly that.
+// build. Joins run in FROM order. Every choice is among result-identical
+// lowerings — an unclaimed conjunct simply stays a filter, a prefiltered
+// build side routes through the generic hash join — so a misestimate
+// costs time, never correctness. TestPlanParity pins exactly that.
 
 const (
 	// maxProbeFraction is the estimated selectivity above which a probe
@@ -68,8 +63,8 @@ func (c *compiler) costProbes(cc *compiledCore, sc *scope, conjs []sqlast.Expr, 
 	runEst := -1.0
 	for si, ts := range cc.scans {
 		ts.est = -1
-		if ts.rel != nil {
-			ts.est = float64(len(ts.rel.Rows))
+		if ts.table != "" {
+			ts.est = float64(c.ex.db.NumRows(ts.table))
 		}
 		if chosen, est := c.chooseProbe(cc, ts, si, cands[si], allInner, runEst); chosen != nil {
 			ts.est = est
@@ -221,7 +216,7 @@ func (c *compiler) chooseProbe(cc *compiledCore, ts *tableScan, si int, cands []
 	if si > 0 && !allInner {
 		return nil, 0
 	}
-	rows := float64(len(ts.rel.Rows))
+	rows := float64(c.ex.db.NumRows(ts.table))
 	var best *probeCand
 	bestEst := 0.0
 	for i := range cands {
@@ -261,7 +256,7 @@ func (c *compiler) prefilterWins(ts *tableScan, jp *joinPlan, frameEst, filtered
 	if frameEst < 0 {
 		return false // unknown outer cardinality: keep the reused build side
 	}
-	n := float64(len(ts.rel.Rows))
+	n := float64(c.ex.db.NumRows(ts.table))
 	d := c.keyDistinct(ts.table, jp.eqNew)
 	if d <= 0 || n == 0 {
 		return false // no matchable keys: neither path does pair work
@@ -297,7 +292,7 @@ func (c *compiler) joinEstimate(ts *tableScan, jp *joinPlan, frameEst float64) (
 			pairs = 0
 		case ts.probe == nil && ts.rprobe == nil:
 			// Reused build side: every frame row probes the full index.
-			pairs = frameEst * float64(len(ts.rel.Rows)) / d
+			pairs = frameEst * float64(c.ex.db.NumRows(ts.table)) / d
 		default:
 			// Prefiltered build side: only filtered rows can pair.
 			pairs = frameEst * ts.est / d
@@ -313,238 +308,4 @@ func (c *compiler) joinEstimate(ts *tableScan, jp *joinPlan, frameEst float64) (
 		est = frameEst
 	}
 	return est, pairs
-}
-
-// reorderCore considers replacing the join order of an aggregate-only,
-// all-inner top-level core with a cheaper one. The eligibility class is
-// deliberately narrow, because reordering changes the row order the rest
-// of the pipeline consumes and must be invisible in the output:
-//
-//   - top-level core over ≥2 base tables, all joins inner, no derived
-//     tables, no DISTINCT/GROUP BY/HAVING/ORDER BY/LIMIT/OFFSET;
-//   - every projection item is a COUNT aggregate (plain, DISTINCT or
-//     star) — COUNT is the one aggregate whose rendered result is a pure
-//     function of the consumed row multiset. MIN/MAX are excluded
-//     because two values can compare equal under sqltypes.Compare yet
-//     render differently (INTEGER 2 vs REAL 2.0), so which survives
-//     depends on visit order; SUM/AVG float accumulation is
-//     order-sensitive outright;
-//   - no subqueries anywhere, every column reference table-qualified,
-//     and pairwise-distinct binding names — so folding ON conjuncts into
-//     WHERE and permuting the FROM list provably re-resolves every
-//     reference to the same column.
-//
-// When eligible, tables are ordered greedily (smallest estimated scan
-// first, then the connected table minimizing estimated pairs); if that
-// order's estimated total frame growth beats the original's, the
-// permuted core — ON conditions folded into WHERE, where the equi-key
-// pass re-extracts them — is lowered in its place. The estimates steer
-// only the order; every order computes identical COUNTs.
-func (c *compiler) reorderCore(cc *compiledCore, core *sqlast.SelectCore) *compiledCore {
-	if core.From == nil || len(core.From.Joins) == 0 || core.From.Base.Sub != nil {
-		return nil
-	}
-	for _, j := range core.From.Joins {
-		if j.Type != sqlast.InnerJoin || j.Table.Sub != nil {
-			return nil
-		}
-	}
-	if core.Distinct || len(core.GroupBy) > 0 || core.Having != nil ||
-		len(core.OrderBy) > 0 || core.Limit != nil || core.Offset != nil {
-		return nil
-	}
-	for _, it := range core.Items {
-		if it.Star || it.Expr == nil {
-			return nil
-		}
-		if fc, ok := it.Expr.(*sqlast.FuncCall); !ok || fc.Name != "COUNT" {
-			return nil
-		}
-	}
-	exprs := make([]sqlast.Expr, 0, len(core.Items)+len(core.From.Joins)+1)
-	for _, it := range core.Items {
-		exprs = append(exprs, it.Expr)
-	}
-	exprs = append(exprs, core.Where)
-	for _, j := range core.From.Joins {
-		exprs = append(exprs, j.On)
-	}
-	for _, e := range exprs {
-		if !reorderSafeExpr(e) {
-			return nil
-		}
-	}
-	refs := []sqlast.TableRef{core.From.Base}
-	for _, j := range core.From.Joins {
-		refs = append(refs, j.Table)
-	}
-	names := make(map[string]bool, len(refs))
-	for _, r := range refs {
-		name := strings.ToLower(r.Effective())
-		if names[name] {
-			return nil
-		}
-		names[name] = true
-	}
-	n := len(cc.scans)
-	for _, ts := range cc.scans {
-		if ts.est < 0 {
-			return nil
-		}
-	}
-
-	// The join graph, from the compiled plan's equi keys (ON- and
-	// WHERE-derived alike): each edge names two scans and the key column
-	// within each scan's own row.
-	type edge struct{ a, ca, b, cb int }
-	var edges []edge
-	scanOf := func(off int) (int, int) {
-		si := 0
-		for i := 1; i < n; i++ {
-			if off >= cc.scans[i].offset {
-				si = i
-			}
-		}
-		return si, off - cc.scans[si].offset
-	}
-	for ji, jp := range cc.joins {
-		for k := range jp.eqNew {
-			ai, ac := scanOf(jp.eqAcc[k])
-			edges = append(edges, edge{a: ai, ca: ac, b: ji + 1, cb: jp.eqNew[k]})
-		}
-	}
-
-	// stepCost estimates the pairs of joining scan si into a frame made of
-	// the scans marked used: keyed by the distinct count over si's key
-	// columns into the frame, cross product when unconnected.
-	stepCost := func(used []bool, frame float64, si int) float64 {
-		var cols []int
-		for _, e := range edges {
-			switch {
-			case e.b == si && used[e.a]:
-				cols = append(cols, e.cb)
-			case e.a == si && used[e.b]:
-				cols = append(cols, e.ca)
-			}
-		}
-		cols = dedupCols(cols)
-		if len(cols) == 0 {
-			return frame * cc.scans[si].est
-		}
-		d := c.keyDistinct(cc.scans[si].table, cols)
-		if d <= 0 {
-			return 0
-		}
-		return frame * cc.scans[si].est / d
-	}
-	costOf := func(ord []int) float64 {
-		used := make([]bool, n)
-		used[ord[0]] = true
-		frame := cc.scans[ord[0]].est
-		total := 0.0
-		for _, si := range ord[1:] {
-			frame = stepCost(used, frame, si)
-			used[si] = true
-			total += frame
-		}
-		return total
-	}
-
-	// Greedy order: smallest estimated scan first, then always a
-	// frame-connected scan (avoiding cross products) minimizing the step's
-	// estimated pairs. Ties break toward the original position, keeping
-	// plans deterministic.
-	used := make([]bool, n)
-	start := 0
-	for i := 1; i < n; i++ {
-		if cc.scans[i].est < cc.scans[start].est {
-			start = i
-		}
-	}
-	order := []int{start}
-	used[start] = true
-	frame := cc.scans[start].est
-	for len(order) < n {
-		bestI, bestCost, bestConn := -1, 0.0, false
-		for si := 0; si < n; si++ {
-			if used[si] {
-				continue
-			}
-			conn := false
-			for _, e := range edges {
-				if (e.a == si && used[e.b]) || (e.b == si && used[e.a]) {
-					conn = true
-					break
-				}
-			}
-			cost := stepCost(used, frame, si)
-			if bestI < 0 || (conn && !bestConn) || (conn == bestConn && cost < bestCost) {
-				bestI, bestCost, bestConn = si, cost, conn
-			}
-		}
-		used[bestI] = true
-		order = append(order, bestI)
-		frame = bestCost
-	}
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
-	}
-	if slices.Equal(order, identity) || costOf(order) >= costOf(identity) {
-		return nil
-	}
-
-	core2 := &sqlast.SelectCore{
-		Items: core.Items,
-		From:  &sqlast.FromClause{Base: refs[order[0]]},
-		Where: core.Where,
-	}
-	for _, si := range order[1:] {
-		core2.From.Joins = append(core2.From.Joins, sqlast.Join{Type: sqlast.InnerJoin, Table: refs[si]})
-	}
-	for _, j := range core.From.Joins {
-		core2.Where = sqlast.And(core2.Where, j.On)
-	}
-	re, err := c.lowerCore(core2, nil)
-	if err != nil {
-		// The permuted spelling failed to lower (it should not, given the
-		// eligibility checks); the original plan is always valid.
-		return nil
-	}
-	return re
-}
-
-// reorderSafeExpr reports whether an expression survives join reordering
-// untouched: no subqueries (their correlation analysis is scope-order
-// dependent) and every column reference table-qualified ("*" only as the
-// COUNT(*) argument, which is table-agnostic).
-func reorderSafeExpr(e sqlast.Expr) bool {
-	safe := true
-	sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
-		switch n := x.(type) {
-		case *sqlast.ColumnRef:
-			if n.Column != "*" && n.Table == "" {
-				safe = false
-			}
-		case *sqlast.InExpr:
-			if n.Sub != nil {
-				safe = false
-			}
-		case *sqlast.ExistsExpr, *sqlast.SubqueryExpr:
-			safe = false
-		}
-		return safe
-	})
-	return safe
-}
-
-// dedupCols returns cols with duplicates removed, order preserved.
-func dedupCols(cols []int) []int {
-	out := make([]int, 0, len(cols))
-	for _, c := range cols {
-		if !slices.Contains(out, c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -98,9 +98,11 @@ type Executor struct {
 	// hence identical estimated selectivities — a plan chosen for one is
 	// the plan that would be chosen for the other.
 	// Plans are costed against the statistics visible at first compile and
-	// deliberately not re-costed as the database grows; callers that want
-	// fresh plans after bulk loads use a fresh executor (the serving layer
-	// already creates one per snapshot).
+	// deliberately not re-costed as the database changes, so a cached
+	// plan's estimates may go stale; its results may not: a plan names its
+	// tables and reads their current rows and indexes on every run.
+	// Callers that want fresh estimates after bulk loads use a fresh
+	// executor (the serving layer already creates one per snapshot).
 	plans map[string]*program
 
 	// mode restricts the access paths the compiler may lower to; it is
@@ -117,8 +119,8 @@ func New(db *storage.Database) *Executor { return &Executor{db: db} }
 type planMode uint8
 
 const (
-	// costPlan chooses probes, build sides, streamed orderings and join
-	// orders by estimated selectivity (cost.go).
+	// costPlan chooses probes, build sides and streamed orderings by
+	// estimated selectivity (cost.go).
 	costPlan planMode = iota
 	// indexFree keeps hash joins and filter pushdown but reads no index or
 	// statistic, so every access path scans Relation.Rows.

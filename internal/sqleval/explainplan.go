@@ -182,8 +182,8 @@ func scanNode(cc *compiledCore, ts *tableScan, tr *execTrace) *plan.Node {
 // colName names one column of a base-table scan by its offset within the
 // table's own row.
 func colName(ts *tableScan, col int) string {
-	if ts.rel != nil && col >= 0 && col < len(ts.rel.Columns) {
-		return ts.rel.Columns[col]
+	if col >= 0 && col < len(ts.cols) {
+		return ts.cols[col]
 	}
 	return fmt.Sprintf("#%d", col)
 }
@@ -231,7 +231,7 @@ func joinLabel(cc *compiledCore, i int, jp *joinPlan) string {
 
 // frameColName names a column by its offset in the accumulated frame row:
 // it finds the scan covering the offset and reads the column name from its
-// relation (or its derived program's output labels).
+// base table's columns (or its derived program's output labels).
 func frameColName(cc *compiledCore, off int) string {
 	for _, ts := range cc.scans {
 		if off < ts.offset || off >= ts.offset+ts.width {

@@ -143,7 +143,7 @@ func identical(a, b *sqltypes.Relation) bool {
 // TestPlanGolden pins the cost-based planner's EXPLAIN output for every
 // Spider dev gold query against golden snapshots, one file per database
 // under testdata/plans. Any plan change — a different probe, a flipped
-// build side, a reordered join, a shifted estimate — shows up as a textual
+// build side, a streamed ordering, a shifted estimate — shows up as a textual
 // diff and fails CI until deliberately regenerated with
 //
 //	go test ./internal/sqleval -run TestPlanGolden -update

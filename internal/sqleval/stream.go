@@ -15,6 +15,7 @@ import "cyclesql/internal/sqltypes"
 // streamed core has a single scan, so its whole WHERE runs in the sink.
 func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error {
 	ts := cc.scans[0]
+	rows := ex.db.Table(ts.table).Rows
 	ix := ex.db.Sorted(ts.table, cc.stream.col)
 	span := ix.Positions()
 	if rp := ts.rprobe; rp != nil {
@@ -28,12 +29,12 @@ func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error
 	}
 	var visited int64
 	cancel := cancelCheck{ctx: e.qctx}
-	err := walkSorted(ts, cc.stream, span, func(ri int32) error {
+	err := walkSorted(rows, cc.stream, span, func(ri int32) error {
 		visited++
 		if err := cancel.poll(); err != nil {
 			return err
 		}
-		return s.push(ts.rel.Rows[ri])
+		return s.push(rows[ri])
 	})
 	if e.trace != nil {
 		e.trace.addRows(ts.id, visited)
@@ -41,11 +42,11 @@ func (ex *Executor) pushSorted(e execution, cc *compiledCore, s *coreSink) error
 	return err
 }
 
-// walkSorted visits a sorted span in the stream's order until visit
+// walkSorted visits a sorted span of rows in the stream's order until visit
 // returns an error: ascending directly, descending by visiting equal-value
 // runs back to front while keeping each run in ascending scan order (what
 // a stable descending sort produces).
-func walkSorted(ts *tableScan, sp *streamPlan, span []int32, visit func(int32) error) error {
+func walkSorted(rows []sqltypes.Row, sp *streamPlan, span []int32, visit func(int32) error) error {
 	if !sp.desc {
 		for _, ri := range span {
 			if err := visit(ri); err != nil {
@@ -55,7 +56,7 @@ func walkSorted(ts *tableScan, sp *streamPlan, span []int32, visit func(int32) e
 		return nil
 	}
 	val := func(ri int32) sqltypes.Value {
-		row := ts.rel.Rows[ri]
+		row := rows[ri]
 		if sp.col >= len(row) {
 			return sqltypes.Null()
 		}

@@ -3,8 +3,8 @@
 // is a pure leaf: it holds no state and knows nothing about storage — the
 // numbers are derived by internal/storage from a column's sorted index
 // (Database.ColStats), which is what gives them the index lifecycle for
-// free (maintained on Insert, invalidated with the indexes on Mutate,
-// snapshot/clone-isolated).
+// free (dropped with the indexes on every write and rebuilt on the next
+// read, snapshot/clone-isolated).
 //
 // The estimators make the textbook uniformity assumptions: equality
 // selects NonNull/Distinct rows (every key holds an average-sized
@@ -12,7 +12,7 @@
 // interpolation of its bounds inside the observed [Min, Max] span. Both
 // are deliberate approximations — no histograms, no per-literal
 // frequencies — chosen so the numbers fall out of structures the engine
-// already maintains. Estimates are advisory: every plan the estimates
+// already builds. Estimates are advisory: every plan the estimates
 // pick must still produce bit-identical results (the planner only ever
 // chooses among result-preserving lowerings), so a misestimate costs
 // time, never correctness.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"cyclesql/internal/schema"
 	"cyclesql/internal/sqltypes"
 )
 
@@ -44,15 +45,15 @@ func oracleHashIndex(rel *sqltypes.Relation, cols []int) map[string][]int32 {
 	return groups
 }
 
-// FuzzHashIndex builds the packed hash index over a prefix of a random
-// table of one- or two-column keys, adds the remaining rows the way
-// Insert does, and holds the result to the map-of-buckets oracle: every
-// present key's Lookup equals its oracle bucket element for element and
-// has no spare capacity (appending to one bucket must not overwrite the
-// next), absent keys find nothing, and Distinct and NonNull match. Over
-// one column the sorted index's Distinct and NonNull, maintained the
-// same way, must match too. The seed corpus in testdata/fuzz/FuzzHashIndex
-// runs with every go test.
+// FuzzHashIndex builds the packed hash and sorted indexes over a prefix of
+// a random table of one- or two-column keys, inserts the remaining rows
+// through Database.Insert, which drops both, and holds the rebuilt hash
+// index to the map-of-buckets oracle: every present key's Lookup equals
+// its oracle bucket element for element and has no spare capacity
+// (appending to one bucket must not overwrite the next), absent keys find
+// nothing, and Distinct and NonNull match. Over one column the rebuilt
+// sorted index's Distinct and NonNull must match too. The seed corpus in
+// testdata/fuzz/FuzzHashIndex runs with every go test.
 func FuzzHashIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, twoCols bool, built uint8) {
 		width := 1
@@ -70,16 +71,29 @@ func FuzzHashIndex(f *testing.F) {
 		}
 		cols := []int{0, 1}[:width]
 		k := int(built) % (len(rows) + 1)
-		rel := &sqltypes.Relation{Columns: []string{"a", "b"}[:width], Rows: slices.Clone(rows[:k])}
-		ix := buildHashIndex(rel, cols)
-		sx := buildSortedIndex(rel, 0)
-		for i := k; i < len(rows); i++ {
-			rel.Append(rows[i])
-			ix.add(rows[i], i)
-			sx.add(rows[i], i)
+		// Untyped columns: Insert coerces nothing, so INTEGER 1 and REAL
+		// 1.0 stay distinct values that the key encoding must equate.
+		s := &schema.Schema{Name: "fuzz", Tables: []*schema.Table{{Name: "t",
+			Columns: []schema.Column{{Name: "a"}, {Name: "b"}}[:width]}}}
+		db := NewDatabase(s)
+		for _, row := range rows[:k] {
+			if err := db.Insert("t", row); err != nil {
+				t.Fatal(err)
+			}
 		}
+		db.Index("t", cols...)
+		db.Sorted("t", 0)
+		for _, row := range rows[k:] {
+			if err := db.Insert("t", row); err != nil {
+				t.Fatal(err)
+			}
+			if db.HasIndex("t", cols...) || db.HasSorted("t", 0) {
+				t.Fatal("Insert must drop the table's indexes")
+			}
+		}
+		ix, sx := db.Index("t", cols...), db.Sorted("t", 0)
 
-		want := oracleHashIndex(rel, cols)
+		want := oracleHashIndex(db.Table("t"), cols)
 		nonNull := 0
 		for key, bucket := range want {
 			got := ix.Lookup([]byte(key))

@@ -21,13 +21,13 @@
 // pair — group g's positions are pos[at[g]:at[g+1]]. The probe table is
 // sized to the distinct keys, not to the rows.
 //
-// Every index kind shares one lifecycle. Indexes are built lazily on first
-// use and then kept consistent with the table: Insert adds the new row
-// to every built index of its table, Mutate drops all indexes (the
-// callback rewrites values in place), and Clone starts the copy with no
-// indexes so the clone's perturbed contents can never read the original's
-// buckets. A row-count check on every access catches direct
-// Relation.Append misuse and triggers a rebuild.
+// Every index kind shares one lifecycle, with one write rule: indexes are
+// built lazily on first use and dropped by every write to their table —
+// Insert drops its table's indexes, Mutate drops all of them — and the
+// next probe rebuilds them. Clone starts the copy with no indexes, so the
+// clone's perturbed contents can never read the original's buckets. A
+// row-count check on every access catches direct Relation.Append misuse
+// and triggers a rebuild.
 //
 // NULL values are never indexed: the = operator is NULL-rejecting, so a
 // probe must not return NULL rows and a NULL probe key matches nothing. A
@@ -37,7 +37,7 @@
 // indexes under the database's lock with a double-check, so parallel
 // queries racing on a cold index either share one build or briefly build
 // interchangeable copies. Probes stay lock-free — a published index is
-// immutable until the next write, and writes require reader exclusion.
+// never mutated (a write drops it), and writes require reader exclusion.
 package storage
 
 import (
@@ -189,29 +189,6 @@ func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
 	return ix
 }
 
-// add indexes one freshly appended row at position pos. The position is
-// larger than every indexed one, so it goes at the end of its group's
-// run: a new group's run is appended, and a known group's run takes the
-// position in place, shifting the later runs by one.
-func (ix *HashIndex) add(row sqltypes.Row, pos int) {
-	ix.rows++
-	key, ok := hashKey(nil, row, ix.cols)
-	if !ok {
-		return
-	}
-	g, slot := ix.find(key)
-	if g < 0 {
-		ix.addGroup(key, slot)
-		ix.pos = append(ix.pos, int32(pos))
-		ix.at = append(ix.at, int32(len(ix.pos)))
-		return
-	}
-	ix.pos = slices.Insert(ix.pos, int(ix.at[g+1]), int32(pos))
-	for h := g + 1; h < len(ix.at); h++ {
-		ix.at[h]++
-	}
-}
-
 // hashKey encodes the key columns of a row, reporting ok=false for NULL
 // key values or rows too short to hold every column (direct Relation
 // misuse).
@@ -235,8 +212,6 @@ func (h *indexHead) head() *indexHead { return h }
 // index is one built index of either kind.
 type index interface {
 	head() *indexHead
-	// add appends one freshly inserted row at position pos.
-	add(row sqltypes.Row, pos int)
 }
 
 // indexSet holds one table's built indexes: hash indexes found by their
@@ -278,19 +253,6 @@ func (s *indexSet) put(sorted bool, ix index) {
 		}
 	}
 	*list = append(*list, ix)
-}
-
-// add maintains every index in the set for one inserted row.
-func (s *indexSet) add(row sqltypes.Row, pos int) {
-	if s == nil {
-		return
-	}
-	for _, ix := range s.hash {
-		ix.add(row, pos)
-	}
-	for _, ix := range s.sorted {
-		ix.add(row, pos)
-	}
 }
 
 // clone copies the set's slices; the index objects are shared.
@@ -360,7 +322,7 @@ func validCols(rel *sqltypes.Relation, cols []int) bool {
 // Index returns the hash index over an ordered column tuple of a table,
 // building it on first use; a single column is a 1-tuple. It returns nil
 // for unknown tables, out-of-range columns or an empty tuple. The index
-// stays valid until the next Mutate; Insert maintains it in place. Index
+// stays valid until the next write to the table, which drops it. Index
 // is safe to call from concurrent readers (see lazyIndex). Only point
 // probes, join build sides and join-key estimates call it: column
 // statistics come from the sorted index (ColStats), so costing a column

@@ -172,6 +172,9 @@ func TestIndexBoundsAndUnknowns(t *testing.T) {
 	}
 }
 
+// TestIndexMaintainedOnInsert pins the write rule for hash indexes: Insert
+// drops its table's built indexes, and the next probe rebuilds one that
+// holds the new row.
 func TestIndexMaintainedOnInsert(t *testing.T) {
 	for _, c := range hashCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -186,26 +189,44 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 			if err := db.Insert(c.table, c.extra); err != nil {
 				t.Fatal(err)
 			}
-			if !db.HasIndex(c.table, c.cols...) {
-				t.Fatal("insert must maintain the built index, not drop it")
+			if db.HasIndex(c.table, c.cols...) {
+				t.Fatal("insert must drop the table's built index")
 			}
 			want := append(slices.Clone(c.want), pos)
 			if got := c.lookup(t, db, c.probe); !slices.Equal(got, want) {
 				t.Fatalf("%v rows after insert: %v, want %v", c.probe, got, want)
 			}
-			// A NULL-keyed insert keeps the index up to date without
-			// indexing the row.
+			// A NULL-keyed insert drops the index too, and the rebuilt one
+			// leaves the row out.
 			nonNull := db.Index(c.table, c.cols...).NonNull()
 			if err := db.Insert(c.table, c.nullKey); err != nil {
 				t.Fatal(err)
 			}
-			if !db.HasIndex(c.table, c.cols...) {
-				t.Fatal("NULL-keyed insert must still keep the index up to date")
+			if db.HasIndex(c.table, c.cols...) {
+				t.Fatal("NULL-keyed insert must drop the table's built index")
 			}
 			if got := db.Index(c.table, c.cols...).NonNull(); got != nonNull {
 				t.Fatalf("NonNull after NULL-keyed insert: %d, want %d", got, nonNull)
 			}
 		})
+	}
+}
+
+// TestInsertKeepsOtherTablesIndexes pins the scope of the write rule: an
+// Insert drops the indexes of the table it writes and no other's.
+func TestInsertKeepsOtherTablesIndexes(t *testing.T) {
+	db := indexDB(t)
+	pair := db.Index("Pair", 0, 1)
+	sorted := db.Sorted("Pair", 2)
+	db.Index("Item", 1)
+	if err := db.Insert("Item", sqltypes.Row{sqltypes.NewInt(5), sqltypes.NewText("c"), sqltypes.NewFloat(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if db.HasIndex("Item", 1) {
+		t.Fatal("insert must drop the written table's indexes")
+	}
+	if db.Index("Pair", 0, 1) != pair || db.Sorted("Pair", 2) != sorted {
+		t.Fatal("insert into Item must leave Pair's built indexes in place")
 	}
 }
 

@@ -16,16 +16,16 @@
 //     table before touching it — Insert copies only the row-header slice
 //     (it appends, never rewrites, so row contents stay shared), Mutate
 //     deep-copies the rows it is about to rewrite — swaps the copy into
-//     the live table map, drops the live store's indexes for that table
-//     (the built index objects are shared with the view and must not be
-//     mutated), and bumps the epoch. Later writes to the now-owned table
-//     pay nothing extra until the next Snapshot re-shares it.
+//     the live table map and bumps the epoch. Like every write, it drops
+//     the live store's indexes for the table; the view keeps the index
+//     objects it shares, which no write mutates. Later writes to the
+//     now-owned table pay nothing extra until the next Snapshot re-shares
+//     it.
 //
 // So a snapshot pin costs O(tables + built indexes) regardless of row
 // count, writers pay the copy only once per table per snapshot
-// generation, and a store nobody snapshots behaves exactly as before —
-// Insert maintains built indexes in place and never copies (the batch
-// benchmark path is unchanged).
+// generation, and a store nobody snapshots behaves exactly as before:
+// Insert appends in place and never copies.
 //
 // Concurrency: Snapshot() and the writers serialize on the database lock,
 // so a snapshot can be taken while writers are active and never captures
@@ -103,10 +103,9 @@ func (db *Database) Snapshot() *Snapshot {
 		epoch:  db.epoch,
 		tables: make(map[string]*sqltypes.Relation, len(db.tables)),
 	}
-	// The built index objects are immutable until the next write to their
-	// table — and a write to a shared table drops the live store's
-	// references instead of mutating them — so the view shares them
-	// outright. Each table's set is copied: the view's own lazy builds
+	// The built index objects are immutable — a write drops the live
+	// store's references instead of mutating them — so the view shares
+	// them outright. Each table's set is copied: the view's own lazy builds
 	// publish into its copy under the view's lock, and the live store's
 	// into the original, so neither sees the other's new indexes.
 	if db.indexes != nil {
@@ -128,10 +127,8 @@ func (db *Database) Snapshot() *Snapshot {
 // writeTableLocked returns the relation for table name ready to be
 // written: if the table is pinned by a snapshot, it first swaps in a
 // copy — row headers only when deepRows is false (Insert appends, never
-// rewrites), full row clones when true (Mutate rewrites values in place)
-// — and drops the live store's indexes for the table, since the built
-// index objects are shared with the snapshot view. Must be called with
-// db.mu held.
+// rewrites), full row clones when true (Mutate rewrites values in place).
+// The caller drops the table's indexes. Must be called with db.mu held.
 func (db *Database) writeTableLocked(name string, deepRows bool) *sqltypes.Relation {
 	rel := db.tables[name]
 	if rel == nil || !db.shared[name] {
@@ -148,6 +145,5 @@ func (db *Database) writeTableLocked(name string, deepRows bool) *sqltypes.Relat
 	}
 	db.tables[name] = cp
 	delete(db.shared, name)
-	delete(db.indexes, name)
 	return cp
 }

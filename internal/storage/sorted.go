@@ -13,11 +13,11 @@
 // returns exactly the rows the scan-and-filter path would keep.
 //
 // Sorted indexes share the hash indexes' lifecycle and lazy-publish path
-// (index.go); on Insert, binary-search insertion keeps the position list
-// ordered. Equal values are adjacent, so the index also counts its
-// distinct non-NULL values — the runs of Compare-equal values — at build
-// time and keeps the count on Insert; Compare equality is the = operator's
-// equality, so the count equals a hash index's Distinct over the column.
+// (index.go): every write to the table drops them, and the next use
+// rebuilds them. Equal values are adjacent, so the build also counts the
+// column's distinct non-NULL values — the runs of Compare-equal values;
+// Compare equality is the = operator's equality, so the count equals a
+// hash index's Distinct over the column.
 package storage
 
 import (
@@ -137,44 +137,11 @@ func buildSortedIndex(rel *sqltypes.Relation, col int) *SortedIndex {
 		ix.nulls++
 	}
 	for i := ix.nulls; i < len(ix.pos); i++ {
-		if ix.startsRun(i, ix.value(ix.pos[i])) {
+		if i == ix.nulls || sqltypes.Compare(ix.value(ix.pos[i-1]), ix.value(ix.pos[i])) != 0 {
 			ix.distinct++
 		}
 	}
 	return ix
-}
-
-// startsRun reports whether non-NULL value v, at ordered position i,
-// differs from the value before it — whether it starts a new run.
-func (ix *SortedIndex) startsRun(i int, v sqltypes.Value) bool {
-	return i == ix.nulls || sqltypes.Compare(ix.value(ix.pos[i-1]), v) != 0
-}
-
-// add inserts one freshly appended row at its ordered position. The new
-// position is larger than every existing one, so inserting at the end of
-// its value run preserves the (value, position) order. The value is new
-// to the index exactly when it starts a run at that place.
-func (ix *SortedIndex) add(row sqltypes.Row, pos int) {
-	ix.rows++
-	v := sqltypes.Null()
-	if ix.column < len(row) {
-		v = row[ix.column]
-	}
-	at := ix.nulls
-	if v.IsNull() {
-		ix.nulls++
-	} else {
-		span := ix.pos[ix.nulls:]
-		at += sort.Search(len(span), func(i int) bool {
-			return sqltypes.Compare(ix.value(span[i]), v) > 0
-		})
-		if ix.startsRun(at, v) {
-			ix.distinct++
-		}
-	}
-	ix.pos = append(ix.pos, 0)
-	copy(ix.pos[at+1:], ix.pos[at:])
-	ix.pos[at] = int32(pos)
 }
 
 // Sorted returns the ordered index for one column of a table, building it

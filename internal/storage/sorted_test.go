@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"cyclesql/internal/schema"
@@ -98,6 +99,9 @@ func TestSortedIndexRange(t *testing.T) {
 	}
 }
 
+// TestSortedIndexMaintainedOnInsert pins the write rule for sorted
+// indexes: Insert drops its table's sorted indexes, and the next use
+// rebuilds one that orders the new rows.
 func TestSortedIndexMaintainedOnInsert(t *testing.T) {
 	db := sortedDB(t)
 	ix := db.Sorted("Item", 2)
@@ -107,19 +111,17 @@ func TestSortedIndexMaintainedOnInsert(t *testing.T) {
 	// An equal-valued insert must land at the end of its value run (scan
 	// order), a NULL at the end of the NULL prefix.
 	db.MustInsert("Item", sqltypes.NewInt(6), sqltypes.NewText("d"), sqltypes.NewInt(2))
-	db.MustInsert("Item", sqltypes.NewInt(7), sqltypes.NewText("e"), sqltypes.Null())
-	if !db.HasSorted("Item", 2) {
-		t.Fatal("insert must maintain the built sorted index, not drop it")
+	if db.HasSorted("Item", 2) {
+		t.Fatal("insert must drop the table's built sorted index")
 	}
+	db.MustInsert("Item", sqltypes.NewInt(7), sqltypes.NewText("e"), sqltypes.Null())
 	got := positions(db.Sorted("Item", 2))
 	want := []int32{3, 6, 2, 0, 1, 5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("positions after insert = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("positions after insert = %v, want %v", got, want)
 	}
-	if db.Sorted("Item", 2) != ix {
-		t.Fatal("maintained index must be the same published instance")
+	if db.Sorted("Item", 2) == ix {
+		t.Fatal("the rebuilt index must be a new instance")
 	}
 }
 

@@ -2,8 +2,8 @@
 // the column's sorted index: it supplies NonNull, Distinct (its count of
 // Compare-equal runs, which equals a hash index's group count) and the
 // Min/Max span. Deriving instead of counting separately means statistics
-// inherit the full index lifecycle for free — maintained on Insert,
-// invalidated with the indexes on Mutate, never shared with clones, and
+// inherit the index lifecycle for free — dropped with the indexes on
+// every write and rebuilt on the next read, never shared with clones, and
 // shared into copy-on-write snapshots until the first divergent write.
 // There is no staleness to reason about: ColStats reads whatever the index
 // says right now, and the index is exact. Costing a column builds no hash

@@ -45,11 +45,12 @@ type Database struct {
 	tables map[string]*sqltypes.Relation
 	// mu guards the index sets: concurrent queries trigger lazy index
 	// builds, and publishing a built index must be ordered before other
-	// goroutines probe it. Built indexes of every kind are immutable
-	// between writes, so probes run outside the lock.
+	// goroutines probe it. A built index is never mutated (a write drops
+	// it), so probes run outside the lock.
 	mu sync.RWMutex
 	// indexes holds the built indexes per lower-cased table name. nil
-	// until the first probe; dropped wholesale on Mutate.
+	// until the first probe; Insert drops its table's entry, Mutate the
+	// whole map.
 	indexes map[string]*indexSet
 	// epoch advances on every Snapshot and every write; snapshot holders
 	// compare it against their pinned epoch to detect staleness. Guarded
@@ -80,9 +81,10 @@ func NewDatabase(s *schema.Schema) *Database {
 }
 
 // Table returns the stored relation for a table name, or nil if the table
-// does not exist. The returned relation is live and stable across inserts
-// (rows append in place), so the SQL compiler binds it directly into
-// compiled plans; callers must not mutate it.
+// does not exist. The first write to a table pinned by a snapshot swaps a
+// copy in under its name, so a caller that runs again after a write reads
+// the table again; the SQL executor reads it on every run. Callers must
+// not mutate it.
 func (db *Database) Table(name string) *sqltypes.Relation {
 	return db.tables[strings.ToLower(name)]
 }
@@ -91,9 +93,9 @@ func (db *Database) Table(name string) *sqltypes.Relation {
 // toward the declared column affinity (integers widen to REAL columns,
 // numerics stringify into TEXT columns). If the table is pinned by a
 // snapshot, the append goes to a copy-on-write replacement and the pinned
-// view is untouched; otherwise the row appends in place and every built
-// index is maintained, exactly as before snapshots existed. Inserting
-// into a snapshot view is an error.
+// view is untouched; otherwise the row appends in place. Either way the
+// table's built indexes are dropped, and the next probe rebuilds them.
+// Inserting into a snapshot view is an error.
 func (db *Database) Insert(table string, row sqltypes.Row) error {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -122,7 +124,7 @@ func (db *Database) Insert(table string, row sqltypes.Row) error {
 	}
 	rel.Append(coerced)
 	db.epoch++
-	db.indexes[name].add(coerced, len(rel.Rows)-1)
+	delete(db.indexes, name)
 	return nil
 }
 
