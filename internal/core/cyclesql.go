@@ -178,9 +178,9 @@ type Pipeline struct {
 	// sequential loop, run inline; higher values execute, explain and
 	// verify candidates speculatively on a worker pool while results
 	// commit in beam order, so Final, Verified, Iterations, Premises and
-	// Errors are identical either way. Candidates after the first
-	// (beam-order) validated one are not started; work already in flight
-	// is aborted and discarded. With Parallelism > 1 the Feedback and
+	// Errors are identical either way. No candidate after a validated (or
+	// verify-degraded) one is started once that outcome exists, and work
+	// already in flight is aborted and discarded when the loop stops. With Parallelism > 1 the Feedback and
 	// Verifier must be safe for concurrent use (the implementations in
 	// this repository are).
 	Parallelism int

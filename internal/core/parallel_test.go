@@ -30,7 +30,7 @@ func TestSequentialParallelParity(t *testing.T) {
 	}
 	model := nl2sql.MustByName("resdsql-3b")
 	seq := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		par := &Pipeline{Model: model, Verifier: v, Benchmark: bench.Name}
 		par.Parallelism = workers
 		for _, ex := range dev {

@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,4 +201,30 @@ func TestByNameErrors(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
+}
+
+// TestGoldChecksLeaveNoIndexes builds fresh benchmarks, not the
+// process-wide cached ones other tests query, and checks that generating
+// them left no hash or sorted index on any database: the gold checks run
+// on a snapshot view whose indexes go with it. An unexecutable gold
+// statement must still fail the build.
+func TestGoldChecksLeaveNoIndexes(t *testing.T) {
+	for _, b := range []*Benchmark{buildSpider(), buildScience()} {
+		for name, db := range b.Databases {
+			for _, tbl := range db.Schema.Tables {
+				for col := range tbl.Columns {
+					if db.HasIndex(tbl.Name, col) || db.HasSorted(tbl.Name, col) {
+						t.Errorf("%s/%s: %s.%s keeps an index built by a gold check", b.Name, name, tbl.Name, tbl.Columns[col].Name)
+					}
+				}
+			}
+		}
+	}
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "does not execute") {
+			t.Fatalf("an unexecutable gold statement must panic, got %v", r)
+		}
+	}()
+	mustExecute(goldExecutor(FlightDB()), newExample("bad-000", "flight_2", "q", "SELECT name FROM no_such_table"))
 }

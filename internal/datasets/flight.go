@@ -89,10 +89,10 @@ func flightExamples() []Example {
 			"SELECT T2.name FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name ORDER BY count(*) DESC LIMIT 1"},
 	}
 	out := make([]Example, 0, len(pairs))
-	db := FlightDB()
+	gold := goldExecutor(FlightDB())
 	for i, p := range pairs {
 		ex := newExample(fmtID("flight_2", i), "flight_2", p.q, p.sql)
-		mustExecute(db, ex)
+		mustExecute(gold, ex)
 		out = append(out, ex)
 	}
 	return out

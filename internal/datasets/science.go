@@ -1,11 +1,6 @@
 package datasets
 
-import (
-	"context"
-	"cyclesql/internal/sqlast"
-	"cyclesql/internal/sqleval"
-	"cyclesql/internal/storage"
-)
+import "cyclesql/internal/storage"
 
 // scienceVocabs are the three ScienceBenchmark-like scientific domains:
 // OncoMX (cancer biomarkers), CORDIS (EU research projects) and SDSS (sky
@@ -80,11 +75,4 @@ func buildScience() *Benchmark {
 		b.Dev = append(b.Dev, generateExamples(db, v, int64(9500+i), sciencePerDomain)...)
 	}
 	return b
-}
-
-// checkExecutes verifies a gold statement runs against its database.
-func checkExecutes(db *storage.Database, stmt *sqlast.SelectStmt) error {
-	res, err := sqleval.New(db).Run(context.Background(), stmt)
-	res.Release()
-	return err
 }

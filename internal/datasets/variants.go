@@ -155,7 +155,7 @@ func buildDK() *Benchmark {
 	b := &Benchmark{Name: "spider-dk", Databases: base.Databases}
 	rng := rand.New(rand.NewSource(77))
 	for _, v := range devVocabs {
-		db := base.DB(v.Domain)
+		gold := goldExecutor(base.DB(v.Domain))
 		i := 0
 		// Sorted keys fix the example numbering and the RNG draws, so IDs
 		// and questions are the same in every process.
@@ -187,7 +187,7 @@ func buildDK() *Benchmark {
 			for _, p := range patterns {
 				ex := newExample(fmt.Sprintf("dk-%s-%03d", v.Domain, i), v.Domain, p.q, p.sql)
 				ex.RequiresDK = true
-				mustExecute(db, ex)
+				mustExecute(gold, ex)
 				b.Dev = append(b.Dev, ex)
 				i++
 			}
@@ -206,11 +206,11 @@ func buildDK() *Benchmark {
 		{"List the names of Francophone nations.",
 			"SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French'"},
 	}
-	db := base.DB("world_1")
+	gold := goldExecutor(base.DB("world_1"))
 	for i, p := range worldDK {
 		ex := newExample(fmt.Sprintf("dk-world_1-%03d", i), "world_1", p.q, p.sql)
 		ex.RequiresDK = true
-		mustExecute(db, ex)
+		mustExecute(gold, ex)
 		b.Dev = append(b.Dev, ex)
 	}
 	return b

@@ -223,10 +223,10 @@ func worldExamples() []Example {
 			"SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'French' EXCEPT SELECT T1.name FROM country AS T1 JOIN countrylanguage AS T2 ON T1.code = T2.countrycode WHERE T2.language = 'English'"},
 	}
 	out := make([]Example, 0, len(pairs))
-	db := WorldDB()
+	gold := goldExecutor(WorldDB())
 	for i, p := range pairs {
 		ex := newExample(fmtID("world_1", i), "world_1", p.q, p.sql)
-		mustExecute(db, ex)
+		mustExecute(gold, ex)
 		out = append(out, ex)
 	}
 	return out

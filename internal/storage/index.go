@@ -328,11 +328,12 @@ func validCols(rel *sqltypes.Relation, cols []int) bool {
 // statistics come from the sorted index (ColStats), so costing a column
 // builds no hash index.
 func (db *Database) Index(table string, cols ...int) *HashIndex {
-	rel := db.Table(table)
+	name := lowerName(table)
+	rel := db.tables[name]
 	if !validCols(rel, cols) {
 		return nil
 	}
-	return db.lazyIndex(lowerName(table), rel, false, cols, false).(*HashIndex)
+	return db.lazyIndex(name, rel, false, cols, false).(*HashIndex)
 }
 
 // HasIndex reports whether a built, up-to-date hash index exists for the
@@ -345,11 +346,12 @@ func (db *Database) HasIndex(table string, cols ...int) bool {
 // hasIndex reports whether an up-to-date index of the kind over cols is
 // published.
 func (db *Database) hasIndex(table string, sorted bool, cols []int) bool {
-	rel := db.Table(table)
+	name := lowerName(table)
+	rel := db.tables[name]
 	if rel == nil {
 		return false
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.indexes[lowerName(table)].find(sorted, cols, len(rel.Rows)) != nil
+	return db.indexes[name].find(sorted, cols, len(rel.Rows)) != nil
 }

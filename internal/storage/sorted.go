@@ -148,12 +148,13 @@ func buildSortedIndex(rel *sqltypes.Relation, col int) *SortedIndex {
 // on first use. It returns nil for unknown tables or out-of-range columns.
 // Like Index, it is safe to call from concurrent readers (see lazyIndex).
 func (db *Database) Sorted(table string, col int) *SortedIndex {
-	rel := db.Table(table)
+	name := lowerName(table)
+	rel := db.tables[name]
 	cols := []int{col}
 	if !validCols(rel, cols) {
 		return nil
 	}
-	return db.lazyIndex(lowerName(table), rel, true, cols, false).(*SortedIndex)
+	return db.lazyIndex(name, rel, true, cols, false).(*SortedIndex)
 }
 
 // HasSorted reports whether a built, up-to-date sorted index exists for
