@@ -87,8 +87,8 @@ func benchExecPath(b *testing.B, sql string, nAircraft, nFlights int, scanOnly b
 }
 
 // The indexed-vs-scan benchmark pairs below are recorded in BENCH_PR2.json
-// and smoke-run by CI; TestIndexAllocRegressionGate enforces their ≥5x
-// allocs/op win in the regular test suite.
+// and smoke-run by CI; TestIndexAllocRegressionGate bounds their allocs/op
+// in the regular test suite.
 
 // pointLookupSQL is a point lookup by primary key inside a join: the
 // indexed path probes aircraft.aid and joins one row; the scan path hashes
@@ -97,7 +97,7 @@ const pointLookupSQL = "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON
 
 // joinReuseSQL is a repeated equi-join whose build side is the whole
 // aircraft table: the indexed path probes the table's column index; the
-// scan path rebuilds a hash table over it on every execution.
+// scan path rebuilds the same packed table over it on every execution.
 const joinReuseSQL = "SELECT T1.flno, T2.name FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.distance > 9000"
 
 // BenchmarkIndexPointLookup measures a WHERE pk = literal probe served by
@@ -118,7 +118,8 @@ func BenchmarkIndexJoinReuse(b *testing.B) {
 }
 
 // BenchmarkScanJoinReuse is the same join with indexes disabled, so the
-// hash-join build side is reconstructed per execution.
+// hash-join build side is rebuilt per execution, in the table the core's
+// sink keeps.
 func BenchmarkScanJoinReuse(b *testing.B) {
 	benchExecPath(b, joinReuseSQL, 2000, 400, true)
 }
@@ -139,8 +140,7 @@ const rangeCountSQL = "SELECT count(*) FROM flight WHERE flno > 1800"
 
 // compositeJoinSQL is a two-key equi-join whose build side is a whole base
 // table: the indexed path probes the table's two-column hash index; the
-// scan path rebuilds a multi-key hash table (one string key per build
-// row) on every execution.
+// scan path rebuilds a two-column packed table on every execution.
 const compositeJoinSQL = "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid AND T1.flno = T2.distance"
 
 // BenchmarkIndexRangeTopK measures a range conjunct + ORDER BY LIMIT
@@ -184,32 +184,35 @@ func BenchmarkIndexCompositeJoin(b *testing.B) {
 }
 
 // BenchmarkScanCompositeJoin is the same join with indexes disabled, so
-// the multi-key hash table is reconstructed per execution.
+// the two-column build side is rebuilt per execution.
 func BenchmarkScanCompositeJoin(b *testing.B) {
 	benchExecPath(b, compositeJoinSQL, 2000, 400, true)
 }
 
 // TestIndexAllocRegressionGate enforces the indexed paths' acceptance bar
-// inside the regular test suite: the point-lookup probe, the reused
-// build-side joins (single-key and composite), and the sorted-index
-// range/top-k paths must allocate at least 5x less per execution than the
-// scan paths. AllocsPerRun is deterministic here (steady-state executions
-// of cached plans, each on a fresh slab, with no plan cache lookup whose
-// canonical key borrows a pooled buffer that the race detector may drop),
-// so the gate cannot flake; BENCH_PR2.json and BENCH_PR5.json record the
-// full timed numbers. The pooled leg bounds each indexed path's warm
-// pooled execution, the one the loop runs, at its own per-case maximum.
+// inside the regular test suite as absolute ceilings: the point-lookup
+// probe, the reused build-side joins (single-key and composite), and the
+// sorted-index range/top-k paths, each executed on a fresh slab
+// (indexed), on a warm pooled slab (pooled, the path the loop runs), and
+// with every index disabled (index-free). AllocsPerRun is deterministic
+// here (steady-state executions of cached plans, with no plan cache
+// lookup whose canonical key borrows a pooled buffer that the race
+// detector may drop), so the gate cannot flake; BENCH_PR2.json and
+// BENCH_PR5.json record the full timed numbers. The ceilings are counts,
+// not a ratio to the index-free leg: that leg builds its join sides in
+// the same packed table as an index, a few dozen objects whatever the
+// row count, so a ratio would read a cheaper baseline as a regression.
 func TestIndexAllocRegressionGate(t *testing.T) {
 	for _, tc := range []struct {
-		name, sql           string
-		nAircraft, nFlights int
-		pooledMax           float64
+		name, sql                           string
+		nAircraft, nFlights                 int
+		indexedMax, pooledMax, indexFreeMax float64
 	}{
-		{"point lookup", pointLookupSQL, 2000, 400, 3},
-		{"join reuse", joinReuseSQL, 2000, 400, 1},
-		{"range top-k", rangeTopKSQL, 50, 2000, 0},
-		{"order-by top-k", topKSQL, 50, 2000, 0},
-		{"composite join", compositeJoinSQL, 2000, 400, 3},
+		{"point lookup", pointLookupSQL, 2000, 400, 12, 0, 27},
+		{"join reuse", joinReuseSQL, 2000, 400, 16, 0, 34},
+		{"range top-k", rangeTopKSQL, 50, 2000, 4, 0, 30},
+		{"order-by top-k", topKSQL, 50, 2000, 4, 0, 39},
+		{"composite join", compositeJoinSQL, 2000, 400, 11, 1, 31},
 	} {
 		db := benchDB(t, tc.nAircraft, tc.nFlights)
 		stmt, err := sqlparse.Parse(tc.sql)
@@ -232,17 +235,18 @@ func TestIndexAllocRegressionGate(t *testing.T) {
 			})
 		}
 		indexed, scan := measure(false), measure(true)
-		if indexed*5 > scan {
-			t.Errorf("%s: indexed path allocates %.0f/op vs scan %.0f/op — less than the required 5x win", tc.name, indexed, scan)
-		}
-		ex := New(db)
-		pl, err := ex.Prepare(stmt)
+		pl, err := New(db).Prepare(stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooled := pooledAllocs(t, pl, 10)
-		if pooled > tc.pooledMax {
-			t.Errorf("%s: a warm pooled indexed execution allocates %.0f/op, want at most %.0f", tc.name, pooled, tc.pooledMax)
+		for _, leg := range []struct {
+			name     string
+			got, max float64
+		}{{"indexed", indexed, tc.indexedMax}, {"pooled indexed", pooled, tc.pooledMax}, {"index-free", scan, tc.indexFreeMax}} {
+			if leg.got > leg.max {
+				t.Errorf("%s: the %s execution allocates %.0f/op, want at most %.0f", tc.name, leg.name, leg.got, leg.max)
+			}
 		}
 		t.Logf("%s allocs/op: indexed=%.0f scan=%.0f pooled indexed=%.0f", tc.name, indexed, scan, pooled)
 	}
@@ -391,19 +395,19 @@ func TestUncorrelatedSubqueryAllocGate(t *testing.T) {
 // DISTINCT aggregate, a three-table join whose intermediate join grows
 // with the rows, and a LIMIT 3 scan. Counted on one P (AllocsPerRun) with
 // the collector off, so the counts are deterministic; the fresh-slab leg
-// is skipped under -race. The pooled leg bounds each case's warm pooled
-// execution at both sizes, with and without -race.
+// is skipped under -race. The pooled leg requires each case's warm pooled
+// execution to allocate nothing at both sizes, except the grouped join
+// under -race, which allocates once per group (50 aircraft).
 func TestStreamedCoreAllocGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
-		name, sql                string
-		pooledMax, racePooledMax float64
+		name, sql     string
+		racePooledMax float64
 	}{
-		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7", 1, 1},
-		// The race build allocates once more per group (50 aircraft).
-		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name", 1, 51},
-		{"three-table join", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid LEFT JOIN aircraft AS T3 ON T3.aid = T2.aid WHERE T2.flno = 7", 1, 1},
-		{"LIMIT 3 scan", "SELECT flno, origin FROM flight LIMIT 3", 0, 0},
+		{"left join, right-side WHERE", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid WHERE T2.flno = 7", 0},
+		{"grouped join", "SELECT T2.name, count(DISTINCT T1.origin) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid GROUP BY T2.name", 50},
+		{"three-table join", "SELECT T1.name FROM aircraft AS T1 LEFT JOIN flight AS T2 ON T1.aid = T2.aid LEFT JOIN aircraft AS T3 ON T3.aid = T2.aid WHERE T2.flno = 7", 0},
+		{"LIMIT 3 scan", "SELECT flno, origin FROM flight LIMIT 3", 0},
 	} {
 		stmt, err := sqlparse.Parse(tc.sql)
 		if err != nil {
@@ -439,7 +443,7 @@ func TestStreamedCoreAllocGate(t *testing.T) {
 			}
 			return pooledAllocs(t, pl, 20)
 		}
-		limit := tc.pooledMax
+		var limit float64
 		if raceEnabled {
 			limit = tc.racePooledMax
 		}

@@ -23,11 +23,11 @@
 // The pipeline fetches every join's right side and builds its bucket
 // source first, then streams each base row through one stage per join:
 // equi-joins probe a bucket per left row — a whole base table's hash index
-// over the key-column tuple, reused across executions, or else a hash
-// table built over the right side per execution — and a join without equi
-// keys runs a nested loop. All stages share one frame row, each writing
-// only its own table's columns, so no intermediate join result is ever
-// materialized. Under LIMIT, an ungrouped core without DISTINCT or sort
+// over the key-column tuple, reused across executions, or else one of the
+// same type rebuilt over the right side per execution — and a join without
+// equi keys runs a nested loop. All stages share one frame row, each
+// writing only its own table's columns, so no intermediate join result is
+// ever materialized. Under LIMIT, an ungrouped core without DISTINCT or sort
 // keys stops the push path once its sink holds OFFSET+LIMIT records, so
 // rows past the limit are never evaluated. A compound's ORDER BY and
 // LIMIT apply to the combined result. The pre-bound closures
@@ -314,16 +314,18 @@ func combine(sl *slab, l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes
 	}
 	out := sl.relation(l.Columns)
 	out.Rows = sl.rows(0)
+	inR, seen := &sl.sets[0], &sl.sets[1]
+	inR.Reset()
+	seen.Reset()
 	var buf []byte
 	switch op {
 	case sqlast.UnionAll:
 		out.Rows = append(append(out.Rows, l.Rows...), r.Rows...)
 	case sqlast.Union:
-		seen := &sl.keySets()[0]
 		for _, rows := range [][]sqltypes.Row{l.Rows, r.Rows} {
 			for _, row := range rows {
 				buf = row.AppendKey(buf[:0])
-				if seen.add(buf, 0, len(l.Rows)) {
+				if _, added := seen.Add(buf); added {
 					out.Append(row)
 				}
 			}
@@ -331,19 +333,17 @@ func combine(sl *slab, l, r *sqltypes.Relation, op sqlast.CompoundOp) (*sqltypes
 	case sqlast.Intersect, sqlast.Except:
 		// Keep the distinct left rows found (INTERSECT) or not found
 		// (EXCEPT) on the right.
-		sets := sl.keySets()
-		inR, seen := &sets[0], &sets[1]
 		for _, row := range r.Rows {
 			buf = row.AppendKey(buf[:0])
-			inR.add(buf, 0, len(r.Rows))
+			inR.Add(buf)
 		}
 		keep := op == sqlast.Intersect
 		for _, row := range l.Rows {
 			buf = row.AppendKey(buf[:0])
-			if _, hit := inR.get(buf); hit != keep {
+			if inR.Find(buf) >= 0 != keep {
 				continue
 			}
-			if seen.add(buf, 0, 0) {
+			if _, added := seen.Add(buf); added {
 				out.Append(row)
 			}
 		}
@@ -455,8 +455,8 @@ func (ex *Executor) pushFrom(e execution, cc *compiledCore, outer *rowCtx, s *co
 // only columns [accW, outW) with its right row (or NULLs), so a left row
 // is never copied and the row the sink sees is the frame itself. Output
 // order is left-major with right rows in scan order, as the joins would
-// produce it one at a time. The frame, the stages and the build-side hash
-// tables are the sink's scratch, reused by the next core its slab runs.
+// produce it one at a time. The frame and the stages, with their build
+// sides, are the sink's scratch, reused by the next core its slab runs.
 type pipeline struct {
 	stages []joinStage
 	frame  sqltypes.Row
@@ -467,16 +467,15 @@ type pipeline struct {
 	rc     *rowCtx
 	sink   *coreSink
 	cancel cancelCheck
-	key    []byte
 }
 
 // joinStage is one join of a pipeline. With equi keys it probes, with each
 // left prefix of the frame, a bucket of right-row positions: from the
 // right table's hash index over the key-column tuple when the right side
 // is a whole base table (built at most once per database instead of
-// hashing the table on every execution), otherwise from a hash table
-// built over the right side per execution. Without keys it visits every
-// right row (a nested loop). A NULL in any key column never equi-matches:
+// hashing the table on every execution), otherwise from own, rebuilt
+// over the right side per execution. Without keys it visits every right
+// row (a nested loop). A NULL in any key column never equi-matches:
 // AppendCompareKeyCols reports it, and its Compare-consistent encoding
 // (shared with the secondary indexes) matches the = operator exactly,
 // keeping both bucket sources bit-identical to the nested loop. A LEFT
@@ -488,15 +487,15 @@ type joinStage struct {
 	right          []sqltypes.Row
 	accW, outW     int
 	ix             *storage.HashIndex
-	ht             map[string][]int32
+	own            storage.HashIndex
 	pairs, emitted int64
 }
 
 // newPipeline fetches each join's right side in join order and builds its
-// hash table, or looks up the reused index, before any base row streams.
-// One amortized cancellation counter covers every build-side row, base
-// row and candidate pair, so even an n×m nested loop observes
-// cancellation within cancelCheckInterval visits.
+// hash index, or looks up the reused index, before any base row streams.
+// One amortized cancellation counter covers every base row and candidate
+// pair, so even an n×m nested loop observes cancellation within
+// cancelCheckInterval visits.
 func (ex *Executor) newPipeline(e execution, cc *compiledCore, outer *rowCtx, s *coreSink) (pipeline, error) {
 	if cap(s.stages) < len(cc.joins) {
 		s.stages = make([]joinStage, len(cc.joins))
@@ -518,28 +517,16 @@ func (ex *Executor) newPipeline(e execution, cc *compiledCore, outer *rowCtx, s 
 			e.trace.addRows(next.id, int64(len(right)))
 		}
 		st := &p.stages[i]
-		*st = joinStage{jp: jp, right: right, accW: accW, outW: accW + next.width, ht: st.ht}
+		*st = joinStage{jp: jp, right: right, accW: accW, outW: accW + next.width, own: st.own}
 		accW = st.outW
 		switch {
 		case len(jp.eqAcc) == 0:
 		case jp.reuse:
 			st.ix = ex.db.Index(next.table, jp.eqNew...)
 		default:
-			if st.ht == nil {
-				st.ht = make(map[string][]int32, len(right))
-			} else {
-				clear(st.ht)
-			}
-			for ri, rrow := range right {
-				if err := p.cancel.poll(); err != nil {
-					return pipeline{}, err
-				}
-				key, ok := rrow.AppendCompareKeyCols(p.key[:0], jp.eqNew)
-				p.key = key
-				if ok {
-					st.ht[string(key)] = append(st.ht[string(key)], int32(ri))
-				}
-			}
+			st.own.Reserve(len(right))
+			st.own.Build(right, jp.eqNew)
+			st.ix = &st.own
 		}
 	}
 	return p, nil
@@ -582,16 +569,10 @@ func (p *pipeline) join(i int) error {
 			}
 			matched = matched || ok
 		}
-	} else if key, ok := p.frame.AppendCompareKeyCols(p.key[:0], st.jp.eqAcc); ok {
+	} else if key, ok := p.frame.AppendCompareKeyCols(p.sink.key[:0], st.jp.eqAcc); ok {
 		// The bucket outlives the key: later stages reuse the buffer.
-		p.key = key
-		var bucket []int32
-		if st.ix != nil {
-			bucket = st.ix.Lookup(key)
-		} else {
-			bucket = st.ht[string(key)]
-		}
-		for _, ri := range bucket {
+		p.sink.key = key
+		for _, ri := range st.ix.Lookup(key) {
 			ok, err := p.pair(i, st.right[ri])
 			if err != nil {
 				return err
@@ -627,7 +608,7 @@ func (p *pipeline) pair(i int, rrow sqltypes.Row) (bool, error) {
 
 // arenaChunkBytes caps an arena chunk below the runtime's large-object
 // threshold, so chunks come from the size-classed allocator.
-const arenaChunkBytes = 16 << 10
+const arenaChunkBytes, valueBytes = 16 << 10, int(unsafe.Sizeof(sqltypes.Value{}))
 
 // rowArena hands out fixed-length rows carved from shared chunks: a
 // chunk holds twice the rows of the one before, up to arenaChunkBytes,
@@ -651,7 +632,7 @@ func (a *rowArena) alloc(n int) sqltypes.Row {
 		return sqltypes.Row{}
 	}
 	if cap(a.chunk)-len(a.chunk) < n {
-		a.rows = max(1, min(2*a.rows, arenaChunkBytes/(n*int(unsafe.Sizeof(sqltypes.Value{})))))
+		a.rows = max(1, min(2*a.rows, arenaChunkBytes/(n*valueBytes)))
 		a.chunk = a.slab.chunk(a.rows * n)
 	}
 	lo := len(a.chunk)

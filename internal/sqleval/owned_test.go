@@ -68,16 +68,14 @@ func TestReleasePoisons(t *testing.T) {
 
 // TestOwnedResultAllocGate pins recycling: once warm, releasing a result
 // and executing again reuses the released storage, so a scan, a
-// three-table join, an IN (subquery) filter and a LIKE filter allocate the
-// same small constant at 400 and at 4,000 flights (a result built in fresh
-// storage costs a records slice growth and an arena chunk per 512 values,
-// and an uncorrelated subquery as much again). The scan and the two
-// filters allocate nothing: LIKE lowers its literal pattern at compile
-// time and folds ASCII values inside the matcher. The join still builds the hash table over its 39-row
-// build side per execution, a key string and a bucket per key, which
-// TestIndexAllocRegressionGate's scan leg keeps as its baseline. Counted
-// on one P (AllocsPerRun) with the collector off, which also keeps the
-// pool from being emptied.
+// three-table join, an IN (subquery) filter and a LIKE filter allocate
+// nothing at 400 and at 4,000 flights (a result built in fresh storage
+// costs a records slice growth and an arena chunk per 512 values, and an
+// uncorrelated subquery as much again). LIKE lowers its literal pattern
+// at compile time and folds ASCII values inside the matcher, and the join
+// rebuilds its 39-row build side in the packed table its pooled sink
+// keeps. Counted on one P (AllocsPerRun) with the collector off, which
+// also keeps the pool from being emptied.
 func TestOwnedResultAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -85,12 +83,11 @@ func TestOwnedResultAllocGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
 		name, sql string
-		max       float64
 	}{
-		{"scan", "SELECT flno, origin, destination FROM flight", 0},
-		{"three-table join", "SELECT T1.flno, T2.name, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid WHERE T3.flno < 40", 1 + 2*39},
-		{"IN (subquery)", "SELECT flno FROM flight WHERE aid IN (SELECT aid FROM flight WHERE flno > 10)", 0},
-		{"LIKE", "SELECT flno FROM flight WHERE origin LIKE 'T%'", 0},
+		{"scan", "SELECT flno, origin, destination FROM flight"},
+		{"three-table join", "SELECT T1.flno, T2.name, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid WHERE T3.flno < 40"},
+		{"IN (subquery)", "SELECT flno FROM flight WHERE aid IN (SELECT aid FROM flight WHERE flno > 10)"},
+		{"LIKE", "SELECT flno FROM flight WHERE origin LIKE 'T%'"},
 	} {
 		stmt := sqlparse.MustParse(tc.sql)
 		measure := func(flights int) (float64, int) {
@@ -112,8 +109,8 @@ func TestOwnedResultAllocGate(t *testing.T) {
 		if largeRows <= smallRows {
 			t.Fatalf("%s: %d rows at 4000 flights vs %d at 400 — the case must scale", tc.name, largeRows, smallRows)
 		}
-		if large != small || large > tc.max {
-			t.Errorf("%s: a warm owned execution allocates %.0f/op at 4000 flights vs %.0f/op at 400 — want the same, at most %.0f", tc.name, large, small, tc.max)
+		if large != 0 || small != 0 {
+			t.Errorf("%s: a warm owned execution allocates %.0f/op at 4000 flights and %.0f/op at 400 — want 0", tc.name, large, small)
 		}
 		t.Logf("%s owned allocs/op: 400 flights=%.0f 4000 flights=%.0f", tc.name, small, large)
 	}
@@ -200,6 +197,71 @@ func TestOwnedConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestWarmSlabReuse runs a GROUP BY, a COUNT(DISTINCT ...), the three
+// deduplicating set operations, IN and NOT IN subqueries, a DISTINCT and
+// joins with filtered build sides back to back on one slab, released
+// after each, forwards and then backwards, so every grouping, member and
+// join table is reused by a statement whose keys overlap the last one's
+// (the same cities and aircraft ids, met in another order). Each result
+// must equal a fresh executor's, under the cost planner and with indexes
+// off, where every join builds its table per execution. The nested-loop
+// parity leg runs through the same tables, so parity between modes
+// cannot catch a table that a reuse leaves stale; this test can.
+func TestWarmSlabReuse(t *testing.T) {
+	db := benchDB(t, 50, 400)
+	ctx := context.Background()
+	sqls := []string{
+		"SELECT destination, count(*) FROM flight GROUP BY destination",
+		"SELECT origin, count(*), min(flno) FROM flight WHERE aid > 10 GROUP BY origin",
+		"SELECT aid, count(DISTINCT destination) FROM flight GROUP BY aid",
+		"SELECT origin FROM flight WHERE flno < 100 UNION SELECT destination FROM flight WHERE flno > 300",
+		"SELECT origin FROM flight WHERE flno < 100 INTERSECT SELECT destination FROM flight WHERE flno > 390",
+		"SELECT destination FROM flight WHERE flno < 20 EXCEPT SELECT origin FROM flight WHERE flno > 396",
+		"SELECT flno FROM flight WHERE aid IN (SELECT aid FROM aircraft WHERE distance > 3000)",
+		"SELECT count(*) FROM aircraft WHERE aid NOT IN (SELECT aid FROM flight WHERE flno < 30)",
+		"SELECT DISTINCT origin, destination FROM flight WHERE aid < 20",
+		"SELECT T1.flno, T2.name FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.distance > 3000",
+		"SELECT T2.name, T1.origin FROM aircraft AS T2 JOIN flight AS T1 ON T1.aid = T2.aid WHERE T1.flno < 60",
+		"SELECT T1.flno, T3.flno FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid JOIN flight AS T3 ON T3.aid = T2.aid WHERE T2.aid = 7 AND T3.flno > 200",
+	}
+	want := make([]string, len(sqls))
+	stmts := make([]*sqlast.SelectStmt, len(sqls))
+	for i, sql := range sqls {
+		stmts[i] = sqlparse.MustParse(sql)
+		rel, err := New(db).ExecContext(ctx, stmts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rel.String()
+	}
+	for _, mode := range []struct {
+		name string
+		ex   *Executor
+	}{{"cost", New(db)}, {"index-free", NewIndexFree(db)}} {
+		sl := newSlab()
+		for round := range 4 {
+			for k := range stmts {
+				i := k
+				if round%2 == 1 {
+					i = len(stmts) - 1 - k
+				}
+				pl, err := mode.ex.Prepare(stmts[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel, err := mode.ex.exec(ctx, pl.prog, sl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rel.String(); got != want[i] {
+					t.Errorf("%s, round %d: %s on a warm slab:\n%s\nwant\n%s", mode.name, round, sqls[i], got, want[i])
+				}
+				sl.release()
+			}
+		}
+	}
 }
 
 // BenchmarkExecJoin3Released is BenchmarkExecJoin3 through owned results,

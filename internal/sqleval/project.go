@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/storage"
 )
 
 // This file holds the consuming end of a core's push path. The base scan,
@@ -110,7 +111,7 @@ func (st *aggState) value(kind aggKind) (sqltypes.Value, error) {
 // accumulators are states[g*len(cc.aggs):(g+1)*len(cc.aggs)]. The row
 // handed to push is a view the caller reuses after push returns. Once the
 // core finishes, everything but records and the arena's rows is scratch:
-// a slab keeps the sink, and with it the capacity of its maps and slices,
+// a slab keeps the sink, and with it the capacity of its tables and slices,
 // for the next core it runs.
 type coreSink struct {
 	cc *compiledCore
@@ -120,15 +121,15 @@ type coreSink struct {
 	records []sqltypes.Row
 	arena   rowArena
 
-	index  keyIndex
+	index  storage.Groups
 	groups []groupAcc
 	states []aggState
 	firsts sqltypes.Row
 	view   groupView
 	// seen holds the DISTINCT aggregates' folded values, keyed by slot,
 	// group and value, and then finalize's DISTINCT rows; key is the
-	// scratch buffer for it and group keys.
-	seen keyIndex
+	// scratch buffer for it, group keys and join probe keys.
+	seen storage.Groups
 	key  []byte
 	// stages and frame are the join pipeline's (newPipeline).
 	stages []joinStage
@@ -202,12 +203,10 @@ func (s *coreSink) group(row sqltypes.Row) (int, error) {
 		}
 		s.key = v.AppendKey(s.key)
 	}
-	if g, ok := s.index.get(s.key); ok {
-		return int(g), nil
+	g, added := s.index.Add(s.key)
+	if added {
+		s.open(row)
 	}
-	g := len(s.groups)
-	s.index.add(s.key, int32(g), 0)
-	s.open(row)
 	return g, nil
 }
 
@@ -224,7 +223,8 @@ func (s *coreSink) dup(slot, g int, v sqltypes.Value) bool {
 	s.key = binary.AppendUvarint(s.key[:0], uint64(slot))
 	s.key = binary.AppendUvarint(s.key, uint64(g))
 	s.key = v.AppendKey(s.key)
-	return !s.seen.add(s.key, 0, 0)
+	_, added := s.seen.Add(s.key)
+	return !added
 }
 
 // finish projects the groups (a grouped core) and applies DISTINCT, ORDER
@@ -305,11 +305,11 @@ func (s *coreSink) finalize(records []sqltypes.Row) (*sqltypes.Relation, error) 
 	n := len(cc.items)
 	s.rc.slab.keep(records)
 	if core.Distinct {
-		s.seen.reset()
+		s.seen.Reset()
 		kept := records[:0]
 		for _, r := range records {
 			s.key = r[:n].AppendKey(s.key[:0])
-			if s.seen.add(s.key, 0, len(records)) {
+			if _, added := s.seen.Add(s.key); added {
 				kept = append(kept, r)
 			}
 		}

@@ -4,20 +4,20 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"cyclesql/internal/sqlast"
 	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/storage"
 )
 
 // This file holds owned results. Every execution takes the buffers it
 // allocates from a slab: the arena chunks its records are carved from,
 // the record slices, the scan buffers, the core sinks with their grouping
-// maps and pipeline frames, and the subquery memo. Run takes the slab
-// from a sync.Pool and Release hands it back, so the next execution
-// reuses the storage instead of allocating it. ExecContext runs on a
-// fresh slab that never enters the pool, so its relation stays the
-// caller's.
+// tables (storage.Groups), pipeline frames and join build sides, and the
+// subquery memo. Run takes the slab from a sync.Pool and Release hands it
+// back, so the next execution reuses the storage instead of allocating
+// it. ExecContext runs on a fresh slab that never enters the pool, so its
+// relation stays the caller's.
 //
 // Within one execution the slab is a stack: a subquery's result is
 // released as soon as the enclosing expression has read it (a memoised
@@ -119,7 +119,7 @@ var (
 // its storage in the pool.
 const (
 	maxSlabChunks      = 64
-	maxSlabChunkValues = 8 * arenaChunkBytes / int(unsafe.Sizeof(sqltypes.Value{}))
+	maxSlabChunkValues = 8 * arenaChunkBytes / valueBytes
 	maxSlabBufs        = 64
 	maxSlabBufRows     = 1 << 14
 )
@@ -138,7 +138,7 @@ type slab struct {
 	bufs, kept   [][]sqltypes.Row
 	sinks        []*coreSink
 	memo         []subMemo
-	sets         [2]keyIndex
+	sets         [2]storage.Groups
 	ids          []int32
 	rels         [2]sqltypes.Relation
 	nrel         int
@@ -304,7 +304,7 @@ func remove[T any](s []T, i int) []T {
 }
 
 // sink returns a core sink for one execution of cc: a fresh one, or an
-// idle one that keeps its maps and slices from earlier executions.
+// idle one that keeps its tables and slices from earlier executions.
 func (sl *slab) sink(e execution, cc *compiledCore, outer *rowCtx) *coreSink {
 	var s *coreSink
 	if len(sl.sinks) > 0 {
@@ -326,14 +326,14 @@ func (sl *slab) sink(e execution, cc *compiledCore, outer *rowCtx) *coreSink {
 // and is cleared for the next core.
 func (sl *slab) putSink(s *coreSink) {
 	s.cc, s.rc, s.kept, s.records, s.arena, s.view = nil, rowCtx{}, 0, nil, rowArena{}, groupView{}
-	s.index.reset()
-	s.seen.reset()
+	s.index.Reset()
+	s.seen.Reset()
 	s.groups, s.states, s.firsts, s.key = s.groups[:0], s.states[:0], s.firsts[:0], s.key[:0]
 	sl.sinks = append(sl.sinks, s)
 }
 
 // memoSlots returns n zeroed subquery memo slots; slots the slab had
-// before keep their member maps and key buffers, emptied.
+// before keep their member tables and key buffers, emptied.
 func (sl *slab) memoSlots(n int) []subMemo {
 	if cap(sl.memo) < n {
 		sl.memo = append(sl.memo[:cap(sl.memo)], make([]subMemo, n-cap(sl.memo))...)
@@ -341,59 +341,14 @@ func (sl *slab) memoSlots(n int) []subMemo {
 	memo := sl.memo[:n]
 	for i := range memo {
 		ms := &memo[i].members
-		ms.keys.reset()
+		ms.keys.Reset()
 		memo[i] = subMemo{members: memberSet{keys: ms.keys, buf: ms.buf[:0]}}
 	}
 	return memo
-}
-
-// keySets returns combine's two key sets, empty.
-func (sl *slab) keySets() *[2]keyIndex {
-	sl.sets[0].reset()
-	sl.sets[1].reset()
-	return &sl.sets
 }
 
 // idsCopy returns a copy of ids the caller may reorder.
 func (sl *slab) idsCopy(ids []int32) []int32 {
 	sl.ids = append(sl.ids[:0], ids...)
 	return sl.ids
-}
-
-// keyIndex maps byte keys to int32 values. The keys' bytes live in one
-// buffer the index owns, so adding a key costs no string allocation, and
-// reset keeps both the map and the buffer for the next use. Bytes a key
-// occupies are never written again while the map holds the key: the
-// buffer only grows until reset, and a grown buffer leaves the old one to
-// the keys that view it.
-type keyIndex struct {
-	m  map[string]int32
-	kb []byte
-}
-
-// get returns key's value.
-func (x *keyIndex) get(key []byte) (int32, bool) {
-	v, ok := x.m[string(key)]
-	return v, ok
-}
-
-// add maps key to v unless key is present, and reports whether it was
-// absent. A new map is sized for hint keys.
-func (x *keyIndex) add(key []byte, v int32, hint int) bool {
-	if _, ok := x.m[string(key)]; ok {
-		return false
-	}
-	if x.m == nil {
-		x.m = make(map[string]int32, hint)
-	}
-	lo := len(x.kb)
-	x.kb = append(x.kb, key...)
-	x.m[unsafe.String(unsafe.SliceData(x.kb[lo:]), len(key))] = v
-	return true
-}
-
-// reset empties the index.
-func (x *keyIndex) reset() {
-	clear(x.m)
-	x.kb = x.kb[:0]
 }

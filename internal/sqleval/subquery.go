@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cyclesql/internal/sqltypes"
+	"cyclesql/internal/storage"
 )
 
 // This file holds the per-execution memo of uncorrelated subqueries. The
@@ -77,7 +78,7 @@ func fillMembers(m *subMemo, rel *sqltypes.Relation) {
 			continue
 		}
 		s.buf = key
-		s.keys.add(key, 0, len(rel.Rows))
+		s.keys.Add(key)
 		if v.IsNumeric() {
 			s.numeric = true
 			s.nan = s.nan || isNaN(v)
@@ -102,7 +103,7 @@ func scalarOf(rel *sqltypes.Relation) sqltypes.Value {
 // sawNull records a NULL member, which turns a miss into NULL. buf is the
 // key scratch buffer, private to the execution that owns the memo.
 type memberSet struct {
-	keys    keyIndex
+	keys    storage.Groups
 	sawNull bool
 	numeric bool
 	nan     bool
@@ -116,8 +117,7 @@ func (s *memberSet) contains(v sqltypes.Value) bool {
 	}
 	key, _ := v.AppendCompareKey(s.buf[:0])
 	s.buf = key
-	_, ok := s.keys.get(key)
-	return ok
+	return s.keys.Find(key) >= 0
 }
 
 func isNaN(v sqltypes.Value) bool {

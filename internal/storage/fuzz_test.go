@@ -45,15 +45,51 @@ func oracleHashIndex(rel *sqltypes.Relation, cols []int) map[string][]int32 {
 	return groups
 }
 
+// checkHashIndex holds ix to the map-of-buckets oracle over rows: every
+// present key's Lookup equals its oracle bucket element for element and
+// has no spare capacity (appending to one bucket must not overwrite the
+// next), absent keys find nothing, and Distinct and NonNull match. It
+// returns the oracle's Distinct and NonNull.
+func checkHashIndex(t *testing.T, ix *HashIndex, rows []sqltypes.Row, cols []int) (distinct, nonNull int) {
+	t.Helper()
+	want := oracleHashIndex(&sqltypes.Relation{Rows: rows}, cols)
+	for key, bucket := range want {
+		got := ix.Lookup([]byte(key))
+		if !slices.Equal(got, bucket) {
+			t.Fatalf("Lookup(%x) = %v, want %v", key, got, bucket)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Lookup(%x) has cap %d > len %d", key, cap(got), len(got))
+		}
+		nonNull += len(bucket)
+	}
+	absent := [][]byte{nil, {0x01}}
+	for _, v := range []sqltypes.Value{sqltypes.NewInt(99), sqltypes.NewFloat(0.25), sqltypes.NewText("zz")} {
+		key, _ := sqltypes.Row{v, v}.AppendCompareKeyCols(nil, cols)
+		absent = append(absent, key)
+	}
+	for _, key := range absent {
+		if _, ok := want[string(key)]; !ok && len(ix.Lookup(key)) != 0 {
+			t.Fatalf("absent key %x found rows %v", key, ix.Lookup(key))
+		}
+	}
+	if ix.Distinct() != len(want) || ix.NonNull() != nonNull {
+		t.Fatalf("Distinct/NonNull = %d/%d, want %d/%d", ix.Distinct(), ix.NonNull(), len(want), nonNull)
+	}
+	return len(want), nonNull
+}
+
 // FuzzHashIndex builds the packed hash and sorted indexes over a prefix of
 // a random table of one- or two-column keys, inserts the remaining rows
 // through Database.Insert, which drops both, and holds the rebuilt hash
-// index to the map-of-buckets oracle: every present key's Lookup equals
-// its oracle bucket element for element and has no spare capacity
-// (appending to one bucket must not overwrite the next), absent keys find
-// nothing, and Distinct and NonNull match. Over one column the rebuilt
-// sorted index's Distinct and NonNull must match too. The seed corpus in
-// testdata/fuzz/FuzzHashIndex runs with every go test.
+// index to the map-of-buckets oracle (checkHashIndex). Over one column
+// the rebuilt sorted index's Distinct and NonNull must match too. The
+// reuse leg then builds one HashIndex value over the whole table, the
+// prefix and the whole table again, unreserved and reserved as the
+// executor's per-execution join builds are, so each build follows a larger
+// or a smaller one in the same storage; every build must match the
+// oracle. The seed corpus in testdata/fuzz/FuzzHashIndex runs with every
+// go test.
 func FuzzHashIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, twoCols bool, built uint8) {
 		width := 1
@@ -91,35 +127,76 @@ func FuzzHashIndex(f *testing.F) {
 				t.Fatal("Insert must drop the table's indexes")
 			}
 		}
-		ix, sx := db.Index("t", cols...), db.Sorted("t", 0)
+		all := db.Table("t").Rows
+		distinct, nonNull := checkHashIndex(t, db.Index("t", cols...), all, cols)
+		if sx := db.Sorted("t", 0); width == 1 && (sx.Distinct() != distinct || sx.NonNull() != nonNull) {
+			t.Fatalf("sorted Distinct/NonNull = %d/%d, want %d/%d", sx.Distinct(), sx.NonNull(), distinct, nonNull)
+		}
 
-		want := oracleHashIndex(db.Table("t"), cols)
-		nonNull := 0
-		for key, bucket := range want {
-			got := ix.Lookup([]byte(key))
-			if !slices.Equal(got, bucket) {
-				t.Fatalf("Lookup(%x) = %v, want %v", key, got, bucket)
-			}
-			if cap(got) != len(got) {
-				t.Fatalf("Lookup(%x) has cap %d > len %d", key, cap(got), len(got))
-			}
-			nonNull += len(bucket)
-		}
-		absent := [][]byte{nil, {0x01}}
-		for _, v := range []sqltypes.Value{sqltypes.NewInt(99), sqltypes.NewFloat(0.25), sqltypes.NewText("zz")} {
-			key, _ := sqltypes.Row{v, v}.AppendCompareKeyCols(nil, cols)
-			absent = append(absent, key)
-		}
-		for _, key := range absent {
-			if _, ok := want[string(key)]; !ok && len(ix.Lookup(key)) != 0 {
-				t.Fatalf("absent key %x found rows %v", key, ix.Lookup(key))
+		for _, reserve := range []bool{false, true} {
+			var ix HashIndex
+			for _, part := range [][]sqltypes.Row{all, all[:k], all} {
+				if reserve {
+					ix.Reserve(len(part))
+				}
+				ix.Build(part, cols)
+				checkHashIndex(t, &ix, part, cols)
 			}
 		}
-		if ix.Distinct() != len(want) || ix.NonNull() != nonNull {
-			t.Fatalf("Distinct/NonNull = %d/%d, want %d/%d", ix.Distinct(), ix.NonNull(), len(want), nonNull)
+	})
+}
+
+// FuzzGroups runs a random sequence of Add, Find and Reset on one Groups
+// table against a map oracle that numbers keys in first-seen order. Each
+// byte of data is an operation: its low two bits pick Add (0, 1), Find
+// (2) or Reset (3), and its high six bits a key of zero to three bytes
+// from a small alphabet, so keys repeat, share prefixes and differ in
+// length, and runs of new keys grow the probe table. Add must return the
+// oracle's group and whether it was new, Find the group or -1, and Len
+// the oracle's size; after the sequence every oracle key must still find
+// its group. The seed corpus in testdata/fuzz/FuzzGroups runs with every
+// go test.
+func FuzzGroups(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var gs Groups
+		want := map[string]int{}
+		for _, b := range data {
+			arg := int(b >> 2)
+			key := []byte("\x00ab\x00")[:arg%4]
+			for i := range key {
+				key[i] += byte(arg / 4)
+			}
+			switch b & 3 {
+			case 0, 1:
+				g, added := gs.Add(key)
+				wg, had := want[string(key)]
+				if !had {
+					wg = len(want)
+					want[string(key)] = wg
+				}
+				if g != wg || added == had {
+					t.Fatalf("Add(%x) = %d, %v; want %d, %v", key, g, added, wg, !had)
+				}
+			case 2:
+				wg, had := want[string(key)]
+				if !had {
+					wg = -1
+				}
+				if g := gs.Find(key); g != wg {
+					t.Fatalf("Find(%x) = %d, want %d", key, g, wg)
+				}
+			case 3:
+				gs.Reset()
+				clear(want)
+			}
+			if gs.Len() != len(want) {
+				t.Fatalf("Len = %d, want %d", gs.Len(), len(want))
+			}
 		}
-		if width == 1 && (sx.Distinct() != len(want) || sx.NonNull() != nonNull) {
-			t.Fatalf("sorted Distinct/NonNull = %d/%d, want %d/%d", sx.Distinct(), sx.NonNull(), len(want), nonNull)
+		for key, wg := range want {
+			if g := gs.Find([]byte(key)); g != wg {
+				t.Fatalf("Find(%x) = %d after the sequence, want %d", key, g, wg)
+			}
 		}
 	})
 }

@@ -8,18 +8,18 @@
 // of values as equal; over one column it is Value.AppendCompareKey) and
 // lists each group's row positions in scan order. The executor reads it
 // both as a point-lookup structure (WHERE col = literal) and as a prebuilt
-// hash-join build side — the exact buckets a join stage otherwise rebuilds
-// per execution, for single- and multi-key equi-joins alike. Indexes are found
-// by their exact column sequence: (a, b) and (b, a) are distinct indexes,
-// because the probe side encodes its key columns in the same order.
+// hash-join build side, for single- and multi-key equi-joins alike.
+// Indexes are found by their exact column sequence: (a, b) and (b, a) are
+// distinct indexes, because the probe side encodes its key columns in the
+// same order.
 //
 // The layout is packed and pointer-free, so the collector never scans an
 // index's contents and a build allocates a few dozen objects whatever
-// the row count: an open-addressing table of group numbers hashed with
-// hash/maphash, the group keys back to back in one byte slice with an
-// offset per group, and the row positions in one compressed-sparse-row
-// pair — group g's positions are pos[at[g]:at[g+1]]. The probe table is
-// sized to the distinct keys, not to the rows.
+// the row count: a Groups table (an open-addressing table of group
+// numbers hashed with hash/maphash, and the group keys back to back in
+// one byte slice) and the row positions in one compressed-sparse-row
+// pair — group g's positions are pos[at[g]:at[g+1]]. A published index's
+// probe table is sized to the distinct keys, not to the rows.
 //
 // Every index kind shares one lifecycle, with one write rule: indexes are
 // built lazily on first use and dropped by every write to their table —
@@ -43,42 +43,128 @@ package storage
 import (
 	"bytes"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 
 	"cyclesql/internal/sqltypes"
 )
 
-// HashIndex is a hash index over an ordered tuple of columns of a stored
-// table.
-type HashIndex struct {
-	indexHead
+// Groups numbers distinct byte keys in first-seen order, from 0. It is
+// the key half of a HashIndex and the executor's table for grouping,
+// DISTINCT, set operations and IN member sets. The zero Groups is empty;
+// Reset empties it and keeps its storage.
+type Groups struct {
 	// slots is an open-addressing table (linear probing) of group numbers
-	// plus one; 0 marks a free slot. Its length is a power of two, at
-	// least twice the number of groups.
+	// plus one; 0 marks a free slot. Its length is zero or a power of two,
+	// at least twice the number of groups.
 	slots []int32
-	// Group g's key is keys[koff[g]:koff[g+1]], and its row positions are
-	// pos[at[g]:at[g+1]], ascending. Both offset slices end with the total
-	// length, so each holds one entry more than there are groups.
+	// Group g's key is keys[koff[g-1]:koff[g]], reading koff[-1] as 0.
 	keys []byte
 	koff []int32
-	at   []int32
-	pos  []int32
 }
 
-// hashSeed seeds every hash index's probe table.
+// hashSeed seeds every probe table.
 var hashSeed = maphash.MakeSeed()
+
+// Len returns the number of groups.
+func (gs *Groups) Len() int { return len(gs.koff) }
+
+// Find returns key's group, or -1.
+func (gs *Groups) Find(key []byte) int {
+	g, _ := gs.find(key)
+	return g
+}
+
+// Add returns key's group, opening group Len() for a new key, and reports
+// whether it did. The table keeps a copy of key.
+func (gs *Groups) Add(key []byte) (group int, added bool) {
+	g, slot := gs.find(key)
+	if g >= 0 {
+		return g, false
+	}
+	gs.keys = append(gs.keys, key...)
+	return gs.insert(slot), true
+}
+
+// Reset empties the table; an empty one clears nothing.
+func (gs *Groups) Reset() {
+	if len(gs.koff) > 0 {
+		clear(gs.slots)
+	}
+	gs.keys, gs.koff = gs.keys[:0], gs.koff[:0]
+}
+
+// find returns the group whose key equals key, or -1 and the free slot
+// where the key would go (-1 when the table has no slots yet).
+func (gs *Groups) find(key []byte) (group, slot int) {
+	if len(gs.slots) == 0 {
+		return -1, -1
+	}
+	mask := uint64(len(gs.slots) - 1)
+	for i := maphash.Bytes(hashSeed, key) & mask; ; i = (i + 1) & mask {
+		s := gs.slots[i]
+		if s == 0 {
+			return -1, int(i)
+		}
+		if g := int(s - 1); bytes.Equal(gs.key(g), key) {
+			return g, int(i)
+		}
+	}
+}
+
+// key returns group g's key.
+func (gs *Groups) key(g int) []byte {
+	lo := int32(0)
+	if g > 0 {
+		lo = gs.koff[g-1]
+	}
+	return gs.keys[lo:gs.koff[g]]
+}
+
+// insert opens a group for the bytes past the last group's key, which
+// find reported absent with the given free slot, and returns its number.
+// The probe table doubles whenever the groups would fill more than half
+// of it.
+func (gs *Groups) insert(slot int) int {
+	g := len(gs.koff)
+	gs.koff = append(gs.koff, int32(len(gs.keys)))
+	if 2*(g+1) <= len(gs.slots) {
+		gs.slots[slot] = int32(g + 1)
+		return g
+	}
+	gs.slots = make([]int32, max(8, 2*len(gs.slots)))
+	mask := uint64(len(gs.slots) - 1)
+	for h := 0; h <= g; h++ {
+		i := maphash.Bytes(hashSeed, gs.key(h)) & mask
+		for gs.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		gs.slots[i] = int32(h + 1)
+	}
+	return g
+}
+
+// HashIndex is a hash index over an ordered tuple of columns of a stored
+// table, or a join build side the executor rebuilds per execution. Its
+// Groups is a named field, not embedded, so a published index, which is
+// shared, has no method that changes it.
+type HashIndex struct {
+	indexHead
+	groups Groups
+	// Group g's row positions are pos[at[g]:at[g+1]], ascending. group is
+	// Build's per-row scratch, kept only when Reserve sized it.
+	at, pos, group []int32
+}
 
 // Lookup returns the positions of rows whose key columns encode to key,
 // in ascending row order. The returned slice is shared and its capacity
 // ends with it, so callers must not mutate it but may append to it. The
 // lookup allocates nothing.
 func (ix *HashIndex) Lookup(key []byte) []int32 {
-	g, _ := ix.find(key)
-	if g < 0 {
-		return nil
+	if g := ix.groups.Find(key); g >= 0 {
+		return ix.pos[ix.at[g]:ix.at[g+1]:ix.at[g+1]]
 	}
-	lo, hi := ix.at[g], ix.at[g+1]
-	return ix.pos[lo:hi:hi]
+	return nil
 }
 
 // Distinct returns the number of distinct fully-non-NULL key tuples. It
@@ -90,7 +176,7 @@ func (ix *HashIndex) Lookup(key []byte) []int32 {
 // index that proves no probe can match. The cost-based planner
 // (internal/stats) relies on exactly that reading — zero distinct keys
 // means equality selects nothing, not "unknown".
-func (ix *HashIndex) Distinct() int { return len(ix.koff) - 1 }
+func (ix *HashIndex) Distinct() int { return ix.groups.Len() }
 
 // NonNull returns how many rows the index covers — rows whose every key
 // column is non-NULL (the sum of all group sizes). Together with
@@ -98,77 +184,52 @@ func (ix *HashIndex) Distinct() int { return len(ix.koff) - 1 }
 // planner's equality selectivity estimate.
 func (ix *HashIndex) NonNull() int { return len(ix.pos) }
 
-// find returns the group whose key equals key, or -1 and the free slot
-// where the key would go (-1 when the table has no slots yet).
-func (ix *HashIndex) find(key []byte) (group, slot int) {
-	if len(ix.slots) == 0 {
-		return -1, -1
-	}
-	mask := uint64(len(ix.slots) - 1)
-	for i := maphash.Bytes(hashSeed, key) & mask; ; i = (i + 1) & mask {
-		s := ix.slots[i]
-		if s == 0 {
-			return -1, int(i)
-		}
-		if g := int(s - 1); bytes.Equal(ix.key(g), key) {
-			return g, int(i)
-		}
+// Reserve sizes ix so that a Build over up to n rows allocates nothing
+// but key bytes, taking its probe table, offsets, positions and scratch
+// from one allocation when they are short. A published index is built
+// unreserved, so its probe table stays sized to its distinct keys.
+func (ix *HashIndex) Reserve(n int) {
+	slots := max(8, 1<<bits.Len(uint(max(2*n-1, 0)))) // a power of two, at least 2n
+	if len(ix.groups.slots) < slots || cap(ix.pos) < n {
+		buf := make([]int32, slots+4*n+1)
+		ix.groups = Groups{slots: buf[:slots:slots], keys: ix.groups.keys[:0], koff: buf[slots : slots : slots+n]}
+		buf = buf[slots+n:]
+		ix.group, ix.at, ix.pos = buf[:0:n], buf[n:n:2*n+1], buf[2*n+1:2*n+1]
 	}
 }
 
-// key returns group g's key.
-func (ix *HashIndex) key(g int) []byte { return ix.keys[ix.koff[g]:ix.koff[g+1]] }
-
-// addGroup appends a new group for key, which find reported absent with
-// the given free slot, and returns its number. The probe table doubles
-// whenever the groups would fill more than half of it.
-func (ix *HashIndex) addGroup(key []byte, slot int) int {
-	g := ix.Distinct()
-	ix.keys = append(ix.keys, key...)
-	ix.koff = append(ix.koff, int32(len(ix.keys)))
-	if 2*(g+1) <= len(ix.slots) {
-		ix.slots[slot] = int32(g + 1)
-		return g
-	}
-	ix.slots = make([]int32, max(8, 2*len(ix.slots)))
-	mask := uint64(len(ix.slots) - 1)
-	for h := 0; h <= g; h++ {
-		i := maphash.Bytes(hashSeed, ix.key(h)) & mask
-		for ix.slots[i] != 0 {
-			i = (i + 1) & mask
+// Build rebuilds ix over rows, grouped by the key encoding of the columns
+// cols (hashKey), in the storage of its previous build. The caller sets
+// indexHead.
+func (ix *HashIndex) Build(rows []sqltypes.Row, cols []int) {
+	gs := &ix.groups
+	gs.Reset()
+	// First pass: assign every row its group, -1 for a NULL key. A key is
+	// encoded past the last group's key and stays there only when it opens
+	// a group, so the build needs no key buffer.
+	group, nonNull := slices.Grow(ix.group[:0], len(rows)), 0
+	for _, row := range rows {
+		lo := len(gs.keys)
+		key, ok := hashKey(gs.keys, row, cols)
+		gs.keys = key[:lo]
+		g, slot := -1, 0
+		if ok {
+			if g, slot = gs.find(key[lo:]); g < 0 {
+				gs.keys = key
+				g = gs.insert(slot)
+			}
+			nonNull++
 		}
-		ix.slots[i] = int32(h + 1)
-	}
-	return g
-}
-
-func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
-	ix := &HashIndex{
-		indexHead: indexHead{cols: slices.Clone(cols), rows: len(rel.Rows)},
-		koff:      []int32{0},
-	}
-	// First pass: assign every row its group, -1 for a NULL key.
-	group := make([]int32, len(rel.Rows))
-	var buf []byte
-	for ri, row := range rel.Rows {
-		key, ok := hashKey(buf[:0], row, ix.cols)
-		buf = key
-		if !ok {
-			group[ri] = -1
-			continue
-		}
-		g, slot := ix.find(key)
-		if g < 0 {
-			g = ix.addGroup(key, slot)
-		}
-		group[ri] = int32(g)
+		group = append(group, int32(g))
 	}
 	// Second pass: count each group's rows into at[g+1], sum the counts
 	// into start offsets, then place the positions in scan order, using
 	// at[g] as group g's cursor. The cursors end at the next group's
 	// start, so shifting at right by one restores the offsets.
-	n := ix.Distinct()
-	ix.at = make([]int32, n+1)
+	n := gs.Len()
+	ix.at = slices.Grow(ix.at[:0], n+1)[:n+1]
+	clear(ix.at)
+	ix.pos = slices.Grow(ix.pos[:0], nonNull)[:nonNull]
 	for _, g := range group {
 		if g >= 0 {
 			ix.at[g+1]++
@@ -177,7 +238,6 @@ func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
 	for g := 1; g <= n; g++ {
 		ix.at[g] += ix.at[g-1]
 	}
-	ix.pos = make([]int32, ix.at[n])
 	for ri, g := range group {
 		if g >= 0 {
 			ix.pos[ix.at[g]] = int32(ri)
@@ -186,7 +246,6 @@ func buildHashIndex(rel *sqltypes.Relation, cols []int) *HashIndex {
 	}
 	copy(ix.at[1:], ix.at[:n])
 	ix.at[0] = 0
-	return ix
 }
 
 // hashKey encodes the key columns of a row, reporting ok=false for NULL
@@ -302,7 +361,9 @@ func buildIndex(rel *sqltypes.Relation, sorted bool, cols []int) index {
 	if sorted {
 		return buildSortedIndex(rel, cols[0])
 	}
-	return buildHashIndex(rel, cols)
+	ix := &HashIndex{indexHead: indexHead{cols: slices.Clone(cols), rows: len(rel.Rows)}}
+	ix.Build(rel.Rows, ix.cols)
+	return ix
 }
 
 // validCols reports whether rel exists and cols is a non-empty tuple of

@@ -329,7 +329,7 @@ func TestIndexLookupAllocGate(t *testing.T) {
 		rel.Append(sqltypes.Row{sqltypes.NewInt(int64(i))})
 	}
 	id := []int{0}
-	if allocs := testing.AllocsPerRun(10, func() { buildHashIndex(rel, id) }); allocs >= 100 {
+	if allocs := testing.AllocsPerRun(10, func() { buildIndex(rel, false, id) }); allocs >= 100 {
 		t.Errorf("building a %d-row unique-key index allocates %.0f objects, want < 100", rows, allocs)
 	}
 }
